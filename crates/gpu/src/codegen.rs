@@ -426,8 +426,8 @@ impl Codegen<'_> {
     }
 
     /// Two-stage reduction: a streaming fold kernel producing per-thread
-    /// partials, then a host-side combine (counted as a small device op).
-    /// Covers top-level `reduce` and `redomap`.
+    /// partials, then a one-thread fold kernel combining them (see
+    /// [`Codegen::combine`]). Covers top-level `reduce` and `redomap`.
     fn stream_fold_launch(
         &mut self,
         stm: &Stm,
@@ -535,6 +535,8 @@ impl Codegen<'_> {
             })
             .collect();
         let partial_names: Vec<Name> = pat.iter().map(|pe| pe.name.clone()).collect();
+        let rows: Vec<Type> = pat.iter().map(|pe| Type::Scalar(pe.ty.elem())).collect();
+        let combine = self.combine(&kernel.name, stm, &partial_names, &rows, red_lam, neutral)?;
         let spec = LaunchSpec {
             kernel: self.push_kernel(kernel),
             widths: vec![width.clone()],
@@ -544,15 +546,7 @@ impl Codegen<'_> {
             args: kb_args(&kb),
             outs,
         };
-        Ok(vec![
-            HStm::Launch { pat, spec },
-            HStm::Combine {
-                pat: stm.pat.clone(),
-                partials: partial_names,
-                red_lam: red_lam.clone(),
-                init: neutral.to_vec(),
-            },
-        ])
+        Ok(vec![HStm::Launch { pat, spec }, combine])
     }
 
     /// Top-level `stream_red`: fold kernel over chunks + combine.
@@ -682,6 +676,14 @@ impl Codegen<'_> {
             })
             .collect();
         let partial_names: Vec<Name> = pat.iter().map(|pe| pe.name.clone()).collect();
+        let combine = self.combine(
+            &kernel.name,
+            stm,
+            &partial_names,
+            &fold_lam.ret,
+            red_lam,
+            accs,
+        )?;
         let spec = LaunchSpec {
             kernel: self.push_kernel(kernel),
             widths: vec![width.clone()],
@@ -691,15 +693,81 @@ impl Codegen<'_> {
             args: kb_args(&kb),
             outs,
         };
-        Ok(vec![
-            HStm::Launch { pat, spec },
-            HStm::Combine {
-                pat: stm.pat.clone(),
-                partials: partial_names,
-                red_lam: red_lam.clone(),
-                init: accs.to_vec(),
-            },
-        ])
+        Ok(vec![HStm::Launch { pat, spec }, combine])
+    }
+
+    /// Stage 2 of a two-stage reduction: a one-thread kernel that folds
+    /// the `t` per-thread partials left to right from the initial
+    /// accumulators, `acc = init; for i < t: acc = red(acc, partials[i])`
+    /// (the interpreter's order), and writes the result into row 0 of the
+    /// partials, which are dead afterwards. `rows` are the per-thread
+    /// accumulator types. The kernel takes its stage-1 kernel's name and
+    /// joins no kernel table; parameter 0 is the partial count
+    /// ([`ArgSpec::NumThreadsArg`] of the stage-1 launch).
+    fn combine(
+        &self,
+        name: &str,
+        stm: &Stm,
+        partials: &[Name],
+        rows: &[Type],
+        red_lam: &Lambda,
+        init: &[SubExp],
+    ) -> CResult<HStm> {
+        let mut kb = KBuild::new(name.to_string(), stm.prov.clone());
+        kb.params.push(KParam::Scalar(ScalarType::I64));
+        kb.launch_args.push(ArgSpec::NumThreadsArg);
+        let t = KExp::ScalarArg(0);
+        let mut parts = Vec::new();
+        for (p, row) in partials.iter().zip(rows) {
+            kb.params.push(KParam::Buffer(row.elem()));
+            kb.launch_args.push(ArgSpec::ArrayIn {
+                name: p.clone(),
+                perm: Vec::new(),
+            });
+            let arg = kb.params.len() - 1;
+            let mut dims = vec![t.clone()];
+            if let Type::Array(at) = row {
+                for d in &at.dims {
+                    dims.push(kb.scalar_subexp(&SubExp::from(d), ScalarType::I64)?);
+                }
+            }
+            parts.push(GRef::new(arg, row.elem(), dims, &[]));
+        }
+        let mut lower = Lower {
+            cg_types: &self.types,
+            kb: &mut kb,
+            env: HashMap::new(),
+        };
+        let mut body = Vec::new();
+        let k = init.len();
+        let mut accs = Vec::new();
+        for (p, ne) in red_lam.params.iter().zip(init) {
+            let acc = lower.init_acc(p, ne, &mut body)?;
+            lower.env.insert(p.name.clone(), acc.clone());
+            accs.push(acc);
+        }
+        let i = lower.kb.reg();
+        let mut step = Vec::new();
+        for (p, g) in red_lam.params[k..].iter().zip(&parts) {
+            let x = lower.read_elem_or_slice(&TVal::GArr(g.clone()), &[KExp::Var(i)], &mut step)?;
+            lower.env.insert(p.name.clone(), x);
+        }
+        let res = lower.body(&red_lam.body, &mut step)?;
+        lower.write_back(&accs, &res, &mut step)?;
+        body.push(KStm::For {
+            var: i,
+            bound: t,
+            body: step,
+        });
+        for (g, acc) in parts.iter().zip(&accs) {
+            lower.write_into(&g.slice(&[KExp::i64(0)]), acc, &mut body)?;
+        }
+        Ok(HStm::Combine {
+            pat: stm.pat.clone(),
+            partials: partials.to_vec(),
+            args: kb_args(&kb),
+            kernel: kb.finish(body),
+        })
     }
 
     /// A scatter kernel: one thread per index/value pair. The output buffer
@@ -1819,35 +1887,6 @@ impl<'a> Lower<'a> {
             self.env.insert(p.name.clone(), v.clone());
             merge.push(v);
         }
-        let write_back = |lower: &mut Self,
-                          merge: &[TVal],
-                          results: &[TVal],
-                          stms: &mut Vec<KStm>|
-         -> CResult<()> {
-            for (m, r) in merge.iter().zip(results) {
-                match (m, r) {
-                    (TVal::Reg(mr, _), rv) => {
-                        stms.push(KStm::Assign {
-                            var: *mr,
-                            exp: tval_scalar(rv)?,
-                        });
-                    }
-                    (TVal::Priv(mp), TVal::Priv(rp)) if mp.id == rp.id => {}
-                    (TVal::Priv(mp), rv) => {
-                        let total = mp
-                            .dims
-                            .iter()
-                            .cloned()
-                            .reduce(|a, b| a.mul(b))
-                            .unwrap_or(KExp::i64(1));
-                        let _ = total;
-                        lower.copy_elements(&CopyDst::Priv(mp.clone()), rv, stms)?;
-                    }
-                    _ => return cerr("unsupported loop merge shape"),
-                }
-            }
-            Ok(())
-        };
         match form {
             LoopForm::For { var, bound } => {
                 let b = self.subexp(bound, out)?;
@@ -1855,7 +1894,7 @@ impl<'a> Lower<'a> {
                 self.env.insert(var.clone(), TVal::Reg(i, ScalarType::I64));
                 let mut inner = Vec::new();
                 let results = self.body(body, &mut inner)?;
-                write_back(self, &merge, &results, &mut inner)?;
+                self.write_back(&merge, &results, &mut inner)?;
                 out.push(KStm::For {
                     var: i,
                     bound: b,
@@ -1873,7 +1912,7 @@ impl<'a> Lower<'a> {
                 out.extend(pre);
                 let mut inner = Vec::new();
                 let results = self.body(body, &mut inner)?;
-                write_back(self, &merge, &results, &mut inner)?;
+                self.write_back(&merge, &results, &mut inner)?;
                 let cvals2 = self.body(cond, &mut inner)?;
                 let c2 = tval_scalar(&cvals2[0])?;
                 inner.push(KStm::Assign { var: cr, exp: c2 });
@@ -1884,6 +1923,23 @@ impl<'a> Lower<'a> {
             }
         }
         Ok(merge)
+    }
+
+    /// Stores loop-carried results into their merge storage: registers
+    /// by assignment, private arrays by element copy.
+    fn write_back(&mut self, merge: &[TVal], results: &[TVal], out: &mut Vec<KStm>) -> CResult<()> {
+        for (m, r) in merge.iter().zip(results) {
+            match (m, r) {
+                (TVal::Reg(mr, _), rv) => out.push(KStm::Assign {
+                    var: *mr,
+                    exp: tval_scalar(rv)?,
+                }),
+                (TVal::Priv(mp), TVal::Priv(rp)) if mp.id == rp.id => {}
+                (TVal::Priv(mp), rv) => self.copy_elements(&CopyDst::Priv(mp.clone()), rv, out)?,
+                _ => return cerr("unsupported loop merge shape"),
+            }
+        }
+        Ok(())
     }
 
     fn lower_soac(

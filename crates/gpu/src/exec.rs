@@ -10,13 +10,14 @@
 //! inside host loops.
 
 use crate::device::DeviceProfile;
+use crate::kernel::Kernel;
 use crate::plan::{ArgSpec, GpuPlan, HBody, HStm, LaunchKind, LaunchSpec, StealKind};
 use crate::sim::{
     self, Arg, BufId, DeviceMemory, KernelStats, Limiter, MemEvent, MemOp, MemStats, SimError,
     SiteStats, TimeBreakdown,
 };
 use crate::tape::{host_threads, sim_engine, DecodedKernel, LaunchOpts, SimEngine};
-use futhark_core::traverse::{free_in_exp, free_in_lambda};
+use futhark_core::traverse::free_in_exp;
 use futhark_core::{
     ArrayVal, Buffer, Exp, Name, PatElem, Program, Scalar, ScalarType, Size, SubExp, Type, Value,
 };
@@ -494,8 +495,8 @@ type EResult<T> = Result<T, ExecError>;
 
 /// Runs a compiled plan on the given device profile.
 ///
-/// `prog` is the original (flattened) program: interpreter fallbacks and
-/// host-side combines evaluate fragments of it.
+/// `prog` is the original (flattened) program: interpreter fallbacks
+/// evaluate fragments of it.
 ///
 /// # Errors
 ///
@@ -596,6 +597,7 @@ pub fn run_with_opts(
         report: PerfReport::default(),
         layout_cache: HashMap::new(),
         decoded: vec![None; plan.kernels.len()],
+        combines: HashMap::new(),
         kernel_sites: vec![None; plan.kernels.len()],
         buf_sites: HashMap::new(),
         threads: opts.threads.max(1),
@@ -657,6 +659,8 @@ struct Executor<'a> {
     /// Kernels pre-decoded to flat opcode tapes, lazily, once per plan
     /// kernel — host loops re-launching the same kernel skip the decode.
     decoded: Vec<Option<DecodedKernel>>,
+    /// Decoded stage-2 fold kernels of [`HStm::Combine`]s, by name.
+    combines: HashMap<String, DecodedKernel>,
     /// Per-kernel provenance union keys, computed lazily (the site that
     /// memory events inside a launch are attributed to).
     kernel_sites: Vec<Option<String>>,
@@ -973,9 +977,9 @@ impl<'a> Executor<'a> {
             HStm::Combine {
                 pat,
                 partials,
-                red_lam,
-                init,
-            } => self.combine(pat, partials, red_lam, init),
+                kernel,
+                args,
+            } => self.combine(pat, partials, kernel, args),
             HStm::Loop {
                 pat,
                 params,
@@ -1417,6 +1421,30 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// Resolves kernel arguments against the host environment.
+    fn kernel_args(
+        &mut self,
+        specs: &[ArgSpec],
+        num_threads: u64,
+        out_bufs: &[BufId],
+    ) -> EResult<Vec<Arg>> {
+        specs
+            .iter()
+            .map(|a| {
+                Ok(match a {
+                    ArgSpec::ScalarVar(v) => Arg::Scalar(self.scalar(&SubExp::Var(v.clone()))?),
+                    ArgSpec::ScalarConst(k) => Arg::Scalar(*k),
+                    ArgSpec::NumThreadsArg => Arg::Scalar(Scalar::I64(num_threads as i64)),
+                    ArgSpec::ArrayIn { name, perm } => {
+                        let d = self.array(name)?;
+                        Arg::Buffer(self.materialise(&d, perm)?)
+                    }
+                    ArgSpec::Out(i) => Arg::Buffer(out_bufs[*i]),
+                })
+            })
+            .collect()
+    }
+
     fn launch(&mut self, pat: &[PatElem], spec: &LaunchSpec) -> EResult<()> {
         let kernel = &self.plan.kernels[spec.kernel];
         // Thread count.
@@ -1547,20 +1575,7 @@ impl<'a> Executor<'a> {
                 perm: o.perm.clone(),
             });
         }
-        // Arguments.
-        let mut args = Vec::new();
-        for a in &spec.args {
-            args.push(match a {
-                ArgSpec::ScalarVar(v) => Arg::Scalar(self.scalar(&SubExp::Var(v.clone()))?),
-                ArgSpec::ScalarConst(k) => Arg::Scalar(*k),
-                ArgSpec::NumThreadsArg => Arg::Scalar(Scalar::I64(num_threads as i64)),
-                ArgSpec::ArrayIn { name, perm } => {
-                    let d = self.array(name)?;
-                    Arg::Buffer(self.materialise(&d, perm)?)
-                }
-                ArgSpec::Out(i) => Arg::Buffer(out_bufs[*i]),
-            });
-        }
+        let args = self.kernel_args(&spec.args, num_threads, &out_bufs)?;
         if self.decoded[spec.kernel].is_none() {
             self.decoded[spec.kernel] = Some(DecodedKernel::decode(kernel)?);
         }
@@ -1654,61 +1669,62 @@ impl<'a> Executor<'a> {
         &mut self,
         pat: &[PatElem],
         partials: &[Name],
-        red_lam: &futhark_core::Lambda,
-        init: &[SubExp],
+        kernel: &Kernel,
+        args: &[ArgSpec],
     ) -> EResult<()> {
-        // Download partials; fold on the host with the combine operator.
-        let parts: Vec<ArrayVal> = partials
+        let parts: Vec<DArr> = partials
             .iter()
-            .map(|p| {
-                let d = self.array(p)?;
-                self.download_arr(&d)
-            })
+            .map(|p| self.array(p))
             .collect::<EResult<_>>()?;
-        let t_count = parts[0].shape[0];
-        let mut acc: Vec<Value> = init
-            .iter()
-            .map(|se| self.download_value(&self.hval(se)?.clone()))
-            .collect::<EResult<_>>()?;
-        // The operator may reference free host variables (e.g. widths of a
-        // vectorised combine); bind them.
-        let mut bindings: HashMap<Name, Value> = HashMap::new();
-        for v in free_in_lambda(red_lam) {
-            if let Some(hv) = self.env.get(&v).cloned() {
-                let val = self.download_value(&hv)?;
-                bindings.insert(v, val);
-            }
+        let t = parts[0].shape[0];
+        // The fold kernel's counters are not part of the modelled run: the
+        // combine is charged below as one small device op.
+        let args = self.kernel_args(args, t as u64, &[])?;
+        if !self.combines.contains_key(&kernel.name) {
+            let dk = DecodedKernel::decode(kernel)?;
+            self.combines.insert(kernel.name.clone(), dk);
         }
-        let mut interp = Interpreter::new(self.prog);
-        for i in 0..t_count as i64 {
-            let mut args = acc;
-            for p in &parts {
-                let v = if p.rank() == 1 {
-                    Value::Scalar(p.index_scalar(&[i]).expect("in bounds"))
-                } else {
-                    Value::Array(p.index_slice(&[i]).expect("in bounds"))
-                };
-                args.push(v);
-            }
-            acc = interp.eval_lambda_with(&bindings, red_lam, &args)?;
-        }
-        // Cost: a small second-stage reduction over the partials.
-        let bytes: f64 = parts
-            .iter()
-            .map(|p| (p.data.len() * p.elem_type().byte_size()) as f64)
-            .sum();
-        let t = self.device.launch_overhead_us
+        let opts = LaunchOpts {
+            threads: 1,
+            profile: false,
+            engine: self.engine,
+        };
+        crate::tape::launch_decoded_with(
+            self.device,
+            &self.combines[&kernel.name],
+            1,
+            &args,
+            &mut self.mem,
+            opts,
+        )?;
+        let bytes: f64 = parts.iter().map(|d| d.bytes() as f64).sum();
+        let t_us = self.device.launch_overhead_us
             + self.device.memory_us(bytes)
             + self.device.sync_overhead_us;
-        self.report.device_op_us += t;
-        self.report.total_us += t;
+        self.report.device_op_us += t_us;
+        self.report.total_us += t_us;
         self.report.timeline.push(TimelineEvent::DeviceOp {
             what: "combine".into(),
             bytes: bytes as u64,
-            us: t,
+            us: t_us,
         });
-        for (pe, v) in pat.iter().zip(acc) {
-            let hv = self.upload_value(&v)?;
+        // The result is row 0 of each partial: host scalars stay scalars,
+        // an array result is copied into one fresh buffer.
+        for (pe, d) in pat.iter().zip(&parts) {
+            let row = d.elems() / t;
+            let src = self.mem.download(d.buf)?;
+            let hv = if d.shape.len() == 1 {
+                HVal::Scalar(src.get(0))
+            } else {
+                let mut data = Buffer::zeros(d.elem, row);
+                data.copy_from(0, src, 0, row);
+                HVal::Array(DArr {
+                    buf: self.mem.upload(data)?,
+                    shape: d.shape[1..].to_vec(),
+                    elem: d.elem,
+                    perm: Vec::new(),
+                })
+            };
             self.env.insert(pe.name.clone(), hv);
         }
         Ok(())

@@ -29,7 +29,7 @@
 //! to wrong values.
 
 use crate::plan::{ArgSpec, GpuPlan, HBody, HStm, LaunchKind, StealKind};
-use futhark_core::traverse::{free_in_exp, free_in_lambda};
+use futhark_core::traverse::free_in_exp;
 use futhark_core::{Exp, Name, NameSource, ScalarType, SubExp, Type};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -236,17 +236,18 @@ impl Analysis {
             HStm::Combine {
                 pat,
                 partials,
-                red_lam,
-                init,
+                args,
+                ..
             } => {
                 for p in partials {
                     self.use_at(p, site);
                 }
-                for v in free_in_lambda(red_lam) {
-                    self.use_at(&v, site);
-                }
-                for se in init {
-                    self.use_subexp(se, site);
+                for a in args {
+                    match a {
+                        ArgSpec::ScalarVar(v) => self.use_at(v, site),
+                        ArgSpec::ArrayIn { name, .. } => self.use_at(name, site),
+                        _ => {}
+                    }
                 }
                 for pe in pat {
                     self.def(&pe.name, &pe.ty, site);
@@ -451,7 +452,13 @@ fn normalize_partials(body: &mut HBody, ns: &mut NameSource) {
     }
     for j in 1..body.stms.len() {
         let (head, tail) = body.stms.split_at_mut(j);
-        let HStm::Combine { pat, partials, .. } = &mut tail[0] else {
+        let HStm::Combine {
+            pat,
+            partials,
+            args,
+            ..
+        } = &mut tail[0]
+        else {
             continue;
         };
         let HStm::Launch { pat: lpat, .. } = &mut head[j - 1] else {
@@ -462,7 +469,11 @@ fn normalize_partials(body: &mut HBody, ns: &mut NameSource) {
                 continue;
             }
             let fresh = ns.fresh("part");
-            for p in partials.iter_mut() {
+            let arrays = args.iter_mut().filter_map(|a| match a {
+                ArgSpec::ArrayIn { name, .. } => Some(name),
+                _ => None,
+            });
+            for p in partials.iter_mut().chain(arrays) {
                 if *p == le.name {
                     *p = fresh.clone();
                 }
@@ -1208,7 +1219,8 @@ fn predict_stm(st: &mut PState, plan: &GpuPlan, device: &crate::DeviceProfile, s
             }
         }
         HStm::Combine { pat, .. } => {
-            // Host-side fold; array-typed results are uploaded fresh.
+            // Array-typed results are copied out of the partials into
+            // fresh buffers.
             for pe in pat {
                 match &pe.ty {
                     Type::Array(_) => st.bind_fresh(&pe.name, &pe.ty),

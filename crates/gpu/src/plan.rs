@@ -7,7 +7,7 @@
 //! in simulated device memory and accumulating a performance report.
 
 use crate::kernel::Kernel;
-use futhark_core::{Lambda, Name, Param, PatElem, Scalar, ScalarType, Stm, SubExp};
+use futhark_core::{Name, Param, PatElem, Scalar, ScalarType, Stm, SubExp};
 
 /// How a launch computes its thread count.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +32,8 @@ pub enum ArgSpec {
     ScalarVar(Name),
     /// A constant.
     ScalarConst(Scalar),
-    /// The launch's total thread count (streams need it for chunking).
+    /// The launch's total thread count (streams need it for chunking). In
+    /// a [`HStm::Combine`], the stage-1 launch's: the number of partials.
     NumThreadsArg,
     /// An input array, materialised in the given layout (`perm` maps
     /// physical dimension position → logical dimension; empty = row-major).
@@ -117,17 +118,24 @@ pub enum HStm {
         /// The launch.
         spec: LaunchSpec,
     },
-    /// Host-side combine of per-thread partial results (the second stage
-    /// of a two-stage reduction / `stream_red`).
+    /// The second stage of a two-stage reduction / `stream_red`: a
+    /// one-thread fold kernel combines the stage-1 launch's per-thread
+    /// partials with the associative operator, left to right from the
+    /// initial accumulators (`acc = init; for i < t: acc = red(acc,
+    /// partials[i])`, the interpreter's order), and leaves the result in
+    /// row 0 of the partials, which are dead afterwards. The executor runs
+    /// it on the run's engine and charges it as one `combine` device op:
+    /// the fold kernel adds no launch, no per-kernel entry, and nothing to
+    /// [`GpuPlan::kernel_count`].
     Combine {
         /// Bound pattern (the final accumulator values).
         pat: Vec<PatElem>,
         /// Partials: one array per accumulator, outer size = thread count.
         partials: Vec<Name>,
-        /// The associative combine operator.
-        red_lam: Lambda,
-        /// Initial accumulator values.
-        init: Vec<SubExp>,
+        /// The fold kernel, named after its stage-1 kernel.
+        kernel: Kernel,
+        /// Its arguments, aligned with the kernel's parameter list.
+        args: Vec<ArgSpec>,
     },
     /// A sequential host loop containing device work.
     Loop {

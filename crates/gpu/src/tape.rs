@@ -31,6 +31,14 @@
 //! bit-identical — in output values *and* in every [`KernelStats`] counter
 //! — no matter how groups are scheduled across host threads.
 //!
+//! A group's log is one overlay per buffer it writes: a dense window of
+//! values indexed by element offset, with a dirty flag per slot, grown as
+//! writes arrive. Only when a write would stretch the window's hull past
+//! [`DENSE_RATIO`] slots per written element (and past [`DENSE_MIN_SPAN`]
+//! slots) does it turn into a map, so scatters and far-strided writes stay
+//! small while map-style writes cost one indexed store each. Commit walks
+//! the dirty slots.
+//!
 //! Data-race freedom: worker threads share only immutable state (the
 //! decoded kernel, the launch arguments, and the `&DeviceMemory` snapshot);
 //! each group accumulates its writes and stats privately. Conflicting
@@ -1126,6 +1134,205 @@ impl RegFiles {
 }
 
 // ---------------------------------------------------------------------------
+// Group write overlays
+// ---------------------------------------------------------------------------
+
+/// A dense window may span at most this many slots per distinct element
+/// written, or [`DENSE_MIN_SPAN`] slots, whichever is larger; a write that
+/// would stretch its hull past that turns the window into a map.
+const DENSE_RATIO: usize = 4;
+/// Span every dense window may reach regardless of how few elements it
+/// holds (32 KiB of values).
+const DENSE_MIN_SPAN: usize = 4096;
+
+/// One group's pending writes to one buffer: what its own reads see
+/// before the launch snapshot, and the log the ordered commit applies.
+/// Within the group the last write to an element wins.
+#[derive(Debug)]
+enum Window {
+    /// Values by offset over `lo..lo + vals.len()`; `dirty[k]` marks
+    /// element `lo + k` as written. `hull` is the lowest and highest
+    /// written offset and `written` the number of dirty slots.
+    Dense {
+        lo: usize,
+        vals: Vec<u64>,
+        dirty: Vec<bool>,
+        hull: (usize, usize),
+        written: usize,
+    },
+    /// Written elements by offset, once the writes are too sparse for a
+    /// window.
+    Sparse(HashMap<usize, u64>),
+}
+
+impl Window {
+    fn new() -> Window {
+        Window::Dense {
+            lo: 0,
+            vals: Vec::new(),
+            dirty: Vec::new(),
+            hull: (0, 0),
+            written: 0,
+        }
+    }
+
+    /// The group's own write to element `i`, if any.
+    #[inline]
+    fn get(&self, i: usize) -> Option<u64> {
+        match self {
+            Window::Dense {
+                lo, vals, dirty, ..
+            } => {
+                let k = i.checked_sub(*lo)?;
+                (k < vals.len() && dirty[k]).then(|| vals[k])
+            }
+            Window::Sparse(m) => m.get(&i).copied(),
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, i: usize, bits: u64) {
+        let Window::Dense {
+            lo,
+            vals,
+            dirty,
+            hull,
+            written,
+        } = self
+        else {
+            if let Window::Sparse(m) = self {
+                m.insert(i, bits);
+            }
+            return;
+        };
+        if let Some(k) = i.checked_sub(*lo).filter(|&k| k < vals.len()) {
+            vals[k] = bits;
+            if !dirty[k] {
+                dirty[k] = true;
+                *written += 1;
+                *hull = (hull.0.min(i), hull.1.max(i));
+            }
+            return;
+        }
+        if *written == 0 {
+            (*lo, *hull) = (i, (i, i));
+        }
+        let (a, b) = (hull.0.min(i), hull.1.max(i));
+        if b - a >= DENSE_MIN_SPAN.max(DENSE_RATIO * (*written + 1)) {
+            let mut m: HashMap<usize, u64> = HashMap::with_capacity(*written + 1);
+            for (k, _) in dirty.iter().enumerate().filter(|(_, &d)| d) {
+                m.insert(*lo + k, vals[k]);
+            }
+            m.insert(i, bits);
+            *self = Window::Sparse(m);
+            return;
+        }
+        if i < *lo {
+            // Grow downwards by at least the current length, so a
+            // descending run of writes costs amortised O(1) each.
+            let head = (*lo - i).max(vals.len()).min(*lo);
+            vals.splice(0..0, std::iter::repeat_n(0, head));
+            dirty.splice(0..0, std::iter::repeat_n(false, head));
+            *lo -= head;
+        } else {
+            vals.resize(i + 1 - *lo, 0);
+            dirty.resize(i + 1 - *lo, false);
+        }
+        let k = i - *lo;
+        vals[k] = bits;
+        dirty[k] = true;
+        *written += 1;
+        *hull = (a, b);
+    }
+
+    /// Applies the writes to `buf`.
+    fn commit(&self, buf: &mut Buffer) {
+        match self {
+            Window::Dense {
+                lo, vals, dirty, ..
+            } => {
+                for (k, _) in dirty.iter().enumerate().filter(|(_, &d)| d) {
+                    buf_set_bits(buf, lo + k, vals[k]);
+                }
+            }
+            Window::Sparse(m) => {
+                for (&i, &bits) in m {
+                    buf_set_bits(buf, i, bits);
+                }
+            }
+        }
+    }
+}
+
+/// A group's write overlays, one per buffer it writes. Groups write few
+/// buffers, so lookup is a scan.
+#[derive(Debug, Default)]
+struct Overlays(Vec<(BufId, Window)>);
+
+impl Overlays {
+    #[inline]
+    fn get(&self, bid: BufId) -> Option<&Window> {
+        self.0.iter().find(|(b, _)| *b == bid).map(|(_, w)| w)
+    }
+
+    /// The window for `bid`, opened empty if the group has not written
+    /// the buffer yet.
+    #[inline]
+    fn window(&mut self, bid: BufId) -> &mut Window {
+        let at = match self.0.iter().position(|(b, _)| *b == bid) {
+            Some(at) => at,
+            None => {
+                self.0.push((bid, Window::new()));
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[at].1
+    }
+}
+
+/// The number of distinct `tb`-byte segments one warp's active lanes
+/// touch, and the bytes they move. `mask` and `offsets` cover the warp's
+/// lanes (a tail warp may be short). One pass while the segments come
+/// non-decreasing, which coalesced accesses always do; anything else is
+/// sorted and deduplicated in `scratch`.
+#[inline]
+fn warp_transactions(
+    mask: &[bool],
+    offsets: &[Option<i64>],
+    elem_bytes: u64,
+    tb: u64,
+    scratch: &mut Vec<i64>,
+) -> (u64, u64) {
+    let seg = |off: i64| (off * elem_bytes as i64) / tb as i64;
+    let active = || {
+        mask.iter()
+            .zip(offsets)
+            .filter_map(|(&on, off)| off.filter(|_| on))
+    };
+    let (mut tx, mut useful, mut last) = (0u64, 0u64, None);
+    for off in active() {
+        let s = seg(off);
+        match last {
+            Some(p) if s == p => {}
+            Some(p) if s < p => {
+                scratch.clear();
+                scratch.extend(active().map(seg));
+                let useful = scratch.len() as u64 * elem_bytes;
+                scratch.sort_unstable();
+                scratch.dedup();
+                return (scratch.len() as u64, useful);
+            }
+            _ => {
+                tx += 1;
+                last = Some(s);
+            }
+        }
+        useful += elem_bytes;
+    }
+    (tx, useful)
+}
+
+// ---------------------------------------------------------------------------
 // Group execution
 // ---------------------------------------------------------------------------
 
@@ -1134,7 +1341,7 @@ impl RegFiles {
 /// resolved, last write wins).
 struct GroupOut {
     stats: KernelStats,
-    writes: HashMap<BufId, HashMap<usize, u64>>,
+    writes: Overlays,
     /// Per-site counters (profiled runs only); length is
     /// `prov_table.len() + 1`, the last slot being the unattributed bucket.
     sites: Option<Vec<SiteStats>>,
@@ -1162,9 +1369,9 @@ struct GroupRun<'a> {
     privs: Vec<Vec<u64>>,
     /// Per-group local buffers as bits.
     locals: Vec<Vec<u64>>,
-    /// This group's global-memory overlay: reads consult it before the
-    /// base snapshot, and it doubles as the ordered-by-index write log.
-    writes: HashMap<BufId, HashMap<usize, u64>>,
+    /// This group's global-memory overlays: reads consult them before
+    /// the base snapshot, and they double as the group's write log.
+    writes: Overlays,
     stack: Vec<u64>,
     /// Scratch: per-lane element offsets of the current global access.
     offsets: Vec<Option<i64>>,
@@ -1417,31 +1624,23 @@ impl<'a> GroupRun<'a> {
     }
 
     /// Counts memory transactions for a warp-grouped global access using
-    /// the per-lane offsets left in `self.offsets`. A warp's transaction
-    /// count is the number of distinct aligned segments its active lanes
-    /// touch (sort + dedup on a reused scratch vector: deterministic and
-    /// allocation-free, unlike the old per-warp `HashSet`).
+    /// the per-lane offsets left in `self.offsets`: per warp, the number
+    /// of distinct aligned segments its active lanes touch
+    /// ([`warp_transactions`]).
     fn memory_access(&mut self, mask: &[bool], elem_bytes: u64) {
         for (w, chunk) in mask.chunks(self.warp_size).enumerate() {
-            self.segs.clear();
-            let mut useful = 0u64;
-            for (l, &on) in chunk.iter().enumerate() {
-                if !on {
-                    continue;
-                }
-                if let Some(off) = self.offsets[w * self.warp_size + l] {
-                    self.segs
-                        .push((off * elem_bytes as i64) / self.transaction_bytes as i64);
-                    useful += elem_bytes;
-                }
-            }
-            self.segs.sort_unstable();
-            self.segs.dedup();
-            let tx = self.segs.len() as u64;
-            self.stats.global_transactions += tx;
-            self.stats.bus_bytes += tx * self.transaction_bytes;
-            self.stats.useful_bytes += useful;
+            let at = w * self.warp_size;
+            let (tx, useful) = warp_transactions(
+                chunk,
+                &self.offsets[at..at + chunk.len()],
+                elem_bytes,
+                self.transaction_bytes,
+                &mut self.segs,
+            );
             let bus = tx * self.transaction_bytes;
+            self.stats.global_transactions += tx;
+            self.stats.bus_bytes += bus;
+            self.stats.useful_bytes += useful;
             if let Some(s) = self.site() {
                 s.global_transactions += tx;
                 s.bus_bytes += bus;
@@ -1485,11 +1684,10 @@ impl<'a> GroupRun<'a> {
                             }
                             self.offsets[lane] = Some(i);
                             // Overlay first: the group sees its own writes.
-                            let bits =
-                                match self.writes.get(&bid).and_then(|m| m.get(&(i as usize))) {
-                                    Some(&b) => b,
-                                    None => buf_get_bits(self.base.raw(bid), i as usize),
-                                };
+                            let bits = match self.writes.get(bid).and_then(|w| w.get(i as usize)) {
+                                Some(b) => b,
+                                None => buf_get_bits(self.base.raw(bid), i as usize),
+                            };
                             self.files.set(*class, *slot, lane, bits);
                         }
                     }
@@ -1509,7 +1707,7 @@ impl<'a> GroupRun<'a> {
                             }
                             let bits = self.eval(value, lane)?;
                             self.offsets[lane] = Some(i);
-                            self.writes.entry(bid).or_default().insert(i as usize, bits);
+                            self.writes.window(bid).set(i as usize, bits);
                         }
                     }
                     self.memory_access(mask, elem_bytes);
@@ -2201,13 +2399,13 @@ impl<'a> GroupRun<'a> {
                     }
                     // Data movement: no faults possible past this point.
                     // One overlay lookup per buffer, not per lane.
-                    let ov = self.writes.get(&bid);
+                    let ov = self.writes.get(bid);
                     let base_buf = self.base.raw(bid);
                     for l in 0..lanes {
                         if mask.on[l] {
                             let i = self.offsets[l].expect("checked above") as usize;
-                            let bits = match ov.and_then(|m| m.get(&i)) {
-                                Some(&b) => b,
+                            let bits = match ov.and_then(|w| w.get(i)) {
+                                Some(b) => b,
                                 None => buf_get_bits(base_buf, i),
                             };
                             self.files.set(*class, *slot, l, bits);
@@ -2247,10 +2445,10 @@ impl<'a> GroupRun<'a> {
                         }
                     }
                     let rv = value.result as usize * lanes;
-                    let map = self.writes.entry(bid).or_default();
+                    let win = self.writes.window(bid);
                     for l in 0..lanes {
                         if mask.on[l] {
-                            map.insert(self.icol[l] as usize, self.scratch[rv + l]);
+                            win.set(self.icol[l] as usize, self.scratch[rv + l]);
                         }
                     }
                     self.memory_access(&mask.on, elem_bytes);
@@ -2642,7 +2840,7 @@ fn run_group(
         files: RegFiles::new(&dk.file_len, lanes),
         privs: vec![Vec::new(); dk.priv_class.len() * lanes],
         locals: local_sizes.iter().map(|&(_, n)| vec![0u64; n]).collect(),
-        writes: HashMap::new(),
+        writes: Overlays::default(),
         stack: Vec::with_capacity(16),
         offsets: vec![None; lanes],
         segs: Vec::with_capacity(device.warp_size as usize),
@@ -3043,11 +3241,8 @@ fn launch_decoded_impl(
     let mut uniform_misses = 0u64;
     for out in outs.into_iter().flatten() {
         let out = out?;
-        for (bid, writes) in out.writes {
-            let buf = mem.raw_mut(bid);
-            for (i, bits) in writes {
-                buf_set_bits(buf, i, bits);
-            }
+        for (bid, win) in &out.writes.0 {
+            win.commit(mem.raw_mut(*bid));
         }
         stats.merge(&out.stats);
         uniform_hits += out.u_hits;
@@ -3658,5 +3853,315 @@ mod tests {
             }
             other => panic!("expected a single If, found {other:?}"),
         }
+    }
+
+    // -----------------------------------------------------------------------
+    // Write overlays and the coalescer against reference models
+    // -----------------------------------------------------------------------
+
+    /// Steps per thread of [`script_kernel`].
+    const STEPS: i64 = 24;
+
+    /// Runs a per-thread script of global writes and reads against one
+    /// buffer: step `s` of thread `g` reads `code = script[g * STEPS + s]`;
+    /// `code >= 0` writes `out[code] = g * STEPS + s + 1`, and `code < 0`
+    /// reads `out[-1 - code]` into `reads[g * STEPS + s]`.
+    fn script_kernel() -> Kernel {
+        let op = || KExp::GlobalId.mul(KExp::i64(STEPS)).add(KExp::Var(0));
+        Kernel {
+            name: "script".into(),
+            params: vec![
+                KParam::Buffer(ScalarType::I64),
+                KParam::Buffer(ScalarType::I64),
+                KParam::Buffer(ScalarType::I64),
+            ],
+            locals: vec![],
+            num_regs: 3,
+            num_priv: 0,
+            prov_table: vec![],
+            body: vec![KStm::For {
+                var: 0,
+                bound: KExp::i64(STEPS),
+                body: vec![
+                    KStm::GlobalRead {
+                        var: 1,
+                        buf: 0,
+                        index: op(),
+                    },
+                    KStm::If {
+                        cond: KExp::Cmp(CmpOp::Ge, Box::new(KExp::Var(1)), Box::new(KExp::i64(0))),
+                        then_s: vec![KStm::GlobalWrite {
+                            buf: 1,
+                            index: KExp::Var(1),
+                            value: op().add(KExp::i64(1)),
+                        }],
+                        else_s: vec![
+                            KStm::GlobalRead {
+                                var: 2,
+                                buf: 1,
+                                index: KExp::i64(-1).add(KExp::Var(1).mul(KExp::i64(-1))),
+                            },
+                            KStm::GlobalWrite {
+                                buf: 2,
+                                index: op(),
+                                value: KExp::Var(2),
+                            },
+                        ],
+                    },
+                ],
+            }],
+        }
+    }
+
+    /// The launch memory model over a `HashMap` write log per group: every
+    /// group reads the pre-launch `out` plus its own writes; within a step
+    /// a group's writes (lanes ascending) precede its reads; logs commit in
+    /// ascending group order, and the lowest faulting group's first fault
+    /// wins after its predecessors commit.
+    fn script_model(
+        script: &[i64],
+        threads: usize,
+        group: usize,
+        out: &mut [i64],
+        reads: &mut [i64],
+    ) -> Option<String> {
+        let len = out.len() as i64;
+        let oob = |what: String| {
+            SimError::OutOfBounds {
+                kernel: "script".into(),
+                what,
+            }
+            .to_string()
+        };
+        let base = out.to_vec();
+        for g0 in (0..threads).step_by(group) {
+            let lanes = g0..threads.min(g0 + group);
+            let mut log: HashMap<usize, i64> = HashMap::new();
+            let mut read_log: HashMap<usize, i64> = HashMap::new();
+            for s in 0..STEPS as usize {
+                let at = |t: usize| t * STEPS as usize + s;
+                for t in lanes.clone().filter(|&t| script[at(t)] >= 0) {
+                    let i = script[at(t)];
+                    if i >= len {
+                        return Some(oob(format!("write {i} of buffer len {len}")));
+                    }
+                    log.insert(i as usize, at(t) as i64 + 1);
+                }
+                for t in lanes.clone().filter(|&t| script[at(t)] < 0) {
+                    let i = -1 - script[at(t)];
+                    if i >= len {
+                        return Some(oob(format!("read {i} of buffer len {len}")));
+                    }
+                    let v = log.get(&(i as usize)).copied().unwrap_or(base[i as usize]);
+                    read_log.insert(at(t), v);
+                }
+            }
+            for (i, v) in log {
+                out[i] = v;
+            }
+            for (i, v) in read_log {
+                reads[i] = v;
+            }
+        }
+        None
+    }
+
+    /// One thread's script for a pattern (see the test below).
+    fn script_for(
+        pattern: usize,
+        t: usize,
+        len: i64,
+        rng: &mut futhark_core::rng::Rng64,
+    ) -> Vec<i64> {
+        let read = |i: i64| -1 - i;
+        let t = t as i64;
+        (0..STEPS)
+            .map(|s| match pattern {
+                // Ascending, then descending, runs of writes.
+                0 => (s * 256 + t) % len,
+                1 => len - 1 - (s * 256 + t) % len,
+                // Strided far past the density rule.
+                2 => (s * 600 + t * 37) % len,
+                // Every lane writes one element over and over.
+                3 => 7,
+                // Reads after writes, before and after the strided writes
+                // push the window into the map.
+                4 if s % 3 == 2 => read(((s - 2) * 600 + t * 37) % len),
+                4 => (s * 600 + t * 37) % len,
+                // Random writes and reads; pattern 6 rarely out of bounds.
+                6 if rng.chance(1, 5000) => len + rng.gen_i64(0, 3),
+                _ if rng.chance(1, 3) => read(rng.gen_i64(0, len)),
+                _ => rng.gen_i64(0, len),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn overlays_match_a_hashmap_model() {
+        let dev = DeviceProfile::gtx780();
+        let dk = DecodedKernel::decode(&script_kernel()).unwrap();
+        let len = 50_000i64;
+        let threads = 600usize; // two full groups and a partial tail
+        let mut rng = futhark_core::rng::Rng64::seed_from_u64(12);
+        let mut faults = 0;
+        for case in 0..28 {
+            let pattern = case % 7;
+            let script: Vec<i64> = (0..threads)
+                .flat_map(|t| script_for(pattern, t, len, &mut rng))
+                .collect();
+            let init: Vec<i64> = (0..len).map(|i| -i).collect();
+            let (mut want_out, mut want_reads) = (init.clone(), vec![0i64; script.len()]);
+            let want_err = script_model(
+                &script,
+                threads,
+                dev.group_size as usize,
+                &mut want_out,
+                &mut want_reads,
+            );
+            faults += usize::from(want_err.is_some());
+            for engine in [SimEngine::Lane, SimEngine::Warp] {
+                for host in [1, 4] {
+                    let mut mem = DeviceMemory::new();
+                    let sb = mem.upload(Buffer::I64(script.clone())).unwrap();
+                    let ob = mem.upload(Buffer::I64(init.clone())).unwrap();
+                    let rb = mem.alloc(ScalarType::I64, script.len()).unwrap();
+                    let opts = LaunchOpts {
+                        threads: host,
+                        profile: false,
+                        engine,
+                    };
+                    let args = [Arg::Buffer(sb), Arg::Buffer(ob), Arg::Buffer(rb)];
+                    let got = launch_decoded_with(&dev, &dk, threads as u64, &args, &mut mem, opts);
+                    let label =
+                        format!("case {case} (pattern {pattern}), {engine:?}, {host} threads");
+                    assert_eq!(got.err().map(|e| e.to_string()), want_err, "{label}");
+                    let (Buffer::I64(o), Buffer::I64(r)) =
+                        (mem.download(ob).unwrap(), mem.download(rb).unwrap())
+                    else {
+                        panic!("{label}: buffers changed type")
+                    };
+                    assert!(o == &want_out, "{label}: final memory differs");
+                    assert!(r == &want_reads, "{label}: read values differ");
+                }
+            }
+        }
+        assert!(
+            faults > 0,
+            "the random scripts exercise the first-error path"
+        );
+    }
+
+    #[test]
+    fn dense_windows_fall_back_to_a_map_past_the_density_rule() {
+        let mut w = Window::new();
+        for i in (0..DENSE_MIN_SPAN).rev() {
+            w.set(1000 + i, i as u64);
+        }
+        assert!(matches!(w, Window::Dense { written, .. } if written == DENSE_MIN_SPAN));
+        w.set(1000 + DENSE_MIN_SPAN, 1);
+        assert!(
+            matches!(w, Window::Dense { .. }),
+            "a full window may keep growing"
+        );
+        let mut w = Window::new();
+        w.set(0, 5);
+        w.set(DENSE_MIN_SPAN - 1, 6);
+        assert!(matches!(w, Window::Dense { .. }), "within the minimum span");
+        w.set(DENSE_MIN_SPAN, 7);
+        assert!(
+            matches!(w, Window::Sparse(_)),
+            "three writes spanning past the minimum"
+        );
+        assert_eq!(
+            (w.get(0), w.get(DENSE_MIN_SPAN), w.get(1)),
+            (Some(5), Some(7), None)
+        );
+    }
+
+    /// Reference: distinct segments by sort + dedup, useful bytes per
+    /// active lane.
+    fn sort_dedup_transactions(
+        mask: &[bool],
+        offs: &[Option<i64>],
+        eb: u64,
+        tb: u64,
+    ) -> (u64, u64) {
+        let mut segs: Vec<i64> = mask
+            .iter()
+            .zip(offs)
+            .filter_map(|(&on, o)| o.filter(|_| on))
+            .map(|o| o * eb as i64 / tb as i64)
+            .collect();
+        let useful = segs.len() as u64 * eb;
+        segs.sort_unstable();
+        segs.dedup();
+        (segs.len() as u64, useful)
+    }
+
+    #[test]
+    fn one_pass_coalescer_matches_sort_dedup() {
+        let mut rng = futhark_core::rng::Rng64::seed_from_u64(7);
+        let mut scratch = Vec::new();
+        let mut one_pass = 0;
+        for case in 0..4000 {
+            let warp = [32usize, 64][case % 2];
+            // A partial tail warp every few cases.
+            let lanes = if case % 5 == 0 {
+                1 + rng.pick(warp)
+            } else {
+                warp
+            };
+            let eb = [1u64, 4, 8][rng.pick(3)];
+            let tb = [64u64, 128][rng.pick(2)];
+            let base = rng.gen_i64(0, 1 << 20);
+            let stride = rng.gen_i64(0, 40);
+            let mut offs: Vec<i64> = (0..lanes as i64).map(|l| base + l * stride).collect();
+            match case % 6 {
+                0 => {}
+                1 => offs.reverse(),
+                2 => {
+                    for i in (1..lanes).rev() {
+                        offs.swap(i, rng.pick(i + 1));
+                    }
+                }
+                3 => {
+                    for o in offs.iter_mut() {
+                        *o = base + rng.gen_i64(0, 4) * 16;
+                    }
+                    offs.sort_unstable();
+                }
+                4 => {
+                    for o in offs.iter_mut() {
+                        *o = base + rng.gen_i64(0, 4096);
+                    }
+                }
+                _ => {
+                    for l in 1..lanes {
+                        if rng.chance(1, 3) {
+                            offs[l] = offs[l - 1];
+                        }
+                    }
+                }
+            }
+            let mask: Vec<bool> = (0..lanes).map(|_| !rng.chance(1, 4)).collect();
+            let offs: Vec<Option<i64>> = offs
+                .iter()
+                .zip(&mask)
+                .map(|(&o, &on)| (on || rng.chance(1, 2)).then_some(o))
+                .collect();
+            let want = sort_dedup_transactions(&mask, &offs, eb, tb);
+            let got = warp_transactions(&mask, &offs, eb, tb, &mut scratch);
+            assert_eq!(got, want, "case {case}: mask {mask:?} offsets {offs:?}");
+            let mut segs = mask
+                .iter()
+                .zip(&offs)
+                .filter_map(|(&on, o)| o.filter(|_| on));
+            let mut last = i64::MIN;
+            one_pass += usize::from(segs.all(|o| {
+                let s = o * eb as i64 / tb as i64;
+                std::mem::replace(&mut last, s) <= s
+            }));
+        }
+        assert!(one_pass > 1000, "monotone warps take the one-pass path");
     }
 }

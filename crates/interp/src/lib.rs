@@ -149,32 +149,6 @@ impl<'a> Interpreter<'a> {
         self.run("main", args)
     }
 
-    /// Applies a standalone lambda to argument values (used by the GPU
-    /// runtime for host-side combine steps).
-    ///
-    /// # Errors
-    ///
-    /// As [`Interpreter::run`].
-    pub fn eval_lambda(&mut self, lam: &Lambda, args: &[Value]) -> IResult<Vec<Value>> {
-        let env = Env::new();
-        self.apply_lambda(&env, lam, args).map(|(v, _)| v)
-    }
-
-    /// Applies a standalone lambda with additional free-variable bindings
-    /// in scope.
-    ///
-    /// # Errors
-    ///
-    /// As [`Interpreter::run`].
-    pub fn eval_lambda_with(
-        &mut self,
-        bindings: &HashMap<Name, Value>,
-        lam: &Lambda,
-        args: &[Value],
-    ) -> IResult<Vec<Value>> {
-        self.apply_lambda(bindings, lam, args).map(|(v, _)| v)
-    }
-
     /// Evaluates a single expression under the given variable bindings
     /// (used by the GPU runtime's host-side scalar evaluation).
     ///

@@ -669,6 +669,33 @@ where
     R: BufRead,
     W: Write + Send,
 {
+    let workers = daemon.inner.cfg.workers.max(1);
+    dispatch_lines(reader, writer, workers, |line| daemon.handle_line(line))
+}
+
+/// Releases one handler slot when dropped, so a panicking handler frees
+/// its slot too.
+struct SlotGuard<'a>(&'a (Mutex<usize>, Condvar));
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        let mut active = lock_ok(&self.0 .0);
+        *active -= 1;
+        self.0 .1.notify_one();
+    }
+}
+
+/// The dispatch loop of [`serve_lines`] over any line handler: at most
+/// `workers` handlers run at once, and a `shutdown` line stops dispatch,
+/// waits for the running handlers, and is then handled itself. A handler
+/// that panics still frees its slot, so the loop keeps answering the
+/// other lines and ends; the panic propagates when the loop returns.
+fn dispatch_lines<R, W, H>(reader: R, writer: W, workers: usize, handle: H) -> std::io::Result<()>
+where
+    R: BufRead,
+    W: Write + Send,
+    H: Fn(&str) -> String + Sync,
+{
     let writer = Mutex::new(writer);
     let write_line = |line: &str| -> std::io::Result<()> {
         let mut w = lock_ok(&writer);
@@ -676,7 +703,6 @@ where
         w.write_all(b"\n")?;
         w.flush()
     };
-    let workers = daemon.inner.cfg.workers.max(1);
     let slots = (Mutex::new(0usize), Condvar::new());
     std::thread::scope(|scope| -> std::io::Result<()> {
         let mut shutdown_line: Option<String> = None;
@@ -685,8 +711,8 @@ where
             if line.trim().is_empty() {
                 continue;
             }
-            // A shutdown drains: stop dispatching, join the scope's
-            // outstanding handlers (scope exit), then acknowledge.
+            // A shutdown drains: stop dispatching, wait for the
+            // outstanding handlers, then acknowledge.
             if matches!(proto::parse_request(&line), Ok(Request::Shutdown { .. })) {
                 shutdown_line = Some(line);
                 break;
@@ -699,15 +725,11 @@ where
                 }
                 *active += 1;
             }
-            let daemon = daemon.clone();
-            let write_line = &write_line;
-            let slots = &slots;
+            let slot = SlotGuard(&slots);
+            let (handle, write_line) = (&handle, &write_line);
             scope.spawn(move || {
-                let resp = daemon.handle_line(&line);
-                let _ = write_line(&resp);
-                let mut active = lock_ok(&slots.0);
-                *active -= 1;
-                slots.1.notify_one();
+                let _slot = slot;
+                let _ = write_line(&handle(&line));
             });
         }
         // Wait for all dispatched handlers before acknowledging the
@@ -719,7 +741,7 @@ where
             }
         }
         if let Some(line) = shutdown_line {
-            write_line(&daemon.handle_line(&line))?;
+            write_line(&handle(&line))?;
         }
         Ok(())
     })
@@ -756,4 +778,51 @@ pub fn serve_tcp(daemon: &Daemon, listener: TcpListener) -> std::io::Result<()> 
             }
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::dispatch_lines;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    #[test]
+    fn a_panicking_handler_does_not_hang_the_drain() {
+        let input = "a\nboom\nb\nc\n{\"op\":\"shutdown\",\"id\":\"z\"}\n";
+        for workers in [1, 2] {
+            let (tx, rx) = mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let mut out = Vec::new();
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    dispatch_lines(input.as_bytes(), &mut out, workers, |line| {
+                        assert_ne!(line, "boom", "injected handler panic");
+                        format!("ok {line}")
+                    })
+                }));
+                let _ = tx.send((run.is_err(), String::from_utf8(out).unwrap()));
+            });
+            let (panicked, out) = rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| {
+                    panic!("dispatch loop hung after a handler panic ({workers} workers)")
+                });
+            worker
+                .join()
+                .expect("the dispatch thread catches the handler panic");
+            assert!(panicked, "the handler panic propagates once the loop ends");
+            let mut lines: Vec<&str> = out.lines().collect();
+            lines.sort_unstable();
+            assert_eq!(
+                lines,
+                [
+                    "ok a",
+                    "ok b",
+                    "ok c",
+                    "ok {\"op\":\"shutdown\",\"id\":\"z\"}"
+                ],
+                "every other line is answered ({workers} workers)"
+            );
+        }
+    }
 }
