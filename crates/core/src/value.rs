@@ -322,39 +322,33 @@ impl ArrayVal {
         }
     }
 
-    /// Reorders dimensions by the given permutation (`rearrange`).
+    /// Reorders dimensions by the given permutation (`rearrange`): a typed
+    /// strided copy, one match on the element type and then an odometer
+    /// over the permuted shape. Each step of the odometer copies one plane
+    /// spanned by the output's innermost dimension and the dimension that
+    /// walks the source contiguously, in square tiles, so both sides are
+    /// read and written in short contiguous runs.
     ///
     /// # Panics
     /// Panics if `perm` is not a permutation of `0..rank`.
     pub fn rearrange(&self, perm: &[usize]) -> ArrayVal {
         assert_eq!(perm.len(), self.rank(), "permutation rank mismatch");
-        let new_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
-        let n = self.data.len();
-        let mut out = Buffer::zeros(self.elem_type(), n);
-        // Strides of the source array.
+        let shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
+        // Source strides; stepping new dimension d steps source dimension
+        // perm[d].
         let mut strides = vec![1usize; self.rank()];
         for d in (0..self.rank().saturating_sub(1)).rev() {
             strides[d] = strides[d + 1] * self.shape[d + 1];
         }
-        let mut idx = vec![0usize; self.rank()];
-        for flat_new in 0..n {
-            // Decompose flat_new into the permuted index space.
-            let mut rem = flat_new;
-            for (d, &extent) in new_shape.iter().enumerate().rev() {
-                idx[d] = rem % extent;
-                rem /= extent;
-            }
-            // Map back to source coordinates: new dim d is source dim perm[d].
-            let mut src = 0usize;
-            for (d, &p) in perm.iter().enumerate() {
-                src += idx[d] * strides[p];
-            }
-            out.set(flat_new, self.data.get(src));
-        }
-        ArrayVal {
-            shape: new_shape,
-            data: out,
-        }
+        let step: Vec<usize> = perm.iter().map(|&p| strides[p]).collect();
+        let data = match &self.data {
+            Buffer::Bool(v) => Buffer::Bool(permute(v, &shape, &step)),
+            Buffer::I32(v) => Buffer::I32(permute(v, &shape, &step)),
+            Buffer::I64(v) => Buffer::I64(permute(v, &shape, &step)),
+            Buffer::F32(v) => Buffer::F32(permute(v, &shape, &step)),
+            Buffer::F64(v) => Buffer::F64(permute(v, &shape, &step)),
+        };
+        ArrayVal { shape, data }
     }
 
     /// Views the data with a new shape of the same element count.
@@ -397,6 +391,53 @@ impl ArrayVal {
     /// Iterates over the scalar elements in row-major order.
     pub fn iter_scalars(&self) -> impl Iterator<Item = Scalar> + '_ {
         (0..self.data.len()).map(move |i| self.data.get(i))
+    }
+}
+
+/// The elements of `src` in the row-major order of `shape`, where stepping
+/// dimension `d` of `shape` steps `step[d]` elements of `src`.
+fn permute<T: Copy>(src: &[T], shape: &[usize], step: &[usize]) -> Vec<T> {
+    const TILE: usize = 32;
+    let (Some(&fill), Some(o)) = (src.first(), shape.len().checked_sub(1)) else {
+        return src.to_vec();
+    };
+    // The plane: output dimension `o` is contiguous in the output, and
+    // dimension `c` (if any has extent > 1) in the source.
+    let c = (0..o).find(|&d| step[d] == 1 && shape[d] > 1).unwrap_or(o);
+    let mut ostep = vec![1usize; shape.len()];
+    for d in (0..o).rev() {
+        ostep[d] = ostep[d + 1] * shape[d + 1];
+    }
+    let rest: Vec<usize> = (0..o).filter(|&d| d != c).collect();
+    let mut idx = vec![0usize; shape.len()];
+    let mut out = vec![fill; src.len()];
+    loop {
+        let at = |steps: &[usize]| rest.iter().map(|&d| idx[d] * steps[d]).sum::<usize>();
+        let (s0, o0) = (at(step), at(&ostep));
+        if c == o {
+            for j in 0..shape[o] {
+                out[o0 + j] = src[s0 + j * step[o]];
+            }
+        } else {
+            for i0 in (0..shape[c]).step_by(TILE) {
+                for j0 in (0..shape[o]).step_by(TILE) {
+                    for i in i0..(i0 + TILE).min(shape[c]) {
+                        let (si, oi) = (s0 + i, o0 + i * ostep[c]);
+                        for j in j0..(j0 + TILE).min(shape[o]) {
+                            out[oi + j] = src[si + j * step[o]];
+                        }
+                    }
+                }
+            }
+        }
+        // Advance the odometer over the other dimensions.
+        let Some(&d) = rest.iter().rev().find(|&&d| idx[d] + 1 < shape[d]) else {
+            return out;
+        };
+        idx[d] += 1;
+        for &e in rest.iter().filter(|&&e| e > d) {
+            idx[e] = 0;
+        }
     }
 }
 
@@ -578,6 +619,69 @@ fn fmt_array(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-element `rearrange` the strided copy replaced, kept as its
+    /// oracle: a div/mod per dimension and a boxed `Scalar` per element.
+    fn rearrange_per_element(a: &ArrayVal, perm: &[usize]) -> ArrayVal {
+        let new_shape: Vec<usize> = perm.iter().map(|&p| a.shape[p]).collect();
+        let n = a.data.len();
+        let mut out = Buffer::zeros(a.elem_type(), n);
+        let mut strides = vec![1usize; a.rank()];
+        for d in (0..a.rank().saturating_sub(1)).rev() {
+            strides[d] = strides[d + 1] * a.shape[d + 1];
+        }
+        let mut idx = vec![0usize; a.rank()];
+        for flat_new in 0..n {
+            let mut rem = flat_new;
+            for (d, &extent) in new_shape.iter().enumerate().rev() {
+                idx[d] = rem % extent;
+                rem /= extent;
+            }
+            let mut src = 0usize;
+            for (d, &p) in perm.iter().enumerate() {
+                src += idx[d] * strides[p];
+            }
+            out.set(flat_new, a.data.get(src));
+        }
+        ArrayVal {
+            shape: new_shape,
+            data: out,
+        }
+    }
+
+    #[test]
+    fn rearrange_matches_the_per_element_oracle() {
+        let mut rng = crate::Rng64::seed_from_u64(3);
+        for case in 0..400 {
+            let rank = 1 + case % 4;
+            let shape: Vec<usize> = (0..rank).map(|_| rng.pick(6)).collect();
+            let n: usize = shape.iter().product();
+            let mut perm: Vec<usize> = (0..rank).collect();
+            for i in (1..rank).rev() {
+                perm.swap(i, rng.pick(i + 1));
+            }
+            let data = match case % 5 {
+                0 => Buffer::Bool((0..n).map(|_| rng.chance(1, 2)).collect()),
+                1 => Buffer::I32((0..n).map(|_| rng.gen_i64(-999, 999) as i32).collect()),
+                2 => Buffer::I64((0..n).map(|_| rng.gen_i64(-999, 999)).collect()),
+                3 => Buffer::F32((0..n).map(|i| i as f32 * -0.5).collect()),
+                _ => Buffer::F64((0..n).map(|i| i as f64 * 0.25).collect()),
+            };
+            let a = ArrayVal::new(shape.clone(), data);
+            let got = a.rearrange(&perm);
+            assert_eq!(
+                got,
+                rearrange_per_element(&a, &perm),
+                "case {case}: shape {shape:?} perm {perm:?}"
+            );
+            // Every permutation round-trips through its inverse.
+            let mut inv = vec![0; rank];
+            for (d, &p) in perm.iter().enumerate() {
+                inv[p] = d;
+            }
+            assert_eq!(got.rearrange(&inv), a, "case {case}: inverse");
+        }
+    }
 
     #[test]
     fn flat_indexing_row_major() {

@@ -71,8 +71,7 @@ pub enum EventKind {
         /// Modelled execution time, microseconds.
         total_us: f64,
     },
-    /// The job failed; `stage` says where (`compile`, `run`, or
-    /// `capacity` for post-run capacity violations).
+    /// The job failed; `stage` says where (`compile` or `run`).
     Failed {
         /// Failure stage.
         stage: &'static str,
