@@ -4,22 +4,22 @@
 //!
 //! Usage: impact [fusion|inplace|coalescing|tiling|all]
 
-use futhark::{Device, PipelineOptions};
+use futhark::{ChoiceClass, Device, RunOptions, Schedule};
 use futhark_bench::benchmark;
 
-fn ratio_with(bname: &str, opts: PipelineOptions) -> Result<f64, futhark::Error> {
+fn ratio_with(bname: &str, sched: &Schedule) -> Result<f64, futhark::Error> {
     let b = benchmark(bname).expect("benchmark exists");
     let base = b.run_futhark(Device::Gtx780)?.total_ms();
-    let compiled = futhark::Compiler::with_options(opts).compile(&b.source)?;
-    let (_, perf) = compiled.run(Device::Gtx780, &b.args)?;
+    let compiled = b.compile(sched.clone())?;
+    let (_, perf) = compiled.run_with_opts(Device::Gtx780, &b.args, RunOptions::default())?;
     Ok(perf.total_ms() / base)
 }
 
 fn fusion() {
     println!("\nImpact of fusion (×slowdown when disabled; paper: K-means 1.42, LavaMD 4.55, Myocyte 1.66, SRAD 1.21, Crystal 10.1, LocVolCalib 9.4):");
-    let opts = PipelineOptions {
-        fusion: false,
-        ..PipelineOptions::default()
+    let sched = Schedule {
+        fusion_pass: false,
+        ..Schedule::default()
     };
     for name in [
         "K-means",
@@ -32,7 +32,7 @@ fn fusion() {
         "MRI-Q",
         "OptionPricing",
     ] {
-        match ratio_with(name, opts) {
+        match ratio_with(name, &sched) {
             Ok(r) => println!("  {name:<14} x{r:.2}"),
             Err(e) => println!("  {name:<14} failed without fusion: {e} (paper: OptionPricing, N-body and MRI-Q fail due to increased storage requirements)"),
         }
@@ -76,7 +76,10 @@ fun main (n: i64) (k: i64) (membership: [n]i64): [k]i64 =
     ];
     let run = |src: &str| -> f64 {
         let c = futhark::Compiler::new().compile(src).expect("compiles");
-        c.run(Device::Gtx780, &args).expect("runs").1.total_ms()
+        c.run_with_opts(Device::Gtx780, &args, RunOptions::default())
+            .expect("runs")
+            .1
+            .total_ms()
     };
     let with_ip = run(fig4c);
     let without = run(fig4b);
@@ -91,12 +94,9 @@ fun main (n: i64) (k: i64) (membership: [n]i64): [k]i64 =
 
 fn coalescing() {
     println!("\nImpact of coalescing (×slowdown when disabled; paper: K-means 9.26, Myocyte 4.2, OptionPricing 8.79, LocVolCalib 8.4):");
-    let opts = PipelineOptions {
-        coalescing: false,
-        ..PipelineOptions::default()
-    };
+    let sched = Schedule::default().with_coalescing(false);
     for name in ["K-means", "Myocyte", "OptionPricing", "LocVolCalib"] {
-        match ratio_with(name, opts) {
+        match ratio_with(name, &sched) {
             Ok(r) => println!("  {name:<14} x{r:.2}"),
             Err(e) => println!("  {name:<14} error: {e}"),
         }
@@ -105,12 +105,9 @@ fn coalescing() {
 
 fn tiling() {
     println!("\nImpact of block tiling (×slowdown when disabled; paper: LavaMD 1.35, MRI-Q 1.33, N-body 2.29):");
-    let opts = PipelineOptions {
-        tiling: false,
-        ..PipelineOptions::default()
-    };
+    let sched = Schedule::default().with_default(ChoiceClass::Tile, false);
     for name in ["LavaMD", "MRI-Q", "N-body"] {
-        match ratio_with(name, opts) {
+        match ratio_with(name, &sched) {
             Ok(r) => println!("  {name:<14} x{r:.2}"),
             Err(e) => println!("  {name:<14} error: {e}"),
         }

@@ -12,7 +12,7 @@
 //! Usage: profgate check [--baseline FILE]     compare; non-zero on drift
 //!        profgate refresh [--baseline FILE]   rewrite the baseline
 
-use futhark::{Compiler, Counters, Json, MemStats, PipelineOptions, Schedule, TimeBreakdown};
+use futhark::{Compiler, Counters, Json, MemStats, RunOptions, Schedule, TimeBreakdown};
 use futhark_bench::all_benchmarks;
 use futhark_gpu::KernelStats;
 use std::collections::BTreeMap;
@@ -96,12 +96,16 @@ impl Snapshot {
 fn measure() -> Result<BTreeMap<String, Snapshot>, String> {
     let mut out = BTreeMap::new();
     for b in all_benchmarks() {
-        let compiled = Compiler::with_options(PipelineOptions::default())
+        let compiled = Compiler::new()
             .with_trace()
             .compile(&b.source)
             .map_err(|e| format!("{}: compile failed: {e}", b.name))?;
         let (_, perf) = compiled
-            .run(futhark::Device::Gtx780, &b.small_args)
+            .run_with_opts(
+                futhark::Device::Gtx780,
+                &b.small_args,
+                RunOptions::default(),
+            )
             .map_err(|e| format!("{}: run failed: {e}", b.name))?;
         let breakdowns = perf.kernel_breakdowns();
         let snap = Snapshot {

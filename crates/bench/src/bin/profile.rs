@@ -3,6 +3,7 @@
 //! profile — per-kernel time table, pass-time breakdown, rewrite
 //! counters — optionally archiving the whole trace as JSON.
 //!
+//! ```text
 //! Usage: profile [options] <benchmark> | --all | --diff OLD NEW
 //!
 //!   --list              list benchmark names and exit
@@ -17,9 +18,11 @@
 //!   --json <file>       also write the full trace as JSON
 //!   --chrome <file>     also write a Chrome trace-event file (Perfetto)
 //!   --no-simplify / --no-fusion / --no-coalescing / --no-tiling /
-//!   --no-memplan        disable individual optimisations
+//!   --no-memplan        disable individual optimisations (each is an edit
+//!                       of the default schedule)
+//! ```
 
-use futhark::{prof, Compiler, Device, Json, PipelineOptions};
+use futhark::{prof, ChoiceClass, Compiler, Device, Json, RunOptions, Schedule};
 use futhark_bench::{all_benchmarks, benchmark, Benchmark};
 
 struct Config {
@@ -32,7 +35,7 @@ struct Config {
     roofline: bool,
     json: Option<String>,
     chrome: Option<String>,
-    opts: PipelineOptions,
+    sched: Schedule,
 }
 
 fn usage() -> ! {
@@ -70,7 +73,7 @@ fn parse_args() -> Config {
         roofline: false,
         json: None,
         chrome: None,
-        opts: PipelineOptions::default(),
+        sched: Schedule::default(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -107,11 +110,11 @@ fn parse_args() -> Config {
             "--roofline" => cfg.roofline = true,
             "--json" => cfg.json = Some(args.next().unwrap_or_else(|| usage())),
             "--chrome" => cfg.chrome = Some(args.next().unwrap_or_else(|| usage())),
-            "--no-simplify" => cfg.opts.simplify = false,
-            "--no-fusion" => cfg.opts.fusion = false,
-            "--no-coalescing" => cfg.opts.coalescing = false,
-            "--no-tiling" => cfg.opts.tiling = false,
-            "--no-memplan" => cfg.opts.memplan = false,
+            "--no-simplify" => cfg.sched.simplify_pass = false,
+            "--no-fusion" => cfg.sched.fusion_pass = false,
+            "--no-coalescing" => cfg.sched = cfg.sched.with_coalescing(false),
+            "--no-tiling" => cfg.sched = cfg.sched.with_default(ChoiceClass::Tile, false),
+            "--no-memplan" => cfg.sched.memplan = false,
             _ if a.starts_with('-') => usage(),
             _ if cfg.name.is_none() => cfg.name = Some(a),
             _ => usage(),
@@ -121,24 +124,20 @@ fn parse_args() -> Config {
 }
 
 fn profile_one(b: &Benchmark, cfg: &Config) -> Result<(), String> {
-    let compiled = Compiler::with_options(cfg.opts)
+    let compiled = Compiler::with_schedule(cfg.sched.clone())
         .with_trace()
         .compile(&b.source)
         .map_err(|e| format!("{}: compile failed: {e}", b.name))?;
     let args = if cfg.small { &b.small_args } else { &b.args };
-    let perf = if cfg.annotate || cfg.analyze {
-        // Profiled run: per-site counters feed the annotated listing and
-        // the analysis findings (divergence waste is per-site).
-        let (_, perf) = compiled
-            .run_profiled(cfg.device, args)
-            .map_err(|e| format!("{}: run failed: {e}", b.name))?;
-        perf
-    } else {
-        let (_, perf) = compiled
-            .run(cfg.device, args)
-            .map_err(|e| format!("{}: run failed: {e}", b.name))?;
-        perf
+    // A profiled run when per-site counters feed the annotated listing or
+    // the analysis findings (divergence waste is per-site).
+    let opts = RunOptions {
+        profile: cfg.annotate || cfg.analyze,
+        ..RunOptions::default()
     };
+    let (_, perf) = compiled
+        .run_with_opts(cfg.device, args, opts)
+        .map_err(|e| format!("{}: run failed: {e}", b.name))?;
     println!(
         "{} ({}) on {:?}, {} dataset",
         b.name,

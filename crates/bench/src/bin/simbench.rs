@@ -32,9 +32,7 @@
 use futhark_core::{BinOp, Buffer, CmpOp, Scalar, ScalarType};
 use futhark_gpu::kernel::{KExp, KParam, KStm, Kernel};
 use futhark_gpu::sim::{kernel_time_breakdown, Arg, DeviceMemory, KernelStats};
-use futhark_gpu::{
-    host_threads, launch_decoded_with, DecodedKernel, DeviceProfile, LaunchOpts, SimEngine,
-};
+use futhark_gpu::{host_threads, launch, DecodedKernel, DeviceProfile, RunOptions, SimEngine};
 use futhark_trace::Json;
 use std::time::Instant;
 
@@ -357,7 +355,7 @@ fn run_config(
     threads: usize,
     engine: SimEngine,
 ) -> (f64, KernelStats) {
-    let opts = LaunchOpts {
+    let opts = RunOptions {
         threads,
         profile: false,
         engine,
@@ -365,72 +363,11 @@ fn run_config(
     let t0 = Instant::now();
     let mut last = KernelStats::default();
     for _ in 0..launches {
-        last = launch_decoded_with(device, dk, n as u64, args, mem, opts)
+        last = launch(device, dk, n as u64, args, mem, &opts)
             .expect("simbench kernel faulted")
             .stats;
     }
     (t0.elapsed().as_secs_f64(), last)
-}
-
-/// Collects every key path of a JSON document (objects recurse by key,
-/// arrays contribute one `[]` step per distinct element shape) — the
-/// document's *schema*, independent of its values.
-fn schema_paths(j: &Json, prefix: &str, out: &mut std::collections::BTreeSet<String>) {
-    match j {
-        Json::Obj(pairs) => {
-            for (k, v) in pairs {
-                let p = if prefix.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{prefix}.{k}")
-                };
-                out.insert(p.clone());
-                schema_paths(v, &p, out);
-            }
-        }
-        Json::Arr(items) => {
-            for v in items {
-                schema_paths(v, &format!("{prefix}[]"), out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Compares the committed results file's schema against the document
-/// simbench writes today. Exits 0 when the key sets match, 1 on drift
-/// (listing the paths present on only one side).
-fn check_schema(path: &str, current: &Json) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("reading {path}: {e}");
-        std::process::exit(1)
-    });
-    let committed = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("parsing {path}: {e}");
-        std::process::exit(1)
-    });
-    let mut want = std::collections::BTreeSet::new();
-    let mut have = std::collections::BTreeSet::new();
-    schema_paths(current, "", &mut want);
-    schema_paths(&committed, "", &mut have);
-    if want == have {
-        println!(
-            "schema OK: {path} matches the current simbench output ({} key paths)",
-            want.len()
-        );
-        std::process::exit(0)
-    }
-    for missing in want.difference(&have) {
-        println!("schema drift: {path} is missing {missing:?}");
-    }
-    for extra in have.difference(&want) {
-        println!("schema drift: {path} has stale key {extra:?}");
-    }
-    eprintln!(
-        "schema of {path} drifted; regenerate with:\n  \
-         cargo run --release -p futhark-bench --bin simbench"
-    );
-    std::process::exit(1)
 }
 
 fn main() {
@@ -586,7 +523,8 @@ fn main() {
         ("worst_speedup", Json::F64(worst_speedup)),
     ]);
     if let Some(path) = opt("--check-schema") {
-        check_schema(&path, &doc);
+        let regenerate = "cargo run --release -p futhark-bench --bin simbench";
+        futhark_bench::check_schema(&path, &doc, "simbench", regenerate);
     }
     match std::fs::write(&out_path, doc.render_pretty()) {
         Ok(()) => println!("results written to {out_path}"),

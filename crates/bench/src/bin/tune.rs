@@ -99,63 +99,6 @@ fn schedule_doc(
     ])
 }
 
-/// Collects every key path of a JSON document — its schema (see
-/// simbench for the convention).
-fn schema_paths(j: &Json, prefix: &str, out: &mut std::collections::BTreeSet<String>) {
-    match j {
-        Json::Obj(pairs) => {
-            for (k, v) in pairs {
-                let p = if prefix.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{prefix}.{k}")
-                };
-                out.insert(p.clone());
-                schema_paths(v, &p, out);
-            }
-        }
-        Json::Arr(items) => {
-            for v in items {
-                schema_paths(v, &format!("{prefix}[]"), out);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn check_schema(path: &str, current: &Json) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("reading {path}: {e}");
-        std::process::exit(1)
-    });
-    let committed = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("parsing {path}: {e}");
-        std::process::exit(1)
-    });
-    let mut want = std::collections::BTreeSet::new();
-    let mut have = std::collections::BTreeSet::new();
-    schema_paths(current, "", &mut want);
-    schema_paths(&committed, "", &mut have);
-    if want == have {
-        println!(
-            "schema OK: {path} matches the current tune output ({} key paths)",
-            want.len()
-        );
-        std::process::exit(0)
-    }
-    for missing in want.difference(&have) {
-        println!("schema drift: {path} is missing {missing:?}");
-    }
-    for extra in have.difference(&want) {
-        println!("schema drift: {path} has stale key {extra:?}");
-    }
-    eprintln!(
-        "schema of {path} drifted; regenerate with:\n  \
-         cargo run --release -p futhark-bench --bin tune"
-    );
-    std::process::exit(1)
-}
-
 /// Re-evaluates one committed schedule file: the schedule must still
 /// parse from its canonical label, produce outputs bit-identical to the
 /// default schedule's, and hit the recorded modelled time exactly.
@@ -365,7 +308,8 @@ fn main() {
         ("benchmarks", Json::Arr(rows)),
     ]);
     if let Some(path) = schema {
-        check_schema(&path, &doc);
+        let regenerate = "cargo run --release -p futhark-bench --bin tune";
+        futhark_bench::check_schema(&path, &doc, "tune", regenerate);
     }
     if write {
         match std::fs::write(&out_path, doc.render_pretty()) {

@@ -4,7 +4,7 @@
 //! For each benchmark the full pipeline runs once on the per-lane
 //! reference engine and once on the warp engine (same device profile,
 //! sequential groups), timing the whole run and demanding bit-identical
-//! aggregate [`futhark::KernelStats`]. The warp run's own
+//! aggregate [`futhark_gpu::KernelStats`]. The warp run's own
 //! [`PerfReport::uniform_hits`]/[`PerfReport::uniform_misses`] tallies give
 //! the fraction of divergence points (branches, loops) whose warps turned
 //! out to be uniform and took the single-sided fast path — per-run values,
@@ -47,7 +47,7 @@ fn main() {
     }
     for b in futhark_bench::all_benchmarks() {
         let compiled = b
-            .compile(futhark::PipelineOptions::default())
+            .compile(futhark::Schedule::default())
             .unwrap_or_else(|e| panic!("{}: compile failed: {e}", b.name));
         let run = |engine: SimEngine| {
             let opts = RunOptions {

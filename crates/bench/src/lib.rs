@@ -9,13 +9,14 @@
 //! implementation model*: the characteristics Section 6.1 reports for each
 //! hand-written baseline (sequential host reductions, uncoalesced
 //! accesses, missing fusion, time tiling, hand tuning), expressed either
-//! structurally (a different source / pipeline options) or — where our
+//! structurally (a different source / schedule) or — where our
 //! simulator cannot derive the effect — as a documented time adjustment.
 
 pub mod suite;
 
-use futhark::{Compiled, Compiler, Device, PerfReport, PipelineOptions};
+use futhark::{Compiled, Compiler, Device, Json, PerfReport, RunOptions, Schedule};
 use futhark_core::Value;
+use std::collections::BTreeSet;
 
 /// Which benchmark suite a program was ported from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,9 +62,9 @@ pub struct Reference {
     /// Alternative source structurally matching the baseline (e.g. a
     /// sequential host reduction); `None` reuses the Futhark source.
     pub source: Option<String>,
-    /// Pipeline options for compiling the reference (e.g. coalescing off
+    /// The schedule the reference compiles under (e.g. coalescing off
     /// when the paper reports the baseline was uncoalesced).
-    pub opts: PipelineOptions,
+    pub schedule: Schedule,
     /// Time multiplier applied on the NVIDIA profile for effects our
     /// simulator cannot derive (hand tuning, time tiling); 1.0 = none.
     pub adjust_nv: f64,
@@ -79,7 +80,7 @@ impl Reference {
     pub fn same() -> Reference {
         Reference {
             source: None,
-            opts: PipelineOptions::default(),
+            schedule: Schedule::default(),
             adjust_nv: 1.0,
             adjust_amd: 1.0,
             note: "reference structurally equal to the Futhark port",
@@ -113,13 +114,13 @@ pub struct Benchmark {
 }
 
 impl Benchmark {
-    /// Compiles the Futhark version with the given options.
+    /// Compiles the Futhark version under the given schedule.
     ///
     /// # Errors
     ///
     /// Propagates pipeline errors.
-    pub fn compile(&self, opts: PipelineOptions) -> Result<Compiled, futhark::Error> {
-        Compiler::with_options(opts).compile(&self.source)
+    pub fn compile(&self, sched: Schedule) -> Result<Compiled, futhark::Error> {
+        Compiler::with_schedule(sched).compile(&self.source)
     }
 
     /// Runs the Futhark version on a device, returning the report.
@@ -128,8 +129,8 @@ impl Benchmark {
     ///
     /// Propagates pipeline errors.
     pub fn run_futhark(&self, device: Device) -> Result<PerfReport, futhark::Error> {
-        let compiled = self.compile(PipelineOptions::default())?;
-        let (_, perf) = compiled.run(device, &self.args)?;
+        let compiled = self.compile(Schedule::default())?;
+        let (_, perf) = compiled.run_with_opts(device, &self.args, RunOptions::default())?;
         Ok(perf)
     }
 
@@ -141,8 +142,8 @@ impl Benchmark {
     /// Propagates pipeline errors.
     pub fn run_reference(&self, device: Device) -> Result<f64, futhark::Error> {
         let src = self.reference.source.as_deref().unwrap_or(&self.source);
-        let compiled = Compiler::with_options(self.reference.opts).compile(src)?;
-        let (_, perf) = compiled.run(device, &self.args)?;
+        let compiled = Compiler::with_schedule(self.reference.schedule.clone()).compile(src)?;
+        let (_, perf) = compiled.run_with_opts(device, &self.args, RunOptions::default())?;
         let adjust = match device {
             Device::Gtx780 => self.reference.adjust_nv,
             Device::W8100 => self.reference.adjust_amd,
@@ -158,10 +159,10 @@ impl Benchmark {
     /// Returns an error when outputs mismatch or any stage fails.
     pub fn verify(&self) -> Result<(), String> {
         let compiled = self
-            .compile(PipelineOptions::default())
+            .compile(Schedule::default())
             .map_err(|e| format!("{}: compile failed: {e}", self.name))?;
         let (gpu, _) = compiled
-            .run(Device::Gtx780, &self.small_args)
+            .run_with_opts(Device::Gtx780, &self.small_args, RunOptions::default())
             .map_err(|e| format!("{}: gpu run failed: {e}", self.name))?;
         let interp = futhark::interpret(&self.source, &self.small_args)
             .map_err(|e| format!("{}: interpreter failed: {e}", self.name))?;
@@ -195,4 +196,63 @@ pub fn benchmark(name: &str) -> Option<Benchmark> {
     all_benchmarks()
         .into_iter()
         .find(|b| b.name.eq_ignore_ascii_case(name))
+}
+
+/// Collects every key path of a JSON document (objects recurse by key,
+/// arrays contribute one `[]` step per distinct element shape) — the
+/// document's *schema*, independent of its values.
+fn schema_paths(j: &Json, prefix: &str, out: &mut BTreeSet<String>) {
+    match j {
+        Json::Obj(pairs) => {
+            for (k, v) in pairs {
+                let p = if prefix.is_empty() {
+                    k.clone()
+                } else {
+                    format!("{prefix}.{k}")
+                };
+                out.insert(p.clone());
+                schema_paths(v, &p, out);
+            }
+        }
+        Json::Arr(items) => {
+            for v in items {
+                schema_paths(v, &format!("{prefix}[]"), out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Compares the schema of the committed results file at `path` against
+/// `current`, the document the `tool` binary writes today. Exits 0 when
+/// the key sets match, 1 on drift, listing the paths present on only one
+/// side and the `regenerate` command that rewrites the file.
+pub fn check_schema(path: &str, current: &Json, tool: &str, regenerate: &str) -> ! {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("reading {path}: {e}");
+        std::process::exit(1)
+    });
+    let committed = Json::parse(&text).unwrap_or_else(|e| {
+        eprintln!("parsing {path}: {e}");
+        std::process::exit(1)
+    });
+    let mut want = BTreeSet::new();
+    let mut have = BTreeSet::new();
+    schema_paths(current, "", &mut want);
+    schema_paths(&committed, "", &mut have);
+    if want == have {
+        println!(
+            "schema OK: {path} matches the current {tool} output ({} key paths)",
+            want.len()
+        );
+        std::process::exit(0)
+    }
+    for missing in want.difference(&have) {
+        println!("schema drift: {path} is missing {missing:?}");
+    }
+    for extra in have.difference(&want) {
+        println!("schema drift: {path} has stale key {extra:?}");
+    }
+    eprintln!("schema of {path} drifted; regenerate with:\n  {regenerate}");
+    std::process::exit(1)
 }

@@ -5,7 +5,7 @@
 
 use super::{f32s, i, rng};
 use crate::{Benchmark, PaperNumbers, Reference, Suite};
-use futhark::PipelineOptions;
+use futhark::{ChoiceClass, Schedule};
 use futhark_core::Value;
 
 /// All Accelerate benchmarks.
@@ -13,10 +13,10 @@ pub fn benchmarks() -> Vec<Benchmark> {
     vec![crystal(), fluid(), mandelbrot(), nbody()]
 }
 
-fn no_fusion() -> PipelineOptions {
-    PipelineOptions {
-        fusion: false,
-        ..PipelineOptions::default()
+fn no_fusion() -> Schedule {
+    Schedule {
+        fusion_pass: false,
+        ..Schedule::default()
     }
 }
 
@@ -61,7 +61,7 @@ fun main (n: i64) (deg: i64) (cosT: [deg]f32) (sinT: [deg]f32) (scale: f32): [n]
         source,
         reference: Reference {
             source: None,
-            opts: no_fusion(),
+            schedule: no_fusion(),
             adjust_nv: 1.4,
             adjust_amd: 1.4,
             note: "Accelerate's generated code is unfused (the paper measures \
@@ -117,7 +117,7 @@ fun main (n: i64) (iters: i64) (dens0: [n][n]f32): [n][n]f32 =
         source,
         reference: Reference {
             source: None,
-            opts: no_fusion(),
+            schedule: no_fusion(),
             adjust_nv: 1.3,
             adjust_amd: 1.3,
             note: "Accelerate emits one kernel per combinator (unfused) and \
@@ -190,7 +190,7 @@ fun main (h: i64) (w: i64) (limit: i64): [h][w]i64 =
         source,
         reference: Reference {
             source: Some(ref_source),
-            opts: PipelineOptions::default(),
+            schedule: Schedule::default(),
             adjust_nv: 1.0,
             adjust_amd: 1.0,
             note: "the Accelerate version iterates to the fixed limit with no \
@@ -246,11 +246,7 @@ fun main (n: i64) (xs: [n]f32) (ys: [n]f32) (ms: [n]f32): ([n]f32, [n]f32) =
         source,
         reference: Reference {
             source: None,
-            opts: PipelineOptions {
-                tiling: false,
-                fusion: false,
-                ..PipelineOptions::default()
-            },
+            schedule: no_fusion().with_default(ChoiceClass::Tile, false),
             adjust_nv: 1.8,
             adjust_amd: 1.8,
             note: "Accelerate's code is neither tiled nor fused (the paper \

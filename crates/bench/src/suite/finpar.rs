@@ -2,7 +2,7 @@
 
 use super::{f32s, i, i64s_mod, rng};
 use crate::{Benchmark, PaperNumbers, Reference, Suite};
-use futhark::PipelineOptions;
+use futhark::Schedule;
 use futhark_core::{ArrayVal, Value};
 
 /// Both FinPar benchmarks.
@@ -59,7 +59,7 @@ fun main (no: i64) (nx: i64) (steps: i64) (strikes: [no]f32) (grid: [nx]f32): [n
         source,
         reference: Reference {
             source: None,
-            opts: PipelineOptions::default(),
+            schedule: Schedule::default(),
             adjust_nv: 0.92,
             adjust_amd: 0.62,
             note: "the hand-optimised FinPar implementation is slightly faster \
@@ -129,7 +129,7 @@ fun main (npaths: i64) (m: i64) (dirvec: [m]i64) (pow2: [m]i64) (grays: [npaths]
         source,
         reference: Reference {
             source: None,
-            opts: PipelineOptions::default(),
+            schedule: Schedule::default(),
             adjust_nv: 1.27,
             adjust_amd: 1.19,
             note: "the hand-written FinPar kernel leaves the indirectly-indexed \

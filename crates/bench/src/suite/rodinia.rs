@@ -2,7 +2,7 @@
 
 use super::{f32_mat, f32s, i, i64_mat_mod, rng};
 use crate::{Benchmark, PaperNumbers, Reference, Suite};
-use futhark::PipelineOptions;
+use futhark::Schedule;
 use futhark_core::Value;
 
 /// All Rodinia benchmarks.
@@ -66,7 +66,7 @@ fun main (ni: i64) (nh: i64) (input: [ni]f32) (w: [nh][ni]f32): (f32, [nh]f32) =
         source,
         reference: Reference {
             source: Some(ref_source),
-            opts: PipelineOptions::default(),
+            schedule: Schedule::default(),
             adjust_nv: 1.0,
             adjust_amd: 1.0,
             note: "Rodinia leaves the output-layer reduction sequential (§6.1); \
@@ -116,7 +116,7 @@ fun main (n: i64) (iters: i64) (density0: [n]f32) (neigh: [n][4]i64): [n]f32 =
         source,
         reference: Reference {
             source: None,
-            opts: PipelineOptions::default(),
+            schedule: Schedule::default(),
             adjust_nv: 0.82,
             adjust_amd: 0.85,
             note: "hand-written reference is slightly faster (paper: 0.84×/0.86× \
@@ -175,7 +175,7 @@ fun main (r: i64) (c: i64) (iters: i64) (temp: [r][c]f32) (power: [r][c]f32): [r
         source,
         reference: Reference {
             source: None,
-            opts: PipelineOptions::default(),
+            schedule: Schedule::default(),
             adjust_nv: 0.6,
             adjust_amd: 3.0,
             note: "reference uses time tiling, \"which seems to pay off on the \
@@ -282,7 +282,7 @@ fun main (n: i64) (k: i64) (d: i64) (points: [n][d]f32) (centers: [k][d]f32): ([
         source,
         reference: Reference {
             source: Some(ref_source),
-            opts: PipelineOptions::default(),
+            schedule: Schedule::default(),
             adjust_nv: 1.0,
             adjust_amd: 1.0,
             note: "Rodinia computes the new cluster centres (a segmented \
@@ -335,7 +335,7 @@ fun main (nb: i64) (np: i64) (pos: [nb][np]f32) (neigh: [nb][8]i64): [nb][np]f32
         source,
         reference: Reference {
             source: None,
-            opts: PipelineOptions::default(),
+            schedule: Schedule::default(),
             adjust_nv: 0.65,
             adjust_amd: 1.1,
             note: "hand-written reference is faster on NVIDIA (0.76× speedup) \
@@ -392,10 +392,7 @@ fun main (w: i64) (steps: i64) (init: *[w][16]f32) (params: [w][16]f32): [w][16]
         source,
         reference: Reference {
             source: None,
-            opts: PipelineOptions {
-                coalescing: false,
-                ..PipelineOptions::default()
-            },
+            schedule: Schedule::default().with_coalescing(false),
             adjust_nv: 1.0,
             adjust_amd: 1.0,
             note: "reference accesses are uncoalesced (§6.1: speedup attributed \
@@ -478,7 +475,7 @@ fun main (n: i64) (q: i64) (lat: [n]f32) (lon: [n]f32) (plats: [q]f32) (plons: [
         source,
         reference: Reference {
             source: Some(ref_source),
-            opts: PipelineOptions::default(),
+            schedule: Schedule::default(),
             adjust_nv: 1.0,
             adjust_amd: 1.0,
             note: "Rodinia leaves the per-query min-reductions sequential on \
@@ -529,7 +526,7 @@ fun main (r: i64) (c: i64) (wall: [r][c]i64): [c]i64 =
         source,
         reference: Reference {
             source: None,
-            opts: PipelineOptions::default(),
+            schedule: Schedule::default(),
             adjust_nv: 2.3,
             adjust_amd: 2.6,
             note: "Rodinia uses time tiling, \"which, unlike HotSpot, does not \
@@ -624,7 +621,7 @@ fun main (r: i64) (c: i64) (iters: i64) (img0: [r][c]f32): [r][c]f32 =
         source,
         reference: Reference {
             source: Some(ref_source),
-            opts: PipelineOptions::default(),
+            schedule: Schedule::default(),
             adjust_nv: 1.0,
             adjust_amd: 1.6,
             note: "reference computes the per-iteration image statistics \

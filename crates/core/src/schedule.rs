@@ -208,11 +208,6 @@ impl fmt::Display for LabelError {
 const LABEL_VERSION: &str = "sched1";
 
 impl Schedule {
-    /// The all-`on` schedule (same as `Schedule::default()`).
-    pub fn full() -> Schedule {
-        Schedule::default()
-    }
-
     /// The decisions of one class.
     pub fn decisions(&self, class: ChoiceClass) -> &SiteDecisions {
         &self.sites[class.index()]
@@ -235,9 +230,54 @@ impl Schedule {
         self
     }
 
+    /// Sets the class-wide default of both coalescing classes
+    /// ([`ChoiceClass::CoalesceInputs`] and [`ChoiceClass::CoalesceOutputs`]):
+    /// coalescing-by-transposition (Section 5.2) on or off at every site.
+    pub fn with_coalescing(self, on: bool) -> Schedule {
+        self.with_default(ChoiceClass::CoalesceInputs, on)
+            .with_default(ChoiceClass::CoalesceOutputs, on)
+    }
+
     /// Whether this is the all-default schedule (the classic pipeline).
     pub fn is_default(&self) -> bool {
         *self == Schedule::default()
+    }
+
+    /// The ablation corners the differential fuzzer compiles every
+    /// program under, after the Section 6.1.1 ablations: everything on,
+    /// everything off, and each optimisation switched off on its own
+    /// (simplify, fusion, coalescing, tiling, memplan). Checking stays on
+    /// in every corner. Every corner must produce bit-identical results on every
+    /// program the frontend accepts; the fuzzer treats any difference as
+    /// a bug.
+    pub fn ablation_corners() -> Vec<Schedule> {
+        let all = Schedule::default();
+        let none = Schedule {
+            simplify_pass: false,
+            fusion_pass: false,
+            memplan: false,
+            ..all.clone()
+        }
+        .with_coalescing(false)
+        .with_default(ChoiceClass::Tile, false);
+        vec![
+            all.clone(),
+            none,
+            Schedule {
+                simplify_pass: false,
+                ..all.clone()
+            },
+            Schedule {
+                fusion_pass: false,
+                ..all.clone()
+            },
+            all.clone().with_coalescing(false),
+            all.clone().with_default(ChoiceClass::Tile, false),
+            Schedule {
+                memplan: false,
+                ..all
+            },
+        ]
     }
 
     /// Samples a random schedule. Every sample is *valid by

@@ -8,9 +8,9 @@
 //!   in-place updates, nested maps).
 //! - [`oracle`] — the differential oracle: each program runs through the
 //!   reference interpreter and through the compiled simulator on both
-//!   device profiles under an ablation matrix of pipeline configurations,
+//!   device profiles under the ablation corners of the `Schedule`,
 //!   and every run must agree bit for bit.
-//! - [`shrink`] — greedy minimisation of failing cases by stage deletion,
+//! - [`shrink`](mod@shrink) — greedy minimisation of failing cases by stage deletion,
 //!   input truncation, and constant simplification.
 //! - [`corpus`] — self-contained fixture files for `tests/corpus/`,
 //!   replayed by `cargo test`.

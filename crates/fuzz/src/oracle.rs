@@ -8,9 +8,7 @@
 //! in an optimisation pass, in the code generator, or in the semantics the
 //! interpreter and simulator are supposed to share.
 
-use futhark::{
-    interpret, sim_engine, Compiler, Device, PipelineOptions, RunOptions, Schedule, SimEngine,
-};
+use futhark::{interpret, sim_engine, Compiler, Device, RunOptions, Schedule, SimEngine};
 use futhark_core::{Rng64, Value};
 
 /// The two simulated devices, with stable labels for reports.
@@ -47,7 +45,8 @@ pub enum DivergenceKind {
 /// One observed disagreement.
 #[derive(Debug, Clone)]
 pub struct Divergence {
-    /// The [`PipelineOptions::label`] of the failing configuration.
+    /// The failing configuration: the [`Schedule::describe`] text of an
+    /// ablation corner, or `sched:` and the label of a sampled schedule.
     pub config: String,
     /// The device label, when execution got that far.
     pub device: Option<String>,
@@ -148,17 +147,21 @@ fn check_profiled_run(
     args: &[Value],
     unprofiled: &[Value],
     perf: &futhark::PerfReport,
-    opts: PipelineOptions,
+    sched: &Schedule,
 ) -> Option<Divergence> {
     let diverge = |detail: String| {
         Some(Divergence {
-            config: format!("{}+profile", opts.label()),
+            config: format!("{}+profile", sched.describe()),
             device: Some(dlabel.to_string()),
             kind: DivergenceKind::ProfilePerturbation,
             detail,
         })
     };
-    match compiled.run_profiled(device, args) {
+    let profiled = RunOptions {
+        profile: true,
+        ..RunOptions::default()
+    };
+    match compiled.run_with_opts(device, args, profiled) {
         Ok((got, pperf)) => {
             if let Some(detail) = compare(unprofiled, &got) {
                 return diverge(detail);
@@ -180,7 +183,7 @@ fn check_profiled_run(
             }
             if let Some(detail) = check_analysis(device, perf, &pperf) {
                 return Some(Divergence {
-                    config: format!("{}+analyze", opts.label()),
+                    config: format!("{}+analyze", sched.describe()),
                     device: Some(dlabel.to_string()),
                     kind: DivergenceKind::AnalysisPerturbation,
                     detail,
@@ -204,7 +207,7 @@ fn check_warp_vs_lane(
     dlabel: &str,
     args: &[Value],
     default_run: &Result<(Vec<Value>, futhark::PerfReport), String>,
-    opts: PipelineOptions,
+    sched: &Schedule,
 ) -> Option<Divergence> {
     let (this, other) = match sim_engine() {
         SimEngine::Warp => ("warp", SimEngine::Lane),
@@ -212,7 +215,7 @@ fn check_warp_vs_lane(
     };
     let diverge = |detail: String| {
         Some(Divergence {
-            config: format!("{}+engine", opts.label()),
+            config: format!("{}+engine", sched.describe()),
             device: Some(dlabel.to_string()),
             kind: DivergenceKind::WarpExecution,
             detail,
@@ -344,7 +347,7 @@ fn check_analysis(
 /// each on both devices, demanding bit-identical agreement with the
 /// reference interpreter. Schedules are valid by construction — a
 /// declined choice site falls back to sequential code — so *any*
-/// disagreement is a pipeline bug, exactly as for the ablation matrix.
+/// disagreement is a pipeline bug, exactly as for the ablation corners.
 pub fn check_schedules(
     src: &str,
     args: &[Value],
@@ -368,7 +371,7 @@ pub fn check_schedules(
             }
         };
         for (device, dlabel) in devices() {
-            match compiled.run(device, args) {
+            match compiled.run_with_opts(device, args, RunOptions::default()) {
                 Ok((got, _)) => {
                     if let Some(detail) = compare(reference, &got) {
                         return Some(Divergence {
@@ -421,12 +424,12 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
         Ok(v) => v,
         Err(e) => return Outcome::InterpError(e.to_string()),
     };
-    for opts in PipelineOptions::ablation_matrix() {
-        let compiled = match Compiler::with_options(opts).compile(src) {
+    for sched in Schedule::ablation_corners() {
+        let compiled = match Compiler::with_schedule(sched.clone()).compile(src) {
             Ok(c) => c,
             Err(e) => {
                 return Outcome::Diverged(Divergence {
-                    config: opts.label(),
+                    config: sched.describe(),
                     device: None,
                     kind: DivergenceKind::CompileError,
                     detail: e.to_string(),
@@ -434,13 +437,15 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
             }
         };
         for (device, dlabel) in devices() {
-            let run = compiled.run(device, args).map_err(|e| e.to_string());
+            let run = compiled
+                .run_with_opts(device, args, RunOptions::default())
+                .map_err(|e| e.to_string());
             // The warp and per-lane engines must be observationally
             // indistinguishable: on the default configuration, re-run on
             // the other engine and demand identical outputs (or the
             // identical fault) and identical aggregate counters.
-            if opts == PipelineOptions::default() {
-                if let Some(d) = check_warp_vs_lane(&compiled, device, dlabel, args, &run, opts) {
+            if sched.is_default() {
+                if let Some(d) = check_warp_vs_lane(&compiled, device, dlabel, args, &run, &sched) {
                     return Outcome::Diverged(d);
                 }
             }
@@ -448,7 +453,7 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
                 Ok((got, perf)) => {
                     if let Some(detail) = compare(&reference, &got) {
                         return Outcome::Diverged(Divergence {
-                            config: opts.label(),
+                            config: sched.describe(),
                             device: Some(dlabel.to_string()),
                             kind: DivergenceKind::Mismatch,
                             detail,
@@ -458,9 +463,9 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
                     // default configuration, re-run with per-site
                     // profiling on and demand bit-identical outputs and
                     // identical aggregate cost counters.
-                    if opts == PipelineOptions::default() {
+                    if sched.is_default() {
                         if let Some(d) =
-                            check_profiled_run(&compiled, device, dlabel, args, &got, &perf, opts)
+                            check_profiled_run(&compiled, device, dlabel, args, &got, &perf, &sched)
                         {
                             return Outcome::Diverged(d);
                         }
@@ -468,7 +473,7 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
                 }
                 Err(e) => {
                     return Outcome::Diverged(Divergence {
-                        config: opts.label(),
+                        config: sched.describe(),
                         device: Some(dlabel.to_string()),
                         kind: DivergenceKind::RunError,
                         detail: e,

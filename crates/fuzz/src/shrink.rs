@@ -6,7 +6,7 @@
 //!
 //! 1. **Stage deletion.** Removing stage `k` re-resolves every later
 //!    reference to its slot to the nearest earlier slot of the same
-//!    [`Kind`]; stages whose references cannot be re-resolved (e.g. users
+//!    [`crate::gen::Kind`]; stages whose references cannot be re-resolved (e.g. users
 //!    of a deleted filter's dynamically sized output) are deleted in
 //!    cascade.
 //! 2. **Input truncation.** Halving `n` and `m` (with the arrays cut to

@@ -22,32 +22,13 @@
 
 use crate::kernel::{KExp, KParam, KStm, Kernel, PrivId, Reg};
 use crate::plan::{ArgSpec, GpuPlan, HBody, HStm, LaunchKind, LaunchSpec, OutSpec};
-use futhark_core::schedule::{ChoiceClass, Schedule, ScheduleCursor};
+use futhark_core::schedule::{ChoiceClass, ScheduleCursor};
 use futhark_core::{
     BinOp, Body, Exp, Lambda, LoopForm, Name, Param, PatElem, Program, Prov, ScalarType, Size,
     Soac, Stm, SubExp, Type,
 };
 use std::collections::HashMap;
 use std::fmt;
-
-/// Options controlling the locality optimisations (for the §6.1.1
-/// ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CodegenOptions {
-    /// Apply the coalescing-by-transposition transformation.
-    pub coalescing: bool,
-    /// Apply 1-D block tiling in local memory.
-    pub tiling: bool,
-}
-
-impl Default for CodegenOptions {
-    fn default() -> Self {
-        CodegenOptions {
-            coalescing: true,
-            tiling: true,
-        }
-    }
-}
 
 /// A code-generation failure (construct outside the supported subset; such
 /// statements fall back to interpreted device ops instead, so this error
@@ -73,30 +54,18 @@ fn cerr<T>(m: impl Into<String>) -> CResult<T> {
 }
 
 /// Compiles the `main` function of a flattened program into a GPU plan.
+/// The coalescing-transposition and 1-D tiling sites consult (and
+/// advance) the given schedule cursor.
 ///
 /// # Errors
 ///
 /// Returns a [`CodegenError`] only if `main` is missing; unsupported
 /// statements become interpreter fallbacks, not errors.
-pub fn compile(prog: &Program, opts: CodegenOptions) -> Result<GpuPlan, CodegenError> {
-    let mut cur = ScheduleCursor::new(Schedule::default());
-    compile_with(prog, opts, &mut cur)
-}
-
-/// As [`compile`], but the coalescing-transposition and 1-D tiling sites
-/// consult (and advance) the given schedule cursor. The `opts` flags act
-/// as coarse master switches: a disabled flag means the corresponding
-/// sites are never even queried.
-pub fn compile_with(
-    prog: &Program,
-    opts: CodegenOptions,
-    cur: &mut ScheduleCursor,
-) -> Result<GpuPlan, CodegenError> {
+pub fn compile(prog: &Program, cur: &mut ScheduleCursor) -> Result<GpuPlan, CodegenError> {
     let main = prog.main().ok_or_else(|| CodegenError {
         message: "program has no main function".into(),
     })?;
     let mut cg = Codegen {
-        opts,
         cur,
         kernels: Vec::new(),
         types: HashMap::new(),
@@ -116,7 +85,6 @@ pub fn compile_with(
 }
 
 struct Codegen<'a> {
-    opts: CodegenOptions,
     /// Choice points: per-site coalescing and per-kernel tiling decisions.
     cur: &'a mut ScheduleCursor,
     kernels: Vec<Kernel>,
@@ -302,8 +270,7 @@ impl Codegen<'_> {
                         message: format!("unknown host array {a}"),
                     })?;
                     let row_rank = ty.rank().saturating_sub(depth);
-                    let perm = if self.opts.coalescing
-                        && row_rank >= 1
+                    let perm = if row_rank >= 1
                         && ty.rank() >= 2
                         && self.cur.decide(ChoiceClass::CoalesceInputs)
                     {
@@ -364,10 +331,7 @@ impl Codegen<'_> {
                 return cerr("map output must be an array");
             };
             let row_rank = at.rank() - depth;
-            let perm = if self.opts.coalescing
-                && row_rank >= 1
-                && self.cur.decide(ChoiceClass::CoalesceOutputs)
-            {
+            let perm = if row_rank >= 1 && self.cur.decide(ChoiceClass::CoalesceOutputs) {
                 let mut perm: Vec<usize> = (depth..at.rank()).collect();
                 perm.extend(0..depth);
                 futhark_trace::event("codegen.coalesced_outputs");
@@ -405,10 +369,7 @@ impl Codegen<'_> {
             lower.write_into(&dst, r, &mut body_stms)?;
         }
         let mut kernel = kb.finish(body_stms);
-        if self.opts.tiling
-            && tile_1d_candidate(&kernel)
-            && self.cur.decide(ChoiceClass::Tile)
-            && tile_1d(&mut kernel)
+        if tile_1d_candidate(&kernel) && self.cur.decide(ChoiceClass::Tile) && tile_1d(&mut kernel)
         {
             futhark_trace::event("codegen.tiled_kernels");
         }

@@ -16,7 +16,7 @@ use crate::sim::{
     self, Arg, BufId, DeviceMemory, KernelStats, Limiter, MemEvent, MemOp, MemStats, SimError,
     SiteStats, TimeBreakdown,
 };
-use crate::tape::{host_threads, sim_engine, DecodedKernel, LaunchOpts, SimEngine};
+use crate::tape::{DecodedKernel, RunOptions};
 use futhark_core::traverse::free_in_exp;
 use futhark_core::{
     ArrayVal, Buffer, Exp, Name, PatElem, Program, Scalar, ScalarType, Size, SubExp, Type, Value,
@@ -493,7 +493,10 @@ impl From<InterpError> for ExecError {
 
 type EResult<T> = Result<T, ExecError>;
 
-/// Runs a compiled plan on the given device profile.
+/// Runs a compiled plan on the given device profile with explicit
+/// execution options (host worker threads, source-site profiling, the
+/// group-execution engine). Results and every aggregate counter of the
+/// [`PerfReport`] are bit-identical across every option combination.
 ///
 /// `prog` is the original (flattened) program: interpreter fallbacks
 /// evaluate fragments of it.
@@ -506,82 +509,7 @@ pub fn run(
     prog: &Program,
     device: &DeviceProfile,
     args: &[Value],
-) -> EResult<(Vec<Value>, PerfReport)> {
-    run_with_threads(plan, prog, device, args, host_threads())
-}
-
-/// Like [`run`], with an explicit host worker-thread count for parallel
-/// work-group execution (`1` forces sequential execution). Results and the
-/// [`PerfReport`] are bit-identical across thread counts by construction.
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_with_threads(
-    plan: &GpuPlan,
-    prog: &Program,
-    device: &DeviceProfile,
-    args: &[Value],
-    threads: usize,
-) -> EResult<(Vec<Value>, PerfReport)> {
-    run_with_opts(
-        plan,
-        prog,
-        device,
-        args,
-        RunOptions {
-            threads,
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// Execution-time options for [`run_with_opts`].
-///
-/// The default reads the environment-derived settings ([`host_threads`],
-/// [`sim_engine`]) at construction time, as a default-only fallback:
-/// explicit fields always win, per request — nothing is latched
-/// process-wide, so a long-lived server honours each job's own engine and
-/// thread-count settings. Differential comparisons that must hold two runs
-/// to one configuration should build one `RunOptions` and reuse it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunOptions {
-    /// Host worker threads for parallel group execution (`1` = sequential).
-    pub threads: usize,
-    /// Collect per-source-site counters into [`PerfReport::per_site`].
-    /// Off by default; the aggregate report is bit-identical either way
-    /// (per-site counters are accumulated separately and never feed back
-    /// into execution or the [`KernelStats`] totals).
-    pub profile: bool,
-    /// Which group-execution engine runs kernel launches. Outputs, errors,
-    /// and every counter are bit-identical across engines; the warp engine
-    /// is the fast default, the per-lane engine the independent reference
-    /// for differential testing.
-    pub engine: SimEngine,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            threads: host_threads(),
-            profile: false,
-            engine: sim_engine(),
-        }
-    }
-}
-
-/// Like [`run`], with full control over execution options (worker threads,
-/// source-site profiling).
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_with_opts(
-    plan: &GpuPlan,
-    prog: &Program,
-    device: &DeviceProfile,
-    args: &[Value],
-    opts: RunOptions,
+    opts: &RunOptions,
 ) -> EResult<(Vec<Value>, PerfReport)> {
     let mut arena = DeviceMemory::from_profile(device);
     // The memory timeline is always recorded: the bookkeeping is pure
@@ -600,9 +528,7 @@ pub fn run_with_opts(
         combines: HashMap::new(),
         kernel_sites: vec![None; plan.kernels.len()],
         buf_sites: HashMap::new(),
-        threads: opts.threads.max(1),
-        profile: opts.profile,
-        engine: opts.engine,
+        opts: *opts,
         hoisted: 0,
         steals: 0,
         loop_watermarks: Vec::new(),
@@ -667,12 +593,8 @@ struct Executor<'a> {
     /// The source site each live buffer was last allocated (or stolen)
     /// at — frees look their attribution up here.
     buf_sites: HashMap<BufId, String>,
-    /// Host worker threads used for parallel group execution.
-    threads: usize,
-    /// Whether launches collect per-source-site counters.
-    profile: bool,
-    /// The group-execution engine for kernel launches.
-    engine: SimEngine,
+    /// The run's execution options, passed to every kernel launch.
+    opts: RunOptions,
     /// Hoisted-destination writes performed (planner `write_into` hits).
     hoisted: u64,
     /// In-place buffer steals performed (planner `steal` verdicts that
@@ -1580,22 +1502,17 @@ impl<'a> Executor<'a> {
             self.decoded[spec.kernel] = Some(DecodedKernel::decode(kernel)?);
         }
         let dk = self.decoded[spec.kernel].as_ref().expect("just decoded");
-        let opts = LaunchOpts {
-            threads: self.threads,
-            profile: self.profile,
-            engine: self.engine,
-        };
-        let out = crate::tape::launch_decoded_with(
+        let out = crate::tape::launch(
             self.device,
             dk,
             num_threads,
             &args,
             &mut self.mem,
-            opts,
+            &self.opts,
         )?;
         self.report.uniform_hits += out.uniform_hits;
         self.report.uniform_misses += out.uniform_misses;
-        let stats = if self.profile {
+        let stats = if self.opts.profile {
             let stats = out.stats;
             let sites = out.sites.expect("profiled launch returns sites");
             // Modelled-time attribution: the launch's busy time (total
@@ -1684,18 +1601,18 @@ impl<'a> Executor<'a> {
             let dk = DecodedKernel::decode(kernel)?;
             self.combines.insert(kernel.name.clone(), dk);
         }
-        let opts = LaunchOpts {
+        let opts = RunOptions {
             threads: 1,
             profile: false,
-            engine: self.engine,
+            engine: self.opts.engine,
         };
-        crate::tape::launch_decoded_with(
+        crate::tape::launch(
             self.device,
             &self.combines[&kernel.name],
             1,
             &args,
             &mut self.mem,
-            opts,
+            &opts,
         )?;
         let bytes: f64 = parts.iter().map(|d| d.bytes() as f64).sum();
         let t_us = self.device.launch_overhead_us

@@ -18,7 +18,4 @@ pub use sim::{
     kernel_time_breakdown, kernel_time_us, Arg, BufId, DeviceMemory, KernelStats, Limiter,
     MemEvent, MemOp, MemStats, SimError, SiteStats, TimeBreakdown,
 };
-pub use tape::{
-    host_threads, launch_decoded, launch_decoded_profiled, launch_decoded_with, sim_engine,
-    DecodedKernel, LaunchOpts, LaunchOut, SimEngine,
-};
+pub use tape::{host_threads, launch, sim_engine, DecodedKernel, LaunchOut, RunOptions, SimEngine};

@@ -11,13 +11,13 @@
 //!    sound here because nothing in the executor mutates a buffer in
 //!    place except the guarded steal/hoist paths this pass itself
 //!    introduces;
-//! 3. **marks steals** ([`OutSpec::steal`]): an `init_from` output may
+//! 3. **marks steals** ([`crate::plan::OutSpec::steal`]): an `init_from` output may
 //!    take the source's buffer when the source's alias class is dead
 //!    afterwards ([`StealKind::Always`]), or rotate a loop-carried merge
 //!    buffer from iteration 2 on ([`StealKind::LoopRotate`] — the
 //!    double-buffer swap);
 //! 4. **hoists loop-invariant allocations** out of loop bodies: a fresh
-//!    [`HStm::Alloc`] before the loop, [`OutSpec::write_into`] at the
+//!    [`HStm::Alloc`] before the loop, [`crate::plan::OutSpec::write_into`] at the
 //!    launch, a [`HStm::Free`] after;
 //! 5. **inserts frees** at each alias class's last use, so the executor's
 //!    capacity-modelled [`crate::DeviceMemory`] can recycle dead buffers.

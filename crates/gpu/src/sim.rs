@@ -15,8 +15,6 @@
 //! - local-memory accesses and barriers.
 
 use crate::device::DeviceProfile;
-use crate::kernel::Kernel;
-use crate::tape::{host_threads, launch_decoded, DecodedKernel};
 use futhark_core::{Buffer, Scalar, ScalarType};
 use std::collections::HashMap;
 use std::fmt;
@@ -504,7 +502,7 @@ impl DeviceMemory {
     }
 
     /// Infallible access for the kernel hot path: callers must have
-    /// validated liveness at launch entry (as `launch_decoded` does for
+    /// validated liveness at launch entry (as [`crate::launch`] does for
     /// every buffer argument).
     pub(crate) fn raw(&self, id: BufId) -> &Buffer {
         match &self.slots[id] {
@@ -810,30 +808,6 @@ impl std::error::Error for SimError {}
 
 type SResult<T> = Result<T, SimError>;
 
-/// Launches a kernel over `num_threads` threads and returns the accumulated
-/// stats. Buffers are read and written in `mem`.
-///
-/// Decodes the kernel on the fly and executes its work-groups on
-/// [`host_threads`] host threads (set `FUTHARK_SIM_THREADS` to override).
-/// Callers that launch the same kernel repeatedly should decode once with
-/// [`DecodedKernel::decode`] and call [`launch_decoded`] directly, as the
-/// plan executor does.
-///
-/// # Errors
-///
-/// Returns a [`SimError`] on faults (bounds, divergent barriers, runaway
-/// loops, negative local-memory sizes).
-pub fn launch(
-    device: &DeviceProfile,
-    kernel: &Kernel,
-    num_threads: u64,
-    args: &[Arg],
-    mem: &mut DeviceMemory,
-) -> SResult<KernelStats> {
-    let dk = DecodedKernel::decode(kernel)?;
-    launch_decoded(device, &dk, num_threads, args, mem, host_threads())
-}
-
 /// Timing model decomposition: the overhead and the three throughput
 /// components for one launch with the given stats. The modelled launch
 /// time is [`TimeBreakdown::total_us`].
@@ -856,6 +830,20 @@ pub fn kernel_time_us(device: &DeviceProfile, stats: &KernelStats) -> f64 {
 mod tests {
     use super::*;
     use crate::kernel::*;
+    use crate::tape::{DecodedKernel, RunOptions};
+
+    /// Decodes `k` and launches it with the default run options.
+    fn launch(
+        device: &DeviceProfile,
+        k: &Kernel,
+        num_threads: u64,
+        args: &[Arg],
+        mem: &mut DeviceMemory,
+    ) -> SResult<KernelStats> {
+        let dk = DecodedKernel::decode(k)?;
+        crate::tape::launch(device, &dk, num_threads, args, mem, &RunOptions::default())
+            .map(|out| out.stats)
+    }
 
     fn vecadd_kernel(stride: i64) -> Kernel {
         // out[i] = a[idx] + b[idx] with idx = i*stride (stride 1 coalesced).

@@ -6,7 +6,7 @@
 //! enum values in `Vec<Scalar>` register files. [`DecodedKernel::decode`]
 //! removes both costs ahead of time:
 //!
-//! - every expression becomes a flat postfix [`Tape`] of [`EOp`]s evaluated
+//! - every expression becomes a flat postfix `Tape` of `EOp`s evaluated
 //!   on a small `u64` bit-stack — no recursion, no allocation per lane;
 //! - every virtual register gets a *statically inferred* scalar class and a
 //!   slot in a typed, unboxed register file (separate `Vec<i64>`,
@@ -34,7 +34,7 @@
 //! A group's log is one overlay per buffer it writes: a dense window of
 //! values indexed by element offset, with a dirty flag per slot, grown as
 //! writes arrive. Only when a write would stretch the window's hull past
-//! [`DENSE_RATIO`] slots per written element (and past [`DENSE_MIN_SPAN`]
+//! `DENSE_RATIO` slots per written element (and past `DENSE_MIN_SPAN`
 //! slots) does it turn into a map, so scatters and far-strided writes stay
 //! small while map-style writes cost one indexed store each. Commit walks
 //! the dirty slots.
@@ -890,7 +890,7 @@ impl DecodedKernel {
     /// private array (fixpoint over the body; registers that are never
     /// written default to i64, matching the old `Scalar::I64(0)` register
     /// initialisation), assigns each register a slot in its class's file,
-    /// and flattens every expression into a postfix [`Tape`].
+    /// and flattens every expression into a postfix `Tape`.
     ///
     /// # Errors
     ///
@@ -3138,7 +3138,7 @@ fn eval_uniform(e: &KExp, group_size: u64, scalars: &[Option<Scalar>]) -> SResul
 /// `FUTHARK_SIM_THREADS` environment variable if set (minimum 1), else the
 /// machine's available parallelism. Read from the environment on every
 /// call — this is a *default-only fallback*, consulted when building
-/// [`LaunchOpts`]/`RunOptions` defaults; explicit per-request overrides
+/// [`RunOptions`] defaults; explicit per-request overrides
 /// always win. (It used to be latched in a `OnceLock`, which pinned the
 /// first caller's snapshot for the life of the process — fatal in a
 /// long-lived daemon serving requests with differing settings.)
@@ -3175,7 +3175,7 @@ pub enum SimEngine {
 /// The default engine selected by the `FUTHARK_SIM_ENGINE` environment
 /// variable (`lane` for the per-lane reference engine, anything else —
 /// including unset — for the warp engine). Read from the environment on
-/// every call: a default-only fallback for [`LaunchOpts`]/`RunOptions`
+/// every call: a default-only fallback for [`RunOptions`]
 /// construction, never a latched snapshot, so per-request engine overrides
 /// in a long-lived server take effect launch by launch.
 pub fn sim_engine() -> SimEngine {
@@ -3185,22 +3185,35 @@ pub fn sim_engine() -> SimEngine {
     }
 }
 
-/// Per-launch options for [`launch_decoded_with`]. The default reads the
-/// environment-derived settings ([`host_threads`], [`sim_engine`]) at
-/// construction time; explicit fields always override the environment.
+/// Execution options for a run ([`crate::exec::run`]) and for each of
+/// its launches ([`launch`]).
+///
+/// The default reads the environment-derived settings ([`host_threads`],
+/// [`sim_engine`]) at construction time, as a default-only fallback:
+/// explicit fields always win, per request — nothing is latched
+/// process-wide, so a long-lived server honours each job's own engine and
+/// thread-count settings. Differential comparisons that must hold two runs
+/// to one configuration should build one `RunOptions` and reuse it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaunchOpts {
-    /// Host threads executing independent work-groups.
+pub struct RunOptions {
+    /// Host worker threads for parallel group execution (`1` = sequential).
     pub threads: usize,
-    /// Whether to bucket counters by source site.
+    /// Collect per-source-site counters ([`LaunchOut::sites`], and the
+    /// run's `PerfReport::per_site`). Off by default; the aggregate
+    /// counters are bit-identical either way (per-site counters are
+    /// accumulated separately and never feed back into execution or the
+    /// [`KernelStats`] totals).
     pub profile: bool,
-    /// Which execution engine to use.
+    /// Which group-execution engine runs kernel launches. Outputs, errors,
+    /// and every counter are bit-identical across engines; the warp engine
+    /// is the fast default, the per-lane engine the independent reference
+    /// for differential testing.
     pub engine: SimEngine,
 }
 
-impl Default for LaunchOpts {
+impl Default for RunOptions {
     fn default() -> Self {
-        LaunchOpts {
+        RunOptions {
             threads: host_threads(),
             profile: false,
             engine: sim_engine(),
@@ -3234,10 +3247,14 @@ pub struct LaunchOut {
 const PAR_MIN_GROUPS: u64 = 2;
 
 /// Launches a pre-decoded kernel over `num_threads` threads, executing
-/// independent work-groups on up to `threads` host threads. Results —
-/// device memory, the returned [`KernelStats`], and any error — are
-/// bit-identical for every value of `threads` (see the module docs for the
-/// memory model that guarantees this).
+/// independent work-groups on up to `opts.threads` host threads with
+/// `opts.engine`, and bucketing counters by source site when
+/// `opts.profile` is set (the decoded kernel's provenance table; the extra
+/// final slot is the unattributed bucket). Results — device memory, the
+/// returned [`KernelStats`], and any error — are bit-identical for every
+/// thread count, engine and profiling choice (see the module docs for the
+/// memory model that guarantees this). Callers that launch the same
+/// kernel repeatedly decode it once with [`DecodedKernel::decode`].
 ///
 /// # Errors
 ///
@@ -3245,99 +3262,19 @@ const PAR_MIN_GROUPS: u64 = 2;
 /// loops, negative local-memory sizes). When several groups fault, the
 /// lowest-numbered group's error is reported, after committing the writes
 /// of the groups before it — exactly what sequential execution observed.
-pub fn launch_decoded(
+pub fn launch(
     device: &DeviceProfile,
     dk: &DecodedKernel,
     num_threads: u64,
     args: &[Arg],
     mem: &mut DeviceMemory,
-    threads: usize,
-) -> SResult<KernelStats> {
-    launch_decoded_impl(
-        device,
-        dk,
-        num_threads,
-        args,
-        mem,
-        threads,
-        false,
-        sim_engine(),
-    )
-    .map(|out| out.stats)
-}
-
-/// Launches a pre-decoded kernel with explicit [`LaunchOpts`] — the one
-/// entry point that exposes engine selection programmatically. Outputs,
-/// errors, and counters are bit-identical across engines, thread counts,
-/// and profiling.
-///
-/// # Errors
-///
-/// Exactly as [`launch_decoded`].
-pub fn launch_decoded_with(
-    device: &DeviceProfile,
-    dk: &DecodedKernel,
-    num_threads: u64,
-    args: &[Arg],
-    mem: &mut DeviceMemory,
-    opts: LaunchOpts,
+    opts: &RunOptions,
 ) -> SResult<LaunchOut> {
-    launch_decoded_impl(
-        device,
-        dk,
-        num_threads,
-        args,
-        mem,
-        opts.threads,
-        opts.profile,
-        opts.engine,
-    )
-}
-
-/// Like [`launch_decoded`], but additionally buckets counters by source
-/// site (the decoded kernel's provenance table; the extra final slot is
-/// the unattributed bucket). The returned [`KernelStats`] are bit-identical
-/// to an unprofiled launch of the same kernel: the per-site counters are
-/// accumulated separately and never feed back into execution.
-///
-/// # Errors
-///
-/// Exactly as [`launch_decoded`].
-pub fn launch_decoded_profiled(
-    device: &DeviceProfile,
-    dk: &DecodedKernel,
-    num_threads: u64,
-    args: &[Arg],
-    mem: &mut DeviceMemory,
-    threads: usize,
-) -> SResult<(KernelStats, Vec<SiteStats>)> {
-    launch_decoded_impl(
-        device,
-        dk,
-        num_threads,
-        args,
-        mem,
+    let &RunOptions {
         threads,
-        true,
-        sim_engine(),
-    )
-    .map(|out| {
-        let sites = out.sites.expect("profiled launch returns sites");
-        (out.stats, sites)
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn launch_decoded_impl(
-    device: &DeviceProfile,
-    dk: &DecodedKernel,
-    num_threads: u64,
-    args: &[Arg],
-    mem: &mut DeviceMemory,
-    threads: usize,
-    profile: bool,
-    engine: SimEngine,
-) -> SResult<LaunchOut> {
+        profile,
+        engine,
+    } = opts;
     let group_size = device.group_size as u64;
     let num_groups = num_threads.div_ceil(group_size).max(1);
     // Resolve launch arguments once.
@@ -3491,6 +3428,15 @@ mod tests {
     use super::*;
     use crate::kernel::{KParam, KStm};
 
+    /// The environment's default engine, unprofiled, on `threads` host
+    /// threads.
+    fn threads_only(threads: usize) -> RunOptions {
+        RunOptions {
+            threads,
+            ..RunOptions::default()
+        }
+    }
+
     fn square_kernel() -> Kernel {
         // out[i] = in[i] * in[i]
         Kernel {
@@ -3595,15 +3541,16 @@ mod tests {
                 .upload(Buffer::I64((0..n as i64).map(|i| i - 5000).collect()))
                 .unwrap();
             let out = mem.alloc(ScalarType::I64, n).unwrap();
-            let stats = launch_decoded(
+            let stats = launch(
                 &dev,
                 &dk,
                 n as u64,
                 &[Arg::Buffer(a), Arg::Buffer(out)],
                 &mut mem,
-                threads,
+                &threads_only(threads),
             )
-            .unwrap();
+            .unwrap()
+            .stats;
             (stats, mem.download(out).unwrap().clone())
         };
         let (seq_stats, seq_out) = run(1);
@@ -3637,7 +3584,15 @@ mod tests {
         for threads in [1, 2, 4] {
             let mut mem = DeviceMemory::new();
             let out = mem.alloc(ScalarType::I64, 1).unwrap();
-            launch_decoded(&dev, &dk, n, &[Arg::Buffer(out)], &mut mem, threads).unwrap();
+            launch(
+                &dev,
+                &dk,
+                n,
+                &[Arg::Buffer(out)],
+                &mut mem,
+                &threads_only(threads),
+            )
+            .unwrap();
             let Buffer::I64(v) = mem.download(out).unwrap() else {
                 panic!()
             };
@@ -3680,13 +3635,13 @@ mod tests {
         for threads in [1, 4] {
             let mut mem = DeviceMemory::new();
             let out = mem.alloc(ScalarType::I64, 2).unwrap();
-            let e = launch_decoded(
+            let e = launch(
                 &dev,
                 &dk,
                 2 * gs as u64,
                 &[Arg::Buffer(out)],
                 &mut mem,
-                threads,
+                &threads_only(threads),
             )
             .unwrap_err();
             assert!(matches!(e, SimError::OutOfBounds { .. }), "at {threads}");
@@ -3730,13 +3685,13 @@ mod tests {
         let xs: Vec<i64> = (0..16).map(|i| i - 8).collect();
         let a = mem.upload(Buffer::I64(xs.clone())).unwrap();
         let out = mem.alloc(ScalarType::I64, 16).unwrap();
-        launch_decoded(
+        launch(
             &dev,
             &dk,
             16,
             &[Arg::Buffer(a), Arg::Buffer(out)],
             &mut mem,
-            1,
+            &threads_only(1),
         )
         .unwrap();
         let Buffer::I64(v) = mem.download(out).unwrap() else {
@@ -3762,8 +3717,15 @@ mod tests {
         };
         let dk = DecodedKernel::decode(&k).unwrap();
         let mut mem = DeviceMemory::new();
-        let e =
-            launch_decoded(&dev, &dk, 8, &[Arg::Scalar(Scalar::I64(-5))], &mut mem, 1).unwrap_err();
+        let e = launch(
+            &dev,
+            &dk,
+            8,
+            &[Arg::Scalar(Scalar::I64(-5))],
+            &mut mem,
+            &threads_only(1),
+        )
+        .unwrap_err();
         assert!(
             matches!(e, SimError::NegativeLocalSize { requested: -5, .. }),
             "got {e:?}"
@@ -3804,7 +3766,15 @@ mod tests {
         for threads in [1, 4] {
             let mut mem = DeviceMemory::new();
             let out = mem.alloc(ScalarType::I64, 600).unwrap();
-            launch_decoded(&dev, &dk, 600, &[Arg::Buffer(out)], &mut mem, threads).unwrap();
+            launch(
+                &dev,
+                &dk,
+                600,
+                &[Arg::Buffer(out)],
+                &mut mem,
+                &threads_only(threads),
+            )
+            .unwrap();
             let Buffer::I64(v) = mem.download(out).unwrap() else {
                 panic!()
             };
@@ -3929,18 +3899,18 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let a = mem.alloc(ScalarType::I64, 8).unwrap();
         let b = mem.alloc(ScalarType::I64, 8).unwrap();
-        let opts = LaunchOpts {
+        let opts = RunOptions {
             threads: 1,
             profile: false,
             engine: SimEngine::Lane,
         };
-        let err = launch_decoded_with(
+        let err = launch(
             &dev,
             &dk,
             8,
             &[Arg::Buffer(a), Arg::Buffer(b)],
             &mut mem,
-            opts,
+            &opts,
         )
         .unwrap_err();
         match err {
@@ -3970,14 +3940,13 @@ mod tests {
         let run = |engine: SimEngine| {
             let mut mem = DeviceMemory::new();
             let out = mem.alloc(ScalarType::I64, n).unwrap();
-            let opts = LaunchOpts {
+            let opts = RunOptions {
                 threads: 1,
                 profile: false,
                 engine,
             };
             let out_run =
-                launch_decoded_with(&dev, &dk, n as u64, &[Arg::Buffer(out)], &mut mem, opts)
-                    .unwrap();
+                launch(&dev, &dk, n as u64, &[Arg::Buffer(out)], &mut mem, &opts).unwrap();
             (out_run.stats, mem.download(out).unwrap().clone())
         };
         let (wstats, wout) = run(SimEngine::Warp);
@@ -4250,13 +4219,13 @@ mod tests {
                     let sb = mem.upload(Buffer::I64(script.clone())).unwrap();
                     let ob = mem.upload(Buffer::I64(init.clone())).unwrap();
                     let rb = mem.alloc(ScalarType::I64, script.len()).unwrap();
-                    let opts = LaunchOpts {
+                    let opts = RunOptions {
                         threads: host,
                         profile: false,
                         engine,
                     };
                     let args = [Arg::Buffer(sb), Arg::Buffer(ob), Arg::Buffer(rb)];
-                    let got = launch_decoded_with(&dev, &dk, threads as u64, &args, &mut mem, opts);
+                    let got = launch(&dev, &dk, threads as u64, &args, &mut mem, &opts);
                     let label =
                         format!("case {case} (pattern {pattern}), {engine:?}, {host} threads");
                     assert_eq!(got.err().map(|e| e.to_string()), want_err, "{label}");
@@ -4614,12 +4583,12 @@ mod tests {
                         up(&data),
                         up(&vec![0; threads]),
                     ];
-                    let opts = LaunchOpts {
+                    let opts = RunOptions {
                         threads: host,
                         profile: true,
                         engine,
                     };
-                    let got = launch_decoded_with(&dev, &dk, threads as u64, &args, &mut mem, opts)
+                    let got = launch(&dev, &dk, threads as u64, &args, &mut mem, &opts)
                         .map(|out| (out.stats, out.sites))
                         .map_err(|e| e.to_string());
                     let bufs: Vec<Buffer> = args[3..]
@@ -4689,15 +4658,15 @@ mod tests {
             let dk = DecodedKernel::decode(&k).unwrap();
             for engine in [SimEngine::Lane, SimEngine::Warp] {
                 for threads in [1, 4] {
-                    let opts = LaunchOpts {
+                    let opts = RunOptions {
                         threads,
                         profile: false,
                         engine,
                     };
                     let mut mem = DeviceMemory::new();
-                    let fits = launch_decoded_with(&dev, &dk, 8, &[], &mut mem, opts);
+                    let fits = launch(&dev, &dk, 8, &[], &mut mem, &opts);
                     assert!(fits.is_ok(), "{elem:?}, {engine:?} at {threads}: {fits:?}");
-                    let err = launch_decoded_with(&dev, &dk, 9, &[], &mut mem, opts).unwrap_err();
+                    let err = launch(&dev, &dk, 9, &[], &mut mem, &opts).unwrap_err();
                     assert_eq!(
                         err,
                         SimError::OutOfMemory {

@@ -1,25 +1,33 @@
 //! Backend-focused integration tests: plan structure, symbolic layouts,
 //! tiling rewrites, stream chunking, and device-profile effects.
 
+use futhark_core::schedule::{ChoiceClass, Schedule, ScheduleCursor};
 use futhark_core::{ArrayVal, Buffer, NameSource, Program, Value};
-use futhark_gpu::codegen::{self, CodegenOptions};
+use futhark_gpu::codegen;
 use futhark_gpu::kernel::KStm;
 use futhark_gpu::plan::{GpuPlan, HStm, LaunchKind};
-use futhark_gpu::{exec, DeviceProfile};
+use futhark_gpu::{exec, DeviceProfile, RunOptions};
 
-fn compile(src: &str, opts: CodegenOptions) -> (GpuPlan, Program) {
+fn compile(src: &str, sched: Schedule) -> (GpuPlan, Program) {
     let (mut prog, mut ns): (Program, NameSource) =
         futhark_frontend::parse_program(src).expect("parses");
     futhark_opt::simplify::simplify_program(&mut prog, &mut ns);
     futhark_opt::fusion::fuse_program(&mut prog, &mut ns);
     futhark_opt::flatten::flatten_program(&mut prog, &mut ns);
     futhark_opt::simplify::simplify_program(&mut prog, &mut ns);
-    let plan = codegen::compile(&prog, opts).expect("codegen");
+    let plan = codegen::compile(&prog, &mut ScheduleCursor::new(sched)).expect("codegen");
     (plan, prog)
 }
 
 fn run(plan: &GpuPlan, prog: &Program, args: &[Value]) -> (Vec<Value>, exec::PerfReport) {
-    exec::run(plan, prog, &DeviceProfile::gtx780(), args).expect("runs")
+    exec::run(
+        plan,
+        prog,
+        &DeviceProfile::gtx780(),
+        args,
+        &RunOptions::default(),
+    )
+    .expect("runs")
 }
 
 #[test]
@@ -28,7 +36,7 @@ fn map_nest_produces_one_grid_launch() {
         "fun main (n: i64) (m: i64) (xss: [n][m]f32): [n][m]f32 =\n\
          let r = map (\\(row: [m]f32) -> map (\\x -> x + 1.0f32) row) xss\n\
          in r",
-        CodegenOptions::default(),
+        Schedule::default(),
     );
     assert_eq!(plan.kernel_count(), 1);
     assert_eq!(plan.launch_sites(), 1);
@@ -45,7 +53,7 @@ fn top_level_reduce_is_stream_plus_combine() {
         "fun main (n: i64) (xs: [n]i64): i64 =\n\
          let s = reduce (+) 0 xs\n\
          in s",
-        CodegenOptions::default(),
+        Schedule::default(),
     );
     let kinds: Vec<&str> = plan
         .body
@@ -78,7 +86,7 @@ fn symbolic_transposes_compose_without_cost() {
          let t = transpose a\n\
          let u = transpose t\n\
          in u",
-        CodegenOptions::default(),
+        Schedule::default(),
     );
     let a = ArrayVal::new(vec![3, 4], Buffer::I64((0..12).collect()));
     let (out, perf) = run(
@@ -103,7 +111,7 @@ fn layout_materialisations_are_cached_across_host_loops() {
            let acc2 = map (\\(a: f32) (s: f32) -> a + s) acc sums\n\
            in acc2)\n\
          in out",
-        CodegenOptions::default(),
+        Schedule::default(),
     );
     let xss = ArrayVal::new(
         vec![64, 32],
@@ -134,13 +142,10 @@ fn tiling_rewrites_invariant_array_loops() {
                    let w = ws[j]\n\
                    in acc + w * x)) xs\n\
                in out";
-    let (tiled, _) = compile(src, CodegenOptions::default());
+    let (tiled, _) = compile(src, Schedule::default());
     let (untiled, _) = compile(
         src,
-        CodegenOptions {
-            tiling: false,
-            ..CodegenOptions::default()
-        },
+        Schedule::default().with_default(ChoiceClass::Tile, false),
     );
     fn has_barrier(stms: &[KStm]) -> bool {
         stms.iter().any(|s| match s {
@@ -167,7 +172,7 @@ fn scatter_launch_initialises_output_from_destination() {
         "fun main (k: i64) (n: i64) (dest: *[k]i64) (is: [n]i64) (vs: [n]i64): *[k]i64 =\n\
          let r = scatter dest is vs\n\
          in r",
-        CodegenOptions::default(),
+        Schedule::default(),
     );
     let (out, _) = run(
         &plan,
@@ -207,7 +212,7 @@ fn stream_thread_count_balances_accumulator_footprint() {
                     in c";
 
     let n = 32768usize;
-    let (p1, g1) = compile(scalar_src, CodegenOptions::default());
+    let (p1, g1) = compile(scalar_src, Schedule::default());
     let (_, perf1) = run(
         &p1,
         &g1,
@@ -216,7 +221,7 @@ fn stream_thread_count_balances_accumulator_footprint() {
             Value::Array(ArrayVal::from_i64s(vec![1; n])),
         ],
     );
-    let (p2, g2) = compile(hist_src, CodegenOptions::default());
+    let (p2, g2) = compile(hist_src, Schedule::default());
     let (_, perf2) = run(
         &p2,
         &g2,
@@ -244,16 +249,17 @@ fn device_profiles_order_bandwidth_bound_kernels() {
         "fun main (n: i64) (xs: [n]f32): [n]f32 =\n\
          let r = map (\\x -> x + 1.0f32) xs\n\
          in r",
-        CodegenOptions::default(),
+        Schedule::default(),
     );
     let args = vec![
         Value::i64(1 << 16),
         Value::Array(ArrayVal::from_f32s(vec![1.0; 1 << 16])),
     ];
-    let nv = exec::run(&plan, &prog, &DeviceProfile::gtx780(), &args)
+    let opts = RunOptions::default();
+    let nv = exec::run(&plan, &prog, &DeviceProfile::gtx780(), &args, &opts)
         .unwrap()
         .1;
-    let amd = exec::run(&plan, &prog, &DeviceProfile::w8100(), &args)
+    let amd = exec::run(&plan, &prog, &DeviceProfile::w8100(), &args, &opts)
         .unwrap()
         .1;
     let nv_pure = nv.kernel_us - DeviceProfile::gtx780().launch_overhead_us;
@@ -274,7 +280,7 @@ fn fallbacks_still_compute_correctly() {
            let p = reduce (+) 0 cs\n\
            in acc + p) 0 xs\n\
          in s",
-        CodegenOptions::default(),
+        Schedule::default(),
     );
     let (out, perf) = run(
         &plan,

@@ -38,7 +38,7 @@
 //! The `metrics` protocol op — and `futharkd --metrics` — surface the
 //! registry as JSON, Prometheus text, or a Chrome/Perfetto daemon
 //! timeline; `stats` is a compatibility projection of the same registry.
-//! All daemon locks recover from poison ([`crate::lock_ok`]): one
+//! All daemon locks recover from poison (the crate-private `lock_ok`): one
 //! panicking job thread must not wedge every future scrape.
 
 use crate::cache::{artifact_key_sched, shape_signature, ArtifactCache, CacheStats};
@@ -404,14 +404,9 @@ impl Daemon {
         self.record(&r.id, EventKind::Received);
         let mut spans = Vec::new();
         let class = self.class_profile().clone();
-        // The effective schedule — explicit if the request carried one,
-        // otherwise derived from the options — keys the artifact cache,
-        // so two schedules for the same source occupy distinct entries.
-        let sched = r
-            .schedule
-            .clone()
-            .unwrap_or_else(|| r.options.to_schedule());
-        let key = artifact_key_sched(&r.source, &sched, &class);
+        // The schedule keys the artifact cache, so two schedules for the
+        // same source occupy distinct entries.
+        let key = artifact_key_sched(&r.source, &r.schedule, &class);
 
         // Compile, or hit the artifact cache. The lock is held only for
         // the lookup/insert, not for compilation — concurrent misses of
@@ -422,7 +417,7 @@ impl Daemon {
             Some(a) => (a, true),
             None => {
                 let t0 = Instant::now();
-                let compiled = Compiler::with_schedule(sched.clone()).compile(&r.source);
+                let compiled = Compiler::with_schedule(r.schedule.clone()).compile(&r.source);
                 let us = t0.elapsed().as_secs_f64() * 1e6;
                 match compiled {
                     Ok(c) => {
@@ -561,8 +556,9 @@ impl Daemon {
             profile: r.profile,
             engine: r.engine,
         };
+        let target = device.clone();
         let te = Instant::now();
-        let result = artifact.run_on_with_opts(device, &r.args, opts);
+        let result = artifact.run_with_opts(target, &r.args, opts);
         let execute_us = te.elapsed().as_secs_f64() * 1e6;
         spans.push(Span {
             name: "execute",

@@ -29,15 +29,15 @@
 //! errors include `predicted_peak_bytes` and the best device `capacity`
 //! the job did not fit.
 
-use futhark::{schedule_from_json, PipelineOptions, Schedule, SimEngine};
+use futhark::{schedule_from_json, ChoiceClass, Schedule, SimEngine};
 use futhark_core::{ArrayVal, Buffer, Scalar, ScalarType, Value};
 use futhark_trace::Json;
 
 /// A parsed client request.
 #[derive(Debug, Clone)]
 pub enum Request {
-    /// Compile-and-execute (boxed: a run carries source, args, and an
-    /// optional schedule, far larger than the control-plane variants).
+    /// Compile-and-execute (boxed: a run carries source, args, and a
+    /// schedule, far larger than the control-plane variants).
     Run(Box<RunRequest>),
     /// Server counters.
     Stats {
@@ -80,12 +80,10 @@ pub struct RunRequest {
     pub source: String,
     /// Entry arguments.
     pub args: Vec<Value>,
-    /// Pipeline configuration (defaults to everything on).
-    pub options: PipelineOptions,
-    /// Explicit compilation schedule. When present it subsumes
-    /// `options`; when absent the pipeline derives the schedule from
-    /// `options` (the default schedule for default options).
-    pub schedule: Option<Schedule>,
+    /// The compilation schedule: the wire `schedule`, or the wire
+    /// `options` translated into one, or the default schedule when the
+    /// request carries neither.
+    pub schedule: Schedule,
     /// Host worker threads for group execution (default 1 — a server
     /// parallelises across jobs, not within them).
     pub threads: usize,
@@ -366,17 +364,18 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
                     .ok_or_else(|| (id.clone(), "run: malformed argument value".to_string()))?,
                 None => Vec::new(),
             };
-            let options = match j.get("options") {
-                Some(o) => options_from_json(o)
+            let schedule = match (j.get("options"), j.get("schedule")) {
+                (Some(_), Some(_)) => {
+                    return Err((
+                        id,
+                        "run: \"options\" and \"schedule\" are exclusive; send one".to_string(),
+                    ));
+                }
+                (Some(o), None) => options_from_json(o)
                     .ok_or_else(|| (id.clone(), "run: malformed \"options\"".to_string()))?,
-                None => PipelineOptions::default(),
-            };
-            let schedule = match j.get("schedule") {
-                Some(s) => Some(
-                    schedule_from_json(s)
-                        .map_err(|e| (id.clone(), format!("run: malformed \"schedule\": {e}")))?,
-                ),
-                None => None,
+                (None, Some(s)) => schedule_from_json(s)
+                    .map_err(|e| (id.clone(), format!("run: malformed \"schedule\": {e}")))?,
+                (None, None) => Schedule::default(),
             };
             let threads = match j.get("threads") {
                 Some(t) => t
@@ -399,7 +398,6 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
                 id,
                 source,
                 args,
-                options,
                 schedule,
                 threads,
                 engine,
@@ -410,25 +408,25 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
     }
 }
 
-/// Partial-object pipeline options: absent switches keep their defaults.
-fn options_from_json(j: &Json) -> Option<PipelineOptions> {
-    let mut o = PipelineOptions::default();
+/// The `options` object as a [`Schedule`]: each switch names one
+/// schedule edit, and absent switches keep their defaults.
+fn options_from_json(j: &Json) -> Option<Schedule> {
+    let mut s = Schedule::default();
     for (k, v) in j.as_obj()? {
-        let b = match v {
-            Json::Bool(b) => *b,
-            _ => return None,
+        let Json::Bool(on) = *v else {
+            return None;
         };
         match k.as_str() {
-            "simplify" => o.simplify = b,
-            "fusion" => o.fusion = b,
-            "coalescing" => o.coalescing = b,
-            "tiling" => o.tiling = b,
-            "memplan" => o.memplan = b,
-            "check" => o.check = b,
+            "simplify" => s.simplify_pass = on,
+            "fusion" => s.fusion_pass = on,
+            "coalescing" => s = s.with_coalescing(on),
+            "tiling" => s = s.with_default(ChoiceClass::Tile, on),
+            "memplan" => s.memplan = on,
+            "check" => s.check = on,
             _ => return None,
         }
     }
-    Some(o)
+    Some(s)
 }
 
 impl Response {
@@ -562,10 +560,40 @@ mod tests {
                 assert_eq!(r.threads, 1);
                 assert_eq!(r.engine, SimEngine::Warp);
                 assert!(!r.profile);
-                assert_eq!(r.options, PipelineOptions::default());
+                assert!(r.schedule.is_default());
                 assert_eq!(r.args, vec![Value::i64(5)]);
             }
             other => panic!("expected run, got {other:?}"),
+        }
+    }
+
+    /// Each `options` switch is the schedule edit of the matching
+    /// ablation corner (whose labels `tests/properties.rs` pins), so
+    /// requests sending `options` keep their cache keys.
+    #[test]
+    fn options_map_to_the_ablation_corner_schedules() {
+        let corners = Schedule::ablation_corners();
+        for (options, corner) in [
+            (r#"{}"#, 0),
+            (
+                r#"{"simplify":false,"fusion":false,"coalescing":false,"tiling":false,"memplan":false}"#,
+                1,
+            ),
+            (r#"{"simplify":false}"#, 2),
+            (r#"{"fusion":false,"check":true}"#, 3),
+            (r#"{"coalescing":false}"#, 4),
+            (r#"{"tiling":false}"#, 5),
+            (r#"{"memplan":false}"#, 6),
+        ] {
+            let line = format!(r#"{{"op":"run","id":"o","source":"","options":{options}}}"#);
+            match parse_request(&line).expect("parses") {
+                Request::Run(r) => assert_eq!(r.schedule, corners[corner], "{options}"),
+                other => panic!("expected run, got {other:?}"),
+            }
+        }
+        for bad in [r#"{"fusion":1}"#, r#"{"unrolling":false}"#, r#"[]"#] {
+            let line = format!(r#"{{"op":"run","id":"o","source":"","options":{bad}}}"#);
+            assert!(parse_request(&line).is_err(), "accepted options {bad}");
         }
     }
 

@@ -11,7 +11,7 @@
 //! events == jobs admitted") survive ring overflow.
 //!
 //! The recorder is also the source of the daemon timeline: a
-//! [`chrome_trace`] export lays jobs out on one track per device plus a
+//! [`FlightRecorder::chrome_trace`] export lays jobs out on one track per device plus a
 //! queue track (with a queue-depth counter track), loadable in Perfetto.
 
 use futhark_trace::{ChromeTrace, Counters, Json};

@@ -103,19 +103,49 @@ fn repeat_submission_hits_the_cache_and_skips_compile() {
 }
 
 /// Different pipeline options are different artifacts: flipping a switch
-/// is a miss, not a stale hit.
+/// is a miss, not a stale hit. The `options` object is a schedule edit,
+/// so it shares its cache entry with the equivalent `schedule` label, and
+/// a request carrying both is a protocol error naming both fields.
 #[test]
 fn options_are_part_of_the_cache_key() {
+    use futhark::Schedule;
     let d = daemon(1);
     let with_fusion = run_line("a", MAP_SRC, 32, true);
-    let without = format!(
-        r#"{{"op":"run","id":"b","source":{},"args":[{{"i64":4}},{{"array":{{"elem":"i64","shape":[4],"data":[1,2,3,4]}}}}],"options":{{"fusion":false}}}}"#,
-        quote(MAP_SRC)
-    );
+    let line_with = |id: &str, extra: &str| {
+        format!(
+            r#"{{"op":"run","id":"{id}","source":{},"args":[{{"i64":4}},{{"array":{{"elem":"i64","shape":[4],"data":[1,2,3,4]}}}}],{extra}}}"#,
+            quote(MAP_SRC)
+        )
+    };
+    let options = r#""options":{"fusion":false}"#;
+    let unfused = Schedule {
+        fusion_pass: false,
+        ..Schedule::default()
+    };
+    let schedule = format!(r#""schedule":{}"#, quote(&unfused.label()));
     parse(&d.handle_line(&with_fusion));
-    let second = parse(&d.handle_line(&without));
+    let second = parse(&d.handle_line(&line_with("b", options)));
     assert_eq!(second.get("cache").and_then(Json::as_str), Some("miss"));
     assert_eq!(d.stats().cache.misses, 2);
+
+    let third = parse(&d.handle_line(&line_with("c", &schedule)));
+    assert_eq!(
+        third.get("cache").and_then(Json::as_str),
+        Some("hit"),
+        "options {{fusion: false}} and the fusion_pass: false schedule are one artifact"
+    );
+    assert_eq!(second.get("outputs"), third.get("outputs"));
+
+    let both = parse(&d.handle_line(&line_with("d", &format!("{options},{schedule}"))));
+    assert_eq!(both.get("id").and_then(Json::as_str), Some("d"));
+    assert_eq!(both.get("kind").and_then(Json::as_str), Some("protocol"));
+    let message = both.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        message.contains("\"options\"") && message.contains("\"schedule\""),
+        "the error names both fields: {message}"
+    );
+    assert_eq!(d.stats().cache.misses, 2);
+    assert_eq!(d.stats().cache.hits, 1);
 }
 
 /// Schedules are part of the cache key: two schedules for the same

@@ -21,7 +21,7 @@
 //!   lexicographic [`Score`]; the objective never worsens over a tuning
 //!   run.
 
-use futhark::{ChoiceClass, Compiler, Device, Error, PerfReport, Schedule};
+use futhark::{ChoiceClass, Compiler, Device, Error, PerfReport, RunOptions, Schedule};
 use futhark_core::{Rng64, Value};
 
 /// The tuner's objective, compared lexicographically: modelled time
@@ -142,7 +142,7 @@ pub fn evaluate(
 ) -> Result<(Vec<Value>, Score, [u32; 9]), Error> {
     let compiled = Compiler::with_schedule(sched.clone()).compile(source)?;
     let counts = compiled.choice_counts;
-    let (outputs, perf) = compiled.run(device, args)?;
+    let (outputs, perf) = compiled.run_with_opts(device, args, RunOptions::default())?;
     Ok((outputs, Score::of(&perf), counts))
 }
 

@@ -2,7 +2,7 @@
 //!
 //!     cargo run --release --example mandelbrot
 
-use futhark::{Compiler, Device};
+use futhark::{Compiler, Device, RunOptions};
 use futhark_core::Value;
 
 const SRC: &str = "\
@@ -27,9 +27,10 @@ fun main (h: i64) (w: i64) (limit: i64): [h][w]i64 =
 fn main() -> Result<(), futhark::Error> {
     let (h, w, limit) = (24i64, 64i64, 64i64);
     let compiled = Compiler::new().compile(SRC)?;
-    let (out, perf) = compiled.run(
+    let (out, perf) = compiled.run_with_opts(
         Device::Gtx780,
         &[Value::i64(h), Value::i64(w), Value::i64(limit)],
+        RunOptions::default(),
     )?;
     let img = out[0].as_array().expect("image");
     let shades = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];

@@ -5,7 +5,7 @@
 //!
 //!     cargo run --release --example nbody
 
-use futhark::{Compiler, Device, PipelineOptions};
+use futhark::{ChoiceClass, Compiler, Device, RunOptions, Schedule};
 use futhark_core::{ArrayVal, Value};
 
 const SRC: &str = "\
@@ -40,18 +40,15 @@ fn main() -> Result<(), futhark::Error> {
         Value::Array(ArrayVal::from_f32s(ys)),
         Value::Array(ArrayVal::from_f32s(ms)),
     ];
-    for (name, opts) in [
-        ("tiled (default)", PipelineOptions::default()),
+    for (name, sched) in [
+        ("tiled (default)", Schedule::default()),
         (
             "untiled",
-            PipelineOptions {
-                tiling: false,
-                ..PipelineOptions::default()
-            },
+            Schedule::default().with_default(ChoiceClass::Tile, false),
         ),
     ] {
-        let compiled = Compiler::with_options(opts).compile(SRC)?;
-        let (_, perf) = compiled.run(Device::Gtx780, &args)?;
+        let compiled = Compiler::with_schedule(sched).compile(SRC)?;
+        let (_, perf) = compiled.run_with_opts(Device::Gtx780, &args, RunOptions::default())?;
         println!(
             "{name:<18} {:>8.3} ms   {} global transactions, {} local accesses",
             perf.total_ms(),

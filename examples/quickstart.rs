@@ -3,7 +3,7 @@
 //!
 //!     cargo run --release --example quickstart
 
-use futhark::{Compiler, Device};
+use futhark::{Compiler, Device, RunOptions};
 use futhark_core::{ArrayVal, Value};
 
 fn main() -> Result<(), futhark::Error> {
@@ -15,7 +15,7 @@ fun main (n: i64) (xs: [n]f32) (ys: [n]f32): f32 =
   let s = reduce (+) 0.0f32 prods
   in s";
     let compiled = Compiler::new().compile(src)?;
-    println!("compiled {} kernel(s)", compiled.kernel_count());
+    println!("compiled {} kernel(s)", compiled.plan.kernel_count());
 
     let n = 100_000usize;
     let xs: Vec<f32> = (0..n).map(|i| (i % 17) as f32 * 0.25).collect();
@@ -27,7 +27,7 @@ fun main (n: i64) (xs: [n]f32) (ys: [n]f32): f32 =
     ];
 
     for device in [Device::Gtx780, Device::W8100] {
-        let (out, perf) = compiled.run(device, &args)?;
+        let (out, perf) = compiled.run_with_opts(device, &args, RunOptions::default())?;
         println!(
             "{device:?}: dot = {}  ({:.3} simulated ms, {} launches, {} memory transactions, coalescing {:.0}%)",
             out[0],

@@ -27,7 +27,7 @@ fn combines(b: &HBody) -> usize {
 /// Combine statements and plan kernels of a program.
 fn counts(src: &str) -> (usize, usize) {
     let compiled = Compiler::new().compile(src).expect("compiles");
-    (combines(&compiled.plan.body), compiled.kernel_count())
+    (combines(&compiled.plan.body), compiled.plan.kernel_count())
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! a device's global memory is a structured error rather than a panic.
 
 use futhark::{
-    Compiler, Device, Error, ExecError, PerfReport, PipelineOptions, SimError, TimelineEvent,
+    Compiler, Device, Error, ExecError, PerfReport, RunOptions, Schedule, SimError, TimelineEvent,
 };
 use futhark_core::{ArrayVal, Value};
 use futhark_gpu::DeviceProfile;
@@ -41,18 +41,18 @@ fn i64_args(n: usize) -> Vec<Value> {
     ]
 }
 
-fn run_with(src: &str, opts: PipelineOptions, args: &[Value]) -> (Vec<Value>, PerfReport) {
-    Compiler::with_options(opts)
+fn run_with(src: &str, sched: Schedule, args: &[Value]) -> (Vec<Value>, PerfReport) {
+    Compiler::with_schedule(sched)
         .compile(src)
         .expect("compiles")
-        .run(Device::Gtx780, args)
+        .run_with_opts(Device::Gtx780, args, RunOptions::default())
         .expect("runs")
 }
 
-fn no_memplan() -> PipelineOptions {
-    PipelineOptions {
+fn no_memplan() -> Schedule {
+    Schedule {
         memplan: false,
-        ..PipelineOptions::default()
+        ..Schedule::default()
     }
 }
 
@@ -69,7 +69,7 @@ fn interp(src: &str, args: &[Value]) -> Vec<Value> {
 #[test]
 fn planning_cuts_peak_footprint_by_thirty_percent() {
     let args = i64_args(4096);
-    let (out_on, perf_on) = run_with(SCAN_CHAIN, PipelineOptions::default(), &args);
+    let (out_on, perf_on) = run_with(SCAN_CHAIN, Schedule::default(), &args);
     let (out_off, perf_off) = run_with(SCAN_CHAIN, no_memplan(), &args);
     assert_eq!(out_on, out_off, "planning must not change results");
     assert_eq!(out_on, interp(SCAN_CHAIN, &args));
@@ -104,7 +104,7 @@ fn double_buffered_loop_drops_per_iteration_copies() {
         Value::i64(iters),
         Value::Array(ArrayVal::from_i64s((0..n as i64).map(|i| i * 3).collect())),
     ];
-    let (out_on, perf_on) = run_with(DOUBLE_BUFFER, PipelineOptions::default(), &args);
+    let (out_on, perf_on) = run_with(DOUBLE_BUFFER, Schedule::default(), &args);
     let (out_off, perf_off) = run_with(DOUBLE_BUFFER, no_memplan(), &args);
     assert_eq!(out_on, out_off, "planning must not change results");
     assert_eq!(out_on, interp(DOUBLE_BUFFER, &args));
@@ -154,9 +154,10 @@ fn whole_matrix_is_bit_identical_on_memplan_fixtures() {
         ),
     ] {
         let reference = interp(src, &args);
-        for opts in PipelineOptions::ablation_matrix() {
-            let (out, _) = run_with(src, opts, &args);
-            assert_eq!(out, reference, "config {} diverged on\n{src}", opts.label());
+        for sched in Schedule::ablation_corners() {
+            let config = sched.describe();
+            let (out, _) = run_with(src, sched, &args);
+            assert_eq!(out, reference, "config {config} diverged on\n{src}");
         }
     }
 }
@@ -172,7 +173,7 @@ fn undersized_device_reports_out_of_memory() {
     let mut tiny = DeviceProfile::gtx780();
     tiny.name = "gtx780-tiny".into();
     tiny.global_mem_bytes = 8 * 1024; // two i64 arrays of 4096 do not fit
-    match compiled.run_on(&tiny, &args) {
+    match compiled.run_with_opts(tiny, &args, RunOptions::default()) {
         Err(Error::Exec(ExecError::Sim(SimError::OutOfMemory {
             requested,
             live,
@@ -186,7 +187,7 @@ fn undersized_device_reports_out_of_memory() {
     }
 
     let (out, _) = compiled
-        .run_on(&DeviceProfile::gtx780(), &args)
+        .run_with_opts(DeviceProfile::gtx780(), &args, RunOptions::default())
         .expect("fits on the real profile");
     assert_eq!(out, interp(SCAN_CHAIN, &args));
 }
@@ -205,10 +206,10 @@ fn predicted_peak_is_a_nontrivial_lower_bound_on_all_benchmarks() {
     let profile = Device::Gtx780.profile();
     for b in futhark_bench::all_benchmarks() {
         let compiled = b
-            .compile(PipelineOptions::default())
+            .compile(Schedule::default())
             .unwrap_or_else(|e| panic!("{}: compile failed: {e}", b.name));
         let (_, perf) = compiled
-            .run(Device::Gtx780, &b.small_args)
+            .run_with_opts(Device::Gtx780, &b.small_args, RunOptions::default())
             .unwrap_or_else(|e| panic!("{}: run failed: {e}", b.name));
         let pred = futhark_gpu::predict_peak_bytes(&compiled.plan, &profile, &b.small_args);
         let input_bytes: u64 = b
@@ -245,7 +246,7 @@ fn straight_line_prediction_is_exact() {
     let args = i64_args(4096);
     let compiled = Compiler::new().compile(SCAN_CHAIN).expect("compiles");
     let (_, perf) = compiled
-        .run(Device::Gtx780, &args)
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
         .expect("runs on the default profile");
     let pred = futhark_gpu::predict_peak_bytes(&compiled.plan, &Device::Gtx780.profile(), &args);
     assert!(
@@ -279,6 +280,6 @@ fn prediction_flags_over_capacity_jobs_before_execution() {
     let small = futhark_gpu::predict_peak_bytes(&compiled.plan, &profile, &[Value::i64(64)]);
     assert!(small.peak_bytes <= profile.global_mem_bytes);
     compiled
-        .run(Device::Gtx780, &[Value::i64(64)])
+        .run_with_opts(Device::Gtx780, &[Value::i64(64)], RunOptions::default())
         .expect("small instance runs");
 }

@@ -1,7 +1,7 @@
 //! Tests pinning the qualitative claims of the paper's figures and
 //! evaluation section — the "shape" the reproduction must preserve.
 
-use futhark::{Compiler, Device, PipelineOptions};
+use futhark::{Compiler, Device, RunOptions, Schedule};
 use futhark_core::{ArrayVal, Value};
 use futhark_interp::Interpreter;
 
@@ -101,7 +101,9 @@ fn figure10_stream_fusion_shape() {
     let compiled = Compiler::new()
         .compile(src)
         .expect("compiles through full pipeline");
-    let (gpu, _) = compiled.run(Device::Gtx780, &args).unwrap();
+    let (gpu, _) = compiled
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+        .unwrap();
     assert_eq!(gpu, vec![Value::i64((0..9).map(|x| 2 * x + 1).sum())]);
 }
 
@@ -140,7 +142,9 @@ fn figure11_interchange_to_top_level() {
         )),
     ];
     let compiled = Compiler::new().compile(src).unwrap();
-    let (gpu, _) = compiled.run(Device::Gtx780, &args).unwrap();
+    let (gpu, _) = compiled
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+        .unwrap();
     let interp = futhark::interpret(src, &args).unwrap();
     assert_eq!(gpu, interp);
 }
@@ -158,13 +162,13 @@ fn coalescing_transaction_counts() {
     );
     let args = vec![Value::i64(1024), Value::i64(32), Value::Array(xss)];
     let run = |coalescing: bool| {
-        let compiled = Compiler::with_options(PipelineOptions {
-            coalescing,
-            ..PipelineOptions::default()
-        })
-        .compile(src)
-        .unwrap();
-        compiled.run(Device::Gtx780, &args).unwrap().1
+        let compiled = Compiler::with_schedule(Schedule::default().with_coalescing(coalescing))
+            .compile(src)
+            .unwrap();
+        compiled
+            .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+            .unwrap()
+            .1
     };
     let on = run(true);
     let off = run(false);

@@ -5,17 +5,17 @@
 //! survives as [`Strategy::Chains`]):
 //!
 //! - compiled GPU execution matches the reference interpreter bit for bit
-//!   on random full-language programs, on both device profiles, under the
-//!   whole ablation matrix (the differential oracle);
+//!   on random full-language programs, on both device profiles, under
+//!   every ablation corner of the schedule (the differential oracle);
 //! - every optimisation pass individually preserves interpreter semantics
 //!   and leaves the program well-typed;
 //! - streaming SOACs are invariant to the chunk size (the `sFold`
 //!   well-definedness argument of Section 2.1);
-//! - the ablation matrix itself is well formed;
+//! - the ablation corners themselves are well formed;
 //! - the shrinker only ever produces smaller cases that still satisfy the
 //!   failure predicate.
 
-use futhark::{Compiler, Device, PipelineOptions};
+use futhark::{Compiler, Device, RunOptions, Schedule};
 use futhark_core::{ArrayVal, Rng64, Value};
 use futhark_fuzz::{check_case, generate, shrink, GenConfig, Outcome, Strategy, TestCase};
 use futhark_interp::Interpreter;
@@ -135,30 +135,46 @@ fn stream_red_is_chunk_invariant() {
         assert_eq!(whole, chunked);
         // And the GPU's own (thread-count dependent) partitioning agrees.
         let compiled = Compiler::new().compile(src).expect("compiles");
-        let (gpu, _) = compiled.run(Device::Gtx780, &args).expect("runs");
+        let (gpu, _) = compiled
+            .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+            .expect("runs");
         assert_eq!(gpu, whole);
     }
 }
 
-/// The ablation matrix the oracle iterates is well formed: seven
-/// configurations with distinct labels, the first being the fully
-/// optimised default, and the checker enabled throughout (disabling
-/// verification is never part of an ablation).
+/// The ablation corners the oracle iterates are well formed: seven
+/// distinct schedules, the first being the fully optimised default, and
+/// the checker enabled throughout (disabling verification is never part
+/// of an ablation). The labels pin the exact seven configurations the
+/// oracle and the CI fuzz campaigns cover: all on, all off, then
+/// simplify, fusion, coalescing, tiling and memplan off on their own.
 #[test]
-fn ablation_matrix_is_well_formed() {
-    let matrix = PipelineOptions::ablation_matrix();
-    assert_eq!(matrix.len(), 7);
-    let labels: Vec<String> = matrix.iter().map(|o| o.label()).collect();
+fn ablation_corners_are_well_formed() {
+    let corners = Schedule::ablation_corners();
+    assert_eq!(corners.len(), 7);
+    let labels: Vec<String> = corners.iter().map(Schedule::label).collect();
     for (i, l) in labels.iter().enumerate() {
         assert!(
             !labels[..i].contains(l),
             "duplicate ablation label {l:?} in {labels:?}"
         );
     }
-    assert_eq!(matrix[0].label(), PipelineOptions::default().label());
-    for opts in &matrix {
-        assert!(opts.check, "ablations must keep the checker on");
+    assert!(corners[0].is_default());
+    for sched in &corners {
+        assert!(sched.check, "ablations must keep the checker on");
     }
+    assert_eq!(
+        labels,
+        [
+            "sched1,9:111111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
+            "sched1,9:000111111,1:1,1:1,1:1,1:1,1:1,1:1,1:0,1:0,1:0,",
+            "sched1,9:011111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
+            "sched1,9:101111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
+            "sched1,9:111111111,1:1,1:1,1:1,1:1,1:1,1:1,1:0,1:0,1:1,",
+            "sched1,9:111111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:0,",
+            "sched1,9:110111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
+        ]
+    );
 }
 
 /// Shrinking never grows a case and always lands on one that still

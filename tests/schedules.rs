@@ -7,7 +7,7 @@
 //! single output bit, and the schedules committed under `schedules/`
 //! replay bit-for-bit.
 
-use futhark::{schedule_from_json, Compiler, Device, Json, Schedule};
+use futhark::{schedule_from_json, Compiler, Device, Json, RunOptions, Schedule};
 use futhark_bench::benchmark;
 use futhark_tune::{evaluate, tune, TuneConfig};
 
@@ -21,8 +21,12 @@ fn default_schedule_matches_classic_pipeline() {
     let scheduled = Compiler::with_schedule(Schedule::default())
         .compile(&b.source)
         .expect("scheduled");
-    let (vc, pc) = classic.run(Device::Gtx780, &b.small_args).expect("run");
-    let (vs, ps) = scheduled.run(Device::Gtx780, &b.small_args).expect("run");
+    let (vc, pc) = classic
+        .run_with_opts(Device::Gtx780, &b.small_args, RunOptions::default())
+        .expect("run");
+    let (vs, ps) = scheduled
+        .run_with_opts(Device::Gtx780, &b.small_args, RunOptions::default())
+        .expect("run");
     assert_eq!(vc.len(), vs.len());
     for (a, b) in vc.iter().zip(&vs) {
         assert!(a.bit_eq(b), "default schedule changed an output");

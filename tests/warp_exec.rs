@@ -13,7 +13,7 @@ use futhark_core::{Buffer, CmpOp, Scalar, ScalarType, Value};
 use futhark_fuzz::corpus;
 use futhark_gpu::kernel::{KExp, KParam, KStm, Kernel};
 use futhark_gpu::sim::{Arg, DeviceMemory, KernelStats};
-use futhark_gpu::{launch_decoded_with, DecodedKernel, DeviceProfile, LaunchOpts};
+use futhark_gpu::{launch, DecodedKernel, DeviceProfile};
 use std::path::PathBuf;
 
 /// Runs `compiled` on the given engine, normalising errors to display
@@ -102,12 +102,12 @@ fn run_launch(
     let dk = DecodedKernel::decode(kernel).expect("decode");
     let mut mem = DeviceMemory::new();
     let args = setup(&mut mem);
-    let opts = LaunchOpts {
+    let opts = RunOptions {
         threads: 1,
         profile: false,
         engine,
     };
-    let stats = launch_decoded_with(&device, &dk, num_threads, &args, &mut mem, opts)
+    let stats = launch(&device, &dk, num_threads, &args, &mut mem, &opts)
         .map_err(|e| e.to_string())?
         .stats;
     let bufs = args
