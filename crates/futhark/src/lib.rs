@@ -246,23 +246,23 @@ impl Compiler {
         });
         if sched.simplify_pass {
             spanned(&mut report, "simplify", program_size(&prog), || {
-                futhark_opt::simplify::simplify_program_with(&mut prog, &mut ns, &sched.simplify);
+                futhark_opt::simplify::simplify_program(&mut prog, &mut ns, &sched.simplify);
                 ((), program_size(&prog))
             });
         }
         if sched.fusion_pass {
             spanned(&mut report, "fusion", program_size(&prog), || {
-                futhark_opt::fusion::fuse_program_with(&mut prog, &mut ns, &mut cur);
+                futhark_opt::fusion::fuse_program(&mut prog, &mut ns, &mut cur);
                 ((), program_size(&prog))
             });
         }
         spanned(&mut report, "flatten", program_size(&prog), || {
-            futhark_opt::flatten::flatten_program_with(&mut prog, &mut ns, &mut cur);
+            futhark_opt::flatten::flatten_program(&mut prog, &mut ns, &mut cur);
             ((), program_size(&prog))
         });
         if sched.simplify_pass {
             spanned(&mut report, "simplify-post", program_size(&prog), || {
-                futhark_opt::simplify::simplify_program_with(&mut prog, &mut ns, &sched.simplify);
+                futhark_opt::simplify::simplify_program(&mut prog, &mut ns, &sched.simplify);
                 ((), program_size(&prog))
             });
         }

@@ -390,7 +390,7 @@ impl DeviceMemory {
 
     /// Turns on the raw event log; every alloc/reuse/free from here on is
     /// recorded for [`Self::take_events`]. Off by default so bare
-    /// simulator use (unit tests, simbench) pays nothing.
+    /// simulator use (unit tests, launch-level parity tests) pays nothing.
     pub fn enable_event_log(&mut self) {
         if self.event_log.is_none() {
             self.event_log = Some(Vec::new());

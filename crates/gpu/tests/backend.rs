@@ -1,7 +1,7 @@
 //! Backend-focused integration tests: plan structure, symbolic layouts,
 //! tiling rewrites, stream chunking, and device-profile effects.
 
-use futhark_core::schedule::{ChoiceClass, Schedule, ScheduleCursor};
+use futhark_core::schedule::{ChoiceClass, Schedule, ScheduleCursor, SimplifyToggles};
 use futhark_core::{ArrayVal, Buffer, NameSource, Program, Value};
 use futhark_gpu::codegen;
 use futhark_gpu::kernel::KStm;
@@ -11,10 +11,11 @@ use futhark_gpu::{exec, DeviceProfile, RunOptions};
 fn compile(src: &str, sched: Schedule) -> (GpuPlan, Program) {
     let (mut prog, mut ns): (Program, NameSource) =
         futhark_frontend::parse_program(src).expect("parses");
-    futhark_opt::simplify::simplify_program(&mut prog, &mut ns);
-    futhark_opt::fusion::fuse_program(&mut prog, &mut ns);
-    futhark_opt::flatten::flatten_program(&mut prog, &mut ns);
-    futhark_opt::simplify::simplify_program(&mut prog, &mut ns);
+    futhark_opt::simplify::simplify_program(&mut prog, &mut ns, &SimplifyToggles::default());
+    let mut cur = ScheduleCursor::new(Schedule::default());
+    futhark_opt::fusion::fuse_program(&mut prog, &mut ns, &mut cur);
+    futhark_opt::flatten::flatten_program(&mut prog, &mut ns, &mut cur);
+    futhark_opt::simplify::simplify_program(&mut prog, &mut ns, &SimplifyToggles::default());
     let plan = codegen::compile(&prog, &mut ScheduleCursor::new(sched)).expect("codegen");
     (plan, prog)
 }

@@ -23,8 +23,8 @@
 //! policy), preserving the program structure that the locality
 //! optimisations of Section 5.2 need.
 
-use crate::fusion::chain_to_loop_with;
-use futhark_core::schedule::{ChoiceClass, Schedule, ScheduleCursor};
+use crate::fusion::chain_to_loop;
+use futhark_core::schedule::{ChoiceClass, ScheduleCursor};
 use futhark_core::traverse::{free_in_body, free_in_exp, Subst};
 use futhark_core::{
     ArrayType, Body, Exp, Lambda, LoopForm, Name, NameSource, Param, PatElem, Program, Prov,
@@ -32,17 +32,11 @@ use futhark_core::{
 };
 use std::collections::{HashMap, HashSet};
 
-/// Flattens all functions of a program.
-pub fn flatten_program(prog: &mut Program, ns: &mut NameSource) {
-    let mut cur = ScheduleCursor::new(Schedule::default());
-    flatten_program_with(prog, ns, &mut cur);
-}
-
-/// Flattens with the G5 (segmented reduction) and G7 (loop interchange)
-/// rules consulted as choice points. A declined site falls back to the
-/// always-valid sequentialisation path (rule G1 under a map context, a
-/// direct host statement at depth 0).
-pub fn flatten_program_with(prog: &mut Program, ns: &mut NameSource, cur: &mut ScheduleCursor) {
+/// Flattens all functions of a program, with the G5 (segmented
+/// reduction) and G7 (loop interchange) rules consulted as choice points.
+/// A declined site falls back to the always-valid sequentialisation path
+/// (rule G1 under a map context, a direct host statement at depth 0).
+pub fn flatten_program(prog: &mut Program, ns: &mut NameSource, cur: &mut ScheduleCursor) {
     for f in &mut prog.functions {
         let mut fl = Flattener {
             ns,
@@ -1057,39 +1051,31 @@ pub fn has_inner_parallelism(body: &Body) -> bool {
 /// Post-flattening cleanup applied to the innermost (per-thread) bodies of
 /// manifested nests: sequentialises leftover SOAC chains into loops
 /// (Section 4's chunk-one streams) so kernels contain only scalar code,
-/// loops, and the segmented SOAC forms the backend knows.
-pub fn sequentialise_inner_soacs(body: &mut Body, ns: &mut NameSource) {
-    let mut cur = ScheduleCursor::new(Schedule::default());
-    sequentialise_inner_soacs_with(body, ns, &mut cur);
-}
-
-/// As [`sequentialise_inner_soacs`], but each chain collapse consults the
-/// schedule's `FuseChain` choice points.
-pub fn sequentialise_inner_soacs_with(
-    body: &mut Body,
-    ns: &mut NameSource,
-    cur: &mut ScheduleCursor,
-) {
+/// loops, and the segmented SOAC forms the backend knows. Each chain
+/// collapse consults the schedule's `FuseChain` choice points.
+pub fn sequentialise_inner_soacs(body: &mut Body, ns: &mut NameSource, cur: &mut ScheduleCursor) {
     for stm in &mut body.stms {
         for ib in stm.exp.inner_bodies_mut() {
-            sequentialise_inner_soacs_with(ib, ns, cur);
+            sequentialise_inner_soacs(ib, ns, cur);
         }
     }
-    while chain_to_loop_with(body, ns, cur) {}
+    while chain_to_loop(body, ns, cur) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use futhark_core::schedule::{Schedule, SimplifyToggles};
     use futhark_core::{ArrayVal, Buffer, Value};
     use futhark_frontend::parse_program;
     use futhark_interp::Interpreter;
 
     fn flattened(src: &str) -> Program {
         let (mut prog, mut ns) = parse_program(src).unwrap();
-        crate::simplify::simplify_program(&mut prog, &mut ns);
-        crate::fusion::fuse_program(&mut prog, &mut ns);
-        flatten_program(&mut prog, &mut ns);
+        crate::simplify::simplify_program(&mut prog, &mut ns, &SimplifyToggles::default());
+        let mut cur = ScheduleCursor::new(Schedule::default());
+        crate::fusion::fuse_program(&mut prog, &mut ns, &mut cur);
+        flatten_program(&mut prog, &mut ns, &mut cur);
         prog
     }
 
@@ -1139,9 +1125,10 @@ mod tests {
     fn run_both(src: &str, args: &[Value]) {
         let (prog, mut ns) = parse_program(src).unwrap();
         let mut flat = prog.clone();
-        crate::simplify::simplify_program(&mut flat, &mut ns);
-        crate::fusion::fuse_program(&mut flat, &mut ns);
-        flatten_program(&mut flat, &mut ns);
+        crate::simplify::simplify_program(&mut flat, &mut ns, &SimplifyToggles::default());
+        let mut cur = ScheduleCursor::new(Schedule::default());
+        crate::fusion::fuse_program(&mut flat, &mut ns, &mut cur);
+        flatten_program(&mut flat, &mut ns, &mut cur);
         let r1 = Interpreter::new(&prog).run_main(args).unwrap();
         let r2 = Interpreter::new(&flat)
             .run_main(args)
@@ -1245,7 +1232,8 @@ mod tests {
                      zeros incr\n\
                    in counts";
         let (mut prog, mut ns) = parse_program(src).unwrap();
-        flatten_program(&mut prog, &mut ns);
+        let mut cur = ScheduleCursor::new(Schedule::default());
+        flatten_program(&mut prog, &mut ns, &mut cur);
         let f = prog.main().unwrap();
         let s = f.to_string();
         assert!(s.contains("rearrange"), "no transposition inserted:\n{s}");

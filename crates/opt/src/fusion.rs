@@ -18,7 +18,7 @@
 //! that a producer is never moved past a consumption point of one of its
 //! inputs (checked conservatively).
 
-use futhark_core::schedule::{ChoiceClass, Schedule, ScheduleCursor};
+use futhark_core::schedule::{ChoiceClass, ScheduleCursor};
 use futhark_core::traverse::{alpha_rename_lambda, free_in_exp, free_in_lambda, Subst};
 use futhark_core::{
     Body, Exp, Lambda, LoopForm, Name, NameSource, Param, PatElem, Program, ScalarType, Soac, Stm,
@@ -26,33 +26,23 @@ use futhark_core::{
 };
 use std::collections::{HashMap, HashSet};
 
-/// Runs fusion over a whole program to a (bounded) fixed point.
-pub fn fuse_program(prog: &mut Program, ns: &mut NameSource) {
-    let mut cur = ScheduleCursor::new(Schedule::default());
-    fuse_program_with(prog, ns, &mut cur);
-}
-
-/// Runs fusion with every candidate edge consulted as a choice point on
-/// the cursor's schedule. A site is only *queried* when the rewrite is
-/// actually applicable (all legality checks passed), so site numbering
-/// is the deterministic order in which applicable rewrites are found.
-pub fn fuse_program_with(prog: &mut Program, ns: &mut NameSource, cur: &mut ScheduleCursor) {
+/// Runs fusion over a whole program to a (bounded) fixed point, with
+/// every candidate edge consulted as a choice point on the cursor's
+/// schedule. A site is only *queried* when the rewrite is actually
+/// applicable (all legality checks passed), so site numbering is the
+/// deterministic order in which applicable rewrites are found.
+pub fn fuse_program(prog: &mut Program, ns: &mut NameSource, cur: &mut ScheduleCursor) {
     for f in &mut prog.functions {
-        fuse_body_with(&mut f.body, ns, cur);
+        fuse_body(&mut f.body, ns, cur);
     }
 }
 
-/// Runs fusion over one body (recursively into nested bodies).
-pub fn fuse_body(body: &mut Body, ns: &mut NameSource) {
-    let mut cur = ScheduleCursor::new(Schedule::default());
-    fuse_body_with(body, ns, &mut cur);
-}
-
-/// Runs fusion over one body under a schedule cursor.
-pub fn fuse_body_with(body: &mut Body, ns: &mut NameSource, cur: &mut ScheduleCursor) {
+/// Runs fusion over one body (recursively into nested bodies) under a
+/// schedule cursor.
+pub fn fuse_body(body: &mut Body, ns: &mut NameSource, cur: &mut ScheduleCursor) {
     for stm in &mut body.stms {
         for ib in stm.exp.inner_bodies_mut() {
-            fuse_body_with(ib, ns, cur);
+            fuse_body(ib, ns, cur);
         }
     }
     for _ in 0..12 {
@@ -642,14 +632,8 @@ fn try_stream_reduce_fusion(
 /// `body` is modified in place; returns whether anything changed. Only
 /// chains whose intermediate arrays are each used exactly once, ending in a
 /// `reduce` (scalar result), are rewritten; the final reduce's value is the
-/// loop result.
-pub fn chain_to_loop(body: &mut Body, ns: &mut NameSource) -> bool {
-    let mut cur = ScheduleCursor::new(Schedule::default());
-    chain_to_loop_with(body, ns, &mut cur)
-}
-
-/// [`chain_to_loop`] with the rewrite consulted as a choice point.
-pub fn chain_to_loop_with(body: &mut Body, ns: &mut NameSource, cur: &mut ScheduleCursor) -> bool {
+/// loop result. The rewrite is consulted as a `FuseChain` choice point.
+pub fn chain_to_loop(body: &mut Body, ns: &mut NameSource, cur: &mut ScheduleCursor) -> bool {
     let counts = use_counts(body);
     // Find a reduce whose input comes from a chain of single-use map/scan
     // statements.
@@ -832,6 +816,7 @@ pub fn chain_to_loop_with(body: &mut Body, ns: &mut NameSource, cur: &mut Schedu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use futhark_core::schedule::{Schedule, SimplifyToggles};
     use futhark_core::{ArrayVal, Value};
     use futhark_frontend::parse_program;
     use futhark_interp::Interpreter;
@@ -851,8 +836,9 @@ mod tests {
 
     fn fused(src: &str) -> Program {
         let (mut prog, mut ns) = parse_program(src).unwrap();
-        crate::simplify::simplify_program(&mut prog, &mut ns);
-        fuse_program(&mut prog, &mut ns);
+        crate::simplify::simplify_program(&mut prog, &mut ns, &SimplifyToggles::default());
+        let mut cur = ScheduleCursor::new(Schedule::default());
+        fuse_program(&mut prog, &mut ns, &mut cur);
         prog
     }
 
@@ -959,8 +945,9 @@ mod tests {
                    in (s, c)";
         let (prog, mut ns) = parse_program(src).unwrap();
         let mut opt = prog.clone();
-        crate::simplify::simplify_program(&mut opt, &mut ns);
-        fuse_program(&mut opt, &mut ns);
+        crate::simplify::simplify_program(&mut opt, &mut ns, &SimplifyToggles::default());
+        let mut cur = ScheduleCursor::new(Schedule::default());
+        fuse_program(&mut opt, &mut ns, &mut cur);
         let args = vec![
             Value::i64(4),
             Value::Array(ArrayVal::from_f32s(vec![1.0, 2.0, 3.0, 4.0])),
@@ -985,7 +972,8 @@ mod tests {
                    in b";
         let (mut prog, mut ns) = parse_program(src).unwrap();
         let f = prog.function_mut("main").unwrap();
-        let changed = chain_to_loop(&mut f.body, &mut ns);
+        let mut cur = ScheduleCursor::new(Schedule::default());
+        let changed = chain_to_loop(&mut f.body, &mut ns, &mut cur);
         assert!(changed, "{f}");
         let f = prog.main().unwrap();
         assert_eq!(count_soacs(&f.body), 0, "{f}");

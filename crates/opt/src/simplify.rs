@@ -14,28 +14,19 @@ use futhark_core::{
 use futhark_interp::scalar::{eval_binop, eval_cmp, eval_convert, eval_unop};
 use std::collections::{HashMap, HashSet};
 
-/// Runs the full simplification pipeline to a fixed point (bounded).
-pub fn simplify_program(prog: &mut Program, ns: &mut NameSource) {
-    simplify_program_with(prog, ns, &SimplifyToggles::default());
-}
-
-/// Runs the simplification pipeline with only the scheduled rewrite
-/// families enabled. Inlining always runs — it is a prerequisite of
-/// fusion and flattening, not an optimisation choice.
-pub fn simplify_program_with(prog: &mut Program, ns: &mut NameSource, toggles: &SimplifyToggles) {
+/// Runs the simplification pipeline to a (bounded) fixed point with only
+/// the scheduled rewrite families enabled. Inlining always runs — it is a
+/// prerequisite of fusion and flattening, not an optimisation choice.
+pub fn simplify_program(prog: &mut Program, ns: &mut NameSource, toggles: &SimplifyToggles) {
     inline_functions(prog, ns);
     for f in &mut prog.functions {
-        simplify_fun_with(f, ns, toggles);
+        simplify_fun(f, toggles);
     }
 }
 
-/// Simplifies one function to a (bounded) fixed point.
-pub fn simplify_fun(f: &mut FunDef, ns: &mut NameSource) {
-    simplify_fun_with(f, ns, &SimplifyToggles::default());
-}
-
-/// Simplifies one function with only the scheduled rewrite families.
-pub fn simplify_fun_with(f: &mut FunDef, _ns: &mut NameSource, toggles: &SimplifyToggles) {
+/// Simplifies one function to a (bounded) fixed point with only the
+/// scheduled rewrite families.
+pub fn simplify_fun(f: &mut FunDef, toggles: &SimplifyToggles) {
     for _ in 0..8 {
         let before = format!("{f}");
         if toggles.copy_prop {
@@ -343,14 +334,9 @@ pub fn cse_body(body: &mut Body, seen: &mut HashMap<String, Name>) {
 // ---- Hoisting ----
 
 /// Moves loop- and lambda-invariant cheap scalar computations out of loop
-/// bodies and SOAC operators (the paper hoists aggressively before kernel
-/// extraction so that kernel bodies contain only essential code).
-pub fn hoist_body(body: &mut Body, ns: &mut NameSource) {
-    hoist_body_in(body, &HashSet::new());
-    let _ = ns;
-}
-
-/// Hoists within a function, with its parameters in scope.
+/// bodies and SOAC operators within a function, with its parameters in
+/// scope (the paper hoists aggressively before kernel extraction so that
+/// kernel bodies contain only essential code).
 pub fn hoist_fun(f: &mut FunDef) {
     let params: HashSet<Name> = f.params.iter().map(|p| p.name.clone()).collect();
     hoist_body_in(&mut f.body, &params);
@@ -541,7 +527,7 @@ mod tests {
 
     fn simplified(src: &str) -> Program {
         let (mut prog, mut ns) = parse_program(src).unwrap();
-        simplify_program(&mut prog, &mut ns);
+        simplify_program(&mut prog, &mut ns, &SimplifyToggles::default());
         prog
     }
 
@@ -638,7 +624,7 @@ mod tests {
                    in s";
         let (prog, mut ns) = parse_program(src).unwrap();
         let mut opt = prog.clone();
-        simplify_program(&mut opt, &mut ns);
+        simplify_program(&mut opt, &mut ns, &SimplifyToggles::default());
         let args = vec![
             Value::i64(5),
             Value::Array(futhark_core::ArrayVal::from_i64s(vec![1, 2, 3, 4, 5])),

@@ -15,8 +15,8 @@
 //! precedence on the next submission.
 //!
 //! Hit/miss counters are fields of this struct — per daemon, never
-//! process-global (the warpstats lesson: a long-lived server can host
-//! many tenants, and their statistics must not bleed together).
+//! process-global: a long-lived server can host many tenants, and their
+//! statistics must not bleed together.
 
 use crate::hash::Fnv1a;
 use futhark::{Compiled, DeviceProfile, Schedule};

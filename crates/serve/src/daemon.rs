@@ -27,7 +27,8 @@
 //! is rejected at admission (or placed on a larger device). Private
 //! arrays are charged against the capacity per running work-group, so a
 //! job's private arrays take at most its request's `threads` × the
-//! device capacity of host memory.
+//! device capacity of host memory; `threads` above the host's available
+//! parallelism is a protocol error.
 //!
 //! ## Telemetry
 //!
@@ -118,6 +119,9 @@ struct Inner {
     metrics: Metrics,
     recorder: Mutex<FlightRecorder>,
     start: Instant,
+    /// The largest `threads` a request may ask for: the host's available
+    /// parallelism, read once here rather than per request.
+    max_threads: usize,
     /// Set once a shutdown response has been sent; front-ends exit.
     stopped: AtomicBool,
 }
@@ -154,6 +158,7 @@ impl Daemon {
                 metrics: Metrics::new(device_names),
                 recorder: Mutex::new(FlightRecorder::new(recorder_capacity)),
                 start: Instant::now(),
+                max_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
                 stopped: AtomicBool::new(false),
             }),
         }
@@ -375,6 +380,21 @@ impl Daemon {
     }
 
     fn run(&self, r: &RunRequest) -> Response {
+        // Each thread becomes an OS thread during execution: more than the
+        // host can run buys nothing, and a failed spawn would panic.
+        if r.threads > self.inner.max_threads {
+            self.inner.metrics.bump("protocol.errors");
+            return Response::Error {
+                id: r.id.clone(),
+                kind: ErrorKind::Protocol,
+                message: format!(
+                    "run: \"threads\" must be <= {}, the host's available parallelism",
+                    self.inner.max_threads
+                ),
+                predicted_peak_bytes: None,
+                capacity: None,
+            };
+        }
         // Register as in flight (or refuse when draining) before any
         // work, so a shutdown drains exactly the accepted jobs.
         {

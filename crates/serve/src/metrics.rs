@@ -9,10 +9,12 @@
 //! Histograms ([`futhark_trace::Histogram`]) cover the four stages of a
 //! job's latency: queue wait, compile, execute, and end-to-end; each
 //! observes wall-clock microseconds into fixed power-of-two buckets, so
-//! quantile estimates carry a 2× bucket bound that `loadgen --scrape`
-//! asserts against client-side measurements. Per-device counters track
-//! jobs executed and busy microseconds; utilization gauges derive from
-//! busy time over daemon uptime at scrape time.
+//! quantile estimates carry a 2× bucket bound; the test
+//! `gauges_return_to_zero_after_drain` (`tests/metrics.rs`) asserts the
+//! end-to-end p50 and p99 against client-side measurements with it.
+//! Per-device counters track jobs executed and busy microseconds;
+//! utilization gauges derive from busy time over daemon uptime at scrape
+//! time.
 //!
 //! Gauges (in-flight jobs, device-queue depth, busy devices, cached
 //! artifacts, uptime) are *sampled* by the daemon at scrape time from

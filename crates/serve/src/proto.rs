@@ -29,7 +29,7 @@
 //! errors include `predicted_peak_bytes` and the best device `capacity`
 //! the job did not fit.
 
-use futhark::{schedule_from_json, ChoiceClass, Schedule, SimEngine};
+use futhark::{schedule_from_json, Schedule, SimEngine};
 use futhark_core::{ArrayVal, Buffer, Scalar, ScalarType, Value};
 use futhark_trace::Json;
 
@@ -80,9 +80,8 @@ pub struct RunRequest {
     pub source: String,
     /// Entry arguments.
     pub args: Vec<Value>,
-    /// The compilation schedule: the wire `schedule`, or the wire
-    /// `options` translated into one, or the default schedule when the
-    /// request carries neither.
+    /// The compilation schedule: the wire `schedule`, or the default
+    /// schedule when the request carries none.
     pub schedule: Schedule,
     /// Host worker threads for group execution (default 1 — a server
     /// parallelises across jobs, not within them).
@@ -364,18 +363,16 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
                     .ok_or_else(|| (id.clone(), "run: malformed argument value".to_string()))?,
                 None => Vec::new(),
             };
-            let schedule = match (j.get("options"), j.get("schedule")) {
-                (Some(_), Some(_)) => {
-                    return Err((
-                        id,
-                        "run: \"options\" and \"schedule\" are exclusive; send one".to_string(),
-                    ));
-                }
-                (Some(o), None) => options_from_json(o)
-                    .ok_or_else(|| (id.clone(), "run: malformed \"options\"".to_string()))?,
-                (None, Some(s)) => schedule_from_json(s)
+            if j.get("options").is_some() {
+                return Err((
+                    id,
+                    "run: \"options\" is not supported; send a \"schedule\"".to_string(),
+                ));
+            }
+            let schedule = match j.get("schedule") {
+                Some(s) => schedule_from_json(s)
                     .map_err(|e| (id.clone(), format!("run: malformed \"schedule\": {e}")))?,
-                (None, None) => Schedule::default(),
+                None => Schedule::default(),
             };
             let threads = match j.get("threads") {
                 Some(t) => t
@@ -406,27 +403,6 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
         }
         other => Err((id, format!("unknown op {other:?}"))),
     }
-}
-
-/// The `options` object as a [`Schedule`]: each switch names one
-/// schedule edit, and absent switches keep their defaults.
-fn options_from_json(j: &Json) -> Option<Schedule> {
-    let mut s = Schedule::default();
-    for (k, v) in j.as_obj()? {
-        let Json::Bool(on) = *v else {
-            return None;
-        };
-        match k.as_str() {
-            "simplify" => s.simplify_pass = on,
-            "fusion" => s.fusion_pass = on,
-            "coalescing" => s = s.with_coalescing(on),
-            "tiling" => s = s.with_default(ChoiceClass::Tile, on),
-            "memplan" => s.memplan = on,
-            "check" => s.check = on,
-            _ => return None,
-        }
-    }
-    Some(s)
 }
 
 impl Response {
@@ -564,36 +540,6 @@ mod tests {
                 assert_eq!(r.args, vec![Value::i64(5)]);
             }
             other => panic!("expected run, got {other:?}"),
-        }
-    }
-
-    /// Each `options` switch is the schedule edit of the matching
-    /// ablation corner (whose labels `tests/properties.rs` pins), so
-    /// requests sending `options` keep their cache keys.
-    #[test]
-    fn options_map_to_the_ablation_corner_schedules() {
-        let corners = Schedule::ablation_corners();
-        for (options, corner) in [
-            (r#"{}"#, 0),
-            (
-                r#"{"simplify":false,"fusion":false,"coalescing":false,"tiling":false,"memplan":false}"#,
-                1,
-            ),
-            (r#"{"simplify":false}"#, 2),
-            (r#"{"fusion":false,"check":true}"#, 3),
-            (r#"{"coalescing":false}"#, 4),
-            (r#"{"tiling":false}"#, 5),
-            (r#"{"memplan":false}"#, 6),
-        ] {
-            let line = format!(r#"{{"op":"run","id":"o","source":"","options":{options}}}"#);
-            match parse_request(&line).expect("parses") {
-                Request::Run(r) => assert_eq!(r.schedule, corners[corner], "{options}"),
-                other => panic!("expected run, got {other:?}"),
-            }
-        }
-        for bad in [r#"{"fusion":1}"#, r#"{"unrolling":false}"#, r#"[]"#] {
-            let line = format!(r#"{{"op":"run","id":"o","source":"","options":{bad}}}"#);
-            assert!(parse_request(&line).is_err(), "accepted options {bad}");
         }
     }
 

@@ -1,6 +1,7 @@
 //! Telemetry integration tests: the ledger balances across mixed job
 //! outcomes (histogram counts == jobs admitted == recorder finished +
-//! run-stage failures), gauges drain back to zero, concurrent scrapes
+//! run-stage failures), gauges drain back to zero and end-to-end
+//! quantiles agree with client-measured latency, concurrent scrapes
 //! are well-formed and monotone, the Prometheus and Chrome renderings
 //! are reachable through the protocol, run responses carry placement
 //! metadata, and the TCP accept loop counts its wakeups.
@@ -12,7 +13,8 @@ use futhark_serve::{Daemon, DaemonConfig};
 use futhark_trace::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 const MAP_SRC: &str = "fun main (n: i64) (xs: [n]i64): [n]i64 =\n\
                        map (\\(x: i64) -> if x % 3 == 0 then x * 2 else x - 1) xs";
@@ -58,6 +60,16 @@ fn run_line(id: &str, source: &str, n: i64, with_array: bool) -> String {
     )
 }
 
+/// Runs the tests of this file one at a time: the client/daemon latency
+/// comparison in [`gauges_return_to_zero_after_drain`] must not share
+/// the host's cores with another test's threads, which would preempt a
+/// client between the daemon's end-to-end span and the client's clock.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A test that failed while holding the guard leaves nothing to repair.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn parse(resp: &str) -> Json {
     Json::parse(resp).unwrap_or_else(|e| panic!("bad response JSON {resp:?}: {e}"))
 }
@@ -98,6 +110,7 @@ fn recorder_total(m: &Json, kind: &str) -> u64 {
 /// histogram, and recorder totals agree with the counters.
 #[test]
 fn ledger_balances_across_mixed_outcomes() {
+    let _serial = serial();
     let d = daemon(1);
     let ok = |resp: &Json| resp.get("status").and_then(Json::as_str) == Some("ok");
 
@@ -191,20 +204,40 @@ fn ledger_balances_across_mixed_outcomes() {
 
 /// After a concurrent burst drains, every point-in-time gauge is back to
 /// zero and per-device busy flags are down; device utilization is a
-/// fraction of uptime.
+/// fraction of uptime; and the daemon's end-to-end p50 and p99 agree
+/// with the client-measured ones.
 #[test]
 fn gauges_return_to_zero_after_drain() {
+    let _serial = serial();
     let d = daemon(2);
+    // No more clients than cores (at least two, at most four): a client
+    // waiting for a core between the daemon's end-to-end span and its own
+    // clock would make the comparison below measure the scheduler. (Four
+    // clients on a two-core host failed about one run in two hundred.)
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut client_ms = Vec::new();
     std::thread::scope(|scope| {
-        for i in 0..4 {
-            let d = d.clone();
-            scope.spawn(move || {
-                for j in 0..3 {
-                    let resp =
-                        parse(&d.handle_line(&run_line(&format!("t{i}-{j}"), MAP_SRC, 64, true)));
-                    assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
-                }
-            });
+        let clients: Vec<_> = (0..cores.clamp(2, 4))
+            .map(|i| {
+                let d = d.clone();
+                scope.spawn(move || {
+                    (0..3)
+                        .map(|j| {
+                            let line = run_line(&format!("t{i}-{j}"), MAP_SRC, 64, true);
+                            // The clock covers the call only.
+                            let t0 = Instant::now();
+                            let out = d.handle_line(&line);
+                            let ms = t0.elapsed().as_secs_f64() * 1e3;
+                            let resp = parse(&out);
+                            assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+                            ms
+                        })
+                        .collect::<Vec<f64>>()
+                })
+            })
+            .collect();
+        for c in clients {
+            client_ms.extend(c.join().expect("client thread"));
         }
     });
     let m = scrape(&d);
@@ -243,6 +276,30 @@ fn gauges_return_to_zero_after_drain() {
         device_jobs += dev.get("jobs").and_then(Json::as_u64).expect("device jobs");
     }
     assert_eq!(device_jobs, counter(&m, "jobs.admitted"));
+
+    // A quantile estimate lies in the bucket of the true order statistic,
+    // so within 2x of it, and the daemon's end-to-end span nests inside
+    // the client's call: the two agree within 2x both ways, plus 1 ms
+    // for the client-side parse and render around the span.
+    assert_eq!(hist_count(&m, "e2e_us"), client_ms.len() as u64);
+    client_ms.sort_by(f64::total_cmp);
+    let e2e = m
+        .get("histograms")
+        .and_then(|h| h.get("e2e_us"))
+        .expect("e2e_us");
+    for (q, key) in [(0.50, "p50_us"), (0.99, "p99_us")] {
+        // The client's order statistic at the histogram's rank ceil(q·n).
+        let client = client_ms[(q * client_ms.len() as f64).ceil() as usize - 1];
+        let daemon = e2e.get(key).and_then(Json::as_f64).expect(key) / 1e3;
+        assert!(
+            daemon <= 2.0 * client + 1.0,
+            "daemon {key} {daemon:.3} ms exceeds 2x client {client:.3} ms + 1 ms"
+        );
+        assert!(
+            client <= 2.0 * daemon + 1.0,
+            "client {key} {client:.3} ms exceeds 2x daemon {daemon:.3} ms + 1 ms"
+        );
+    }
 }
 
 /// Sixteen clients scraping while jobs run: every scrape parses, carries
@@ -251,6 +308,7 @@ fn gauges_return_to_zero_after_drain() {
 /// end-to-end histogram).
 #[test]
 fn concurrent_scrapes_are_well_formed_and_monotone() {
+    let _serial = serial();
     let d = daemon(2);
     std::thread::scope(|scope| {
         for i in 0..4 {
@@ -300,6 +358,7 @@ fn concurrent_scrapes_are_well_formed_and_monotone() {
 /// cumulative buckets ending at `+Inf`.
 #[test]
 fn prometheus_rendering_through_the_protocol() {
+    let _serial = serial();
     let d = daemon(1);
     parse(&d.handle_line(&run_line("a", MAP_SRC, 32, true)));
     let resp = parse(&d.handle_line(r#"{"op":"metrics","id":"p","format":"prometheus"}"#));
@@ -336,6 +395,7 @@ fn prometheus_rendering_through_the_protocol() {
 /// queue track and queue-depth counter samples.
 #[test]
 fn chrome_timeline_through_the_protocol() {
+    let _serial = serial();
     let d = daemon(2);
     parse(&d.handle_line(&run_line("a", MAP_SRC, 32, true)));
     parse(&d.handle_line(&run_line("b", SCAN_SRC, 32, true)));
@@ -374,6 +434,7 @@ fn chrome_timeline_through_the_protocol() {
 /// queue was at admission.
 #[test]
 fn run_response_carries_placement_metadata() {
+    let _serial = serial();
     let d = daemon(1);
     let resp = parse(&d.handle_line(&run_line("a", MAP_SRC, 32, true)));
     assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
@@ -388,6 +449,7 @@ fn run_response_carries_placement_metadata() {
 /// and values.
 #[test]
 fn stats_agrees_with_the_registry() {
+    let _serial = serial();
     let d = daemon(1);
     parse(&d.handle_line(&run_line("a", MAP_SRC, 32, true)));
     parse(&d.handle_line(&run_line("b", MAP_SRC, 32, true)));
@@ -410,6 +472,7 @@ fn stats_agrees_with_the_registry() {
 /// idle wakeups in the registry.
 #[test]
 fn accept_loop_wakeups_are_counted() {
+    let _serial = serial();
     let d = Daemon::new(DaemonConfig {
         devices: vec![DeviceProfile::gtx780()],
         workers: 2,

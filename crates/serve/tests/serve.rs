@@ -1,9 +1,10 @@
 //! Integration tests for `futharkd`: the artifact cache is observable
 //! through the span list, concurrent mixed-tenant execution is
 //! bit-identical to sequential, admission control rejects over-capacity
-//! jobs before execution with the prediction attached, shutdown drains
-//! the queue, the TCP front-end round-trips, and job failures are job
-//! errors — never daemon deaths.
+//! jobs before execution with the prediction attached, an `options`
+//! object or more `threads` than the host can run is a protocol error,
+//! shutdown drains the queue, the TCP front-end round-trips, and job
+//! failures are job errors — never daemon deaths.
 
 use futhark::DeviceProfile;
 use futhark_serve::daemon::{serve_lines, serve_tcp};
@@ -102,50 +103,57 @@ fn repeat_submission_hits_the_cache_and_skips_compile() {
     assert_eq!(stats.jobs_completed, 2);
 }
 
-/// Different pipeline options are different artifacts: flipping a switch
-/// is a miss, not a stale hit. The `options` object is a schedule edit,
-/// so it shares its cache entry with the equivalent `schedule` label, and
-/// a request carrying both is a protocol error naming both fields.
+/// `schedule` is the only way to send a compilation schedule: a request
+/// carrying an `options` object is a protocol error naming `schedule`,
+/// never a run under a configuration the client did not ask for.
 #[test]
-fn options_are_part_of_the_cache_key() {
-    use futhark::Schedule;
+fn options_object_is_a_protocol_error_naming_schedule() {
     let d = daemon(1);
-    let with_fusion = run_line("a", MAP_SRC, 32, true);
-    let line_with = |id: &str, extra: &str| {
+    let line = format!(
+        r#"{{"op":"run","id":"o","source":{},"args":[{{"i64":4}}],"options":{{"fusion":false}}}}"#,
+        quote(REPL_SRC)
+    );
+    let resp = parse(&d.handle_line(&line));
+    assert_eq!(resp.get("id").and_then(Json::as_str), Some("o"));
+    assert_eq!(resp.get("kind").and_then(Json::as_str), Some("protocol"));
+    let message = resp.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        message.contains("\"schedule\""),
+        "names schedule: {message}"
+    );
+    assert_eq!(d.stats().cache.misses, 0, "nothing was compiled");
+}
+
+/// A request's `threads` is bounded by the host's available parallelism:
+/// the bound itself runs, one more is a protocol error naming the bound,
+/// and zero is still rejected.
+#[test]
+fn threads_are_bounded_by_host_parallelism() {
+    let d = daemon(1);
+    let bound = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let line = |id: &str, threads: usize| {
         format!(
-            r#"{{"op":"run","id":"{id}","source":{},"args":[{{"i64":4}},{{"array":{{"elem":"i64","shape":[4],"data":[1,2,3,4]}}}}],{extra}}}"#,
-            quote(MAP_SRC)
+            r#"{{"op":"run","id":"{id}","source":{},"args":[{{"i64":4}}],"threads":{threads}}}"#,
+            quote(REPL_SRC)
         )
     };
-    let options = r#""options":{"fusion":false}"#;
-    let unfused = Schedule {
-        fusion_pass: false,
-        ..Schedule::default()
-    };
-    let schedule = format!(r#""schedule":{}"#, quote(&unfused.label()));
-    parse(&d.handle_line(&with_fusion));
-    let second = parse(&d.handle_line(&line_with("b", options)));
-    assert_eq!(second.get("cache").and_then(Json::as_str), Some("miss"));
-    assert_eq!(d.stats().cache.misses, 2);
-
-    let third = parse(&d.handle_line(&line_with("c", &schedule)));
+    let ok = parse(&d.handle_line(&line("at", bound)));
     assert_eq!(
-        third.get("cache").and_then(Json::as_str),
-        Some("hit"),
-        "options {{fusion: false}} and the fusion_pass: false schedule are one artifact"
+        ok.get("status").and_then(Json::as_str),
+        Some("ok"),
+        "{ok:?}"
     );
-    assert_eq!(second.get("outputs"), third.get("outputs"));
-
-    let both = parse(&d.handle_line(&line_with("d", &format!("{options},{schedule}"))));
-    assert_eq!(both.get("id").and_then(Json::as_str), Some("d"));
-    assert_eq!(both.get("kind").and_then(Json::as_str), Some("protocol"));
-    let message = both.get("message").and_then(Json::as_str).unwrap_or("");
+    let over = parse(&d.handle_line(&line("over", bound + 1)));
+    assert_eq!(over.get("kind").and_then(Json::as_str), Some("protocol"));
+    let message = over.get("message").and_then(Json::as_str).unwrap_or("");
     assert!(
-        message.contains("\"options\"") && message.contains("\"schedule\""),
-        "the error names both fields: {message}"
+        message.contains(&format!("<= {bound}")),
+        "names the bound: {message}"
     );
-    assert_eq!(d.stats().cache.misses, 2);
-    assert_eq!(d.stats().cache.hits, 1);
+    let zero = parse(&d.handle_line(&line("zero", 0)));
+    assert_eq!(zero.get("kind").and_then(Json::as_str), Some("protocol"));
+    assert_eq!(d.stats().protocol_errors, 2);
+    assert_eq!(d.stats().jobs_completed, 1);
 }
 
 /// Schedules are part of the cache key: two schedules for the same

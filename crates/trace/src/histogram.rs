@@ -9,8 +9,9 @@
 //! histograms a plain element-wise add. Quantile estimation interpolates
 //! linearly inside the bucket holding the target rank, so an estimate is
 //! always within the bucket's bounds: at most 2× the true value and at
-//! least half of it, which is the agreement bound `loadgen --scrape`
-//! asserts against client-side measurements.
+//! least half of it. futharkd's `gauges_return_to_zero_after_drain` test
+//! asserts that bound between the daemon's end-to-end quantiles and
+//! client-side measurements.
 //!
 //! [`Exposition`] renders counters, gauges, and histograms in the
 //! Prometheus text format (`# HELP` / `# TYPE` headers, cumulative

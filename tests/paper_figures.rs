@@ -1,7 +1,7 @@
 //! Tests pinning the qualitative claims of the paper's figures and
 //! evaluation section — the "shape" the reproduction must preserve.
 
-use futhark::{Compiler, Device, RunOptions, Schedule};
+use futhark::{Compiler, Device, RunOptions, Schedule, ScheduleCursor, SimplifyToggles};
 use futhark_core::{ArrayVal, Value};
 use futhark_interp::Interpreter;
 
@@ -83,8 +83,9 @@ fn figure10_stream_fusion_shape() {
                let s = reduce (+) 0 ys\n\
                in s";
     let (mut prog, mut ns) = futhark_frontend::parse_program(src).unwrap();
-    futhark_opt::simplify::simplify_program(&mut prog, &mut ns);
-    futhark_opt::fusion::fuse_program(&mut prog, &mut ns);
+    futhark_opt::simplify::simplify_program(&mut prog, &mut ns, &SimplifyToggles::default());
+    let mut cur = ScheduleCursor::new(Schedule::default());
+    futhark_opt::fusion::fuse_program(&mut prog, &mut ns, &mut cur);
     let main = prog.main().unwrap();
     assert!(
         main.body
@@ -121,9 +122,10 @@ fn figure11_interchange_to_top_level() {
                  in s) pss\n\
                in bss";
     let (mut prog, mut ns) = futhark_frontend::parse_program(src).unwrap();
-    futhark_opt::simplify::simplify_program(&mut prog, &mut ns);
-    futhark_opt::fusion::fuse_program(&mut prog, &mut ns);
-    futhark_opt::flatten::flatten_program(&mut prog, &mut ns);
+    futhark_opt::simplify::simplify_program(&mut prog, &mut ns, &SimplifyToggles::default());
+    let mut cur = ScheduleCursor::new(Schedule::default());
+    futhark_opt::fusion::fuse_program(&mut prog, &mut ns, &mut cur);
+    futhark_opt::flatten::flatten_program(&mut prog, &mut ns, &mut cur);
     let main = prog.main().unwrap();
     assert!(
         main.body

@@ -15,7 +15,7 @@
 //! - the shrinker only ever produces smaller cases that still satisfy the
 //!   failure predicate.
 
-use futhark::{Compiler, Device, RunOptions, Schedule};
+use futhark::{Compiler, Device, RunOptions, Schedule, ScheduleCursor, SimplifyToggles};
 use futhark_core::{ArrayVal, Rng64, Value};
 use futhark_fuzz::{check_case, generate, shrink, GenConfig, Outcome, Strategy, TestCase};
 use futhark_interp::Interpreter;
@@ -77,7 +77,7 @@ fn each_pass_preserves_semantics() {
         let baseline = Interpreter::new(&prog).run_main(&args).expect("base");
 
         let mut p1 = prog.clone();
-        futhark_opt::simplify::simplify_program(&mut p1, &mut ns);
+        futhark_opt::simplify::simplify_program(&mut p1, &mut ns, &SimplifyToggles::default());
         assert_eq!(
             Interpreter::new(&p1).run_main(&args).expect("simplified"),
             baseline,
@@ -86,7 +86,8 @@ fn each_pass_preserves_semantics() {
         futhark_check::check_program(&p1).expect("simplified program checks");
 
         let mut p2 = p1.clone();
-        futhark_opt::fusion::fuse_program(&mut p2, &mut ns);
+        let mut cur = ScheduleCursor::new(Schedule::default());
+        futhark_opt::fusion::fuse_program(&mut p2, &mut ns, &mut cur);
         assert_eq!(
             Interpreter::new(&p2).run_main(&args).expect("fused"),
             baseline,
@@ -95,7 +96,7 @@ fn each_pass_preserves_semantics() {
         futhark_check::check_program(&p2).expect("fused program checks");
 
         let mut p3 = p2.clone();
-        futhark_opt::flatten::flatten_program(&mut p3, &mut ns);
+        futhark_opt::flatten::flatten_program(&mut p3, &mut ns, &mut cur);
         assert_eq!(
             Interpreter::new(&p3).run_main(&args).expect("flattened"),
             baseline,

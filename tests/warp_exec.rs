@@ -1,14 +1,16 @@
 //! The warp execution engine must be observationally identical to the
 //! per-lane reference engine: for any program, outputs, faults, and every
 //! [`KernelStats`] counter are bit-identical between the two. This suite
-//! checks that end to end over every corpus fixture, and then pins the
-//! divergence machinery directly at the launch level: all-lanes-diverge
-//! branch trees, a single active lane in a full grid, alternating masks,
-//! partial warps and fully inactive warps at the grid tail, per-lane loop
-//! trip counts, and identical fault reporting. The masked-lane tests
-//! verify that inactive lanes never write registers, memory, or counters.
+//! checks that end to end over every corpus fixture and every paper
+//! program, and then pins the divergence machinery directly at the launch
+//! level, at one and at four host threads: all-lanes-diverge branch trees,
+//! a single active lane in a full grid, alternating masks, partial warps
+//! and fully inactive warps at the grid tail, per-lane loop trip counts,
+//! a local-memory exchange across a barrier, and identical fault
+//! reporting. The masked-lane tests verify that inactive lanes never write
+//! registers, memory, or counters.
 
-use futhark::{Compiled, Compiler, Device, PerfReport, RunOptions, SimEngine};
+use futhark::{Compiled, Compiler, Device, PerfReport, RunOptions, Schedule, SimEngine};
 use futhark_core::{Buffer, CmpOp, Scalar, ScalarType, Value};
 use futhark_fuzz::corpus;
 use futhark_gpu::kernel::{KExp, KParam, KStm, Kernel};
@@ -42,6 +44,19 @@ fn outcome(
         .map_err(|e| e.to_string())
 }
 
+/// Runs `compiled` on both engines and both devices and asserts
+/// bit-identical outcomes.
+fn engines_agree_on_program(label: &str, compiled: &Compiled, args: &[Value]) {
+    for device in [Device::Gtx780, Device::W8100] {
+        let warp = outcome(compiled, device, args, SimEngine::Warp);
+        let lane = outcome(compiled, device, args, SimEngine::Lane);
+        assert_eq!(
+            warp, lane,
+            "{label}: warp engine diverged from per-lane on {device:?}"
+        );
+    }
+}
+
 #[test]
 fn corpus_is_bit_identical_across_engines() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
@@ -61,16 +76,15 @@ fn corpus_is_bit_identical_across_engines() {
             Ok(c) => c,
             Err(_) => continue, // compile-time faults have no launches to compare
         };
-        for device in [Device::Gtx780, Device::W8100] {
-            let warp = outcome(&compiled, device, &args, SimEngine::Warp);
-            let lane = outcome(&compiled, device, &args, SimEngine::Lane);
-            assert_eq!(
-                warp,
-                lane,
-                "{}: warp engine diverged from per-lane on {device:?}",
-                path.display()
-            );
-        }
+        engines_agree_on_program(&path.display().to_string(), &compiled, &args);
+    }
+    // The paper programs on their small datasets: float arithmetic,
+    // tiling and segmented reductions that the i64 fixtures never reach.
+    for b in futhark_bench::all_benchmarks() {
+        let compiled = b
+            .compile(Schedule::default())
+            .unwrap_or_else(|e| panic!("{}: compile failed: {e}", b.name));
+        engines_agree_on_program(b.name, &compiled, &b.small_args);
     }
 }
 
@@ -89,21 +103,22 @@ fn eq(a: KExp, b: KExp) -> KExp {
     KExp::Cmp(CmpOp::Eq, Box::new(a), Box::new(b))
 }
 
-/// Runs one launch of `kernel` on the given engine against fresh device
-/// memory and returns the stats plus the final contents of every buffer
-/// argument.
+/// Runs one launch of `kernel` on the given engine and host thread count
+/// against fresh device memory and returns the stats plus the final
+/// contents of every buffer argument.
 fn run_launch(
     kernel: &Kernel,
     num_threads: u64,
     setup: &dyn Fn(&mut DeviceMemory) -> Vec<Arg>,
     engine: SimEngine,
+    threads: usize,
 ) -> Result<(KernelStats, Vec<Buffer>), String> {
     let device = DeviceProfile::gtx780();
     let dk = DecodedKernel::decode(kernel).expect("decode");
     let mut mem = DeviceMemory::new();
     let args = setup(&mut mem);
     let opts = RunOptions {
-        threads: 1,
+        threads,
         profile: false,
         engine,
     };
@@ -120,17 +135,28 @@ fn run_launch(
     Ok((stats, bufs))
 }
 
-/// Runs the kernel on both engines and asserts bit-identical stats,
-/// buffers, and faults; returns the (shared) warp-engine observation.
+/// Runs the kernel on both engines, each at one and at four host threads,
+/// and asserts bit-identical stats, buffers, and faults; returns the
+/// (shared) observation.
 fn engines_agree(
     label: &str,
     kernel: &Kernel,
     num_threads: u64,
     setup: &dyn Fn(&mut DeviceMemory) -> Vec<Arg>,
 ) -> Result<(KernelStats, Vec<Buffer>), String> {
-    let warp = run_launch(kernel, num_threads, setup, SimEngine::Warp);
-    let lane = run_launch(kernel, num_threads, setup, SimEngine::Lane);
-    assert_eq!(warp, lane, "{label}: warp engine diverged from per-lane");
+    let warp = run_launch(kernel, num_threads, setup, SimEngine::Warp, 1);
+    for threads in [1, 4] {
+        let lane = run_launch(kernel, num_threads, setup, SimEngine::Lane, threads);
+        assert_eq!(
+            warp, lane,
+            "{label}: per-lane engine at {threads} thread(s) diverged from warp at 1"
+        );
+    }
+    let par = run_launch(kernel, num_threads, setup, SimEngine::Warp, 4);
+    assert_eq!(
+        warp, par,
+        "{label}: warp engine at 4 threads diverged from 1"
+    );
     warp
 }
 
@@ -477,6 +503,80 @@ fn faults_are_identical_across_engines() {
         err.contains("out of bounds") || err.contains("bounds"),
         "unexpected fault text: {err}"
     );
+}
+
+/// Local memory across a barrier: every lane stages its element in the
+/// group's local tile, and after the barrier reads its right neighbour's
+/// (wrapping within the group). Four full groups, so the four-thread
+/// runs execute groups in parallel, each with its own tile.
+#[test]
+fn local_rotate_across_a_barrier() {
+    let group = DeviceProfile::gtx780().group_size as usize;
+    let n = 4 * group;
+    let kernel = Kernel {
+        name: "local_rotate".into(),
+        params: vec![
+            KParam::Buffer(ScalarType::F64),
+            KParam::Buffer(ScalarType::F64),
+            KParam::Scalar(ScalarType::I64),
+        ],
+        locals: vec![(ScalarType::F64, KExp::GroupSize)],
+        num_regs: 2,
+        num_priv: 0,
+        prov_table: vec![],
+        body: vec![
+            KStm::If {
+                cond: lt(KExp::GlobalId, KExp::ScalarArg(2)),
+                then_s: vec![
+                    KStm::GlobalRead {
+                        var: 0,
+                        buf: 0,
+                        index: KExp::GlobalId,
+                    },
+                    KStm::LocalWrite {
+                        mem: 0,
+                        index: KExp::LocalId,
+                        value: KExp::Var(0),
+                    },
+                ],
+                else_s: vec![],
+            },
+            KStm::Barrier,
+            KStm::If {
+                cond: lt(KExp::GlobalId, KExp::ScalarArg(2)),
+                then_s: vec![
+                    KStm::LocalRead {
+                        var: 1,
+                        mem: 0,
+                        index: KExp::LocalId.add(KExp::i64(1)).rem(KExp::GroupSize),
+                    },
+                    KStm::GlobalWrite {
+                        buf: 1,
+                        index: KExp::GlobalId,
+                        value: KExp::Var(1),
+                    },
+                ],
+                else_s: vec![],
+            },
+        ],
+    };
+    let setup = |mem: &mut DeviceMemory| {
+        let xs = Buffer::F64((0..n).map(|i| i as f64 * 0.5).collect());
+        vec![
+            Arg::Buffer(mem.upload(xs).expect("in capacity")),
+            Arg::Buffer(mem.alloc(ScalarType::F64, n).expect("in capacity")),
+            Arg::Scalar(Scalar::I64(n as i64)),
+        ]
+    };
+    let (stats, bufs) = engines_agree("local_rotate", &kernel, n as u64, &setup).expect("clean");
+    let Buffer::F64(got) = &bufs[1] else {
+        panic!("expected f64 output, found {:?}", bufs[1]);
+    };
+    for (i, &x) in got.iter().enumerate() {
+        let src = i - i % group + (i + 1) % group;
+        assert_eq!(x, src as f64 * 0.5, "lane {i} read the wrong neighbour");
+    }
+    assert_eq!(stats.barriers, 4, "one barrier per group");
 }
 
 /// An empty grid (zero threads) launches no warps at all and must be a
