@@ -569,9 +569,8 @@ pub fn alpha_rename_lambda(ns: &mut NameSource, lam: &Lambda) -> Lambda {
     }
     rename_body_binders(ns, &mut lam.body, &mut subst);
     // Apply accumulated renames to types and results.
-    let mut done = lam.clone();
-    subst.apply_lambda(&mut done);
-    done
+    subst.apply_lambda(&mut lam);
+    lam
 }
 
 /// Returns a copy of the body with every binder renamed fresh; `subst`
@@ -642,9 +641,8 @@ pub fn alpha_rename_body(ns: &mut NameSource, body: &Body) -> Body {
     let mut body = body.clone();
     let mut subst = Subst::new();
     rename_body_binders(ns, &mut body, &mut subst);
-    let mut done = body.clone();
-    subst.apply_body(&mut done);
-    done
+    subst.apply_body(&mut body);
+    body
 }
 
 /// All names bound anywhere inside a body (statement patterns, loop and

@@ -23,7 +23,6 @@
 //! policy), preserving the program structure that the locality
 //! optimisations of Section 5.2 need.
 
-use crate::fusion::chain_to_loop;
 use futhark_core::schedule::{ChoiceClass, ScheduleCursor};
 use futhark_core::traverse::{free_in_body, free_in_exp, Subst};
 use futhark_core::{
@@ -1046,20 +1045,6 @@ pub fn has_inner_parallelism(body: &Body) -> bool {
         }
     }
     false
-}
-
-/// Post-flattening cleanup applied to the innermost (per-thread) bodies of
-/// manifested nests: sequentialises leftover SOAC chains into loops
-/// (Section 4's chunk-one streams) so kernels contain only scalar code,
-/// loops, and the segmented SOAC forms the backend knows. Each chain
-/// collapse consults the schedule's `FuseChain` choice points.
-pub fn sequentialise_inner_soacs(body: &mut Body, ns: &mut NameSource, cur: &mut ScheduleCursor) {
-    for stm in &mut body.stms {
-        for ib in stm.exp.inner_bodies_mut() {
-            sequentialise_inner_soacs(ib, ns, cur);
-        }
-    }
-    while chain_to_loop(body, ns, cur) {}
 }
 
 #[cfg(test)]

@@ -1,22 +1,35 @@
 //! The fusion engine of Section 4.
 //!
-//! Producer–consumer (vertical) fusion is realised greedily during a
-//! bottom-up traversal of the dependency graph, fusing a SOAC into its
-//! consumer when it is the source of exactly one dependency edge (a T2
-//! graph reduction). Horizontal fusion merges independent maps of the same
-//! width. The streaming rules of Figure 9 are implemented as:
+//! Fusion is a T2 reduction of each body's dependency graph. The graph is
+//! built once per body: each name's defining position and users, and each
+//! statement's free variables and consumed names. Three rules then rewrite
+//! it until none applies:
 //!
+//! - vertical: a `map` whose outputs all feed one later SOAC, as inputs
+//!   only, fuses into it (`map ∘ map` is a map, `map ∘ reduce` a redomap);
 //! - F3/F6 (specialised): a `stream_map` whose array result is consumed by
-//!   a `reduce` fuses into a `stream_red` (the Figure 10a→10b step).
-//! - F2/F4/F5/F7 at chunk size one: [`chain_to_loop`] rewrites a
-//!   map→scan→reduce chain into a single sequential loop with scalar
-//!   accumulators — the Figure 10c "tension resolved" form with O(1)
-//!   per-thread footprint. The flattening pass applies it when
-//!   sequentialising excess parallelism inside kernels.
+//!   a `reduce` fuses into a `stream_red` (the Figure 10a→10b step);
+//! - horizontal: two independent maps of the same width merge.
+//!
+//! Every rewrite replaces two statements by one, so a body of n statements
+//! reaches its fixed point within n rewrites. A round applies one vertical,
+//! then one stream, then one horizontal rewrite, each at the lowest
+//! position where one is legal; this priority decides between overlapping
+//! edges. A rewrite updates the graph entries of the statements it touches
+//! and queues only the positions whose rules may have changed. Every legal
+//! edge is a choice point of the cursor's schedule, asked once: a declined
+//! edge is asked again only after its producer or consumer is rewritten.
+//!
+//! F2/F4/F5/F7 at chunk size one is [`chain_to_loop`]: it rewrites a
+//! map→scan→reduce chain into a single sequential loop with scalar
+//! accumulators — the Figure 10c "tension resolved" form with O(1)
+//! per-thread footprint. Only its unit test calls it; no pass does.
 //!
 //! In-place updates are not a burden on the engine; the only restriction is
-//! that a producer is never moved past a consumption point of one of its
-//! inputs (checked conservatively).
+//! that a producer never moves past a consumption point of one of its
+//! inputs. Updates, calls and scatters bound every rewrite, and a
+//! producer's free variables may not be consumed, at any depth, between it
+//! and its consumer (§4.2).
 
 use futhark_core::schedule::{ChoiceClass, ScheduleCursor};
 use futhark_core::traverse::{alpha_rename_lambda, free_in_exp, free_in_lambda, Subst};
@@ -24,38 +37,36 @@ use futhark_core::{
     Body, Exp, Lambda, LoopForm, Name, NameSource, Param, PatElem, Program, ScalarType, Soac, Stm,
     SubExp, Type,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::ops::Range;
 
-/// Runs fusion over a whole program to a (bounded) fixed point, with
-/// every candidate edge consulted as a choice point on the cursor's
-/// schedule. A site is only *queried* when the rewrite is actually
-/// applicable (all legality checks passed), so site numbering is the
-/// deterministic order in which applicable rewrites are found.
+/// Runs fusion over a whole program to its fixed point, with every legal
+/// edge consulted as a choice point on the cursor's schedule. A site is
+/// only *queried* when the rewrite is legal, so site numbering is the
+/// deterministic order in which legal rewrites are found.
 pub fn fuse_program(prog: &mut Program, ns: &mut NameSource, cur: &mut ScheduleCursor) {
     for f in &mut prog.functions {
         fuse_body(&mut f.body, ns, cur);
     }
 }
 
-/// Runs fusion over one body (recursively into nested bodies) under a
-/// schedule cursor.
-pub fn fuse_body(body: &mut Body, ns: &mut NameSource, cur: &mut ScheduleCursor) {
+/// Fuses the nested bodies first, then reduces this body's graph.
+fn fuse_body(body: &mut Body, ns: &mut NameSource, cur: &mut ScheduleCursor) {
     for stm in &mut body.stms {
         for ib in stm.exp.inner_bodies_mut() {
             fuse_body(ib, ns, cur);
         }
     }
-    for _ in 0..12 {
-        // Fusion introduces copy bindings when composing lambdas; propagate
-        // them so chained fusions see through them.
-        crate::simplify::copy_propagate_body(body);
-        let mut changed = try_vertical_fusion(body, ns, cur);
-        changed |= try_stream_reduce_fusion(body, ns, cur);
-        changed |= try_horizontal_fusion(body, ns, cur);
-        if !changed {
-            break;
-        }
+    crate::simplify::copy_propagate_stms(body);
+    // Every rule fuses a map or a stream_map with another SOAC.
+    let soacs = || body.stms.iter().filter_map(soac_of);
+    let producer = |s: &Soac| matches!(s, Soac::Map { .. } | Soac::StreamMap { .. });
+    if soacs().count() < 2 || !soacs().any(producer) {
+        return;
     }
+    let mut graph = Graph::new(std::mem::take(&mut body.stms), &body.result);
+    graph.reduce(ns, cur);
+    body.stms = graph.into_stms();
 }
 
 /// Counts uses of each name in a body (operands, SOAC inputs, results,
@@ -75,8 +86,8 @@ fn use_counts(body: &Body) -> HashMap<Name, usize> {
     counts
 }
 
-/// Whether any statement in `stms` may consume an array (conservative
-/// barrier for reordering producers past it).
+/// Whether a statement may consume an array: the blanket barrier that no
+/// rewrite moves a statement past.
 fn is_consuming(stm: &Stm) -> bool {
     matches!(
         stm.exp,
@@ -84,8 +95,6 @@ fn is_consuming(stm: &Stm) -> bool {
     )
 }
 
-/// Returns the indices of array inputs of a SOAC statement, if it is one we
-/// can fuse into.
 fn soac_of(stm: &Stm) -> Option<&Soac> {
     match &stm.exp {
         Exp::Soac(s) => Some(s),
@@ -93,124 +102,500 @@ fn soac_of(stm: &Stm) -> Option<&Soac> {
     }
 }
 
-// ---- Vertical fusion ----
+/// The operator lambdas of a SOAC.
+fn operators(soac: &Soac) -> Vec<&Lambda> {
+    match soac {
+        Soac::Map { lam, .. }
+        | Soac::Scan { lam, .. }
+        | Soac::Reduce { lam, .. }
+        | Soac::StreamMap { lam, .. }
+        | Soac::StreamSeq { lam, .. } => vec![lam],
+        Soac::Redomap {
+            red_lam, map_lam, ..
+        } => vec![red_lam, map_lam],
+        Soac::StreamRed {
+            red_lam, fold_lam, ..
+        } => vec![red_lam, fold_lam],
+        Soac::Scatter { .. } => vec![],
+    }
+}
 
-fn try_vertical_fusion(body: &mut Body, ns: &mut NameSource, cur: &mut ScheduleCursor) -> bool {
-    let counts = use_counts(body);
-    for j in 0..body.stms.len() {
-        let Some(Soac::Map { .. }) = soac_of(&body.stms[j]) else {
-            continue;
-        };
-        let outputs: Vec<Name> = body.stms[j].pat.iter().map(|pe| pe.name.clone()).collect();
-        // All outputs must have exactly one use in total, all inside a
-        // single later SOAC statement's input list.
-        let mut consumer: Option<usize> = None;
-        let mut ok = true;
-        for o in &outputs {
-            match counts.get(o) {
-                None => {} // dead output: fine
-                Some(1) => {
-                    // Find the single user.
-                    let mut found = None;
-                    for (k, stm) in body.stms.iter().enumerate() {
-                        if k == j {
-                            continue;
-                        }
-                        if free_in_exp(&stm.exp).contains(o) {
-                            // Must be a SOAC input, not e.g. an index target.
-                            let is_input = soac_of(stm)
-                                .map(|s| s.input_arrays().contains(&o))
-                                .unwrap_or(false);
-                            found = is_input.then_some(k);
-                            break;
-                        }
-                    }
-                    if body.result.iter().any(|se| se.as_var() == Some(o)) {
-                        ok = false;
-                        break;
-                    }
-                    match (found, consumer) {
-                        (Some(k), None) if k > j => consumer = Some(k),
-                        (Some(k), Some(c)) if k == c => {}
-                        _ => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                Some(_) => {
-                    ok = false;
-                    break;
+/// Collects the names an expression may consume, at any depth: updated
+/// arrays, scatter destinations, call arguments, a loop's array-typed
+/// merge initialisers, and the inputs and accumulators of a SOAC whose
+/// operator consumes one of its parameters.
+fn consumed_in(exp: &Exp, out: &mut Vec<Name>) {
+    let nested = out.len();
+    for b in exp.inner_bodies() {
+        for stm in &b.stms {
+            consumed_in(&stm.exp, out);
+        }
+    }
+    match exp {
+        Exp::Update { array, .. } => out.push(array.clone()),
+        Exp::Apply { args, .. } => out.extend(args.iter().filter_map(SubExp::as_var).cloned()),
+        Exp::Loop { params, .. } => out.extend(
+            params
+                .iter()
+                .filter(|(p, _)| !p.ty.is_scalar())
+                .filter_map(|(_, init)| init.as_var().cloned()),
+        ),
+        Exp::Soac(Soac::Scatter { dest, .. }) => out.push(dest.clone()),
+        Exp::Soac(soac) => {
+            let consumes_param = out[nested..].iter().any(|v| {
+                operators(soac)
+                    .iter()
+                    .any(|l| l.params.iter().any(|p| p.name == *v))
+            });
+            if consumes_param {
+                out.extend(soac.input_arrays().into_iter().cloned());
+                if let Soac::StreamRed { accs, .. } | Soac::StreamSeq { accs, .. } = soac {
+                    out.extend(accs.iter().filter_map(SubExp::as_var).cloned());
                 }
             }
         }
-        let Some(k) = consumer.filter(|_| ok) else {
-            continue;
+        _ => {}
+    }
+}
+
+/// One statement of the body under reduction, with its graph entries.
+struct Node {
+    /// Identifies the statement in the declined-edge record; a rewritten
+    /// statement gets a new one.
+    id: u32,
+    stm: Stm,
+    /// Free variables of the expression.
+    free: HashSet<Name>,
+    /// The free variables it may consume, at any depth.
+    consumed: Vec<Name>,
+    /// The last position defining one of `free`, if the body defines any.
+    ready: Option<usize>,
+}
+
+/// A body's dependency graph. Statements keep their positions: a rewrite
+/// puts the fused statement at one of its two sources' positions and
+/// leaves the other empty, so the survivors never change order.
+struct Graph {
+    nodes: Vec<Option<Node>>,
+    /// The position binding each name.
+    def: HashMap<Name, usize>,
+    /// The positions of the statements reading each name.
+    users: HashMap<Name, Vec<usize>>,
+    /// Names the body returns.
+    result: HashSet<Name>,
+    /// Positions of the [`is_consuming`] statements. No rule rewrites them,
+    /// so they split the body into fixed segments.
+    barriers: Vec<usize>,
+    /// Positions of the statements that consume something.
+    consuming: BTreeSet<usize>,
+    /// Positions of the maps.
+    maps: BTreeSet<usize>,
+    /// The consumer each producer's last evaluation found. The producer's
+    /// status then also depends on the statements between the two.
+    spans: BTreeMap<usize, usize>,
+    /// Edges the schedule declined, by node identity.
+    declined: HashSet<(u32, u32)>,
+    next_id: u32,
+    /// Positions whose rule may newly apply, per rule: producers of
+    /// vertical and stream edges, and the earlier map of horizontal pairs.
+    vertical: BTreeSet<usize>,
+    stream: BTreeSet<usize>,
+    horizontal: BTreeSet<usize>,
+}
+
+impl Graph {
+    fn new(stms: Vec<Stm>, result: &[SubExp]) -> Graph {
+        let mut g = Graph {
+            nodes: Vec::with_capacity(stms.len()),
+            def: HashMap::new(),
+            users: HashMap::new(),
+            result: result.iter().filter_map(SubExp::as_var).cloned().collect(),
+            barriers: Vec::new(),
+            consuming: BTreeSet::new(),
+            maps: BTreeSet::new(),
+            spans: BTreeMap::new(),
+            declined: HashSet::new(),
+            next_id: 0,
+            vertical: BTreeSet::new(),
+            stream: BTreeSet::new(),
+            horizontal: BTreeSet::new(),
         };
-        // The outputs must be *only* consumer inputs: not free inside the
-        // consumer's operator bodies (e.g. `map f coords` nested inside a
-        // lambda that also maps over `coords`), and not repeated in the
-        // input list.
-        let consumer_ok = match soac_of(&body.stms[k]) {
-            Some(soac) => {
-                let lambdas: Vec<&Lambda> = match soac {
-                    Soac::Map { lam, .. }
-                    | Soac::Scan { lam, .. }
-                    | Soac::Reduce { lam, .. }
-                    | Soac::StreamMap { lam, .. }
-                    | Soac::StreamSeq { lam, .. } => vec![lam],
-                    Soac::Redomap {
-                        red_lam, map_lam, ..
-                    } => vec![red_lam, map_lam],
-                    Soac::StreamRed {
-                        red_lam, fold_lam, ..
-                    } => vec![red_lam, fold_lam],
-                    Soac::Scatter { .. } => vec![],
-                };
-                outputs.iter().all(|o| {
-                    soac.input_arrays().iter().filter(|a| *a == &o).count() <= 1
-                        && lambdas.iter().all(|l| !free_in_lambda(l).contains(o))
-                })
+        for (pos, stm) in stms.into_iter().enumerate() {
+            if is_consuming(&stm) {
+                g.barriers.push(pos);
             }
-            None => false,
-        };
-        if !consumer_ok {
-            continue;
+            g.nodes.push(None);
+            let id = g.fresh_id();
+            g.link(pos, stm, id);
         }
-        // No consuming statement between producer and consumer (a source
-        // SOAC must not move past a consumption point of its inputs).
-        if body.stms[j + 1..k].iter().any(is_consuming) {
-            continue;
+        g
+    }
+
+    fn into_stms(self) -> Vec<Stm> {
+        self.nodes.into_iter().flatten().map(|n| n.stm).collect()
+    }
+
+    /// Applies rounds of one vertical, one stream and one horizontal
+    /// rewrite until a round finds none.
+    fn reduce(&mut self, ns: &mut NameSource, cur: &mut ScheduleCursor) {
+        loop {
+            let vertical = self.fuse_vertical(ns, cur);
+            let stream = self.fuse_stream(ns, cur);
+            let horizontal = self.fuse_horizontal(ns, cur);
+            if !(vertical || stream || horizontal) {
+                return;
+            }
         }
-        // Also: the consumer statement's free variables must all be
-        // available at position j (they are — consumer is later and only
-        // depends on producer among the in-between outputs if none of the
-        // in-between stms define them). Conservatively require that no
-        // statement between defines a variable the consumer uses.
-        let between_defs: HashSet<Name> = body.stms[j + 1..k]
+    }
+
+    fn fresh_id(&mut self) -> u32 {
+        self.next_id += 1;
+        self.next_id
+    }
+
+    fn node(&self, pos: usize) -> &Node {
+        self.nodes[pos].as_ref().expect("a live statement")
+    }
+
+    fn map_at(&self, pos: usize) -> Option<&Node> {
+        let node = self.nodes[pos].as_ref()?;
+        matches!(node.stm.exp, Exp::Soac(Soac::Map { .. })).then_some(node)
+    }
+
+    fn ready(&self, free: &HashSet<Name>) -> Option<usize> {
+        free.iter().filter_map(|v| self.def.get(v).copied()).max()
+    }
+
+    /// The number of barriers before `pos`: two positions are in the same
+    /// segment when no barrier lies between them.
+    fn segment(&self, pos: usize) -> usize {
+        self.barriers.partition_point(|&b| b < pos)
+    }
+
+    /// Enters `stm` at the empty position `pos`.
+    fn link(&mut self, pos: usize, stm: Stm, id: u32) {
+        let free = free_in_exp(&stm.exp);
+        let mut consumed = Vec::new();
+        consumed_in(&stm.exp, &mut consumed);
+        consumed.retain(|v| free.contains(v));
+        let ready = self.ready(&free);
+        for v in &free {
+            self.users.entry(v.clone()).or_default().push(pos);
+        }
+        for pe in &stm.pat {
+            self.def.insert(pe.name.clone(), pos);
+        }
+        if !consumed.is_empty() {
+            self.consuming.insert(pos);
+        }
+        match stm.exp {
+            Exp::Soac(Soac::Map { .. }) => {
+                self.maps.insert(pos);
+                self.vertical.insert(pos);
+                self.horizontal.insert(pos);
+            }
+            Exp::Soac(Soac::StreamMap { .. }) => {
+                self.stream.insert(pos);
+            }
+            _ => {}
+        }
+        self.nodes[pos] = Some(Node {
+            id,
+            stm,
+            free,
+            consumed,
+            ready,
+        });
+    }
+
+    /// Removes the statement at `pos`, queueing the producers whose
+    /// status may depend on it.
+    fn unlink(&mut self, pos: usize) -> Node {
+        let node = self.nodes[pos].take().expect("a live statement");
+        for v in &node.free {
+            if let Some(us) = self.users.get_mut(v) {
+                us.retain(|&u| u != pos);
+            }
+            if let Some(&p) = self.def.get(v) {
+                self.queue_producer(p);
+            }
+        }
+        for pe in &node.stm.pat {
+            self.def.remove(&pe.name);
+        }
+        self.consuming.remove(&pos);
+        self.maps.remove(&pos);
+        self.spans.remove(&pos);
+        self.queue_spanning(pos);
+        node
+    }
+
+    /// Queues everything whose status may depend on the statement just
+    /// linked at `pos`: the producers it reads, the producers whose edge
+    /// spans it, the maps it may merge with, and the maps that its
+    /// outputs' users may now merge with.
+    fn notify(&mut self, pos: usize) {
+        let node = self.node(pos);
+        let producers: Vec<usize> = node
+            .free
             .iter()
-            .flat_map(|s| s.pat.iter().map(|pe| pe.name.clone()))
+            .filter_map(|v| self.def.get(v).copied())
             .collect();
-        let consumer_free = free_in_exp(&body.stms[k].exp);
-        if consumer_free.iter().any(|v| between_defs.contains(v)) {
-            continue;
+        // A merge moves its outputs' definitions earlier.
+        let users: Vec<usize> = node
+            .stm
+            .pat
+            .iter()
+            .filter_map(|pe| self.users.get(&pe.name))
+            .flatten()
+            .copied()
+            .collect();
+        let ready = node.ready;
+        for p in producers {
+            self.queue_producer(p);
         }
-        if let Some(fused) = fuse_pair(&body.stms[j], &body.stms[k], ns) {
-            // A legal, profitable-by-heuristic fusion edge: this is the
-            // choice point. Declining leaves both statements in place.
-            if !cur.decide(ChoiceClass::FuseVertical) {
+        self.queue_spanning(pos);
+        self.queue_partners(pos, ready.map_or(0, |r| r + 1)..pos);
+        for u in users {
+            let old = self.node(u).ready;
+            let new = self.ready(&self.node(u).free);
+            if new < old {
+                self.nodes[u].as_mut().expect("a live statement").ready = new;
+                let old = old.expect("a later definition");
+                self.queue_partners(u, new.map_or(0, |r| r + 1)..old + 1);
+            }
+        }
+    }
+
+    /// Queues the statement at `p` for the rule it may be the producer of.
+    fn queue_producer(&mut self, p: usize) {
+        match self.nodes[p].as_ref().map(|n| &n.stm.exp) {
+            Some(Exp::Soac(Soac::Map { .. })) => {
+                self.vertical.insert(p);
+            }
+            Some(Exp::Soac(Soac::StreamMap { .. })) => {
+                self.stream.insert(p);
+            }
+            _ => {}
+        }
+    }
+
+    /// Queues the producers whose last-found edge spans `pos`.
+    fn queue_spanning(&mut self, pos: usize) {
+        let spanning: Vec<usize> = self
+            .spans
+            .range(..pos)
+            .filter(|&(_, &k)| k > pos)
+            .map(|(&p, _)| p)
+            .collect();
+        for p in spanning {
+            self.queue_producer(p);
+        }
+    }
+
+    /// Queues the maps at `range` that may now absorb the map at `k`: same
+    /// width, same segment.
+    fn queue_partners(&mut self, k: usize, range: Range<usize>) {
+        let Some(Soac::Map { width, .. }) = self.map_at(k).and_then(|n| soac_of(&n.stm)) else {
+            return;
+        };
+        let seg = self.segment(k);
+        let js: Vec<usize> = self
+            .maps
+            .range(range)
+            .copied()
+            .filter(|&j| {
+                self.segment(j) == seg
+                    && matches!(soac_of(&self.node(j).stm), Some(Soac::Map { width: w, .. }) if w == width)
+            })
+            .collect();
+        self.horizontal.extend(js);
+    }
+
+    /// Replaces the statements at `gone` and `keep` by `stm` at `keep`.
+    fn replace(&mut self, gone: usize, keep: usize, mut stm: Stm) {
+        // Composing lambdas binds copies, at the top of the new operator.
+        for ib in stm.exp.inner_bodies_mut() {
+            crate::simplify::copy_propagate_stms(ib);
+        }
+        self.unlink(gone);
+        self.unlink(keep);
+        let id = self.fresh_id();
+        self.link(keep, stm, id);
+        self.notify(keep);
+    }
+
+    /// Answers a legal edge's choice point, recording a declined edge so
+    /// that it is not asked again.
+    fn decide(
+        &mut self,
+        from: usize,
+        to: usize,
+        class: ChoiceClass,
+        cur: &mut ScheduleCursor,
+    ) -> bool {
+        if cur.decide(class) {
+            return true;
+        }
+        self.declined.insert((self.node(from).id, self.node(to).id));
+        false
+    }
+
+    /// Whether moving the producer at `p` down to its consumer at `k`
+    /// passes a barrier or a consumption of one of the producer's free
+    /// variables; or whether a statement between binds a variable the
+    /// consumer reads; or whether the schedule declined the edge.
+    fn blocked(&self, p: usize, k: usize) -> bool {
+        let (producer, consumer) = (self.node(p), self.node(k));
+        self.segment(p) != self.segment(k)
+            || self.consuming.range(p + 1..k).any(|&s| {
+                self.node(s)
+                    .consumed
+                    .iter()
+                    .any(|v| producer.free.contains(v))
+            })
+            || consumer.ready.is_some_and(|r| r > p)
+            || self.declined.contains(&(producer.id, consumer.id))
+    }
+
+    // ---- Vertical fusion ----
+
+    fn fuse_vertical(&mut self, ns: &mut NameSource, cur: &mut ScheduleCursor) -> bool {
+        while let Some(p) = self.vertical.pop_first() {
+            let Some(k) = self.vertical_consumer(p) else {
+                continue;
+            };
+            let Some(fused) = fuse_pair(&self.node(p).stm, &self.node(k).stm, ns) else {
+                continue;
+            };
+            if !self.decide(p, k, ChoiceClass::FuseVertical, cur) {
                 continue;
             }
             if matches!(fused.exp, Exp::Soac(Soac::Redomap { .. })) {
                 futhark_trace::event("fusion.redomap");
             }
             futhark_trace::event("fusion.vertical");
-            body.stms[k] = fused;
-            body.stms.remove(j);
+            self.replace(p, k, fused);
             return true;
         }
+        false
     }
-    false
+
+    /// The statement the map at `p` may fuse into: the one later SOAC that
+    /// reads its outputs, only as inputs and each at most once.
+    fn vertical_consumer(&mut self, p: usize) -> Option<usize> {
+        self.spans.remove(&p);
+        let node = self.map_at(p)?;
+        let mut consumer = None;
+        for pe in &node.stm.pat {
+            if self.result.contains(&pe.name) {
+                return None;
+            }
+            match self.users.get(&pe.name).map_or(&[][..], Vec::as_slice) {
+                [] => {}
+                &[k] if consumer.is_none_or(|c| c == k) => consumer = Some(k),
+                _ => return None,
+            }
+        }
+        let k = consumer?;
+        let soac = soac_of(&self.node(k).stm)?;
+        let inputs = soac.input_arrays();
+        let used = |o: &Name| self.users.get(o).is_some_and(|us| !us.is_empty());
+        if node.stm.pat.iter().any(|pe| {
+            inputs.iter().filter(|&&a| *a == pe.name).count() != usize::from(used(&pe.name))
+        }) {
+            return None;
+        }
+        let op_free: HashSet<Name> = operators(soac)
+            .into_iter()
+            .flat_map(free_in_lambda)
+            .collect();
+        if node.stm.pat.iter().any(|pe| op_free.contains(&pe.name)) {
+            return None;
+        }
+        self.spans.insert(p, k);
+        (!self.blocked(p, k)).then_some(k)
+    }
+
+    // ---- stream_map + reduce → stream_red (F3/F6, the Figure 10 outer step) ----
+
+    fn fuse_stream(&mut self, ns: &mut NameSource, cur: &mut ScheduleCursor) -> bool {
+        while let Some(j) = self.stream.pop_first() {
+            let Some(k) = self.stream_consumer(j) else {
+                continue;
+            };
+            if !self.decide(j, k, ChoiceClass::FuseStream, cur) {
+                continue;
+            }
+            let fused = stream_red(&self.node(j).stm, &self.node(k).stm, ns);
+            futhark_trace::event("fusion.stream_red");
+            self.replace(j, k, fused);
+            return true;
+        }
+        false
+    }
+
+    /// The `reduce` that the single-result `stream_map` at `j` may fuse
+    /// into: the only reader of its result.
+    fn stream_consumer(&mut self, j: usize) -> Option<usize> {
+        self.spans.remove(&j);
+        let node = self.nodes[j].as_ref()?;
+        let (Exp::Soac(Soac::StreamMap { lam, .. }), [out]) = (&node.stm.exp, &node.stm.pat[..])
+        else {
+            return None;
+        };
+        if self.result.contains(&out.name) || lam.ret.len() != 1 {
+            return None;
+        }
+        let &[k] = self.users.get(&out.name)?.as_slice() else {
+            return None;
+        };
+        let Some(Soac::Reduce { neutral, arrs, .. }) = soac_of(&self.node(k).stm) else {
+            return None;
+        };
+        if arrs.as_slice() != std::slice::from_ref(&out.name) || neutral.len() != 1 {
+            return None;
+        }
+        self.spans.insert(j, k);
+        (!self.blocked(j, k)).then_some(k)
+    }
+
+    // ---- Horizontal fusion ----
+
+    fn fuse_horizontal(&mut self, ns: &mut NameSource, cur: &mut ScheduleCursor) -> bool {
+        while let Some(j) = self.horizontal.pop_first() {
+            while let Some(k) = self.horizontal_partner(j) {
+                if !self.decide(j, k, ChoiceClass::FuseHorizontal, cur) {
+                    continue;
+                }
+                let merged = merge_maps(&self.node(j).stm, &self.node(k).stm, ns);
+                futhark_trace::event("fusion.horizontal");
+                self.replace(k, j, merged);
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The first later map that the map at `j` may absorb: same width, in
+    /// the same segment, and reading nothing bound at or after `j`.
+    fn horizontal_partner(&self, j: usize) -> Option<usize> {
+        let node = self.map_at(j)?;
+        let Some(Soac::Map { width, .. }) = soac_of(&node.stm) else {
+            return None;
+        };
+        let end = self
+            .barriers
+            .get(self.segment(j))
+            .copied()
+            .unwrap_or(self.nodes.len());
+        self.maps.range(j + 1..end).copied().find(|&k| {
+            let other = self.node(k);
+            matches!(soac_of(&other.stm), Some(Soac::Map { width: w, .. }) if w == width)
+                && other.ready.is_none_or(|r| r < j)
+                && !self.declined.contains(&(node.id, other.id))
+        })
+    }
 }
 
 /// Fuses producer map `pstm` into consumer SOAC `cstm`, producing the new
@@ -323,56 +708,34 @@ fn compose_map_lambdas(
 ) -> (Lambda, Vec<Name>) {
     let plam = alpha_rename_lambda(ns, plam);
     let clam = alpha_rename_lambda(ns, clam);
-    let mut params: Vec<Param> = Vec::new();
-    let mut arrs: Vec<Name> = Vec::new();
-    // Producer inputs first (deduplicating repeated arrays).
-    let mut arr_param: HashMap<Name, Name> = HashMap::new();
-    for (p, a) in plam.params.iter().zip(parrs) {
-        if let Some(existing) = arr_param.get(a) {
-            // Same array twice: reuse the first parameter.
-            let mut s = Subst::new();
-            s.bind(p.name.clone(), SubExp::Var(existing.clone()));
-            // Applied below through stms construction; easier: keep both
-            // params. Simplicity over minimality:
-            let _ = s;
-            params.push(p.clone());
-            arrs.push(a.clone());
-        } else {
-            arr_param.insert(a.clone(), p.name.clone());
-            params.push(p.clone());
-            arrs.push(a.clone());
-        }
-    }
-    let mut stms = plam.body.stms.clone();
-    // Bind consumer parameters: produced ones to producer results, others
-    // become new parameters.
-    for (cp, ca) in clam.params.iter().zip(carrs) {
+    // Producer inputs first, then the consumer inputs it does not produce.
+    let mut params: Vec<Param> = plam.params;
+    let mut arrs: Vec<Name> = parrs.to_vec();
+    let mut stms = plam.body.stms;
+    for (cp, ca) in clam.params.into_iter().zip(carrs) {
         if let Some(&i) = produced.get(ca) {
             stms.push(Stm::single(
-                cp.name.clone(),
-                cp.ty.clone(),
+                cp.name,
+                cp.ty,
                 Exp::SubExp(plam.body.result[i].clone()),
             ));
         } else {
-            params.push(cp.clone());
+            params.push(cp);
             arrs.push(ca.clone());
         }
     }
-    stms.extend(clam.body.stms.clone());
-    let body = Body::new(stms, clam.body.result.clone());
-    (
-        Lambda {
-            params,
-            body,
-            ret: clam.ret.clone(),
-        },
-        arrs,
-    )
+    stms.extend(clam.body.stms);
+    let lam = Lambda {
+        params,
+        body: Body::new(stms, clam.body.result),
+        ret: clam.ret,
+    };
+    (lam, arrs)
 }
 
 /// Builds the map lambda for fusing a producer map into a reduce: the new
-/// lambda's results align with the consumer's input order (producer results
-/// where produced, passed-through parameters elsewhere).
+/// lambda's results align with the consumer's input order. Every reduce
+/// input must be one of the producer's outputs.
 fn passthrough_map_lambda(
     plam: &Lambda,
     parrs: &[Name],
@@ -380,246 +743,142 @@ fn passthrough_map_lambda(
     produced: &HashMap<Name, usize>,
     ns: &mut NameSource,
 ) -> Option<(Lambda, Vec<Name>)> {
+    let outs: Vec<usize> = carrs
+        .iter()
+        .map(|ca| produced.get(ca).copied())
+        .collect::<Option<_>>()?;
     let plam = alpha_rename_lambda(ns, plam);
-    let mut params: Vec<Param> = plam.params.clone();
-    let mut arrs: Vec<Name> = parrs.to_vec();
-    let mut results: Vec<SubExp> = Vec::new();
-    let mut ret: Vec<Type> = Vec::new();
-    for ca in carrs {
-        if let Some(&i) = produced.get(ca) {
-            results.push(plam.body.result[i].clone());
-            ret.push(plam.ret[i].clone());
-        } else {
-            // Pass-through input: add a parameter for it. Its element type
-            // is unknown here; reuse i64 placeholder is wrong — instead we
-            // require all reduce inputs to be produced (common case).
-            return None;
-        }
-    }
-    let body = Body::new(plam.body.stms.clone(), results);
-    Some((
-        Lambda {
-            params: std::mem::take(&mut params),
-            body,
-            ret,
-        },
-        std::mem::take(&mut arrs),
-    ))
+    let results = outs.iter().map(|&i| plam.body.result[i].clone()).collect();
+    let ret = outs.iter().map(|&i| plam.ret[i].clone()).collect();
+    let lam = Lambda {
+        params: plam.params,
+        body: Body::new(plam.body.stms, results),
+        ret,
+    };
+    Some((lam, parrs.to_vec()))
 }
 
-// ---- Horizontal fusion ----
-
-fn try_horizontal_fusion(body: &mut Body, ns: &mut NameSource, cur: &mut ScheduleCursor) -> bool {
-    for j in 0..body.stms.len() {
-        let Some(Soac::Map { width: wj, .. }) = soac_of(&body.stms[j]) else {
-            continue;
-        };
-        let wj = wj.clone();
-        let j_outputs: HashSet<Name> = body.stms[j].pat.iter().map(|pe| pe.name.clone()).collect();
-        for k in j + 1..body.stms.len() {
-            let Some(Soac::Map { width: wk, .. }) = soac_of(&body.stms[k]) else {
-                continue;
-            };
-            if *wk != wj {
-                continue;
-            }
-            // Independence: k must not read j's outputs, and k's free
-            // variables must be bound before j (nothing between defines
-            // them); nothing between may consume.
-            let k_free = free_in_exp(&body.stms[k].exp);
-            if k_free.iter().any(|v| j_outputs.contains(v)) {
-                continue;
-            }
-            let between_defs: HashSet<Name> = body.stms[j..k]
-                .iter()
-                .flat_map(|s| s.pat.iter().map(|pe| pe.name.clone()))
-                .collect();
-            if k_free.iter().any(|v| between_defs.contains(v)) {
-                continue;
-            }
-            if body.stms[j + 1..k].iter().any(is_consuming) {
-                continue;
-            }
-            // Legal horizontal merge: the choice point.
-            if !cur.decide(ChoiceClass::FuseHorizontal) {
-                continue;
-            }
-            // Merge k into j.
-            let (
-                Exp::Soac(Soac::Map {
-                    lam: jlam,
-                    arrs: jarrs,
-                    ..
-                }),
-                Exp::Soac(Soac::Map {
-                    lam: klam,
-                    arrs: karrs,
-                    ..
-                }),
-            ) = (&body.stms[j].exp, &body.stms[k].exp)
-            else {
-                unreachable!()
-            };
-            let jlam = alpha_rename_lambda(ns, jlam);
-            let klam = alpha_rename_lambda(ns, klam);
-            let mut params = jlam.params.clone();
-            params.extend(klam.params.clone());
-            let mut arrs = jarrs.clone();
-            arrs.extend(karrs.clone());
-            let mut stms = jlam.body.stms.clone();
-            stms.extend(klam.body.stms.clone());
-            let mut result = jlam.body.result.clone();
-            result.extend(klam.body.result.clone());
-            let mut ret = jlam.ret.clone();
-            ret.extend(klam.ret.clone());
-            let mut pat = body.stms[j].pat.clone();
-            pat.extend(body.stms[k].pat.clone());
-            let fused = Stm::new(
-                pat,
-                Exp::Soac(Soac::Map {
-                    width: wj.clone(),
-                    lam: Lambda {
-                        params,
-                        body: Body::new(stms, result),
-                        ret,
-                    },
-                    arrs,
-                }),
-            )
-            .with_prov(body.stms[j].prov.union(&body.stms[k].prov));
-            futhark_trace::event("fusion.horizontal");
-            body.stms[j] = fused;
-            body.stms.remove(k);
-            return true;
-        }
-    }
-    false
+/// Merges two independent maps of the same width into one whose outputs
+/// are `jstm`'s followed by `kstm`'s.
+fn merge_maps(jstm: &Stm, kstm: &Stm, ns: &mut NameSource) -> Stm {
+    let (
+        Exp::Soac(Soac::Map {
+            width,
+            lam: jlam,
+            arrs: jarrs,
+        }),
+        Exp::Soac(Soac::Map {
+            lam: klam,
+            arrs: karrs,
+            ..
+        }),
+    ) = (&jstm.exp, &kstm.exp)
+    else {
+        unreachable!("horizontal fusion merges maps")
+    };
+    let jlam = alpha_rename_lambda(ns, jlam);
+    let klam = alpha_rename_lambda(ns, klam);
+    let mut params = jlam.params;
+    params.extend(klam.params);
+    let mut arrs = jarrs.clone();
+    arrs.extend(karrs.iter().cloned());
+    let mut stms = jlam.body.stms;
+    stms.extend(klam.body.stms);
+    let mut result = jlam.body.result;
+    result.extend(klam.body.result);
+    let mut ret = jlam.ret;
+    ret.extend(klam.ret);
+    let mut pat = jstm.pat.clone();
+    pat.extend(kstm.pat.iter().cloned());
+    Stm::new(
+        pat,
+        Exp::Soac(Soac::Map {
+            width: width.clone(),
+            lam: Lambda {
+                params,
+                body: Body::new(stms, result),
+                ret,
+            },
+            arrs,
+        }),
+    )
+    .with_prov(jstm.prov.union(&kstm.prov))
 }
 
-// ---- stream_map + reduce → stream_red (F3/F6, the Figure 10 outer step) ----
-
-fn try_stream_reduce_fusion(
-    body: &mut Body,
-    ns: &mut NameSource,
-    cur: &mut ScheduleCursor,
-) -> bool {
-    let counts = use_counts(body);
-    for j in 0..body.stms.len() {
-        let Some(Soac::StreamMap { .. }) = soac_of(&body.stms[j]) else {
-            continue;
-        };
-        if body.stms[j].pat.len() != 1 {
-            continue;
+/// Fuses `stream_map` `jstm` into the `reduce` `kstm` of its result.
+fn stream_red(jstm: &Stm, kstm: &Stm, ns: &mut NameSource) -> Stm {
+    let (
+        Exp::Soac(Soac::StreamMap {
+            width,
+            lam: slam,
+            arrs,
+        }),
+        Exp::Soac(Soac::Reduce {
+            lam: rlam, neutral, ..
+        }),
+    ) = (&jstm.exp, &kstm.exp)
+    else {
+        unreachable!("stream fusion joins a stream_map and a reduce")
+    };
+    let slam2 = alpha_rename_lambda(ns, slam);
+    let rlam2 = alpha_rename_lambda(ns, rlam);
+    // fold_lam: (chunk, acc, chunks…) -> acc ⊕ reduce ⊕ ne (f chunk).
+    let acc = ns.fresh("acc");
+    let acc_ty = rlam2.ret[0].clone();
+    let chunk_var = slam2.params[0].name.clone();
+    let mut fold_params = vec![slam2.params[0].clone()];
+    fold_params.push(Param::unique(acc.clone(), acc_ty.clone()));
+    fold_params.extend(slam2.params[1..].iter().cloned());
+    let mut stms = slam2.body.stms;
+    // Bind the chunk result; it may be a variable already.
+    let ys = match &slam2.body.result[0] {
+        SubExp::Var(v) => v.clone(),
+        c => {
+            let tmp = ns.fresh("ys");
+            stms.push(Stm::single(
+                tmp.clone(),
+                slam2.ret[0].clone(),
+                Exp::SubExp(c.clone()),
+            ));
+            tmp
         }
-        let out = body.stms[j].pat[0].name.clone();
-        if counts.get(&out) != Some(&1) {
-            continue;
-        }
-        let Some(k) = body.stms.iter().enumerate().find_map(|(k, stm)| {
-            (k > j
-                && matches!(soac_of(stm), Some(Soac::Reduce { arrs, .. }) if arrs == &vec![out.clone()]))
-            .then_some(k)
-        }) else {
-            continue;
-        };
-        if body.stms[j + 1..k].iter().any(is_consuming) {
-            continue;
-        }
-        let between_defs: HashSet<Name> = body.stms[j + 1..k]
-            .iter()
-            .flat_map(|s| s.pat.iter().map(|pe| pe.name.clone()))
-            .collect();
-        if free_in_exp(&body.stms[k].exp)
-            .iter()
-            .any(|v| between_defs.contains(v))
-        {
-            continue;
-        }
-        let (
-            Exp::Soac(Soac::StreamMap {
-                width,
-                lam: slam,
-                arrs,
-            }),
-            Exp::Soac(Soac::Reduce {
-                lam: rlam, neutral, ..
-            }),
-        ) = (&body.stms[j].exp, &body.stms[k].exp)
-        else {
-            unreachable!()
-        };
-        if neutral.len() != 1 || slam.ret.len() != 1 {
-            continue;
-        }
-        // Legal stream_map+reduce edge: the choice point.
-        if !cur.decide(ChoiceClass::FuseStream) {
-            continue;
-        }
-        let slam2 = alpha_rename_lambda(ns, slam);
-        let rlam2 = alpha_rename_lambda(ns, rlam);
-        // fold_lam: (chunk, acc, chunks…) -> acc ⊕ reduce ⊕ ne (f chunk).
-        let acc = ns.fresh("acc");
-        let acc_ty = rlam2.ret[0].clone();
-        let chunk_var = slam2.params[0].name.clone();
-        let mut fold_params = vec![slam2.params[0].clone()];
-        fold_params.push(Param::unique(acc.clone(), acc_ty.clone()));
-        fold_params.extend(slam2.params[1..].iter().cloned());
-        let mut stms = slam2.body.stms.clone();
-        // Bind the chunk result; it may be a variable already.
-        let ys = match &slam2.body.result[0] {
-            SubExp::Var(v) => v.clone(),
-            c => {
-                let tmp = ns.fresh("ys");
-                stms.push(Stm::single(
-                    tmp.clone(),
-                    slam2.ret[0].clone(),
-                    Exp::SubExp(c.clone()),
-                ));
-                tmp
-            }
-        };
-        let partial = ns.fresh("partial");
-        stms.push(Stm::single(
-            partial.clone(),
-            acc_ty.clone(),
-            Exp::Soac(Soac::Reduce {
-                width: SubExp::Var(chunk_var),
-                lam: rlam2.clone(),
-                neutral: neutral.clone(),
-                arrs: vec![ys],
-                comm: false,
-            }),
-        ));
-        // acc2 = rlam(acc, partial) — inline the operator body.
-        let mut op = alpha_rename_lambda(ns, &rlam2);
-        let mut subst = Subst::new();
-        subst.bind(op.params[0].name.clone(), SubExp::Var(acc.clone()));
-        subst.bind(op.params[1].name.clone(), SubExp::Var(partial));
-        subst.apply_body(&mut op.body);
-        stms.extend(op.body.stms);
-        let acc2 = op.body.result[0].clone();
-        let fold_lam = Lambda {
-            params: fold_params,
-            body: Body::new(stms, vec![acc2]),
-            ret: vec![acc_ty],
-        };
-        let new = Stm::new(
-            body.stms[k].pat.clone(),
-            Exp::Soac(Soac::StreamRed {
-                width: width.clone(),
-                red_lam: rlam.clone(),
-                fold_lam,
-                accs: neutral.clone(),
-                arrs: arrs.clone(),
-            }),
-        )
-        .with_prov(body.stms[j].prov.union(&body.stms[k].prov));
-        futhark_trace::event("fusion.stream_red");
-        body.stms[k] = new;
-        body.stms.remove(j);
-        return true;
-    }
-    false
+    };
+    let partial = ns.fresh("partial");
+    stms.push(Stm::single(
+        partial.clone(),
+        acc_ty.clone(),
+        Exp::Soac(Soac::Reduce {
+            width: SubExp::Var(chunk_var),
+            lam: rlam2.clone(),
+            neutral: neutral.clone(),
+            arrs: vec![ys],
+            comm: false,
+        }),
+    ));
+    // acc2 = rlam(acc, partial) — inline the operator body.
+    let mut op = alpha_rename_lambda(ns, &rlam2);
+    let mut subst = Subst::new();
+    subst.bind(op.params[0].name.clone(), SubExp::Var(acc.clone()));
+    subst.bind(op.params[1].name.clone(), SubExp::Var(partial));
+    subst.apply_body(&mut op.body);
+    stms.extend(op.body.stms);
+    let acc2 = op.body.result[0].clone();
+    let fold_lam = Lambda {
+        params: fold_params,
+        body: Body::new(stms, vec![acc2]),
+        ret: vec![acc_ty],
+    };
+    Stm::new(
+        kstm.pat.clone(),
+        Exp::Soac(Soac::StreamRed {
+            width: width.clone(),
+            red_lam: rlam.clone(),
+            fold_lam,
+            accs: neutral.clone(),
+            arrs: arrs.clone(),
+        }),
+    )
+    .with_prov(jstm.prov.union(&kstm.prov))
 }
 
 // ---- Chain sequentialisation (F2/F4/F5/F7 at chunk size 1) ----
@@ -912,9 +1171,82 @@ mod tests {
         );
         let f = prog.main().unwrap();
         // x's map may not fuse into y's map (an update of its input is in
-        // between); y into z is fine... but s comes between. Just verify
-        // semantics are preserved and the update still exists.
+        // between), and s is bound between y and z.
         assert!(f.to_string().contains("with"), "{f}");
+        assert_eq!(count_soacs(&f.body), 4, "{f}");
+        futhark_check::check_program(&prog).unwrap_or_else(|e| panic!("{e}\n{prog}"));
+    }
+
+    #[test]
+    fn fusion_never_moves_a_producer_past_a_nested_consumption() {
+        // The loop consumes its array-typed merge initialiser, the branch
+        // updates `xs`: `a`'s map may not move below either.
+        for consume in [
+            "loop (acc = xs) for i < n do acc with [i] <- 0",
+            "if n > 2 then xs with [0] <- 7 else replicate n 3",
+        ] {
+            let src = format!(
+                "fun main (n: i64) (xs: *[n]i64): ([n]i64, [n]i64) =\n\
+                 let a = map (\\x -> x + 1) xs\n\
+                 let ys = {consume}\n\
+                 let b = map (\\x -> x * 2) a\n\
+                 in (b, ys)"
+            );
+            let prog = fused(&src);
+            futhark_check::check_program(&prog).unwrap_or_else(|e| panic!("{e}\n{prog}"));
+            let args = vec![
+                Value::i64(4),
+                Value::Array(ArrayVal::from_i64s(vec![1, 2, 3, 4])),
+            ];
+            let (orig, _) = parse_program(&src).unwrap();
+            assert_eq!(
+                Interpreter::new(&prog).run_main(&args).unwrap(),
+                Interpreter::new(&orig).run_main(&args).unwrap(),
+                "{prog}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_declined_edge_is_asked_once() {
+        // The schedule declines `a`'s edge into the reduce while the maps
+        // over `ys` merge over two rounds.
+        let src = "fun main (n: i64) (m: i64) (xs: [n]i64) (ys: [m]i64): (i64, [m]i64, [m]i64, [m]i64) =\n\
+                   let a = map (\\x -> x + 1) xs\n\
+                   let s = reduce (+) 0 a\n\
+                   let c = map (\\y -> y - 1) ys\n\
+                   let d = map (\\y -> y * 3) ys\n\
+                   let e = map (\\y -> y + 5) ys\n\
+                   in (s, c, d, e)";
+        let (mut prog, mut ns) = parse_program(src).unwrap();
+        let sched = Schedule::default().with_default(ChoiceClass::FuseVertical, false);
+        let mut cur = ScheduleCursor::new(sched);
+        fuse_program(&mut prog, &mut ns, &mut cur);
+        assert_eq!(cur.observed(ChoiceClass::FuseVertical), 1);
+        assert_eq!(cur.observed(ChoiceClass::FuseHorizontal), 2);
+        assert_eq!(count_soacs(&prog.main().unwrap().body), 3, "{prog}");
+    }
+
+    #[test]
+    fn fusion_runs_to_its_fixed_point() {
+        // Three independent maps merge; a chain of thirty maps, the last
+        // of which also reads the merged map, fuses into one. That takes
+        // more than thirty rounds.
+        let mut src = String::from(
+            "fun main (n: i64) (xs: [n]i64) (ys: [n]i64) (zs: [n]i64): [n]i64 =\n\
+             let b1 = map (\\y -> y * 2) ys\n\
+             let b2 = map (\\z -> z + 3) zs\n\
+             let b3 = map (\\y -> y - 1) ys\n\
+             let a1 = map (\\x -> x + 1) xs\n",
+        );
+        for i in 2..30 {
+            src.push_str(&format!("let a{i} = map (\\x -> x * {i}) a{}\n", i - 1));
+        }
+        src.push_str("let r = map (\\a p q s -> a + p + q + s) a29 b1 b2 b3\nin r");
+        let prog = fused(&src);
+        let f = prog.main().unwrap();
+        assert_eq!(count_soacs(&f.body), 1, "{f}");
+        assert_eq!(f.body.stms.len(), 1, "{f}");
     }
 
     #[test]

@@ -140,12 +140,27 @@ fn inline_in_body(body: &mut Body, prog: &Program, ns: &mut NameSource) -> bool 
 
 /// Replaces uses of `let x = y` bindings by `y`, recursively.
 pub fn copy_propagate_body(body: &mut Body) {
+    propagate_copies(body, true);
+}
+
+/// Copy propagation of the bindings of `body` itself, for a body whose
+/// nested bodies bind no copies; the substitution still reaches into them.
+pub(crate) fn copy_propagate_stms(body: &mut Body) {
+    let is_copy = |stm: &Stm| stm.pat.len() == 1 && matches!(stm.exp, Exp::SubExp(_));
+    if body.stms.iter().any(is_copy) {
+        propagate_copies(body, false);
+    }
+}
+
+fn propagate_copies(body: &mut Body, nested: bool) {
     let mut subst = Subst::new();
     let mut new_stms = Vec::with_capacity(body.stms.len());
     for mut stm in std::mem::take(&mut body.stms) {
         subst.apply_exp(&mut stm.exp);
-        for ib in stm.exp.inner_bodies_mut() {
-            copy_propagate_body(ib);
+        if nested {
+            for ib in stm.exp.inner_bodies_mut() {
+                propagate_copies(ib, true);
+            }
         }
         if stm.pat.len() == 1 {
             if let Exp::SubExp(se) = &stm.exp {

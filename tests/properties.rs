@@ -9,6 +9,7 @@
 //!   every ablation corner of the schedule (the differential oracle);
 //! - every optimisation pass individually preserves interpreter semantics
 //!   and leaves the program well-typed;
+//! - fusion reaches its fixed point in one pass;
 //! - streaming SOACs are invariant to the chunk size (the `sFold`
 //!   well-definedness argument of Section 2.1);
 //! - the ablation corners themselves are well formed;
@@ -102,6 +103,27 @@ fn each_pass_preserves_semantics() {
             baseline,
             "flattening changed semantics for\n{src}"
         );
+    }
+}
+
+/// Fusion reaches its fixed point: a second pass over its output leaves
+/// every function's top-level statement count unchanged. (Nested counts
+/// may still move: the bodies of composed lambdas are not fused again.)
+#[test]
+fn fusion_reaches_its_fixed_point() {
+    let top = |p: &futhark_core::Program| -> Vec<usize> {
+        p.functions.iter().map(|f| f.body.stms.len()).collect()
+    };
+    for seed in 0..200 {
+        let src = generate(0x5000 + seed, &GenConfig::default()).source();
+        let (mut prog, mut ns) = futhark_frontend::parse_program(&src)
+            .unwrap_or_else(|e| panic!("parse failed: {e}\n{src}"));
+        futhark_opt::simplify::simplify_program(&mut prog, &mut ns, &SimplifyToggles::default());
+        let mut cur = ScheduleCursor::new(Schedule::default());
+        futhark_opt::fusion::fuse_program(&mut prog, &mut ns, &mut cur);
+        let once = top(&prog);
+        futhark_opt::fusion::fuse_program(&mut prog, &mut ns, &mut cur);
+        assert_eq!(top(&prog), once, "a second fusion pass changed\n{src}");
     }
 }
 
