@@ -42,7 +42,7 @@ pub use futhark_core::schedule::{
 };
 use futhark_core::{Body, Program, Value};
 use futhark_gpu::codegen;
-use futhark_gpu::exec;
+use futhark_gpu::exec::{self, DecodedPlan};
 use futhark_gpu::plan::GpuPlan;
 pub use futhark_gpu::DeviceProfile;
 use futhark_trace::SpanTimer;
@@ -93,6 +93,9 @@ pub enum Error {
     Check(futhark_check::CheckError),
     /// Code generation failure.
     Codegen(codegen::CodegenError),
+    /// A generated kernel the simulator rejects when decoding it (the
+    /// last compile stage); the error names the kernel.
+    Decode(SimError),
     /// Execution failure.
     Exec(ExecError),
 }
@@ -103,6 +106,7 @@ impl fmt::Display for Error {
             Error::Front(e) => write!(f, "{e}"),
             Error::Check(e) => write!(f, "{e}"),
             Error::Codegen(e) => write!(f, "{e}"),
+            Error::Decode(e) => write!(f, "decode error: {e}"),
             Error::Exec(e) => write!(f, "{e}"),
         }
     }
@@ -211,12 +215,14 @@ impl Compiler {
         self
     }
 
-    /// Compiles source text through the full pipeline.
+    /// Compiles source text through the full pipeline, ending with the
+    /// `decode` stage: every kernel is decoded for the simulator once,
+    /// here, and every run of the result reuses it.
     ///
     /// # Errors
     ///
     /// Returns an [`Error`] for syntax, type, uniqueness, or code
-    /// generation failures.
+    /// generation failures, and for a kernel the simulator rejects.
     pub fn compile(&self, src: &str) -> Result<Compiled, Error> {
         let mut report = self.trace.then(CompileReport::new);
         let (mut prog, mut ns) = spanned(&mut report, "parse", IrSize::stms(0), || {
@@ -277,22 +283,30 @@ impl Compiler {
             }
             (res, after)
         })?;
+        let mut size = program_size(&prog);
+        size.kernels = plan.kernel_count() as u64;
         if sched.memplan {
-            let mut after = program_size(&prog);
-            after.kernels = plan.kernel_count() as u64;
-            spanned(&mut report, "memplan", after, || {
+            spanned(&mut report, "memplan", size, || {
                 futhark_gpu::plan_memory(&mut plan, &mut ns);
-                ((), after)
+                ((), size)
             });
         }
+        let decoded = spanned(&mut report, "decode", size, || (decode(&plan), size))?;
         Ok(Compiled {
             prog,
             plan,
             report,
             schedule: sched.clone(),
             choice_counts: cur.observed_counts(),
+            decoded,
         })
     }
+}
+
+/// The `decode` stage: every launch and fold kernel of the plan, decoded
+/// for the simulator. A rejection is a compile error naming the kernel.
+fn decode(plan: &GpuPlan) -> Result<DecodedPlan, Error> {
+    DecodedPlan::decode(plan).map_err(Error::Decode)
 }
 
 /// A fully compiled program, ready to run on a simulated device.
@@ -311,6 +325,9 @@ pub struct Compiled {
     /// How many choice sites of each class the compilation visited,
     /// indexed by [`ChoiceClass::index`] — the autotuner's search space.
     pub choice_counts: [u32; 9],
+    /// The plan's kernels, decoded by the `decode` stage; every run reads
+    /// them and none decodes again.
+    decoded: DecodedPlan,
 }
 
 impl Compiled {
@@ -333,6 +350,7 @@ impl Compiled {
     ) -> Result<(Vec<Value>, PerfReport), Error> {
         Ok(exec::run(
             &self.plan,
+            &self.decoded,
             &self.prog,
             &device.into(),
             args,
@@ -606,5 +624,84 @@ mod tests {
                 Value::Array(ArrayVal::new(vec![8, 4], Buffer::I64((0..32).collect()))),
             ],
         );
+    }
+
+    /// A kernel that writes register 0 at i64 and then at f64: the
+    /// simulator's static model cannot class it.
+    fn two_class_kernel(name: &str) -> futhark_gpu::kernel::Kernel {
+        use futhark_core::{Scalar, ScalarType};
+        use futhark_gpu::kernel::{KExp, KParam, KStm, Kernel};
+        Kernel {
+            name: name.into(),
+            params: vec![KParam::Scalar(ScalarType::I64)],
+            locals: vec![],
+            num_regs: 1,
+            num_priv: 0,
+            prov_table: vec![],
+            body: vec![
+                KStm::Assign {
+                    var: 0,
+                    exp: KExp::i64(1),
+                },
+                KStm::Assign {
+                    var: 0,
+                    exp: KExp::Const(Scalar::F64(1.0)),
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn decode_stage_rejects_a_two_class_register_naming_the_kernel() {
+        use futhark_gpu::plan::{HBody, HStm};
+        let expect_rejected = |plan: &GpuPlan, name: &str| match decode(plan) {
+            Err(Error::Decode(e)) => {
+                let msg = Error::Decode(e).to_string();
+                assert!(
+                    msg.contains(&format!("`{name}`")),
+                    "names the kernel: {msg}"
+                );
+                assert!(msg.contains("register 0"), "says what is wrong: {msg}");
+            }
+            Err(other) => panic!("expected a decode error, got {other}"),
+            Ok(_) => panic!("kernel `{name}` was accepted"),
+        };
+        // A launch kernel: rejected even though nothing launches it.
+        let plan = GpuPlan {
+            params: vec![],
+            kernels: vec![two_class_kernel("bad_launch")],
+            body: HBody::default(),
+            mem_planned: false,
+        };
+        expect_rejected(&plan, "bad_launch");
+        // A stage-2 fold kernel, nested in a host loop's body.
+        let combine = HStm::Combine {
+            pat: vec![],
+            partials: vec![],
+            kernel: two_class_kernel("bad_fold"),
+            args: vec![],
+        };
+        let plan = GpuPlan {
+            params: vec![],
+            kernels: vec![],
+            body: HBody {
+                stms: vec![HStm::Loop {
+                    pat: vec![],
+                    params: vec![],
+                    while_cond: None,
+                    for_var: Some((
+                        futhark_core::NameSource::new().fresh("i"),
+                        futhark_core::SubExp::i64(0),
+                    )),
+                    body: HBody {
+                        stms: vec![combine],
+                        result: vec![],
+                    },
+                }],
+                result: vec![],
+            },
+            mem_planned: false,
+        };
+        expect_rejected(&plan, "bad_fold");
     }
 }

@@ -23,6 +23,7 @@ use futhark_core::{
 };
 use futhark_interp::{InterpError, Interpreter};
 use futhark_trace::Json;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -493,24 +494,116 @@ impl From<InterpError> for ExecError {
 
 type EResult<T> = Result<T, ExecError>;
 
+/// Every kernel of a [`GpuPlan`], decoded once for execution: the plan's
+/// compile-time artifact for the simulator, the counterpart of the
+/// paper's kernels, which are generated ahead of time and only launched
+/// by the host code. It is built eagerly, so it also covers kernels a run
+/// never launches, and it is immutable: concurrent runs of one plan share
+/// it. [`run`] takes it beside its plan.
+#[derive(Debug, Clone)]
+pub struct DecodedPlan {
+    /// One per entry of [`GpuPlan::kernels`], indexed like
+    /// [`LaunchSpec::kernel`].
+    kernels: Box<[DecodedKernel]>,
+    /// The stage-2 fold kernel of every [`HStm::Combine`], including
+    /// those nested in host loops, `while` conditions and branches, in
+    /// plan order. Each is named after its stage-1 kernel, so names are
+    /// unique within a plan.
+    folds: Box<[DecodedKernel]>,
+}
+
+impl DecodedPlan {
+    /// Decodes every launch kernel and every fold kernel of `plan`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`SimError`] of the first kernel the simulator's static
+    /// model rejects (it names the kernel), or [`SimError::Malformed`] if
+    /// two fold kernels share a name.
+    pub fn decode(plan: &GpuPlan) -> Result<DecodedPlan, SimError> {
+        fn folds(b: &HBody, out: &mut Vec<DecodedKernel>) -> Result<(), SimError> {
+            for stm in &b.stms {
+                match stm {
+                    HStm::Combine { kernel, .. } => {
+                        if out.iter().any(|d| d.name == kernel.name) {
+                            return Err(SimError::Malformed {
+                                kernel: kernel.name.clone(),
+                                what: "two fold kernels share this name".into(),
+                            });
+                        }
+                        out.push(DecodedKernel::decode(kernel)?);
+                    }
+                    HStm::Loop {
+                        while_cond, body, ..
+                    } => {
+                        if let Some(c) = while_cond {
+                            folds(c, out)?;
+                        }
+                        folds(body, out)?;
+                    }
+                    HStm::If { then_b, else_b, .. } => {
+                        folds(then_b, out)?;
+                        folds(else_b, out)?;
+                    }
+                    HStm::Direct(_)
+                    | HStm::Launch { .. }
+                    | HStm::Free { .. }
+                    | HStm::Alloc { .. } => {}
+                }
+            }
+            Ok(())
+        }
+        let mut kernels = Vec::with_capacity(plan.kernels.len());
+        for k in &plan.kernels {
+            kernels.push(DecodedKernel::decode(k)?);
+        }
+        let mut fold_kernels = Vec::new();
+        folds(&plan.body, &mut fold_kernels)?;
+        Ok(DecodedPlan {
+            kernels: kernels.into_boxed_slice(),
+            folds: fold_kernels.into_boxed_slice(),
+        })
+    }
+
+    /// The decoded launch kernels, indexed like [`GpuPlan::kernels`].
+    pub fn kernels(&self) -> &[DecodedKernel] {
+        &self.kernels
+    }
+
+    /// The decoded stage-2 fold kernels, in plan order.
+    pub fn folds(&self) -> &[DecodedKernel] {
+        &self.folds
+    }
+}
+
 /// Runs a compiled plan on the given device profile with explicit
 /// execution options (host worker threads, source-site profiling, the
 /// group-execution engine). Results and every aggregate counter of the
 /// [`PerfReport`] are bit-identical across every option combination.
 ///
-/// `prog` is the original (flattened) program: interpreter fallbacks
-/// evaluate fragments of it.
+/// `decoded` is the plan's kernels, decoded once when it was compiled
+/// ([`DecodedPlan::decode`]); a run only reads it. `prog` is the original
+/// (flattened) program: interpreter fallbacks evaluate fragments of it.
 ///
 /// # Errors
 ///
-/// Returns an [`ExecError`] on simulator faults or malformed plans.
+/// Returns an [`ExecError`] on simulator faults or malformed plans,
+/// including decoded kernels that do not belong to `plan`.
 pub fn run(
     plan: &GpuPlan,
+    decoded: &DecodedPlan,
     prog: &Program,
     device: &DeviceProfile,
     args: &[Value],
     opts: &RunOptions,
 ) -> EResult<(Vec<Value>, PerfReport)> {
+    if decoded.kernels.len() != plan.kernels.len() {
+        return Err(ExecError::Plan(format!(
+            "{} decoded kernels for a plan of {}",
+            decoded.kernels.len(),
+            plan.kernels.len()
+        )));
+    }
     let mut arena = DeviceMemory::from_profile(device);
     // The memory timeline is always recorded: the bookkeeping is pure
     // observation (no feedback into timing or results), and the events
@@ -524,9 +617,7 @@ pub fn run(
         env: HashMap::new(),
         report: PerfReport::default(),
         layout_cache: HashMap::new(),
-        decoded: vec![None; plan.kernels.len()],
-        combines: HashMap::new(),
-        kernel_sites: vec![None; plan.kernels.len()],
+        decoded,
         buf_sites: HashMap::new(),
         opts: *opts,
         hoisted: 0,
@@ -574,22 +665,22 @@ pub fn run(
     Ok((values, ex.report))
 }
 
+/// One run of a plan. Everything derived from the plan alone lives in the
+/// plan and its [`DecodedPlan`], built at compile time; the executor
+/// holds only what depends on the run's arguments.
 struct Executor<'a> {
     plan: &'a GpuPlan,
     prog: &'a Program,
     device: &'a DeviceProfile,
     mem: DeviceMemory,
+    /// Host bindings: scalars and device arrays.
     env: HashMap<Name, HVal>,
     report: PerfReport,
+    /// Materialised layouts of this run's buffers, by (buffer, layout).
     layout_cache: HashMap<(BufId, Vec<usize>), BufId>,
-    /// Kernels pre-decoded to flat opcode tapes, lazily, once per plan
-    /// kernel — host loops re-launching the same kernel skip the decode.
-    decoded: Vec<Option<DecodedKernel>>,
-    /// Decoded stage-2 fold kernels of [`HStm::Combine`]s, by name.
-    combines: HashMap<String, DecodedKernel>,
-    /// Per-kernel provenance union keys, computed lazily (the site that
-    /// memory events inside a launch are attributed to).
-    kernel_sites: Vec<Option<String>>,
+    /// The plan's kernels and fold kernels, decoded at compile time; each
+    /// carries its source-site key.
+    decoded: &'a DecodedPlan,
     /// The source site each live buffer was last allocated (or stolen)
     /// at — frees look their attribution up here.
     buf_sites: HashMap<BufId, String>,
@@ -607,25 +698,31 @@ struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    /// The provenance-union key of a kernel's source sites, cached per
-    /// plan kernel.
-    fn kernel_site(&mut self, k: usize) -> String {
-        if self.kernel_sites[k].is_none() {
-            let mut p = futhark_core::Prov::none();
-            for q in &self.plan.kernels[k].prov_table {
-                p.merge(q);
-            }
-            self.kernel_sites[k] = Some(p.key());
+    /// The decoded kernel of a launch, checked against the plan's.
+    fn launch_kernel(&self, spec: &LaunchSpec) -> EResult<&'a DecodedKernel> {
+        let decoded: &'a DecodedPlan = self.decoded;
+        match (
+            decoded.kernels.get(spec.kernel),
+            self.plan.kernels.get(spec.kernel),
+        ) {
+            (Some(dk), Some(k)) if dk.name == k.name => Ok(dk),
+            _ => Err(ExecError::Plan(format!(
+                "launch of kernel {} has no matching decoded kernel",
+                spec.kernel
+            ))),
         }
-        self.kernel_sites[k].clone().expect("just computed")
     }
 
     /// The source site a statement's memory traffic is attributed to.
-    fn stm_site(&mut self, stm: &HStm) -> String {
+    fn stm_site(&self, stm: &HStm) -> Cow<'a, str> {
+        let decoded: &'a DecodedPlan = self.decoded;
         match stm {
-            HStm::Direct(s) => s.prov.key(),
-            HStm::Launch { spec, .. } => self.kernel_site(spec.kernel),
-            _ => "?".to_string(),
+            HStm::Direct(s) => Cow::Owned(s.prov.key()),
+            HStm::Launch { spec, .. } => match decoded.kernels.get(spec.kernel) {
+                Some(dk) => Cow::Borrowed(&dk.site),
+                None => Cow::Borrowed("?"),
+            },
+            _ => Cow::Borrowed("?"),
         }
     }
 
@@ -875,9 +972,12 @@ impl<'a> Executor<'a> {
             self.stm(stm)?;
             // Attribute the statement's memory traffic to its source site
             // (nested bodies flushed their own statements already, so only
-            // this statement's events are pending).
-            let site = self.stm_site(stm);
-            self.flush_mem(&site);
+            // this statement's events are pending). Most statements have
+            // none, and then the site is not worth building.
+            if self.mem.has_events() {
+                let site = self.stm_site(stm);
+                self.flush_mem(&site);
+            }
         }
         b.result
             .iter()
@@ -1368,7 +1468,7 @@ impl<'a> Executor<'a> {
     }
 
     fn launch(&mut self, pat: &[PatElem], spec: &LaunchSpec) -> EResult<()> {
-        let kernel = &self.plan.kernels[spec.kernel];
+        let dk = self.launch_kernel(spec)?;
         // Thread count.
         let num_threads = match &spec.kind {
             LaunchKind::Grid => {
@@ -1434,7 +1534,7 @@ impl<'a> Executor<'a> {
                     self.invalidate_buf(hd.buf);
                     *self.mem.buffer_mut(hd.buf)? = Buffer::zeros(o.elem, total);
                     self.hoisted += 1;
-                    let site = self.kernel_site(spec.kernel);
+                    let site = dk.site.clone();
                     self.flush_mem(&site);
                     self.push_mem_event(
                         MemOp::Hoist,
@@ -1475,7 +1575,7 @@ impl<'a> Executor<'a> {
                         if stealable {
                             self.invalidate_buf(d.buf);
                             self.steals += 1;
-                            let site = self.kernel_site(spec.kernel);
+                            let site = dk.site.clone();
                             self.flush_mem(&site);
                             self.push_mem_event(MemOp::Steal, d.buf, d.bytes(), site);
                             d.buf
@@ -1498,10 +1598,6 @@ impl<'a> Executor<'a> {
             });
         }
         let args = self.kernel_args(&spec.args, num_threads, &out_bufs)?;
-        if self.decoded[spec.kernel].is_none() {
-            self.decoded[spec.kernel] = Some(DecodedKernel::decode(kernel)?);
-        }
-        let dk = self.decoded[spec.kernel].as_ref().expect("just decoded");
         let out = crate::tape::launch(
             self.device,
             dk,
@@ -1540,7 +1636,7 @@ impl<'a> Executor<'a> {
                 if denom > 0 {
                     s.modelled_us = busy * limiting(&s) as f64 / denom as f64;
                 }
-                let key = match dk.prov_table.get(i) {
+                let key = match self.plan.kernels[spec.kernel].prov_table.get(i) {
                     Some(p) => p.key(),
                     None => futhark_core::Prov::none().key(),
                 };
@@ -1555,11 +1651,11 @@ impl<'a> Executor<'a> {
         self.report.total_us += t;
         self.report.kernel_us += t;
         self.report.launches += 1;
-        let entry = self
-            .report
-            .per_kernel
-            .entry(kernel.name.clone())
-            .or_insert((0, 0.0, KernelStats::default()));
+        let entry = self.report.per_kernel.entry(dk.name.clone()).or_insert((
+            0,
+            0.0,
+            KernelStats::default(),
+        ));
         entry.0 += 1;
         entry.1 += t;
         entry.2.merge(&stats);
@@ -1568,7 +1664,7 @@ impl<'a> Executor<'a> {
         self.report
             .timeline
             .push(TimelineEvent::Launch(LaunchRecord {
-                kernel: kernel.name.clone(),
+                kernel: dk.name.clone(),
                 num_groups: num_threads.div_ceil(group_size),
                 group_size,
                 num_threads,
@@ -1597,23 +1693,20 @@ impl<'a> Executor<'a> {
         // The fold kernel's counters are not part of the modelled run: the
         // combine is charged below as one small device op.
         let args = self.kernel_args(args, t as u64, &[])?;
-        if !self.combines.contains_key(&kernel.name) {
-            let dk = DecodedKernel::decode(kernel)?;
-            self.combines.insert(kernel.name.clone(), dk);
-        }
+        let decoded: &'a DecodedPlan = self.decoded;
+        let dk = decoded
+            .folds
+            .iter()
+            .find(|d| d.name == kernel.name)
+            .ok_or_else(|| {
+                ExecError::Plan(format!("fold kernel `{}` was not decoded", kernel.name))
+            })?;
         let opts = RunOptions {
             threads: 1,
             profile: false,
             engine: self.opts.engine,
         };
-        crate::tape::launch(
-            self.device,
-            &self.combines[&kernel.name],
-            1,
-            &args,
-            &mut self.mem,
-            &opts,
-        )?;
+        crate::tape::launch(self.device, dk, 1, &args, &mut self.mem, &opts)?;
         let bytes: f64 = parts.iter().map(|d| d.bytes() as f64).sum();
         let t_us = self.device.launch_overhead_us
             + self.device.memory_us(bytes)

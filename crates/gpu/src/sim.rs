@@ -397,6 +397,11 @@ impl DeviceMemory {
         }
     }
 
+    /// Whether events were recorded since the last [`Self::take_events`].
+    pub(crate) fn has_events(&self) -> bool {
+        self.event_log.as_ref().is_some_and(|log| !log.is_empty())
+    }
+
     /// Drains the raw events recorded since the last call (empty when the
     /// log was never enabled).
     pub fn take_events(&mut self) -> Vec<RawMemEvent> {

@@ -191,23 +191,27 @@ enum EOp {
 /// tree's [`KExp::op_count`] so warp-issue accounting is unchanged;
 /// `class` is the statically known class of the result bits.
 ///
-/// Alongside the postfix form, every tape carries a register form
-/// (`winstrs`): the same ops with explicit scratch-register operands,
-/// produced by [`reg_compile`] at decode time. The warp engine executes
-/// the register form one *instruction* at a time across all lanes (each
+/// A tape owns no instructions: it is the range `start..start + len` of
+/// its kernel's two parallel instruction arrays ([`DecodedKernel`]'s
+/// `ops` and `winstrs`). Alongside the postfix form, every tape has a
+/// register form: the same ops with explicit scratch-register operands,
+/// produced by [`reg_compile`] at decode time, one instruction per op,
+/// which is why one range indexes both. The warp engine executes the
+/// register form one *instruction* at a time across all lanes (each
 /// scratch register is a column of `lanes` bit-slots), instead of one
 /// *lane* at a time over the postfix form.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Tape {
-    ops: Vec<EOp>,
-    /// Register-form instructions for warp-column execution.
-    winstrs: Vec<WInstr>,
+    /// First instruction in both arrays.
+    start: u32,
+    /// Instructions in both arrays.
+    len: u32,
     /// Scratch registers the register form needs (high-water mark of the
     /// decode-time allocator).
     n_regs: u32,
     /// Scratch register holding the tape's result.
     result: u32,
-    cost: u64,
+    cost: u32,
     class: ScalarType,
 }
 
@@ -222,6 +226,19 @@ impl Tape {
     #[cfg_attr(not(test), allow(dead_code))]
     fn spills(&self) -> u32 {
         self.n_regs.saturating_sub(WREG_FILE)
+    }
+
+    /// The tape's instructions, in either of its kernel's arrays.
+    #[inline]
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+
+    /// The warp-issue cost, widened so that two tapes' costs add without
+    /// overflow.
+    #[inline]
+    fn cost(&self) -> u64 {
+        u64::from(self.cost)
     }
 }
 
@@ -294,12 +311,17 @@ enum WInstr {
 /// assignment — always; nothing here depends on runtime state, which is
 /// what keeps profiled counters and the profgate baseline bit-for-bit.
 ///
+/// The register form is appended to `out`, exactly one instruction per
+/// op, and the result is `(n_regs, result register)`. That one-to-one
+/// correspondence is what lets a [`Tape`]'s single range index both of
+/// its kernel's instruction arrays.
+///
 /// A structurally invalid tape — an operator with too few operands on the
 /// stack, an empty tape, or leftover operands — is reported as an error
 /// string (the caller wraps it in [`SimError::Malformed`] with the kernel
 /// name attached): such tapes cannot come out of the decoder, but a
 /// hand-constructed artifact must not panic a long-lived process.
-fn reg_compile(ops: &[EOp]) -> Result<(Vec<WInstr>, u32, u32), String> {
+fn reg_compile(ops: &[EOp], out: &mut Vec<WInstr>) -> Result<(u32, u32), String> {
     struct Alloc {
         free: Vec<u32>,
         next: u32,
@@ -318,7 +340,7 @@ fn reg_compile(ops: &[EOp]) -> Result<(Vec<WInstr>, u32, u32), String> {
         next: 0,
     };
     let mut stack: Vec<u32> = Vec::new();
-    let mut out = Vec::with_capacity(ops.len());
+    let emitted = out.len();
     for (at, op) in ops.iter().enumerate() {
         let pop = |stack: &mut Vec<u32>| {
             stack
@@ -407,11 +429,13 @@ fn reg_compile(ops: &[EOp]) -> Result<(Vec<WInstr>, u32, u32), String> {
             stack.len()
         ));
     }
-    Ok((out, alloc.next, result))
+    debug_assert_eq!(out.len() - emitted, ops.len(), "one instruction per op");
+    Ok((alloc.next, result))
 }
 
 /// A decoded statement: the same shapes as [`KStm`], with expressions as
 /// tapes and destinations as (class, slot) pairs resolved at decode time.
+/// Every nested body is a boxed slice of exactly its statement count.
 #[derive(Debug, Clone)]
 enum DStm {
     Assign {
@@ -465,16 +489,16 @@ enum DStm {
         /// Slot of the (i64) loop counter.
         slot: u32,
         bound: Tape,
-        body: Vec<DStm>,
+        body: Box<[DStm]>,
     },
     While {
         cond: Tape,
-        body: Vec<DStm>,
+        body: Box<[DStm]>,
     },
     If {
         cond: Tape,
-        then_s: Vec<DStm>,
-        else_s: Vec<DStm>,
+        then_s: Box<[DStm]>,
+        else_s: Box<[DStm]>,
     },
     Barrier,
     /// Provenance marker: while executing `body`, profiled runs attribute
@@ -482,7 +506,7 @@ enum DStm {
     /// provenance table). Free in unprofiled runs beyond the recursion.
     At {
         prov: u32,
-        body: Vec<DStm>,
+        body: Box<[DStm]>,
     },
 }
 
@@ -499,7 +523,14 @@ fn ci(t: ScalarType) -> usize {
 }
 
 /// A kernel pre-decoded for execution: register classes inferred, slots
-/// assigned, expressions flattened to tapes.
+/// assigned, expressions flattened to tapes. Decoded kernels are
+/// immutable once built, so one can be shared by any number of
+/// concurrent launches.
+///
+/// The instructions of every tape live in two arrays per kernel, `ops`
+/// (postfix, for the per-lane engine) and `winstrs` (register form, for
+/// the warp engine), parallel by construction; each tape in `body` is
+/// a range of both.
 #[derive(Debug, Clone)]
 pub struct DecodedKernel {
     /// Diagnostic name (same as the source kernel's).
@@ -508,17 +539,22 @@ pub struct DecodedKernel {
     /// Local buffer element types and (uniform) size expressions, kept in
     /// tree form: they are evaluated once per launch, not per lane.
     locals: Vec<(ScalarType, KExp)>,
-    /// Per original register: its class and slot within the class file.
-    reg_slot: Vec<(ScalarType, u32)>,
     /// Slots used per class (indexed by [`ci`]).
     file_len: [u32; 5],
     /// Element class of each private array.
     priv_class: Vec<ScalarType>,
-    body: Vec<DStm>,
-    /// Source provenance sets referenced by the tape's `At` markers
-    /// (copied from the kernel). Site index `prov_table.len()` is the
-    /// implicit "unattributed" bucket in profiled runs.
-    pub prov_table: Vec<Prov>,
+    body: Box<[DStm]>,
+    /// Every tape's postfix ops, back to back.
+    ops: Box<[EOp]>,
+    /// Every tape's register-form instructions, parallel to `ops`.
+    winstrs: Box<[WInstr]>,
+    /// Per-site counter buckets of a profiled launch: one per entry of
+    /// the kernel's [`Kernel::prov_table`] (the sites its `At` markers
+    /// name), plus the implicit "unattributed" bucket last.
+    n_sites: usize,
+    /// The provenance-union key of all of the kernel's sites: the source
+    /// site a launch's memory events are attributed to.
+    pub(crate) site: String,
 }
 
 // ---------------------------------------------------------------------------
@@ -650,39 +686,44 @@ struct Compiler<'k> {
     kernel: &'k Kernel,
     reg_slot: Vec<(ScalarType, u32)>,
     priv_class: Vec<ScalarType>,
+    /// The kernel's postfix ops so far: every tape appends its own.
+    ops: Vec<EOp>,
+    /// The register form of `ops`, one instruction per op.
+    winstrs: Vec<WInstr>,
 }
 
 impl<'k> Compiler<'k> {
-    /// Compiles an expression to postfix, returning its class.
-    fn exp(&self, e: &KExp, out: &mut Vec<EOp>) -> SResult<ScalarType> {
+    /// Appends an expression's postfix ops to the kernel's, returning its
+    /// class.
+    fn exp(&mut self, e: &KExp) -> SResult<ScalarType> {
         Ok(match e {
             KExp::Const(s) => {
-                out.push(EOp::Const(enc(*s)));
+                self.ops.push(EOp::Const(enc(*s)));
                 s.scalar_type()
             }
             KExp::Var(r) => {
                 let (t, slot) = self.reg_slot[*r as usize];
-                out.push(EOp::Load(t, slot));
+                self.ops.push(EOp::Load(t, slot));
                 t
             }
             KExp::GlobalId => {
-                out.push(EOp::GlobalId);
+                self.ops.push(EOp::GlobalId);
                 ScalarType::I64
             }
             KExp::GroupId => {
-                out.push(EOp::GroupId);
+                self.ops.push(EOp::GroupId);
                 ScalarType::I64
             }
             KExp::LocalId => {
-                out.push(EOp::LocalId);
+                self.ops.push(EOp::LocalId);
                 ScalarType::I64
             }
             KExp::GroupSize => {
-                out.push(EOp::GroupSize);
+                self.ops.push(EOp::GroupSize);
                 ScalarType::I64
             }
             KExp::NumThreads => {
-                out.push(EOp::NumThreads);
+                self.ops.push(EOp::NumThreads);
                 ScalarType::I64
             }
             KExp::ScalarArg(i) => {
@@ -692,63 +733,74 @@ impl<'k> Compiler<'k> {
                         return Err(SimError::Scalar(format!("argument {i} is not a scalar")));
                     }
                 };
-                out.push(EOp::ScalarArg(*i as u32));
+                self.ops.push(EOp::ScalarArg(*i as u32));
                 t
             }
             KExp::BinOp(op, a, b) => {
-                let ta = self.exp(a, out)?;
-                let tb = self.exp(b, out)?;
+                let ta = self.exp(a)?;
+                let tb = self.exp(b)?;
                 if ta != tb {
                     return Err(SimError::Scalar(format!(
                         "operand type mismatch: {ta:?} vs {tb:?}"
                     )));
                 }
-                out.push(EOp::Bin(*op, ta));
+                self.ops.push(EOp::Bin(*op, ta));
                 ta
             }
             KExp::Cmp(op, a, b) => {
-                let ta = self.exp(a, out)?;
-                let tb = self.exp(b, out)?;
+                let ta = self.exp(a)?;
+                let tb = self.exp(b)?;
                 if ta != tb {
                     return Err(SimError::Scalar(format!(
                         "comparison type mismatch: {ta:?} vs {tb:?}"
                     )));
                 }
-                out.push(EOp::Cmp(*op, ta));
+                self.ops.push(EOp::Cmp(*op, ta));
                 ScalarType::Bool
             }
             KExp::UnOp(op, a) => {
-                let ta = self.exp(a, out)?;
-                out.push(EOp::Un(*op, ta));
+                let ta = self.exp(a)?;
+                self.ops.push(EOp::Un(*op, ta));
                 ta
             }
             KExp::Convert(t, a) => {
-                let ta = self.exp(a, out)?;
-                out.push(EOp::Conv(ta, *t));
+                let ta = self.exp(a)?;
+                self.ops.push(EOp::Conv(ta, *t));
                 *t
             }
         })
     }
 
-    fn tape(&self, e: &KExp) -> SResult<Tape> {
-        let mut ops = Vec::new();
-        let class = self.exp(e, &mut ops)?;
-        let (winstrs, n_regs, result) = reg_compile(&ops).map_err(|what| SimError::Malformed {
+    fn malformed(&self, what: impl Into<String>) -> SimError {
+        SimError::Malformed {
             kernel: self.kernel.name.clone(),
-            what,
-        })?;
+            what: what.into(),
+        }
+    }
+
+    /// Appends an expression's postfix ops and their register form to the
+    /// kernel's arrays and returns the tape that ranges over them.
+    fn tape(&mut self, e: &KExp) -> SResult<Tape> {
+        let start = self.ops.len();
+        let class = self.exp(e)?;
+        let (n_regs, result) = reg_compile(&self.ops[start..], &mut self.winstrs)
+            .map_err(|what| self.malformed(what))?;
+        let end = u32::try_from(self.ops.len())
+            .map_err(|_| self.malformed("kernel tapes exceed 2^32 instructions"))?;
+        let start = start as u32;
         Ok(Tape {
-            ops,
-            winstrs,
+            start,
+            len: end - start,
             n_regs,
             result,
-            cost: e.op_count(),
+            cost: u32::try_from(e.op_count())
+                .map_err(|_| self.malformed("expression cost exceeds 2^32 operations"))?,
             class,
         })
     }
 
     /// A tape whose result will be used as an element index (i32 or i64).
-    fn index_tape(&self, e: &KExp) -> SResult<Tape> {
+    fn index_tape(&mut self, e: &KExp) -> SResult<Tape> {
         let tape = self.tape(e)?;
         if !matches!(tape.class, ScalarType::I32 | ScalarType::I64) {
             return Err(SimError::Scalar("non-integer index".into()));
@@ -757,7 +809,7 @@ impl<'k> Compiler<'k> {
     }
 
     /// A tape whose result must be a boolean condition.
-    fn cond_tape(&self, e: &KExp, what: &str) -> SResult<Tape> {
+    fn cond_tape(&mut self, e: &KExp, what: &str) -> SResult<Tape> {
         let tape = self.tape(e)?;
         if tape.class != ScalarType::Bool {
             return Err(SimError::Scalar(format!("non-boolean {what} condition")));
@@ -766,7 +818,7 @@ impl<'k> Compiler<'k> {
     }
 
     /// A tape whose result is stored into something of class `want`.
-    fn value_tape(&self, e: &KExp, want: ScalarType, what: &str) -> SResult<Tape> {
+    fn value_tape(&mut self, e: &KExp, want: ScalarType, what: &str) -> SResult<Tape> {
         let tape = self.tape(e)?;
         if tape.class != want {
             return Err(SimError::Scalar(format!(
@@ -781,11 +833,17 @@ impl<'k> Compiler<'k> {
         self.reg_slot[r as usize]
     }
 
-    fn stms(&self, stms: &[KStm]) -> SResult<Vec<DStm>> {
-        stms.iter().map(|s| self.stm(s)).collect()
+    /// Decodes a body into a slice of exactly its length (collecting a
+    /// `Result` iterator would start at capacity 4 and double).
+    fn stms(&mut self, stms: &[KStm]) -> SResult<Box<[DStm]>> {
+        let mut out = Vec::with_capacity(stms.len());
+        for s in stms {
+            out.push(self.stm(s)?);
+        }
+        Ok(out.into_boxed_slice())
     }
 
-    fn stm(&self, stm: &KStm) -> SResult<DStm> {
+    fn stm(&mut self, stm: &KStm) -> SResult<DStm> {
         Ok(match stm {
             KStm::Assign { var, exp } => {
                 let (class, slot) = self.reg(*var);
@@ -900,6 +958,14 @@ impl DecodedKernel {
     /// faults in the tree-walking simulator; well-typed codegen output
     /// never triggers them).
     pub fn decode(kernel: &Kernel) -> SResult<DecodedKernel> {
+        // Static-model rejections name the kernel, whichever step finds
+        // them.
+        let named = |e: SimError| match e {
+            SimError::Scalar(m) => {
+                SimError::Scalar(format!("decoding kernel `{}`: {m}", kernel.name))
+            }
+            other => other,
+        };
         let mut inf = Decoder {
             kernel,
             regs: vec![None; kernel.num_regs as usize],
@@ -910,7 +976,7 @@ impl DecodedKernel {
         // terminates after at most `num_regs + num_priv + 1` sweeps.
         while inf.changed {
             inf.changed = false;
-            inf.infer_stms(&kernel.body)?;
+            inf.infer_stms(&kernel.body).map_err(named)?;
         }
         let mut file_len = [0u32; 5];
         let reg_slot: Vec<(ScalarType, u32)> = inf
@@ -928,33 +994,42 @@ impl DecodedKernel {
             .iter()
             .map(|c| c.unwrap_or(ScalarType::I64))
             .collect();
-        let comp = Compiler {
+        let mut comp = Compiler {
             kernel,
             reg_slot,
             priv_class,
+            ops: Vec::new(),
+            winstrs: Vec::new(),
         };
-        let body = comp.stms(&kernel.body).map_err(|e| match e {
-            SimError::Scalar(m) => {
-                SimError::Scalar(format!("decoding kernel `{}`: {m}", kernel.name))
-            }
-            other => other,
-        })?;
+        let body = comp.stms(&kernel.body).map_err(named)?;
+        let mut site = Prov::none();
+        for p in &kernel.prov_table {
+            site.merge(p);
+        }
         Ok(DecodedKernel {
             name: kernel.name.clone(),
             params: kernel.params.clone(),
             locals: kernel.locals.clone(),
-            reg_slot: comp.reg_slot,
             file_len,
             priv_class: comp.priv_class,
             body,
-            prov_table: kernel.prov_table.clone(),
+            ops: comp.ops.into_boxed_slice(),
+            winstrs: comp.winstrs.into_boxed_slice(),
+            n_sites: kernel.prov_table.len() + 1,
+            site: site.key(),
         })
     }
 
-    /// The inferred scalar class of each original register, in register
-    /// order (diagnostics and tests).
-    pub fn reg_classes(&self) -> impl Iterator<Item = ScalarType> + '_ {
-        self.reg_slot.iter().map(|&(t, _)| t)
+    /// A tape's postfix ops.
+    #[inline]
+    fn ops(&self, tape: &Tape) -> &[EOp] {
+        &self.ops[tape.range()]
+    }
+
+    /// A tape's register-form instructions.
+    #[inline]
+    fn winstrs(&self, tape: &Tape) -> &[WInstr] {
+        &self.winstrs[tape.range()]
     }
 }
 
@@ -1969,7 +2044,8 @@ impl<'a> GroupRun<'a> {
     /// Evaluates a tape for one lane on the bit stack.
     fn eval(&mut self, tape: &Tape, lane: usize) -> SResult<u64> {
         self.stack.clear();
-        for op in &tape.ops {
+        let dk = self.dk;
+        for op in dk.ops(tape) {
             match *op {
                 EOp::Const(bits) => self.stack.push(bits),
                 EOp::Load(class, slot) => self.stack.push(self.files.get(class, slot, lane)),
@@ -2120,7 +2196,7 @@ impl<'a> GroupRun<'a> {
         for stm in stms {
             match stm {
                 DStm::Assign { class, slot, exp } => {
-                    self.issue(mask, exp.cost);
+                    self.issue(mask, exp.cost());
                     for lane in 0..mask.len() {
                         if mask[lane] {
                             let bits = self.eval(exp, lane)?;
@@ -2134,7 +2210,7 @@ impl<'a> GroupRun<'a> {
                     buf,
                     index,
                 } => {
-                    self.issue(mask, index.cost);
+                    self.issue(mask, index.cost());
                     let bid = self.buffer(*buf)?;
                     let base_buf = self.base.raw(bid);
                     let len = base_buf.len() as i64;
@@ -2157,7 +2233,7 @@ impl<'a> GroupRun<'a> {
                     self.memory_access(mask, elem_bytes);
                 }
                 DStm::GlobalWrite { buf, index, value } => {
-                    self.issue(mask, index.cost + value.cost);
+                    self.issue(mask, index.cost() + value.cost());
                     let bid = self.buffer(*buf)?;
                     let len = self.base.raw(bid).len() as i64;
                     let elem_bytes = self.base.raw(bid).elem_type().byte_size() as u64;
@@ -2180,7 +2256,7 @@ impl<'a> GroupRun<'a> {
                     mem,
                     index,
                 } => {
-                    self.issue(mask, index.cost);
+                    self.issue(mask, index.cost());
                     let mut n = 0u64;
                     for lane in 0..mask.len() {
                         if mask[lane] {
@@ -2197,7 +2273,7 @@ impl<'a> GroupRun<'a> {
                     self.count_local(n);
                 }
                 DStm::LocalWrite { mem, index, value } => {
-                    self.issue(mask, index.cost + value.cost);
+                    self.issue(mask, index.cost() + value.cost());
                     let mut n = 0u64;
                     for lane in 0..mask.len() {
                         if mask[lane] {
@@ -2214,7 +2290,7 @@ impl<'a> GroupRun<'a> {
                     self.count_local(n);
                 }
                 DStm::PrivAlloc { arr, size } => {
-                    self.issue(mask, size.cost);
+                    self.issue(mask, size.cost());
                     for lane in 0..mask.len() {
                         if mask[lane] {
                             let n = self.eval_index(size, lane)?.max(0) as usize;
@@ -2229,7 +2305,7 @@ impl<'a> GroupRun<'a> {
                     arr,
                     index,
                 } => {
-                    self.issue(mask, index.cost);
+                    self.issue(mask, index.cost());
                     for lane in 0..mask.len() {
                         if mask[lane] {
                             let i = self.eval_index(index, lane)?;
@@ -2245,7 +2321,7 @@ impl<'a> GroupRun<'a> {
                     }
                 }
                 DStm::PrivWrite { arr, index, value } => {
-                    self.issue(mask, index.cost + value.cost);
+                    self.issue(mask, index.cost() + value.cost());
                     for lane in 0..mask.len() {
                         if mask[lane] {
                             let i = self.eval_index(index, lane)?;
@@ -2262,7 +2338,7 @@ impl<'a> GroupRun<'a> {
                     }
                 }
                 DStm::PrivCopy { dst, src, len } => {
-                    self.issue(mask, len.cost);
+                    self.issue(mask, len.cost());
                     for lane in 0..mask.len() {
                         if mask[lane] {
                             let n = self.eval_index(len, lane)?.max(0) as usize;
@@ -2279,7 +2355,7 @@ impl<'a> GroupRun<'a> {
                     }
                 }
                 DStm::For { slot, bound, body } => {
-                    self.issue(mask, bound.cost);
+                    self.issue(mask, bound.cost());
                     let mut bounds = vec![0i64; mask.len()];
                     for lane in 0..mask.len() {
                         if mask[lane] {
@@ -2308,7 +2384,7 @@ impl<'a> GroupRun<'a> {
                     let mut live = mask.to_vec();
                     let mut iterations = 0u64;
                     loop {
-                        self.issue(&live, cond.cost);
+                        self.issue(&live, cond.cost());
                         for lane in 0..live.len() {
                             if live[lane] {
                                 live[lane] = self.eval(cond, lane)? != 0;
@@ -2331,7 +2407,7 @@ impl<'a> GroupRun<'a> {
                     then_s,
                     else_s,
                 } => {
-                    self.issue(mask, cond.cost);
+                    self.issue(mask, cond.cost());
                     let mut then_mask = vec![false; mask.len()];
                     let mut else_mask = vec![false; mask.len()];
                     for lane in 0..mask.len() {
@@ -2552,6 +2628,7 @@ impl<'a> GroupRun<'a> {
     /// pick.
     fn weval(&mut self, tape: &Tape, mask: &WMask) -> SResult<TapeFaults> {
         let lanes = self.lanes;
+        let dk = self.dk;
         let need = tape.n_regs as usize * lanes;
         if self.scratch.len() < need {
             // Spill: this tape needs more columns than the preallocated
@@ -2575,7 +2652,7 @@ impl<'a> GroupRun<'a> {
             }};
         }
 
-        for ins in &tape.winstrs {
+        for ins in dk.winstrs(tape) {
             match *ins {
                 WInstr::Const { dst, bits } => fill1!(dst, |_l| bits),
                 WInstr::Load { dst, class, slot } => {
@@ -2667,7 +2744,7 @@ impl<'a> GroupRun<'a> {
         for stm in stms {
             match stm {
                 DStm::Assign { class, slot, exp } => {
-                    self.issue_w(mask, exp.cost);
+                    self.issue_w(mask, exp.cost());
                     let tf = self.weval(exp, mask)?;
                     if let Some((_, e)) = tf.into_first() {
                         return Err(e);
@@ -2680,7 +2757,7 @@ impl<'a> GroupRun<'a> {
                     buf,
                     index,
                 } => {
-                    self.issue_w(mask, index.cost);
+                    self.issue_w(mask, index.cost());
                     let bid = self.buffer(*buf)?;
                     let src = snapshot.raw(bid);
                     let len = src.len();
@@ -2699,7 +2776,7 @@ impl<'a> GroupRun<'a> {
                     self.memory_access(&mask.on, src.elem_type().byte_size() as u64);
                 }
                 DStm::GlobalWrite { buf, index, value } => {
-                    self.issue_w(mask, index.cost + value.cost);
+                    self.issue_w(mask, index.cost() + value.cost());
                     let bid = self.buffer(*buf)?;
                     let src = snapshot.raw(bid);
                     let len = src.len();
@@ -2726,7 +2803,7 @@ impl<'a> GroupRun<'a> {
                     mem,
                     index,
                 } => {
-                    self.issue_w(mask, index.cost);
+                    self.issue_w(mask, index.cost());
                     let tf = self.weval(index, mask)?;
                     self.index_column(index);
                     let len = self.locals[*mem].len();
@@ -2746,7 +2823,7 @@ impl<'a> GroupRun<'a> {
                     self.count_local(mask.active);
                 }
                 DStm::LocalWrite { mem, index, value } => {
-                    self.issue_w(mask, index.cost + value.cost);
+                    self.issue_w(mask, index.cost() + value.cost());
                     let tfi = self.weval(index, mask)?;
                     self.index_column(index);
                     let tfv = self.weval(value, mask)?;
@@ -2771,7 +2848,7 @@ impl<'a> GroupRun<'a> {
                     self.count_local(mask.active);
                 }
                 DStm::PrivAlloc { arr, size } => {
-                    self.issue_w(mask, size.cost);
+                    self.issue_w(mask, size.cost());
                     let mut tf = self.weval(size, mask)?;
                     self.index_column(size);
                     // Lane-ascending, as the per-lane engine allocated: a
@@ -2791,7 +2868,7 @@ impl<'a> GroupRun<'a> {
                     arr,
                     index,
                 } => {
-                    self.issue_w(mask, index.cost);
+                    self.issue_w(mask, index.cost());
                     let tf = self.weval(index, mask)?;
                     self.index_column(index);
                     let ps = &self.privs[*arr * lanes..(*arr + 1) * lanes];
@@ -2810,7 +2887,7 @@ impl<'a> GroupRun<'a> {
                     });
                 }
                 DStm::PrivWrite { arr, index, value } => {
-                    self.issue_w(mask, index.cost + value.cost);
+                    self.issue_w(mask, index.cost() + value.cost());
                     let tfi = self.weval(index, mask)?;
                     self.index_column(index);
                     let tfv = self.weval(value, mask)?;
@@ -2832,7 +2909,7 @@ impl<'a> GroupRun<'a> {
                     }
                 }
                 DStm::PrivCopy { dst, src, len } => {
-                    self.issue_w(mask, len.cost);
+                    self.issue_w(mask, len.cost());
                     let mut tf = self.weval(len, mask)?;
                     self.index_column(len);
                     for l in (0..lanes).filter(|&l| mask.on[l]) {
@@ -2850,7 +2927,7 @@ impl<'a> GroupRun<'a> {
                     }
                 }
                 DStm::For { slot, bound, body } => {
-                    self.issue_w(mask, bound.cost);
+                    self.issue_w(mask, bound.cost());
                     let tf = self.weval(bound, mask)?;
                     if let Some((_, e)) = tf.into_first() {
                         return Err(e);
@@ -2920,7 +2997,7 @@ impl<'a> GroupRun<'a> {
                     };
                     let mut iterations = 0u64;
                     loop {
-                        self.issue_w(&live, cond.cost);
+                        self.issue_w(&live, cond.cost());
                         let tf = self.weval(cond, &live)?;
                         if let Some((_, e)) = tf.into_first() {
                             return Err(e);
@@ -2963,7 +3040,7 @@ impl<'a> GroupRun<'a> {
                     then_s,
                     else_s,
                 } => {
-                    self.issue_w(mask, cond.cost);
+                    self.issue_w(mask, cond.cost());
                     let tf = self.weval(cond, mask)?;
                     if let Some((_, e)) = tf.into_first() {
                         return Err(e);
@@ -3048,7 +3125,7 @@ fn run_group(
     profile: bool,
     engine: SimEngine,
 ) -> SResult<GroupOut> {
-    let n_sites = dk.prov_table.len() + 1;
+    let n_sites = dk.n_sites;
     let warp = engine == SimEngine::Warp;
     let mut run = GroupRun {
         dk,
@@ -3253,8 +3330,10 @@ const PAR_MIN_GROUPS: u64 = 2;
 /// final slot is the unattributed bucket). Results — device memory, the
 /// returned [`KernelStats`], and any error — are bit-identical for every
 /// thread count, engine and profiling choice (see the module docs for the
-/// memory model that guarantees this). Callers that launch the same
-/// kernel repeatedly decode it once with [`DecodedKernel::decode`].
+/// memory model that guarantees this). The kernel is decoded once, ahead
+/// of any launch ([`DecodedKernel::decode`]; a compiled program decodes
+/// all of its kernels at compile time, [`crate::exec::DecodedPlan`]), and
+/// a launch only reads it.
 ///
 /// # Errors
 ///
@@ -3275,6 +3354,17 @@ pub fn launch(
         profile,
         engine,
     } = opts;
+    // Tapes index the arguments by parameter position.
+    if args.len() != dk.params.len() {
+        return Err(SimError::Malformed {
+            kernel: dk.name.clone(),
+            what: format!(
+                "{} launch arguments for {} parameters",
+                args.len(),
+                dk.params.len()
+            ),
+        });
+    }
     let group_size = device.group_size as u64;
     let num_groups = num_threads.div_ceil(group_size).max(1);
     // Resolve launch arguments once.
@@ -3398,7 +3488,7 @@ pub fn launch(
         threads: num_threads,
         ..KernelStats::default()
     };
-    let mut sites = profile.then(|| vec![SiteStats::default(); dk.prov_table.len() + 1]);
+    let mut sites = profile.then(|| vec![SiteStats::default(); dk.n_sites]);
     let mut uniform_hits = 0u64;
     let mut uniform_misses = 0u64;
     for out in outs.into_iter().flatten() {
@@ -3497,9 +3587,25 @@ mod tests {
             ],
         };
         let dk = DecodedKernel::decode(&k).unwrap();
-        assert_eq!(dk.reg_slot[0].0, ScalarType::F64);
-        assert_eq!(dk.reg_slot[1].0, ScalarType::I64);
-        assert_eq!(dk.reg_slot[2].0, ScalarType::Bool);
+        // Each register's destination carries its inferred class.
+        let dests: Vec<(ScalarType, u32)> = dk
+            .body
+            .iter()
+            .map(|s| match s {
+                DStm::GlobalRead { class, slot, .. } | DStm::Assign { class, slot, .. } => {
+                    (*class, *slot)
+                }
+                other => panic!("unexpected statement {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            dests,
+            [
+                (ScalarType::F64, 0),
+                (ScalarType::I64, 0),
+                (ScalarType::Bool, 0)
+            ]
+        );
         // One slot per class used.
         assert_eq!(dk.file_len[ci(ScalarType::F64)], 1);
         assert_eq!(dk.file_len[ci(ScalarType::I64)], 1);
@@ -3813,10 +3919,24 @@ mod tests {
 
     /// The value tape of a kernel whose single statement is a GlobalWrite.
     fn write_value_tape(dk: &DecodedKernel) -> &Tape {
-        match &dk.body[..] {
-            [DStm::GlobalWrite { value, .. }] => value,
-            other => panic!("expected a single GlobalWrite, found {other:?}"),
+        assert_eq!(dk.body.len(), 1, "expected a single statement");
+        write_value_tape_at(dk, 0)
+    }
+
+    /// The value tape of the GlobalWrite at statement `at`.
+    fn write_value_tape_at(dk: &DecodedKernel, at: usize) -> &Tape {
+        match &dk.body[at] {
+            DStm::GlobalWrite { value, .. } => value,
+            other => panic!("expected a GlobalWrite, found {other:?}"),
         }
+    }
+
+    #[test]
+    fn decoded_statements_stay_compact() {
+        // A tape is a range of its kernel's instruction arrays, so a
+        // statement holds no instruction storage of its own.
+        assert_eq!(std::mem::size_of::<Tape>(), 24);
+        assert!(std::mem::size_of::<DStm>() <= 64);
     }
 
     #[test]
@@ -3828,7 +3948,7 @@ mod tests {
         let a = DecodedKernel::decode(&k).unwrap();
         let b = DecodedKernel::decode(&k).unwrap();
         let (ta, tb) = (write_value_tape(&a), write_value_tape(&b));
-        assert_eq!(ta.winstrs, tb.winstrs);
+        assert_eq!(a.winstrs(ta), b.winstrs(tb));
         assert_eq!(ta.n_regs, tb.n_regs);
         assert_eq!(ta.result, tb.result);
         // And directly on the allocator, with every leaf opcode kind.
@@ -3839,7 +3959,10 @@ mod tests {
             EOp::LocalId,
             EOp::Bin(BinOp::Mul, ScalarType::I64),
         ];
-        assert_eq!(reg_compile(&ops), reg_compile(&ops));
+        let (mut wa, mut wb) = (Vec::new(), Vec::new());
+        assert_eq!(reg_compile(&ops, &mut wa), reg_compile(&ops, &mut wb));
+        assert_eq!(wa, wb);
+        assert_eq!(wa.len(), ops.len(), "one instruction per op");
     }
 
     #[test]
@@ -3854,7 +3977,8 @@ mod tests {
             EOp::Const(3),
             EOp::Bin(BinOp::Add, ScalarType::I64),
         ];
-        let (winstrs, n_regs, result) = reg_compile(&ops).unwrap();
+        let mut winstrs = Vec::new();
+        let (n_regs, result) = reg_compile(&ops, &mut winstrs).unwrap();
         assert_eq!(n_regs, 2);
         assert_eq!(result, 0);
         for w in &winstrs {
@@ -3870,14 +3994,14 @@ mod tests {
         // tapes cannot come out of the decoder, but a hand-constructed
         // artifact fed to a long-lived server must be a structured error.
         let underflow = vec![EOp::Bin(BinOp::Add, ScalarType::I64)];
-        let err = reg_compile(&underflow).unwrap_err();
+        let err = reg_compile(&underflow, &mut Vec::new()).unwrap_err();
         assert!(err.contains("underflow"), "got: {err}");
         // An empty tape has no result.
-        let err = reg_compile(&[]).unwrap_err();
+        let err = reg_compile(&[], &mut Vec::new()).unwrap_err();
         assert!(err.contains("empty"), "got: {err}");
         // Two pushes, no combining op: leftover operands.
         let unbalanced = vec![EOp::Const(1), EOp::Const(2)];
-        let err = reg_compile(&unbalanced).unwrap_err();
+        let err = reg_compile(&unbalanced, &mut Vec::new()).unwrap_err();
         assert!(err.contains("unbalanced"), "got: {err}");
     }
 
@@ -3889,12 +4013,8 @@ mod tests {
         // error futharkd returns as a job failure — rather than panicking
         // and killing the process.
         let mut dk = DecodedKernel::decode(&square_kernel()).unwrap();
-        match &mut dk.body[..] {
-            [_, DStm::GlobalWrite { value, .. }] => {
-                value.ops = vec![EOp::Bin(BinOp::Mul, ScalarType::I64)];
-            }
-            other => panic!("unexpected decoded body: {other:?}"),
-        }
+        let start = write_value_tape_at(&dk, 1).start as usize;
+        dk.ops[start] = EOp::Bin(BinOp::Mul, ScalarType::I64);
         let dev = DeviceProfile::gtx780();
         let mut mem = DeviceMemory::new();
         let a = mem.alloc(ScalarType::I64, 8).unwrap();
@@ -3984,8 +4104,9 @@ mod tests {
         let dk = DecodedKernel::decode(&k).unwrap();
         let tape = write_value_tape(&dk);
         assert_eq!(tape.class, ScalarType::F64);
+        let winstrs = dk.winstrs(tape);
         assert!(
-            tape.winstrs.iter().any(|w| matches!(
+            winstrs.iter().any(|w| matches!(
                 w,
                 WInstr::Conv {
                     from: ScalarType::I64,
@@ -3993,11 +4114,10 @@ mod tests {
                     ..
                 }
             )),
-            "conversion endpoints missing: {:?}",
-            tape.winstrs
+            "conversion endpoints missing: {winstrs:?}"
         );
         assert!(
-            tape.winstrs.iter().any(|w| matches!(
+            winstrs.iter().any(|w| matches!(
                 w,
                 WInstr::Bin {
                     op: BinOp::Mul,
@@ -4005,8 +4125,7 @@ mod tests {
                     ..
                 }
             )),
-            "f64 operand class missing: {:?}",
-            tape.winstrs
+            "f64 operand class missing: {winstrs:?}"
         );
         // Booleans join through comparisons: the cond tape of an If over
         // an i64 comparison is a Bool tape whose Cmp carries the i64
@@ -4032,8 +4151,9 @@ mod tests {
         match &dkb.body[..] {
             [DStm::If { cond, .. }] => {
                 assert_eq!(cond.class, ScalarType::Bool);
+                let winstrs = dkb.winstrs(cond);
                 assert!(
-                    cond.winstrs.iter().any(|w| matches!(
+                    winstrs.iter().any(|w| matches!(
                         w,
                         WInstr::Cmp {
                             op: CmpOp::Lt,
@@ -4041,8 +4161,7 @@ mod tests {
                             ..
                         }
                     )),
-                    "i64 comparison class missing: {:?}",
-                    cond.winstrs
+                    "i64 comparison class missing: {winstrs:?}"
                 );
             }
             other => panic!("expected a single If, found {other:?}"),

@@ -23,6 +23,7 @@ fn compile(src: &str, sched: Schedule) -> (GpuPlan, Program) {
 fn run(plan: &GpuPlan, prog: &Program, args: &[Value]) -> (Vec<Value>, exec::PerfReport) {
     exec::run(
         plan,
+        &exec::DecodedPlan::decode(plan).expect("decodes"),
         prog,
         &DeviceProfile::gtx780(),
         args,
@@ -77,6 +78,44 @@ fn top_level_reduce_is_stream_plus_combine() {
     ];
     let (out, _) = run(&plan, &prog, &args);
     assert_eq!(out, vec![Value::i64(499500)]);
+}
+
+/// A run checks its decoded kernels against its plan: the decoded kernels
+/// of another plan are a plan error, never a panic or a wrong kernel.
+#[test]
+fn decoded_kernels_of_another_plan_are_a_plan_error() {
+    let (sum, prog) = compile(
+        "fun main (n: i64) (xs: [n]i64): i64 =\n\
+         let s = reduce (+) 0 xs\n\
+         in s",
+        Schedule::default(),
+    );
+    let (none, _) = compile(
+        "fun main (n: i64) (xs: [n]i64): i64 = n",
+        Schedule::default(),
+    );
+    let (map, _) = compile(
+        "fun main (n: i64) (xs: [n]i64): [n]i64 = map (\\x -> x + 1) xs",
+        Schedule::default(),
+    );
+    assert_eq!(sum.kernels.len(), map.kernels.len());
+    let args = vec![
+        Value::i64(8),
+        Value::Array(ArrayVal::from_i64s((0..8).collect())),
+    ];
+    for other in [&none, &map] {
+        let decoded = exec::DecodedPlan::decode(other).expect("decodes");
+        let err = exec::run(
+            &sum,
+            &decoded,
+            &prog,
+            &DeviceProfile::gtx780(),
+            &args,
+            &RunOptions::default(),
+        )
+        .expect_err("mismatched decoded kernels");
+        assert!(matches!(err, exec::ExecError::Plan(_)), "got {err}");
+    }
 }
 
 #[test]
@@ -257,12 +296,27 @@ fn device_profiles_order_bandwidth_bound_kernels() {
         Value::Array(ArrayVal::from_f32s(vec![1.0; 1 << 16])),
     ];
     let opts = RunOptions::default();
-    let nv = exec::run(&plan, &prog, &DeviceProfile::gtx780(), &args, &opts)
-        .unwrap()
-        .1;
-    let amd = exec::run(&plan, &prog, &DeviceProfile::w8100(), &args, &opts)
-        .unwrap()
-        .1;
+    let decoded = exec::DecodedPlan::decode(&plan).expect("decodes");
+    let nv = exec::run(
+        &plan,
+        &decoded,
+        &prog,
+        &DeviceProfile::gtx780(),
+        &args,
+        &opts,
+    )
+    .unwrap()
+    .1;
+    let amd = exec::run(
+        &plan,
+        &decoded,
+        &prog,
+        &DeviceProfile::w8100(),
+        &args,
+        &opts,
+    )
+    .unwrap()
+    .1;
     let nv_pure = nv.kernel_us - DeviceProfile::gtx780().launch_overhead_us;
     let amd_pure = amd.kernel_us - DeviceProfile::w8100().launch_overhead_us;
     assert!(

@@ -8,8 +8,9 @@
 //! the cache lock is released.
 //!
 //! Beyond artifacts, the cache carries what admission control *learns*:
-//! the measured peak bytes of finished runs, keyed per artifact and
-//! argument-shape signature. The static predictor
+//! the measured peak bytes of finished runs, per argument-shape signature,
+//! kept in each artifact's entry (so they go when it is evicted) and
+//! bounded by [`LEARNED_PEAKS_PER_ARTIFACT`]. The static predictor
 //! ([`futhark_gpu::predict_peak_bytes`]) is a lower bound; a learned
 //! measured peak is exact for the same artifact and shapes, so it takes
 //! precedence on the next submission.
@@ -21,8 +22,14 @@
 use crate::hash::Fnv1a;
 use futhark::{Compiled, DeviceProfile, Schedule};
 use futhark_core::Value;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+
+/// How many argument-shape signatures one artifact remembers a measured
+/// peak for. Integer arguments are part of a signature, so a hot artifact
+/// (never evicted) can see a new signature on every request; past this
+/// bound the oldest is dropped, which costs at most one re-prediction.
+pub const LEARNED_PEAKS_PER_ARTIFACT: usize = 64;
 
 /// Cache observability counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,6 +58,9 @@ struct Entry {
     artifact: Arc<Compiled>,
     /// LRU clock value of the last touch.
     last_used: u64,
+    /// Measured peak bytes per argument-shape signature, oldest first, at
+    /// most [`LEARNED_PEAKS_PER_ARTIFACT`] of them.
+    peaks: VecDeque<(Box<str>, u64)>,
 }
 
 /// The content-addressed artifact cache plus learned peak footprints.
@@ -58,8 +68,6 @@ pub struct ArtifactCache {
     capacity: usize,
     clock: u64,
     entries: HashMap<u64, Entry>,
-    /// Measured peak bytes per `(artifact key, argument-shape signature)`.
-    learned_peaks: HashMap<(u64, String), u64>,
     stats: CacheStats,
 }
 
@@ -109,7 +117,6 @@ impl ArtifactCache {
             capacity: capacity.max(1),
             clock: 0,
             entries: HashMap::new(),
-            learned_peaks: HashMap::new(),
             stats: CacheStats::default(),
         }
     }
@@ -137,31 +144,50 @@ impl ArtifactCache {
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
             if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, e)| e.last_used) {
                 self.entries.remove(&victim);
-                self.learned_peaks.retain(|(k, _), _| *k != victim);
                 self.stats.evictions += 1;
             }
         }
-        self.entries.insert(
-            key,
-            Entry {
-                artifact,
-                last_used: self.clock,
-            },
-        );
+        match self.entries.get_mut(&key) {
+            // Two misses of one key compiled it twice: keep what the first
+            // artifact's runs learned.
+            Some(e) => {
+                e.artifact = artifact;
+                e.last_used = self.clock;
+            }
+            None => {
+                self.entries.insert(
+                    key,
+                    Entry {
+                        artifact,
+                        last_used: self.clock,
+                        peaks: VecDeque::new(),
+                    },
+                );
+            }
+        }
     }
 
-    /// Records the measured peak of a finished run.
+    /// Records the measured peak of a finished run, keeping the maximum
+    /// per signature. An artifact evicted while it ran learns nothing.
     pub fn learn_peak(&mut self, key: u64, sig: &str, measured: u64) {
-        let e = self
-            .learned_peaks
-            .entry((key, sig.to_string()))
-            .or_insert(0);
-        *e = (*e).max(measured);
+        let Some(e) = self.entries.get_mut(&key) else {
+            return;
+        };
+        match e.peaks.iter_mut().find(|(s, _)| **s == *sig) {
+            Some((_, peak)) => *peak = (*peak).max(measured),
+            None => {
+                if e.peaks.len() == LEARNED_PEAKS_PER_ARTIFACT {
+                    e.peaks.pop_front();
+                }
+                e.peaks.push_back((sig.into(), measured));
+            }
+        }
     }
 
     /// A previously measured peak for this artifact and shape signature.
     pub fn learned_peak(&self, key: u64, sig: &str) -> Option<u64> {
-        self.learned_peaks.get(&(key, sig.to_string())).copied()
+        let e = self.entries.get(&key)?;
+        e.peaks.iter().find(|(s, _)| **s == *sig).map(|&(_, p)| p)
     }
 
     /// Current counters.
@@ -244,9 +270,42 @@ mod tests {
             sig_a,
             shape_signature(&[Value::i64(8), Value::Array(ArrayVal::from_i64s(vec![7; 8]))])
         );
+        // Peaks are learned for cached artifacts only.
+        cache.insert(1, compile("fun main (x: i64): i64 = x"));
         cache.learn_peak(1, &sig_a, 100);
         cache.learn_peak(1, &sig_a, 80);
         assert_eq!(cache.learned_peak(1, &sig_a), Some(100));
         assert_eq!(cache.learned_peak(1, &sig_b), None);
+    }
+
+    #[test]
+    fn learned_peaks_are_bounded_per_artifact_and_go_with_it() {
+        let mut cache = ArtifactCache::new(1);
+        let art = compile("fun main (n: i64) (k: i64): i64 = n + k");
+        cache.insert(1, Arc::clone(&art));
+        let sig = |k: i64| shape_signature(&[Value::i64(1), Value::i64(k)]);
+        for k in 0..10_000 {
+            cache.learn_peak(1, &sig(k), k as u64);
+            assert!(cache.entries[&1].peaks.len() <= LEARNED_PEAKS_PER_ARTIFACT);
+        }
+        assert_eq!(cache.entries[&1].peaks.len(), LEARNED_PEAKS_PER_ARTIFACT);
+        // The oldest signatures were dropped, the newest kept.
+        assert_eq!(cache.learned_peak(1, &sig(0)), None);
+        assert_eq!(cache.learned_peak(1, &sig(9_999)), Some(9_999));
+        // A repeated signature still returns its maximum.
+        cache.learn_peak(1, &sig(9_999), 5);
+        cache.learn_peak(1, &sig(9_999), 20_000);
+        cache.learn_peak(1, &sig(9_999), 7);
+        assert_eq!(cache.learned_peak(1, &sig(9_999)), Some(20_000));
+        // Inserting a cached key again keeps what it learned.
+        cache.insert(1, Arc::clone(&art));
+        assert_eq!(cache.learned_peak(1, &sig(9_999)), Some(20_000));
+        // Eviction drops the artifact's learned peaks; a peak learned for
+        // an artifact no longer cached is not kept.
+        cache.insert(2, Arc::clone(&art));
+        cache.learn_peak(1, &sig(9_999), 1);
+        cache.insert(1, art);
+        assert_eq!(cache.learned_peak(1, &sig(9_999)), None);
+        assert_eq!(cache.stats().evictions, 2);
     }
 }

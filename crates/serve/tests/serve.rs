@@ -77,7 +77,9 @@ fn span_names(j: &Json) -> Vec<String> {
 
 /// Repeat submission of the same source hits the artifact cache: the
 /// second response reports `"cache":"hit"` and its span list has no
-/// `compile` entry, while outputs stay identical.
+/// `compile` entry, while the run replays bit for bit: the same outputs,
+/// modelled time and measured peak. The hit reuses the kernels its
+/// artifact decoded when it was compiled.
 #[test]
 fn repeat_submission_hits_the_cache_and_skips_compile() {
     let d = daemon(1);
@@ -96,6 +98,14 @@ fn repeat_submission_hits_the_cache_and_skips_compile() {
         span_names(&second)
     );
     assert_eq!(first.get("outputs"), second.get("outputs"));
+    for field in ["total_us", "measured_peak_bytes"] {
+        assert!(first.get(field).is_some(), "a run reports {field}");
+        assert_eq!(
+            first.get(field),
+            second.get(field),
+            "{field} differs on the hit"
+        );
+    }
 
     let stats = d.stats();
     assert_eq!(stats.cache.hits, 1);
@@ -219,7 +229,9 @@ fn schedules_occupy_distinct_cache_entries() {
 
 /// Concurrent mixed-tenant load produces bit-identical responses to the
 /// same jobs run sequentially: no cross-request state (engine, thread
-/// count, uniform tallies, cache) bleeds between tenants.
+/// count, uniform tallies, cache) bleeds between tenants. Warp and lane
+/// jobs of one program share one artifact, and its decoded kernels,
+/// across four devices; outputs and modelled time must both match.
 #[test]
 fn concurrent_mixed_tenants_match_sequential_bit_for_bit() {
     // Tenant mix: two programs, three sizes, both engines.
@@ -244,10 +256,16 @@ fn concurrent_mixed_tenants_match_sequential_bit_for_bit() {
     // Sequential reference on a fresh daemon.
     let seq = daemon(1);
     let mut expect = std::collections::BTreeMap::new();
+    let replay = |j: &Json| {
+        (
+            j.get("outputs").expect("outputs").clone(),
+            j.get("total_us").expect("total_us").clone(),
+        )
+    };
     for (id, line) in &jobs {
         let j = parse(&seq.handle_line(line));
         assert_eq!(j.get("status").and_then(Json::as_str), Some("ok"), "{id}");
-        expect.insert(id.clone(), j.get("outputs").expect("outputs").clone());
+        expect.insert(id.clone(), replay(&j));
     }
 
     // Concurrent run on a pool of four devices.
@@ -256,13 +274,13 @@ fn concurrent_mixed_tenants_match_sequential_bit_for_bit() {
     std::thread::scope(|scope| {
         for (id, line) in &jobs {
             let conc = conc.clone();
-            let got = &got;
+            let (got, replay) = (&got, &replay);
             scope.spawn(move || {
                 let j = parse(&conc.handle_line(line));
                 assert_eq!(j.get("status").and_then(Json::as_str), Some("ok"), "{id}");
                 got.lock()
                     .expect("results lock")
-                    .insert(id.clone(), j.get("outputs").expect("outputs").clone());
+                    .insert(id.clone(), replay(&j));
             });
         }
     });
@@ -272,7 +290,7 @@ fn concurrent_mixed_tenants_match_sequential_bit_for_bit() {
         assert_eq!(
             got.get(id),
             Some(out),
-            "{id}: concurrent outputs differ from sequential"
+            "{id}: concurrent outputs or total_us differ from sequential"
         );
     }
 }

@@ -41,7 +41,8 @@ fn trace_covers_enabled_phases_with_nonzero_sizes() {
             "flatten",
             "simplify-post",
             "codegen",
-            "memplan"
+            "memplan",
+            "decode"
         ]
     );
     for p in &report.passes {
