@@ -56,7 +56,7 @@ pub use futhark_gpu::exec::{ExecError, LaunchRecord, PerfReport, TimelineEvent};
 pub use futhark_gpu::sim::{
     Limiter, MemEvent, MemOp, MemStats, SimError, SiteStats, TimeBreakdown,
 };
-pub use futhark_gpu::{sim_engine, RunOptions, SimEngine};
+pub use futhark_gpu::{RunOptions, SimEngine};
 pub use futhark_trace::{CompileReport, Counters, IrSize, Json, PassSpan};
 
 /// The two simulated devices of the paper's evaluation.
@@ -333,11 +333,11 @@ pub struct Compiled {
 impl Compiled {
     /// Runs the program on a simulated device: a [`Device`] or any custom
     /// [`DeviceProfile`] (a server's per-device capacity model). The
-    /// [`RunOptions`] choose the host thread count, per-site profiling
-    /// and the group-execution engine, per call — never process-global
-    /// state. Outputs and every aggregate counter of the [`PerfReport`]
-    /// are bit-identical across every option combination; profiling only
-    /// adds [`PerfReport::per_site`].
+    /// [`RunOptions`] choose the host thread count and per-site
+    /// profiling, per call — never process-global state. Outputs and
+    /// every aggregate counter of the [`PerfReport`] are bit-identical
+    /// across every option combination; profiling only adds
+    /// [`PerfReport::per_site`].
     ///
     /// # Errors
     ///
@@ -355,6 +355,27 @@ impl Compiled {
             &device.into(),
             args,
             &opts,
+        )?)
+    }
+
+    /// Runs as [`Compiled::run_with_opts`] does, with every kernel
+    /// decoded afresh for the per-lane reference engine
+    /// ([`DecodedPlan::reference`]). Only tests and the fuzz oracle call
+    /// it, to check that outputs, faults and counters match.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`Error`] for runtime faults.
+    pub fn run_reference(
+        &self,
+        device: impl Into<DeviceProfile>,
+        args: &[Value],
+        opts: RunOptions,
+    ) -> Result<(Vec<Value>, PerfReport), Error> {
+        let decoded = DecodedPlan::reference(&self.plan).map_err(Error::Decode)?;
+        let device = device.into();
+        Ok(exec::run(
+            &self.plan, &decoded, &self.prog, &device, args, &opts,
         )?)
     }
 

@@ -1,6 +1,8 @@
 //! The differential oracle: run a program through the reference
 //! interpreter and through the compiled simulator on every device profile
 //! under every ablation configuration, and demand bit-identical results.
+//! Every simulator run is repeated on the per-lane reference engine,
+//! whose faults and counters must match the warp engine's too.
 //!
 //! Because every configuration must compute the same function, *any*
 //! difference — a compile error in one configuration, a runtime fault, or
@@ -8,7 +10,7 @@
 //! in an optimisation pass, in the code generator, or in the semantics the
 //! interpreter and simulator are supposed to share.
 
-use futhark::{interpret, sim_engine, Compiler, Device, RunOptions, Schedule, SimEngine};
+use futhark::{interpret, Compiler, Device, RunOptions, Schedule};
 use futhark_core::{Rng64, Value};
 
 /// The two simulated devices, with stable labels for reports.
@@ -36,9 +38,10 @@ pub enum DivergenceKind {
     /// perturbed or misread the run.
     AnalysisPerturbation,
     /// The warp execution engine disagreed with the per-lane reference
-    /// engine: different output values, a different error, or different
-    /// aggregate cost counters. The two engines implement the same SIMT
-    /// semantics and must be observationally indistinguishable.
+    /// engine ([`futhark::Compiled::run_reference`]): different output
+    /// values, a different error, or different aggregate cost counters.
+    /// The two engines implement the same SIMT semantics and must be
+    /// observationally indistinguishable.
     WarpExecution,
 }
 
@@ -136,6 +139,17 @@ fn compare(reference: &[Value], got: &[Value]) -> Option<String> {
     None
 }
 
+/// How two runs' aggregate [`futhark::PerfReport`] counters (launches,
+/// transposes, whole-run kernel stats) differ, if they do.
+fn counters_differ(a: &futhark::PerfReport, b: &futhark::PerfReport) -> Option<String> {
+    (a.stats != b.stats || a.launches != b.launches || a.transposes != b.transposes).then(|| {
+        format!(
+            "launches {} vs {}, transposes {} vs {}, stats {:?} vs {:?}",
+            a.launches, b.launches, a.transposes, b.transposes, a.stats, b.stats
+        )
+    })
+}
+
 /// Compares a profiled re-run against the unprofiled run: the outputs
 /// must be bit-identical and the aggregate [`futhark::PerfReport`]
 /// counters (launches, transposes, whole-run kernel stats) unchanged —
@@ -166,20 +180,8 @@ fn check_profiled_run(
             if let Some(detail) = compare(unprofiled, &got) {
                 return diverge(detail);
             }
-            if pperf.stats != perf.stats
-                || pperf.launches != perf.launches
-                || pperf.transposes != perf.transposes
-            {
-                return diverge(format!(
-                    "aggregate counters changed under profiling: \
-                     launches {} vs {}, transposes {} vs {}, stats {:?} vs {:?}",
-                    perf.launches,
-                    pperf.launches,
-                    perf.transposes,
-                    pperf.transposes,
-                    perf.stats,
-                    pperf.stats
-                ));
+            if let Some(d) = counters_differ(perf, &pperf) {
+                return diverge(format!("aggregate counters changed under profiling: {d}"));
             }
             if let Some(detail) = check_analysis(device, perf, &pperf) {
                 return Some(Divergence {
@@ -195,72 +197,42 @@ fn check_profiled_run(
     }
 }
 
-/// Re-runs the program on the *other* group-execution engine (per-lane
-/// when the session default is warp, and vice versa) and demands
-/// bit-identical outputs — or the identical error — and identical
-/// aggregate [`futhark::PerfReport`] counters. The warp engine is a pure
-/// execution-strategy change; any observable difference is a bug in its
-/// masking, fault ordering, or counter accounting.
-fn check_warp_vs_lane(
+/// Re-runs the program on the per-lane reference engine
+/// ([`futhark::Compiled::run_reference`]) and demands bit-identical
+/// outputs — or the identical error — and identical aggregate
+/// [`futhark::PerfReport`] counters to the warp engine's run. The warp
+/// engine is a pure execution-strategy change; any observable difference
+/// is a bug in its masking, fault ordering, register compilation or
+/// counter accounting.
+fn check_warp_vs_reference(
     compiled: &futhark::Compiled,
     device: Device,
     dlabel: &str,
     args: &[Value],
-    default_run: &Result<(Vec<Value>, futhark::PerfReport), String>,
+    warp_run: &Result<(Vec<Value>, futhark::PerfReport), String>,
     sched: &Schedule,
 ) -> Option<Divergence> {
-    let (this, other) = match sim_engine() {
-        SimEngine::Warp => ("warp", SimEngine::Lane),
-        SimEngine::Lane => ("lane", SimEngine::Warp),
-    };
-    let diverge = |detail: String| {
-        Some(Divergence {
-            config: format!("{}+engine", sched.describe()),
-            device: Some(dlabel.to_string()),
-            kind: DivergenceKind::WarpExecution,
-            detail,
-        })
-    };
-    let ropts = RunOptions {
-        engine: other,
-        ..RunOptions::default()
-    };
-    let other_run = compiled
-        .run_with_opts(device, args, ropts)
+    let reference_run = compiled
+        .run_reference(device, args, RunOptions::default())
         .map_err(|e| e.to_string());
-    match (default_run, &other_run) {
-        (Ok((vals, perf)), Ok((ovals, operf))) => {
-            if let Some(detail) = compare(vals, ovals) {
-                return diverge(format!("{other:?} engine vs {this}: {detail}"));
-            }
-            if operf.stats != perf.stats
-                || operf.launches != perf.launches
-                || operf.transposes != perf.transposes
-            {
-                return diverge(format!(
-                    "{other:?} engine changed aggregate counters vs {this}: \
-                     launches {} vs {}, transposes {} vs {}, stats {:?} vs {:?}",
-                    perf.launches,
-                    operf.launches,
-                    perf.transposes,
-                    operf.transposes,
-                    perf.stats,
-                    operf.stats
-                ));
-            }
-            None
+    let detail = match (warp_run, &reference_run) {
+        (Ok((vals, perf)), Ok((rvals, rperf))) => compare(rvals, vals)
+            .map(|d| format!("outputs, reference vs warp engine: {d}"))
+            .or_else(|| {
+                counters_differ(perf, rperf).map(|d| format!("counters, warp vs reference: {d}"))
+            }),
+        (Err(e), Err(re)) => {
+            (e != re).then(|| format!("engines fault differently: warp {e:?} vs reference {re:?}"))
         }
-        (Err(e), Err(oe)) => {
-            if e != oe {
-                return diverge(format!(
-                    "engines fault differently: {this} {e:?} vs {other:?} {oe:?}"
-                ));
-            }
-            None
-        }
-        (Ok(_), Err(oe)) => diverge(format!("{other:?} engine faulted, {this} did not: {oe}")),
-        (Err(e), Ok(_)) => diverge(format!("{this} engine faulted, {other:?} did not: {e}")),
-    }
+        (Ok(_), Err(re)) => Some(format!("reference faulted, warp engine did not: {re}")),
+        (Err(e), Ok(_)) => Some(format!("warp engine faulted, reference did not: {e}")),
+    }?;
+    Some(Divergence {
+        config: format!("{}+reference", sched.describe()),
+        device: Some(dlabel.to_string()),
+        kind: DivergenceKind::WarpExecution,
+        detail,
+    })
 }
 
 /// Checks that the bottleneck analysis layer is a pure observer of the
@@ -440,14 +412,13 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
             let run = compiled
                 .run_with_opts(device, args, RunOptions::default())
                 .map_err(|e| e.to_string());
-            // The warp and per-lane engines must be observationally
-            // indistinguishable: on the default configuration, re-run on
-            // the other engine and demand identical outputs (or the
+            // The warp engine must be observationally indistinguishable
+            // from the per-lane reference on every configuration: re-run
+            // on the reference and demand identical outputs (or the
             // identical fault) and identical aggregate counters.
-            if sched.is_default() {
-                if let Some(d) = check_warp_vs_lane(&compiled, device, dlabel, args, &run, &sched) {
-                    return Outcome::Diverged(d);
-                }
+            if let Some(d) = check_warp_vs_reference(&compiled, device, dlabel, args, &run, &sched)
+            {
+                return Outcome::Diverged(d);
             }
             match run {
                 Ok((got, perf)) => {

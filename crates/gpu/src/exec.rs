@@ -16,7 +16,7 @@ use crate::sim::{
     self, Arg, BufId, DeviceMemory, KernelStats, Limiter, MemEvent, MemOp, MemStats, SimError,
     SiteStats, TimeBreakdown,
 };
-use crate::tape::{DecodedKernel, RunOptions};
+use crate::tape::{DecodedKernel, RunOptions, SimEngine};
 use futhark_core::traverse::free_in_exp;
 use futhark_core::{
     ArrayVal, Buffer, Exp, Name, PatElem, Program, Scalar, ScalarType, Size, SubExp, Type, Value,
@@ -287,15 +287,6 @@ pub struct PerfReport {
     /// Device-memory counters for the run: allocations, frees, slot and
     /// in-place reuses, hoisted writes, and the live/peak byte footprint.
     pub mem: MemStats,
-    /// Warp-engine control-flow decisions that took the uniform fast path,
-    /// summed over this run's launches. Always zero under the lane engine.
-    /// Diagnostic only: engine-dependent by design, and therefore excluded
-    /// from the differential oracle and the profgate baseline (which
-    /// compare `stats`/launch counts, never these).
-    pub uniform_hits: u64,
-    /// Warp-engine control-flow decisions that fell back to per-lane
-    /// masking, summed over this run's launches.
-    pub uniform_misses: u64,
 }
 
 impl PerfReport {
@@ -384,8 +375,6 @@ impl PerfReport {
                 Json::Arr(self.timeline.iter().map(TimelineEvent::to_json).collect()),
             ),
             ("mem", self.mem.to_json()),
-            ("uniform_hits", Json::U64(self.uniform_hits)),
-            ("uniform_misses", Json::U64(self.uniform_misses)),
         ]);
         if !self.per_site.is_empty() {
             if let Json::Obj(fields) = &mut j {
@@ -403,7 +392,8 @@ impl PerfReport {
         j
     }
 
-    /// Deserialises from JSON.
+    /// Deserialises from JSON. Keys it does not know are ignored, such as
+    /// the uniform-path tallies older traces carry.
     pub fn from_json(j: &Json) -> Option<PerfReport> {
         let mut per_kernel = BTreeMap::new();
         for (k, e) in j.get("per_kernel")?.as_obj()? {
@@ -436,9 +426,6 @@ impl PerfReport {
             .get("mem")
             .and_then(MemStats::from_json)
             .unwrap_or_default();
-        // Uniform-path tallies are optional too: traces from before the
-        // counters moved off process-wide statics simply lack them.
-        let uniform = |key: &str| j.get(key).and_then(Json::as_u64).unwrap_or(0);
         Some(PerfReport {
             total_us: j.get("total_us")?.as_f64()?,
             kernel_us: j.get("kernel_us")?.as_f64()?,
@@ -451,8 +438,6 @@ impl PerfReport {
             timeline,
             per_site,
             mem,
-            uniform_hits: uniform("uniform_hits"),
-            uniform_misses: uniform("uniform_misses"),
         })
     }
 }
@@ -512,8 +497,13 @@ pub struct DecodedPlan {
     folds: Box<[DecodedKernel]>,
 }
 
+/// A kernel decoder: [`DecodedKernel::decode`] or
+/// [`DecodedKernel::reference`].
+type Decode = fn(&Kernel) -> Result<DecodedKernel, SimError>;
+
 impl DecodedPlan {
-    /// Decodes every launch kernel and every fold kernel of `plan`.
+    /// Decodes every launch kernel and every fold kernel of `plan` for
+    /// the warp engine ([`DecodedKernel::decode`]).
     ///
     /// # Errors
     ///
@@ -521,7 +511,23 @@ impl DecodedPlan {
     /// model rejects (it names the kernel), or [`SimError::Malformed`] if
     /// two fold kernels share a name.
     pub fn decode(plan: &GpuPlan) -> Result<DecodedPlan, SimError> {
-        fn folds(b: &HBody, out: &mut Vec<DecodedKernel>) -> Result<(), SimError> {
+        Self::decode_with(plan, DecodedKernel::decode)
+    }
+
+    /// Decodes every kernel of `plan` for the per-lane reference engine
+    /// ([`DecodedKernel::reference`]). Only tests and the fuzz oracle
+    /// call it.
+    ///
+    /// # Errors
+    ///
+    /// As [`DecodedPlan::decode`].
+    pub fn reference(plan: &GpuPlan) -> Result<DecodedPlan, SimError> {
+        Self::decode_with(plan, DecodedKernel::reference)
+    }
+
+    /// Decodes every kernel of `plan` with `decode`.
+    fn decode_with(plan: &GpuPlan, decode: Decode) -> Result<DecodedPlan, SimError> {
+        fn folds(b: &HBody, decode: Decode, out: &mut Vec<DecodedKernel>) -> Result<(), SimError> {
             for stm in &b.stms {
                 match stm {
                     HStm::Combine { kernel, .. } => {
@@ -531,19 +537,19 @@ impl DecodedPlan {
                                 what: "two fold kernels share this name".into(),
                             });
                         }
-                        out.push(DecodedKernel::decode(kernel)?);
+                        out.push(decode(kernel)?);
                     }
                     HStm::Loop {
                         while_cond, body, ..
                     } => {
                         if let Some(c) = while_cond {
-                            folds(c, out)?;
+                            folds(c, decode, out)?;
                         }
-                        folds(body, out)?;
+                        folds(body, decode, out)?;
                     }
                     HStm::If { then_b, else_b, .. } => {
-                        folds(then_b, out)?;
-                        folds(else_b, out)?;
+                        folds(then_b, decode, out)?;
+                        folds(else_b, decode, out)?;
                     }
                     HStm::Direct(_)
                     | HStm::Launch { .. }
@@ -555,10 +561,10 @@ impl DecodedPlan {
         }
         let mut kernels = Vec::with_capacity(plan.kernels.len());
         for k in &plan.kernels {
-            kernels.push(DecodedKernel::decode(k)?);
+            kernels.push(decode(k)?);
         }
         let mut fold_kernels = Vec::new();
-        folds(&plan.body, &mut fold_kernels)?;
+        folds(&plan.body, decode, &mut fold_kernels)?;
         Ok(DecodedPlan {
             kernels: kernels.into_boxed_slice(),
             folds: fold_kernels.into_boxed_slice(),
@@ -577,13 +583,14 @@ impl DecodedPlan {
 }
 
 /// Runs a compiled plan on the given device profile with explicit
-/// execution options (host worker threads, source-site profiling, the
-/// group-execution engine). Results and every aggregate counter of the
-/// [`PerfReport`] are bit-identical across every option combination.
+/// execution options (host worker threads, source-site profiling).
+/// Results and every aggregate counter of the [`PerfReport`] are
+/// bit-identical across every option combination.
 ///
 /// `decoded` is the plan's kernels, decoded once when it was compiled
-/// ([`DecodedPlan::decode`]); a run only reads it. `prog` is the original
-/// (flattened) program: interpreter fallbacks evaluate fragments of it.
+/// ([`DecodedPlan::decode`]); a run only reads it, and its form picks the
+/// engine every launch runs on. `prog` is the original (flattened)
+/// program: interpreter fallbacks evaluate fragments of it.
 ///
 /// # Errors
 ///
@@ -1606,8 +1613,6 @@ impl<'a> Executor<'a> {
             &mut self.mem,
             &self.opts,
         )?;
-        self.report.uniform_hits += out.uniform_hits;
-        self.report.uniform_misses += out.uniform_misses;
         let stats = if self.opts.profile {
             let stats = out.stats;
             let sites = out.sites.expect("profiled launch returns sites");
@@ -1704,7 +1709,7 @@ impl<'a> Executor<'a> {
         let opts = RunOptions {
             threads: 1,
             profile: false,
-            engine: self.opts.engine,
+            engine: SimEngine::Warp,
         };
         crate::tape::launch(self.device, dk, 1, &args, &mut self.mem, &opts)?;
         let bytes: f64 = parts.iter().map(|d| d.bytes() as f64).sum();

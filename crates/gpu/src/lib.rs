@@ -18,4 +18,4 @@ pub use sim::{
     kernel_time_breakdown, kernel_time_us, Arg, BufId, DeviceMemory, KernelStats, Limiter,
     MemEvent, MemOp, MemStats, SimError, SiteStats, TimeBreakdown,
 };
-pub use tape::{host_threads, launch, sim_engine, DecodedKernel, LaunchOut, RunOptions, SimEngine};
+pub use tape::{host_threads, launch, DecodedKernel, LaunchOut, RunOptions, SimEngine};

@@ -124,7 +124,8 @@ pub enum HStm {
     /// initial accumulators (`acc = init; for i < t: acc = red(acc,
     /// partials[i])`, the interpreter's order), and leaves the result in
     /// row 0 of the partials, which are dead afterwards. The executor runs
-    /// it on the run's engine and charges it as one `combine` device op:
+    /// it decoded with the rest of the plan, so on the same engine as the
+    /// stage-1 launch, and charges it as one `combine` device op:
     /// the fold kernel adds no launch, no per-kernel entry, and nothing to
     /// [`GpuPlan::kernel_count`].
     Combine {

@@ -6,8 +6,8 @@
 //! enum values in `Vec<Scalar>` register files. [`DecodedKernel::decode`]
 //! removes both costs ahead of time:
 //!
-//! - every expression becomes a flat postfix `Tape` of `EOp`s evaluated
-//!   on a small `u64` bit-stack — no recursion, no allocation per lane;
+//! - every expression becomes a flat `Tape` of register-form `WInstr`s
+//!   over scratch columns — no recursion, no allocation per lane;
 //! - every virtual register gets a *statically inferred* scalar class and a
 //!   slot in a typed, unboxed register file (separate `Vec<i64>`,
 //!   `Vec<i32>`, `Vec<f32>`, `Vec<f64>`, `Vec<bool>` in structure-of-arrays
@@ -57,21 +57,23 @@
 //! would have hit first), after applying the write logs of the groups
 //! before it.
 //!
-//! # Two engines
+//! # The warp engine and its reference
 //!
-//! The per-lane engine ([`SimEngine::Lane`]) runs each statement lane by
-//! lane over the postfix tapes; it is the reference. The warp engine
-//! ([`SimEngine::Warp`], the default) runs each statement a column at a
-//! time: one dispatch, then dense loops over the group's lanes. Register
-//! tapes run instruction by instruction over scratch columns split into
-//! distinct slices, so their loops vectorize; a memory statement converts
-//! its index column once, scans every active lane for a fault in one
-//! branch-free pass, and only if that scan or a tape reports a fault
-//! walks its lanes in ascending order to pick the error the per-lane
-//! engine would report. Fault-free, it gathers from the launch snapshot
-//! straight into the typed register file, or writes its whole column into
-//! the group's window. Both engines count global-memory transactions
-//! through one coalescer over the statement's index column.
+//! How a kernel was decoded, not a run option, picks its engine. The
+//! warp engine ([`DecodedKernel::decode`], the only decode production
+//! calls) runs each statement a column at a time: one dispatch, then
+//! dense loops over the group's lanes. Register tapes run instruction by
+//! instruction over scratch columns split into distinct slices, so their
+//! loops vectorize; a memory statement converts its index column once,
+//! scans every active lane for a fault in one branch-free pass, and only
+//! if that scan or a tape reports a fault walks its lanes in ascending
+//! order to pick the error the per-lane engine would report. Fault-free,
+//! it gathers from the launch snapshot straight into the typed register
+//! file, or writes its whole column into the group's window. The
+//! per-lane engine ([`DecodedKernel::reference`]) runs each statement
+//! lane by lane over postfix tapes; it is the reference the tests and the
+//! fuzz oracle hold the warp engine to. Both engines count global-memory
+//! transactions through one coalescer over the statement's index column.
 
 // Lane loops index several parallel per-lane arrays (mask, indices,
 // registers) by the same lane id; iterator rewrites obscure that.
@@ -186,30 +188,30 @@ enum EOp {
     Conv(ScalarType, ScalarType),
 }
 
-/// A flat postfix expression: evaluate the ops left to right on a bit
-/// stack; the result is the single remaining slot. `cost` is the original
-/// tree's [`KExp::op_count`] so warp-issue accounting is unchanged;
-/// `class` is the statically known class of the result bits.
+/// A flat expression. `cost` is the original tree's [`KExp::op_count`]
+/// so warp-issue accounting is unchanged; `class` is the statically known
+/// class of the result bits.
 ///
 /// A tape owns no instructions: it is the range `start..start + len` of
-/// its kernel's two parallel instruction arrays ([`DecodedKernel`]'s
-/// `ops` and `winstrs`). Alongside the postfix form, every tape has a
-/// register form: the same ops with explicit scratch-register operands,
-/// produced by [`reg_compile`] at decode time, one instruction per op,
-/// which is why one range indexes both. The warp engine executes the
-/// register form one *instruction* at a time across all lanes (each
-/// scratch register is a column of `lanes` bit-slots), instead of one
-/// *lane* at a time over the postfix form.
+/// its kernel's one instruction array, in whichever form the kernel was
+/// decoded to ([`Instrs`]). The decoder always builds a tape's postfix
+/// ops first; [`reg_compile`] turns them into the register form, the
+/// same ops with explicit scratch-register operands, one instruction per
+/// op, so a tape's range is the same in either form. The warp engine
+/// executes the register form one *instruction* at a time across all
+/// lanes (each scratch register is a column of `lanes` bit-slots); the
+/// reference engine evaluates the postfix form one *lane* at a time on a
+/// bit stack, and the result is the single remaining slot.
 #[derive(Debug, Clone, Copy)]
 struct Tape {
-    /// First instruction in both arrays.
+    /// First instruction in the kernel's array.
     start: u32,
-    /// Instructions in both arrays.
+    /// Instructions in the kernel's array.
     len: u32,
     /// Scratch registers the register form needs (high-water mark of the
-    /// decode-time allocator).
+    /// decode-time allocator); 0 in the postfix form.
     n_regs: u32,
-    /// Scratch register holding the tape's result.
+    /// Scratch register holding the tape's result; 0 in the postfix form.
     result: u32,
     cost: u32,
     class: ScalarType,
@@ -228,7 +230,7 @@ impl Tape {
         self.n_regs.saturating_sub(WREG_FILE)
     }
 
-    /// The tape's instructions, in either of its kernel's arrays.
+    /// The tape's instructions in its kernel's array.
     #[inline]
     fn range(&self) -> std::ops::Range<usize> {
         self.start as usize..self.start as usize + self.len as usize
@@ -313,8 +315,8 @@ enum WInstr {
 ///
 /// The register form is appended to `out`, exactly one instruction per
 /// op, and the result is `(n_regs, result register)`. That one-to-one
-/// correspondence is what lets a [`Tape`]'s single range index both of
-/// its kernel's instruction arrays.
+/// correspondence is what gives a [`Tape`] the same range in either of
+/// its kernel's forms.
 ///
 /// A structurally invalid tape — an operator with too few operands on the
 /// stack, an empty tape, or leftover operands — is reported as an error
@@ -522,15 +524,24 @@ fn ci(t: ScalarType) -> usize {
     }
 }
 
+/// Every tape's instructions of one kernel, back to back, in the one
+/// form that picks the kernel's engine.
+#[derive(Debug, Clone)]
+enum Instrs {
+    /// Register form, for the warp engine ([`DecodedKernel::decode`]).
+    Register(Box<[WInstr]>),
+    /// Postfix form, for the reference ([`DecodedKernel::reference`]).
+    Postfix(Box<[EOp]>),
+}
+
 /// A kernel pre-decoded for execution: register classes inferred, slots
 /// assigned, expressions flattened to tapes. Decoded kernels are
 /// immutable once built, so one can be shared by any number of
 /// concurrent launches.
 ///
-/// The instructions of every tape live in two arrays per kernel, `ops`
-/// (postfix, for the per-lane engine) and `winstrs` (register form, for
-/// the warp engine), parallel by construction; each tape in `body` is
-/// a range of both.
+/// The instructions of every tape live in one array per kernel, in the
+/// register form or, decoded for the reference, in the postfix form;
+/// each tape in `body` is a range of it.
 #[derive(Debug, Clone)]
 pub struct DecodedKernel {
     /// Diagnostic name (same as the source kernel's).
@@ -544,10 +555,7 @@ pub struct DecodedKernel {
     /// Element class of each private array.
     priv_class: Vec<ScalarType>,
     body: Box<[DStm]>,
-    /// Every tape's postfix ops, back to back.
-    ops: Box<[EOp]>,
-    /// Every tape's register-form instructions, parallel to `ops`.
-    winstrs: Box<[WInstr]>,
+    instrs: Instrs,
     /// Per-site counter buckets of a profiled launch: one per entry of
     /// the kernel's [`Kernel::prov_table`] (the sites its `At` markers
     /// name), plus the implicit "unattributed" bucket last.
@@ -686,10 +694,12 @@ struct Compiler<'k> {
     kernel: &'k Kernel,
     reg_slot: Vec<(ScalarType, u32)>,
     priv_class: Vec<ScalarType>,
-    /// The kernel's postfix ops so far: every tape appends its own.
+    /// Postfix ops: every tape's so far in a reference decode, else only
+    /// those of the tape being built, [`reg_compile`]'s input.
     ops: Vec<EOp>,
-    /// The register form of `ops`, one instruction per op.
-    winstrs: Vec<WInstr>,
+    /// Every tape's register-form instructions so far; `None` in a
+    /// reference decode.
+    winstrs: Option<Vec<WInstr>>,
 }
 
 impl<'k> Compiler<'k> {
@@ -778,14 +788,25 @@ impl<'k> Compiler<'k> {
         }
     }
 
-    /// Appends an expression's postfix ops and their register form to the
-    /// kernel's arrays and returns the tape that ranges over them.
+    /// Appends an expression's instructions to the kernel's array, in
+    /// the form being decoded to, and returns the tape that ranges over
+    /// them. The register form is compiled from the tape's postfix ops,
+    /// which are dropped once it is built.
     fn tape(&mut self, e: &KExp) -> SResult<Tape> {
         let start = self.ops.len();
         let class = self.exp(e)?;
-        let (n_regs, result) = reg_compile(&self.ops[start..], &mut self.winstrs)
-            .map_err(|what| self.malformed(what))?;
-        let end = u32::try_from(self.ops.len())
+        let (start, end, n_regs, result) = match &mut self.winstrs {
+            Some(winstrs) => {
+                let at = winstrs.len();
+                let compiled = reg_compile(&self.ops[start..], winstrs);
+                let end = winstrs.len();
+                self.ops.truncate(start);
+                let (n_regs, result) = compiled.map_err(|what| self.malformed(what))?;
+                (at, end, n_regs, result)
+            }
+            None => (start, self.ops.len(), 0, 0),
+        };
+        let end = u32::try_from(end)
             .map_err(|_| self.malformed("kernel tapes exceed 2^32 instructions"))?;
         let start = start as u32;
         Ok(Tape {
@@ -944,11 +965,12 @@ impl<'k> Compiler<'k> {
 }
 
 impl DecodedKernel {
-    /// Pre-decodes a kernel: infers a scalar class for every register and
-    /// private array (fixpoint over the body; registers that are never
-    /// written default to i64, matching the old `Scalar::I64(0)` register
-    /// initialisation), assigns each register a slot in its class's file,
-    /// and flattens every expression into a postfix `Tape`.
+    /// Pre-decodes a kernel for the warp engine: infers a scalar class
+    /// for every register and private array (fixpoint over the body;
+    /// registers that are never written default to i64, matching the old
+    /// `Scalar::I64(0)` register initialisation), assigns each register a
+    /// slot in its class's file, and flattens every expression into a
+    /// register-form `Tape`.
     ///
     /// # Errors
     ///
@@ -958,6 +980,23 @@ impl DecodedKernel {
     /// faults in the tree-walking simulator; well-typed codegen output
     /// never triggers them).
     pub fn decode(kernel: &Kernel) -> SResult<DecodedKernel> {
+        Self::decode_to(kernel, true)
+    }
+
+    /// Decodes a kernel for the per-lane reference engine: the classes,
+    /// slots and tapes of [`DecodedKernel::decode`], kept in postfix form
+    /// and never register-compiled. Only tests and the fuzz oracle call
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// As [`DecodedKernel::decode`].
+    pub fn reference(kernel: &Kernel) -> SResult<DecodedKernel> {
+        Self::decode_to(kernel, false)
+    }
+
+    /// Decodes to the register form if `register`, else to postfix.
+    fn decode_to(kernel: &Kernel, register: bool) -> SResult<DecodedKernel> {
         // Static-model rejections name the kernel, whichever step finds
         // them.
         let named = |e: SimError| match e {
@@ -999,7 +1038,7 @@ impl DecodedKernel {
             reg_slot,
             priv_class,
             ops: Vec::new(),
-            winstrs: Vec::new(),
+            winstrs: register.then(Vec::new),
         };
         let body = comp.stms(&kernel.body).map_err(named)?;
         let mut site = Prov::none();
@@ -1013,23 +1052,31 @@ impl DecodedKernel {
             file_len,
             priv_class: comp.priv_class,
             body,
-            ops: comp.ops.into_boxed_slice(),
-            winstrs: comp.winstrs.into_boxed_slice(),
+            instrs: match comp.winstrs {
+                Some(winstrs) => Instrs::Register(winstrs.into_boxed_slice()),
+                None => Instrs::Postfix(comp.ops.into_boxed_slice()),
+            },
             n_sites: kernel.prov_table.len() + 1,
             site: site.key(),
         })
     }
 
-    /// A tape's postfix ops.
+    /// A tape's postfix ops (none in the register form).
     #[inline]
     fn ops(&self, tape: &Tape) -> &[EOp] {
-        &self.ops[tape.range()]
+        match &self.instrs {
+            Instrs::Postfix(ops) => &ops[tape.range()],
+            Instrs::Register(_) => &[],
+        }
     }
 
-    /// A tape's register-form instructions.
+    /// A tape's register-form instructions (none in the postfix form).
     #[inline]
     fn winstrs(&self, tape: &Tape) -> &[WInstr] {
-        &self.winstrs[tape.range()]
+        match &self.instrs {
+            Instrs::Register(winstrs) => &winstrs[tape.range()],
+            Instrs::Postfix(_) => &[],
+        }
     }
 }
 
@@ -1482,6 +1529,11 @@ fn warp_transactions(
 // Group execution
 // ---------------------------------------------------------------------------
 
+/// The most iterations one execution of a kernel `while` loop may take in
+/// one work-group before the launch fails with [`SimError::RunawayLoop`].
+/// The execution budget planned in ROADMAP.md is to replace it.
+const MAX_WHILE_ITERATIONS: u64 = 100_000_000;
+
 /// What one group's execution produces: its counters and its write log
 /// (final value per written element — within-group ordering is already
 /// resolved, last write wins).
@@ -1491,12 +1543,6 @@ struct GroupOut {
     /// Per-site counters (profiled runs only); length is
     /// `prov_table.len() + 1`, the last slot being the unattributed bucket.
     sites: Option<Vec<SiteStats>>,
-    /// Warp-engine uniform fast-path tallies (zero under the lane engine).
-    /// Carried per group and folded into [`LaunchOut`] — never through
-    /// process-wide state, so concurrent launches cannot contaminate each
-    /// other's diagnostics.
-    u_hits: u64,
-    u_misses: u64,
 }
 
 struct GroupRun<'a> {
@@ -1522,6 +1568,8 @@ struct GroupRun<'a> {
     /// This group's global-memory overlays: reads consult them before
     /// the base snapshot, and they double as the group's write log.
     writes: Overlays,
+    /// Reference engine: the bit stack postfix tapes evaluate on (grown
+    /// on first use, so the warp engine never allocates it).
     stack: Vec<u64>,
     /// Scratch: segment ids for transaction counting.
     segs: Vec<i64>,
@@ -1536,12 +1584,6 @@ struct GroupRun<'a> {
     icol: Vec<i64>,
     /// Warp engine: recycled mask storage for divergent control flow.
     mask_pool: Vec<Vec<bool>>,
-    /// Warp engine: control-flow decisions that took the uniform fast
-    /// path / fell back to per-lane masking (returned on [`GroupOut`] and
-    /// folded into the launch's [`LaunchOut`]; never part of
-    /// [`KernelStats`], so engine choice cannot perturb profiled counters).
-    u_hits: u64,
-    u_misses: u64,
     stats: KernelStats,
     /// Per-site counters, allocated only in profiled runs.
     sites: Option<Vec<SiteStats>>,
@@ -2395,7 +2437,7 @@ impl<'a> GroupRun<'a> {
                         }
                         self.exec(body, &live)?;
                         iterations += 1;
-                        if iterations > 100_000_000 {
+                        if iterations > MAX_WHILE_ITERATIONS {
                             return Err(SimError::RunawayLoop {
                                 kernel: self.dk.name.clone(),
                             });
@@ -2943,7 +2985,6 @@ impl<'a> GroupRun<'a> {
                         // Uniform fast path: every active lane runs the
                         // same trip count, so the per-iteration sub-mask
                         // is the loop mask itself — never rebuilt.
-                        self.u_hits += 1;
                         let b = first.unwrap_or(0);
                         for t in 0..b {
                             if mask.all {
@@ -2961,7 +3002,6 @@ impl<'a> GroupRun<'a> {
                             self.wexec(body, mask)?;
                         }
                     } else {
-                        self.u_misses += 1;
                         let max_bound = (0..lanes)
                             .filter(|&l| mask.on[l])
                             .map(|l| bounds[l])
@@ -3010,23 +3050,13 @@ impl<'a> GroupRun<'a> {
                         }
                         if dropped {
                             live.recompute(ws);
-                            if live.any {
-                                // Divergent exit: some lanes left, some
-                                // loop on under a narrowed mask.
-                                self.u_misses += 1;
-                            } else {
-                                self.u_hits += 1;
-                            }
-                        } else {
-                            // Uniformly true: the mask is unchanged.
-                            self.u_hits += 1;
                         }
                         if !live.any {
                             break;
                         }
                         self.wexec(body, &live)?;
                         iterations += 1;
-                        if iterations > 100_000_000 {
+                        if iterations > MAX_WHILE_ITERATIONS {
                             return Err(SimError::RunawayLoop {
                                 kernel: self.dk.name.clone(),
                             });
@@ -3053,7 +3083,6 @@ impl<'a> GroupRun<'a> {
                     }
                     if any_t && any_f {
                         // Divergent: split the mask and run both arms.
-                        self.u_misses += 1;
                         let ws = self.warp_size;
                         let mut tb = self.take_bits();
                         let mut eb = self.take_bits();
@@ -3074,7 +3103,6 @@ impl<'a> GroupRun<'a> {
                         // Uniform: all active lanes agree. The untaken
                         // branch would run under an all-false mask — a
                         // no-op with zero counters — so skip it outright.
-                        self.u_hits += 1;
                         if any_t {
                             self.wexec(then_s, mask)?;
                         } else {
@@ -3110,7 +3138,7 @@ impl<'a> GroupRun<'a> {
 }
 
 /// Runs one work-group against the shared memory snapshot and returns its
-/// stats and write log.
+/// stats and write log, on the engine the kernel's decoded form picks.
 #[allow(clippy::too_many_arguments)]
 fn run_group(
     dk: &DecodedKernel,
@@ -3123,10 +3151,9 @@ fn run_group(
     lanes: usize,
     num_threads: u64,
     profile: bool,
-    engine: SimEngine,
 ) -> SResult<GroupOut> {
     let n_sites = dk.n_sites;
-    let warp = engine == SimEngine::Warp;
+    let reference = matches!(dk.instrs, Instrs::Postfix(_));
     let mut run = GroupRun {
         dk,
         base,
@@ -3144,37 +3171,30 @@ fn run_group(
         capacity: device.global_mem_bytes,
         locals: local_sizes.iter().map(|&(_, n)| vec![0u64; n]).collect(),
         writes: Overlays::default(),
-        stack: Vec::with_capacity(16),
+        stack: Vec::new(),
         segs: Vec::with_capacity(device.warp_size as usize),
-        scratch: if warp {
-            vec![0u64; WREG_FILE as usize * lanes]
-        } else {
+        scratch: if reference {
             Vec::new()
+        } else {
+            vec![0u64; WREG_FILE as usize * lanes]
         },
         icol: vec![0i64; lanes],
         mask_pool: Vec::new(),
-        u_hits: 0,
-        u_misses: 0,
         stats: KernelStats::default(),
         sites: profile.then(|| vec![SiteStats::default(); n_sites]),
         cur_site: n_sites - 1,
     };
-    match engine {
-        SimEngine::Lane => {
-            let mask = vec![true; lanes];
-            run.exec(&dk.body, &mask)?;
-        }
-        SimEngine::Warp => {
-            let mask = WMask::new(vec![true; lanes], run.warp_size);
-            run.wexec(&dk.body, &mask)?;
-        }
+    if reference {
+        let mask = vec![true; lanes];
+        run.exec(&dk.body, &mask)?;
+    } else {
+        let mask = WMask::new(vec![true; lanes], run.warp_size);
+        run.wexec(&dk.body, &mask)?;
     }
     Ok(GroupOut {
         stats: run.stats,
         writes: run.writes,
         sites: run.sites,
-        u_hits: run.u_hits,
-        u_misses: run.u_misses,
     })
 }
 
@@ -3233,43 +3253,22 @@ pub fn host_threads() -> usize {
     }
 }
 
-/// Which execution engine runs a group's statement list. Both compute the
-/// same function with bit-identical outputs, errors, and counters; the
-/// warp engine is the fast default, the per-lane engine the independent
-/// reference kept for differential testing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The engine of [`RunOptions::engine`], which selects nothing: how a
+/// kernel was decoded picks its engine. It goes with that field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEngine {
-    /// One opcode dispatch drives every lane: register-form tapes over
-    /// column-major scratch, mask-predicated per-opcode loops, uniform
-    /// control-flow fast path.
-    #[default]
+    /// The warp engine.
     Warp,
-    /// The original engine: each lane evaluates postfix tapes on its own
-    /// bit-stack.
-    Lane,
-}
-
-/// The default engine selected by the `FUTHARK_SIM_ENGINE` environment
-/// variable (`lane` for the per-lane reference engine, anything else —
-/// including unset — for the warp engine). Read from the environment on
-/// every call: a default-only fallback for [`RunOptions`]
-/// construction, never a latched snapshot, so per-request engine overrides
-/// in a long-lived server take effect launch by launch.
-pub fn sim_engine() -> SimEngine {
-    match std::env::var("FUTHARK_SIM_ENGINE") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("lane") => SimEngine::Lane,
-        _ => SimEngine::Warp,
-    }
 }
 
 /// Execution options for a run ([`crate::exec::run`]) and for each of
 /// its launches ([`launch`]).
 ///
-/// The default reads the environment-derived settings ([`host_threads`],
-/// [`sim_engine`]) at construction time, as a default-only fallback:
+/// The default reads the thread count from the environment
+/// ([`host_threads`]) at construction time, as a default-only fallback:
 /// explicit fields always win, per request — nothing is latched
-/// process-wide, so a long-lived server honours each job's own engine and
-/// thread-count settings. Differential comparisons that must hold two runs
+/// process-wide, so a long-lived server honours each job's own
+/// thread-count setting. Differential comparisons that must hold two runs
 /// to one configuration should build one `RunOptions` and reuse it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOptions {
@@ -3281,10 +3280,9 @@ pub struct RunOptions {
     /// accumulated separately and never feed back into execution or the
     /// [`KernelStats`] totals).
     pub profile: bool,
-    /// Which group-execution engine runs kernel launches. Outputs, errors,
-    /// and every counter are bit-identical across engines; the warp engine
-    /// is the fast default, the per-lane engine the independent reference
-    /// for differential testing.
+    /// Selects nothing: its only value is [`SimEngine::Warp`] and no code
+    /// reads it. The benchmark's adapter still sets it; the next change
+    /// to the benchmark deletes it.
     pub engine: SimEngine,
 }
 
@@ -3293,16 +3291,13 @@ impl Default for RunOptions {
         RunOptions {
             threads: host_threads(),
             profile: false,
-            engine: sim_engine(),
+            engine: SimEngine::Warp,
         }
     }
 }
 
-/// Everything one launch produced: the aggregate counters, per-site
-/// buckets when profiled, and the warp engine's uniform fast-path tallies.
-/// The tallies are per-launch values — there is deliberately no
-/// process-wide accumulator, so concurrent launches (a daemon's jobs,
-/// parallel tests) can never contaminate each other's diagnostics.
+/// Everything one launch produced: the aggregate counters, and per-site
+/// buckets when profiled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchOut {
     /// Aggregate execution counters (bit-identical across engines, thread
@@ -3310,13 +3305,6 @@ pub struct LaunchOut {
     pub stats: KernelStats,
     /// Per-site counters, present only on profiled launches.
     pub sites: Option<Vec<SiteStats>>,
-    /// Control-flow decisions that took the warp engine's uniform fast
-    /// path. Always zero under the lane engine. Diagnostic only —
-    /// deliberately *not* part of [`KernelStats`], so engine choice cannot
-    /// perturb profiled counters.
-    pub uniform_hits: u64,
-    /// Control-flow decisions that fell back to per-lane masking.
-    pub uniform_misses: u64,
 }
 
 /// Minimum group count before spawning worker threads: below this the
@@ -3324,16 +3312,18 @@ pub struct LaunchOut {
 const PAR_MIN_GROUPS: u64 = 2;
 
 /// Launches a pre-decoded kernel over `num_threads` threads, executing
-/// independent work-groups on up to `opts.threads` host threads with
-/// `opts.engine`, and bucketing counters by source site when
-/// `opts.profile` is set (the decoded kernel's provenance table; the extra
-/// final slot is the unattributed bucket). Results — device memory, the
-/// returned [`KernelStats`], and any error — are bit-identical for every
-/// thread count, engine and profiling choice (see the module docs for the
-/// memory model that guarantees this). The kernel is decoded once, ahead
-/// of any launch ([`DecodedKernel::decode`]; a compiled program decodes
-/// all of its kernels at compile time, [`crate::exec::DecodedPlan`]), and
-/// a launch only reads it.
+/// independent work-groups on up to `opts.threads` host threads, and
+/// bucketing counters by source site when `opts.profile` is set (the
+/// decoded kernel's provenance table; the extra final slot is the
+/// unattributed bucket). The kernel runs on the warp engine if it was
+/// decoded by [`DecodedKernel::decode`], and on the per-lane reference
+/// engine if by [`DecodedKernel::reference`]. Results — device memory,
+/// the returned [`KernelStats`], and any error — are bit-identical for
+/// every thread count, engine and profiling choice (see the module docs
+/// for the memory model that guarantees this). The kernel is decoded
+/// once, ahead of any launch (a compiled program decodes all of its
+/// kernels at compile time, [`crate::exec::DecodedPlan`]), and a launch
+/// only reads it.
 ///
 /// # Errors
 ///
@@ -3350,9 +3340,7 @@ pub fn launch(
     opts: &RunOptions,
 ) -> SResult<LaunchOut> {
     let &RunOptions {
-        threads,
-        profile,
-        engine,
+        threads, profile, ..
     } = opts;
     // Tapes index the arguments by parameter position.
     if args.len() != dk.params.len() {
@@ -3441,7 +3429,6 @@ pub fn launch(
             lanes,
             num_threads,
             profile,
-            engine,
         ))
     };
 
@@ -3489,28 +3476,19 @@ pub fn launch(
         ..KernelStats::default()
     };
     let mut sites = profile.then(|| vec![SiteStats::default(); dk.n_sites]);
-    let mut uniform_hits = 0u64;
-    let mut uniform_misses = 0u64;
     for out in outs.into_iter().flatten() {
         let out = out?;
         for (bid, win) in &out.writes.0 {
             win.commit(mem.raw_mut(*bid));
         }
         stats.merge(&out.stats);
-        uniform_hits += out.u_hits;
-        uniform_misses += out.u_misses;
         if let (Some(total), Some(group)) = (&mut sites, &out.sites) {
             for (t, g) in total.iter_mut().zip(group) {
                 t.merge(g);
             }
         }
     }
-    Ok(LaunchOut {
-        stats,
-        sites,
-        uniform_hits,
-        uniform_misses,
-    })
+    Ok(LaunchOut { stats, sites })
 }
 
 #[cfg(test)]
@@ -3518,13 +3496,21 @@ mod tests {
     use super::*;
     use crate::kernel::{KParam, KStm};
 
-    /// The environment's default engine, unprofiled, on `threads` host
-    /// threads.
+    /// Unprofiled, on `threads` host threads.
     fn threads_only(threads: usize) -> RunOptions {
         RunOptions {
             threads,
             ..RunOptions::default()
         }
+    }
+
+    /// `k` decoded for each engine: the reference first, then the warp
+    /// engine.
+    fn both_forms(k: &Kernel) -> [(&'static str, DecodedKernel); 2] {
+        [
+            ("reference", DecodedKernel::reference(k).unwrap()),
+            ("warp", DecodedKernel::decode(k).unwrap()),
+        ]
     }
 
     fn square_kernel() -> Kernel {
@@ -3940,6 +3926,43 @@ mod tests {
     }
 
     #[test]
+    fn each_decode_keeps_exactly_one_instruction_form() {
+        // `decode` keeps only the register form and `reference` only the
+        // postfix form, over the same tapes: register-compiling a
+        // reference tape's ops gives the decoded tape's instructions.
+        let k = deep_sum_kernel(20);
+        let dk = DecodedKernel::decode(&k).unwrap();
+        let rk = DecodedKernel::reference(&k).unwrap();
+        let (Instrs::Register(winstrs), Instrs::Postfix(ops)) = (&dk.instrs, &rk.instrs) else {
+            panic!("decode keeps the register form, reference the postfix form");
+        };
+        assert_eq!(winstrs.len(), ops.len(), "one instruction per op");
+        let (
+            DStm::GlobalWrite {
+                index: di,
+                value: dv,
+                ..
+            },
+            DStm::GlobalWrite {
+                index: ri,
+                value: rv,
+                ..
+            },
+        ) = (&dk.body[0], &rk.body[0])
+        else {
+            panic!("expected a GlobalWrite in both");
+        };
+        for (d, r) in [(di, ri), (dv, rv)] {
+            assert_eq!(d.range(), r.range());
+            assert!(dk.ops(d).is_empty() && rk.winstrs(r).is_empty());
+            let mut w = Vec::new();
+            let (n_regs, result) = reg_compile(rk.ops(r), &mut w).unwrap();
+            assert_eq!(w, dk.winstrs(d));
+            assert_eq!((n_regs, result), (d.n_regs, d.result));
+        }
+    }
+
+    #[test]
     fn register_allocation_is_deterministic() {
         // Same tape, same assignment — decode twice and demand identical
         // register-form instructions (profgate's bit-for-bit baseline
@@ -4007,30 +4030,28 @@ mod tests {
 
     #[test]
     fn corrupted_tape_is_a_malformed_error_not_a_panic() {
-        // Decode a valid kernel, then corrupt the write-value tape so its
-        // postfix ops underflow. The lane engine (which interprets `ops`
-        // directly) must fault with SimError::Malformed — the structured
-        // error futharkd returns as a job failure — rather than panicking
-        // and killing the process.
-        let mut dk = DecodedKernel::decode(&square_kernel()).unwrap();
+        // Decode a valid kernel for the reference engine, then corrupt the
+        // write-value tape so its postfix ops underflow. The reference
+        // engine (which interprets the ops directly) must fault with
+        // SimError::Malformed — the structured error futharkd returns as a
+        // job failure — rather than panicking and killing the process.
+        let mut dk = DecodedKernel::reference(&square_kernel()).unwrap();
         let start = write_value_tape_at(&dk, 1).start as usize;
-        dk.ops[start] = EOp::Bin(BinOp::Mul, ScalarType::I64);
+        let Instrs::Postfix(ops) = &mut dk.instrs else {
+            panic!("a reference decode holds the postfix form")
+        };
+        ops[start] = EOp::Bin(BinOp::Mul, ScalarType::I64);
         let dev = DeviceProfile::gtx780();
         let mut mem = DeviceMemory::new();
         let a = mem.alloc(ScalarType::I64, 8).unwrap();
         let b = mem.alloc(ScalarType::I64, 8).unwrap();
-        let opts = RunOptions {
-            threads: 1,
-            profile: false,
-            engine: SimEngine::Lane,
-        };
         let err = launch(
             &dev,
             &dk,
             8,
             &[Arg::Buffer(a), Arg::Buffer(b)],
             &mut mem,
-            &opts,
+            &threads_only(1),
         )
         .unwrap_err();
         match err {
@@ -4057,20 +4078,15 @@ mod tests {
         let dev = DeviceProfile::gtx780();
         let n = 300usize;
         let base: i64 = (1..=depth as i64).sum();
-        let run = |engine: SimEngine| {
+        let run = |dk: &DecodedKernel| {
             let mut mem = DeviceMemory::new();
             let out = mem.alloc(ScalarType::I64, n).unwrap();
-            let opts = RunOptions {
-                threads: 1,
-                profile: false,
-                engine,
-            };
-            let out_run =
-                launch(&dev, &dk, n as u64, &[Arg::Buffer(out)], &mut mem, &opts).unwrap();
+            let opts = threads_only(1);
+            let out_run = launch(&dev, dk, n as u64, &[Arg::Buffer(out)], &mut mem, &opts).unwrap();
             (out_run.stats, mem.download(out).unwrap().clone())
         };
-        let (wstats, wout) = run(SimEngine::Warp);
-        let (lstats, lout) = run(SimEngine::Lane);
+        let (wstats, wout) = run(&dk);
+        let (lstats, lout) = run(&DecodedKernel::reference(&deep_sum_kernel(depth)).unwrap());
         assert_eq!(wstats, lstats);
         assert_eq!(wout, lout);
         let Buffer::I64(v) = wout else { panic!() };
@@ -4312,7 +4328,7 @@ mod tests {
     #[test]
     fn overlays_match_a_hashmap_model() {
         let dev = DeviceProfile::gtx780();
-        let dk = DecodedKernel::decode(&script_kernel()).unwrap();
+        let kernels = both_forms(&script_kernel());
         let len = 50_000i64;
         let threads = 600usize; // two full groups and a partial tail
         let mut rng = futhark_core::rng::Rng64::seed_from_u64(12);
@@ -4332,21 +4348,17 @@ mod tests {
                 &mut want_reads,
             );
             faults += usize::from(want_err.is_some());
-            for engine in [SimEngine::Lane, SimEngine::Warp] {
+            for (engine, dk) in &kernels {
                 for host in [1, 4] {
                     let mut mem = DeviceMemory::new();
                     let sb = mem.upload(Buffer::I64(script.clone())).unwrap();
                     let ob = mem.upload(Buffer::I64(init.clone())).unwrap();
                     let rb = mem.alloc(ScalarType::I64, script.len()).unwrap();
-                    let opts = RunOptions {
-                        threads: host,
-                        profile: false,
-                        engine,
-                    };
+                    let opts = threads_only(host);
                     let args = [Arg::Buffer(sb), Arg::Buffer(ob), Arg::Buffer(rb)];
-                    let got = launch(&dev, &dk, threads as u64, &args, &mut mem, &opts);
+                    let got = launch(&dev, dk, threads as u64, &args, &mut mem, &opts);
                     let label =
-                        format!("case {case} (pattern {pattern}), {engine:?}, {host} threads");
+                        format!("case {case} (pattern {pattern}), {engine}, {host} threads");
                     assert_eq!(got.err().map(|e| e.to_string()), want_err, "{label}");
                     let (Buffer::I64(o), Buffer::I64(r)) =
                         (mem.download(ob).unwrap(), mem.download(rb).unwrap())
@@ -4672,7 +4684,7 @@ mod tests {
             ),
         ];
         for kind in 0..8 {
-            let dk = DecodedKernel::decode(&fault_kernel(kind)).unwrap();
+            let [(_, reference), (_, warp)] = both_forms(&fault_kernel(kind));
             let (normal, oob): (fn(i64) -> i64, i64) = match kind {
                 0 | 1 => (|g| g * 7 % 512, data_len + 3),
                 2 | 3 => (|g| g * 7 % 256, -1),
@@ -4690,7 +4702,7 @@ mod tests {
                         Plant::ValueFault => dz_value[g] = 0,
                     }
                 }
-                let run = |engine: SimEngine, host: usize| {
+                let run = |dk: &DecodedKernel, host: usize| {
                     let mut mem = DeviceMemory::new();
                     let mut up =
                         |v: &[i64]| Arg::Buffer(mem.upload(Buffer::I64(v.to_vec())).unwrap());
@@ -4705,9 +4717,9 @@ mod tests {
                     let opts = RunOptions {
                         threads: host,
                         profile: true,
-                        engine,
+                        ..RunOptions::default()
                     };
-                    let got = launch(&dev, &dk, threads as u64, &args, &mut mem, &opts)
+                    let got = launch(&dev, dk, threads as u64, &args, &mut mem, &opts)
                         .map(|out| (out.stats, out.sites))
                         .map_err(|e| e.to_string());
                     let bufs: Vec<Buffer> = args[3..]
@@ -4719,7 +4731,7 @@ mod tests {
                         .collect();
                     (got, bufs)
                 };
-                let want = run(SimEngine::Lane, 1);
+                let want = run(&reference, 1);
                 let masked_only = plants.iter().all(|&(g, p)| {
                     g % 5 == 3 || (matches!(p, Plant::ValueFault) && ![1, 3, 6].contains(&kind))
                 });
@@ -4729,19 +4741,19 @@ mod tests {
                     "kind {kind}, {what}: {:?}",
                     want.0
                 );
-                for (engine, host) in [
-                    (SimEngine::Lane, 4),
-                    (SimEngine::Warp, 1),
-                    (SimEngine::Warp, 4),
+                for (engine, dk, host) in [
+                    ("reference", &reference, 4),
+                    ("warp", &warp, 1),
+                    ("warp", &warp, 4),
                 ] {
-                    let got = run(engine, host);
+                    let got = run(dk, host);
                     assert_eq!(
                         got.0, want.0,
-                        "kind {kind}, {what}: {engine:?} at {host} threads"
+                        "kind {kind}, {what}: {engine} at {host} threads"
                     );
                     assert_eq!(
                         got.1, want.1,
-                        "kind {kind}, {what}: memory, {engine:?} at {host}"
+                        "kind {kind}, {what}: memory, {engine} at {host}"
                     );
                 }
             }
@@ -4774,18 +4786,13 @@ mod tests {
                     }],
                 }],
             };
-            let dk = DecodedKernel::decode(&k).unwrap();
-            for engine in [SimEngine::Lane, SimEngine::Warp] {
+            for (engine, dk) in &both_forms(&k) {
                 for threads in [1, 4] {
-                    let opts = RunOptions {
-                        threads,
-                        profile: false,
-                        engine,
-                    };
+                    let opts = threads_only(threads);
                     let mut mem = DeviceMemory::new();
-                    let fits = launch(&dev, &dk, 8, &[], &mut mem, &opts);
-                    assert!(fits.is_ok(), "{elem:?}, {engine:?} at {threads}: {fits:?}");
-                    let err = launch(&dev, &dk, 9, &[], &mut mem, &opts).unwrap_err();
+                    let fits = launch(&dev, dk, 8, &[], &mut mem, &opts);
+                    assert!(fits.is_ok(), "{elem:?}, {engine} at {threads}: {fits:?}");
+                    let err = launch(&dev, dk, 9, &[], &mut mem, &opts).unwrap_err();
                     assert_eq!(
                         err,
                         SimError::OutOfMemory {
@@ -4793,7 +4800,7 @@ mod tests {
                             live: 1024,
                             capacity: 1024
                         },
-                        "{elem:?}, {engine:?} at {threads}"
+                        "{elem:?}, {engine} at {threads}"
                     );
                 }
             }

@@ -47,7 +47,7 @@ use crate::lock_ok;
 use crate::metrics::{registry_json, registry_prometheus, GaugeSet, Metrics};
 use crate::proto::{self, ErrorKind, MetricsFormat, Request, Response, RunRequest, Span};
 use crate::recorder::{EventKind, FlightRecorder};
-use futhark::{Compiler, DeviceProfile, ExecError, RunOptions, SimError};
+use futhark::{Compiler, DeviceProfile, ExecError, RunOptions, SimEngine, SimError};
 use futhark_trace::{ChromeTrace, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -574,7 +574,7 @@ impl Daemon {
         let opts = RunOptions {
             threads: r.threads,
             profile: r.profile,
-            engine: r.engine,
+            engine: SimEngine::Warp,
         };
         let target = device.clone();
         let te = Instant::now();

@@ -24,10 +24,10 @@
 //!    `OutOfMemory` run error instead of growing the host, and what it
 //!    asked for is learned, so the next submission is rejected up front.
 //!
-//! 3. **No process-global state.** Engine choice, thread counts, and
-//!    uniform-path tallies are all per-request ([`futhark::RunOptions`],
-//!    [`futhark::PerfReport`]) — the daemon is the reason those moved off
-//!    `OnceLock`s and process-wide atomics.
+//! 3. **No process-global state.** Thread counts and profiling are
+//!    per-request ([`futhark::RunOptions`]), and every counter is
+//!    per-run ([`futhark::PerfReport`]) — the daemon is the reason those
+//!    moved off `OnceLock`s and process-wide atomics.
 //!
 //! The wire protocol is line-delimited JSON over stdio or TCP; see
 //! [`proto`] for the request/response schema and the README's `futharkd`

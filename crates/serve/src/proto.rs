@@ -29,7 +29,7 @@
 //! errors include `predicted_peak_bytes` and the best device `capacity`
 //! the job did not fit.
 
-use futhark::{schedule_from_json, Schedule, SimEngine};
+use futhark::{schedule_from_json, Schedule};
 use futhark_core::{ArrayVal, Buffer, Scalar, ScalarType, Value};
 use futhark_trace::Json;
 
@@ -86,8 +86,6 @@ pub struct RunRequest {
     /// Host worker threads for group execution (default 1 — a server
     /// parallelises across jobs, not within them).
     pub threads: usize,
-    /// Group-execution engine (default warp).
-    pub engine: SimEngine,
     /// Whether to collect per-site profile counters.
     pub profile: bool,
 }
@@ -313,6 +311,20 @@ fn as_i64(j: &Json) -> Option<i64> {
     }
 }
 
+/// An optional string field of a request: `None` when absent, a
+/// protocol error naming the field when present but not a string.
+fn opt_str<'j>(
+    j: &'j Json,
+    id: &str,
+    op: &str,
+    key: &str,
+) -> Result<Option<&'j str>, (String, String)> {
+    let not_str = || (id.to_string(), format!("{op}: \"{key}\" must be a string"));
+    j.get(key)
+        .map(|v| v.as_str().ok_or_else(not_str))
+        .transpose()
+}
+
 /// Parses a request line. `Err` carries a protocol-error message (and the
 /// correlation id when one was recoverable).
 pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
@@ -329,7 +341,7 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
     match op {
         "stats" => Ok(Request::Stats { id }),
         "metrics" => {
-            let format = match j.get("format").and_then(Json::as_str) {
+            let format = match opt_str(&j, &id, "metrics", "format")? {
                 None | Some("json") => MetricsFormat::Json,
                 Some("prometheus") => MetricsFormat::Prometheus,
                 Some("chrome") => MetricsFormat::Chrome,
@@ -382,22 +394,26 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
                     as usize,
                 None => 1,
             };
-            let engine = match j.get("engine").and_then(Json::as_str) {
-                None => SimEngine::Warp,
-                Some("warp") => SimEngine::Warp,
-                Some("lane") => SimEngine::Lane,
-                Some(other) => {
-                    return Err((id, format!("run: unknown engine {other:?}")));
+            // The warp engine is the only one; naming it is allowed.
+            if let Some(other) = opt_str(&j, &id, "run", "engine")?.filter(|&e| e != "warp") {
+                return Err((
+                    id,
+                    format!("run: unknown engine {other:?} (only \"warp\" exists)"),
+                ));
+            }
+            let profile = match j.get("profile") {
+                None => false,
+                Some(Json::Bool(p)) => *p,
+                Some(_) => {
+                    return Err((id, "run: \"profile\" must be true or false".to_string()));
                 }
             };
-            let profile = matches!(j.get("profile"), Some(Json::Bool(true)));
             Ok(Request::Run(Box::new(RunRequest {
                 id,
                 source,
                 args,
                 schedule,
                 threads,
-                engine,
                 profile,
             })))
         }
@@ -534,7 +550,6 @@ mod tests {
             Request::Run(r) => {
                 assert_eq!(r.id, "j1");
                 assert_eq!(r.threads, 1);
-                assert_eq!(r.engine, SimEngine::Warp);
                 assert!(!r.profile);
                 assert!(r.schedule.is_default());
                 assert_eq!(r.args, vec![Value::i64(5)]);
@@ -579,5 +594,41 @@ mod tests {
         assert!(msg.contains("unknown op"));
         let (id, _) = parse_request(r#"{"id":"y","op":"run"}"#).unwrap_err();
         assert_eq!(id, "y");
+    }
+
+    #[test]
+    fn enumerated_fields_accept_only_their_values() {
+        let run = |field: &str| {
+            format!(r#"{{"op":"run","id":"r","source":"fun main (x: i64): i64 = x",{field}}}"#)
+        };
+        let metrics = |field: &str| format!(r#"{{"op":"metrics","id":"r",{field}}}"#);
+        // (request line, the field a rejection must name; None = accepted)
+        let cases = [
+            (run(r#""engine":"warp""#), None),
+            (run(r#""profile":true"#), None),
+            (run(r#""profile":false"#), None),
+            (metrics(r#""format":"chrome""#), None),
+            (run(r#""engine":"lane""#), Some("engine")),
+            (run(r#""engine":"gpu""#), Some("engine")),
+            (run(r#""engine":5"#), Some("engine")),
+            (run(r#""engine":null"#), Some("engine")),
+            (run(r#""engine":["warp"]"#), Some("engine")),
+            (run(r#""profile":"yes""#), Some("profile")),
+            (run(r#""profile":1"#), Some("profile")),
+            (run(r#""profile":null"#), Some("profile")),
+            (metrics(r#""format":5"#), Some("format")),
+            (metrics(r#""format":null"#), Some("format")),
+            (metrics(r#""format":"xml""#), Some("format")),
+        ];
+        for (line, names) in &cases {
+            match (parse_request(line), names) {
+                (Ok(_), None) => {}
+                (Err((id, msg)), Some(field)) => {
+                    assert_eq!(id, "r", "{line}");
+                    assert!(msg.contains(field), "{line}: {msg}");
+                }
+                (got, _) => panic!("{line}: got {got:?}"),
+            }
+        }
     }
 }

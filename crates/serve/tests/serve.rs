@@ -228,30 +228,32 @@ fn schedules_occupy_distinct_cache_entries() {
 }
 
 /// Concurrent mixed-tenant load produces bit-identical responses to the
-/// same jobs run sequentially: no cross-request state (engine, thread
-/// count, uniform tallies, cache) bleeds between tenants. Warp and lane
-/// jobs of one program share one artifact, and its decoded kernels,
-/// across four devices; outputs and modelled time must both match.
+/// same jobs run sequentially: no cross-request state (thread count,
+/// cache) bleeds between tenants. Jobs naming the engine and jobs leaving
+/// it out share one artifact, and its decoded kernels, across four
+/// devices; outputs and modelled time must both match. The per-lane
+/// engine is not reachable from the wire.
 #[test]
 fn concurrent_mixed_tenants_match_sequential_bit_for_bit() {
-    // Tenant mix: two programs, three sizes, both engines.
+    // Tenant mix: two programs, three sizes, engine named or absent.
+    let line = |id: &str, src: &str, n: i64, engine: &str| {
+        let xs: Vec<String> = (0..n).map(|i| (i * 7 % 1001).to_string()).collect();
+        format!(
+            r#"{{"op":"run","id":"{id}","source":{},"args":[{{"i64":{n}}},{{"array":{{"elem":"i64","shape":[{n}],"data":[{}]}}}}]{engine}}}"#,
+            quote(src),
+            xs.join(",")
+        )
+    };
     let mut jobs = Vec::new();
     for (p, src) in [("map", MAP_SRC), ("scan", SCAN_SRC)] {
         for n in [16i64, 64, 256] {
-            for engine in ["warp", "lane"] {
-                let id = format!("{p}-{n}-{engine}");
-                let line = {
-                    let xs: Vec<String> = (0..n).map(|i| (i * 7 % 1001).to_string()).collect();
-                    format!(
-                        r#"{{"op":"run","id":"{id}","source":{},"args":[{{"i64":{n}}},{{"array":{{"elem":"i64","shape":[{n}],"data":[{}]}}}}],"engine":"{engine}"}}"#,
-                        quote(src),
-                        xs.join(",")
-                    )
-                };
-                jobs.push((id, line));
+            for (label, engine) in [("warp", r#","engine":"warp""#), ("absent", "")] {
+                let id = format!("{p}-{n}-{label}");
+                jobs.push((id.clone(), line(&id, src, n, engine)));
             }
         }
     }
+    assert_eq!(jobs.len(), 12);
 
     // Sequential reference on a fresh daemon.
     let seq = daemon(1);
@@ -293,6 +295,12 @@ fn concurrent_mixed_tenants_match_sequential_bit_for_bit() {
             "{id}: concurrent outputs or total_us differ from sequential"
         );
     }
+
+    // The retired per-lane engine is a protocol error naming the field.
+    let j = parse(&conc.handle_line(&line("lane", MAP_SRC, 16, r#","engine":"lane""#)));
+    assert_eq!(j.get("kind").and_then(Json::as_str), Some("protocol"));
+    let message = j.get("message").and_then(Json::as_str).expect("message");
+    assert!(message.contains("engine"), "{message}");
 }
 
 /// A job whose predicted footprint exceeds every device's capacity is

@@ -5,7 +5,7 @@
 //! kernelised, and check the fold against the interpreter: its
 //! left-to-right order, its tie-breaking, and its faults.
 
-use futhark::{Compiler, Device, RunOptions, SimEngine, TimelineEvent};
+use futhark::{Compiled, Compiler, Device, PerfReport, RunOptions, TimelineEvent};
 use futhark_core::{ArrayVal, Value};
 use futhark_gpu::plan::{HBody, HStm};
 use std::path::PathBuf;
@@ -80,11 +80,26 @@ fn combine_and_kernel_counts_are_pinned() {
     assert_eq!(got, corpus);
 }
 
-fn opts(engine: SimEngine) -> RunOptions {
+fn opts() -> RunOptions {
     RunOptions {
         threads: 2,
         profile: false,
-        engine,
+        ..RunOptions::default()
+    }
+}
+
+/// Runs `compiled` on the warp engine, or on the per-lane reference when
+/// `reference` is set.
+fn run(
+    compiled: &Compiled,
+    device: Device,
+    args: &[Value],
+    reference: bool,
+) -> Result<(Vec<Value>, PerfReport), futhark::Error> {
+    if reference {
+        compiled.run_reference(device, args, opts())
+    } else {
+        compiled.run_with_opts(device, args, opts())
     }
 }
 
@@ -94,13 +109,14 @@ fn matches_interpreter(src: &str, args: &[Value]) -> Vec<Value> {
     let want = futhark::interpret(src, args).expect("interprets");
     let compiled = Compiler::new().compile(src).expect("compiles");
     for device in [Device::Gtx780, Device::W8100] {
-        for engine in [SimEngine::Warp, SimEngine::Lane] {
-            let (got, _) = compiled
-                .run_with_opts(device, args, opts(engine))
-                .expect("runs");
+        for reference in [false, true] {
+            let (got, _) = run(&compiled, device, args, reference).expect("runs");
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
-                assert!(g.bit_eq(w), "{device:?}/{engine:?}: {g:?} != {w:?}");
+                assert!(
+                    g.bit_eq(w),
+                    "{device:?}, reference {reference}: {g:?} != {w:?}"
+                );
             }
         }
     }
@@ -130,9 +146,7 @@ fn f32_sum_folds_partials_left_to_right() {
     );
     // The fold runs over one partial per stage-1 thread.
     let compiled = Compiler::new().compile(src).expect("compiles");
-    let (_, perf) = compiled
-        .run_with_opts(Device::Gtx780, &args, opts(SimEngine::Warp))
-        .expect("runs");
+    let (_, perf) = run(&compiled, Device::Gtx780, &args, false).expect("runs");
     let threads: Vec<u64> = perf
         .timeline
         .iter()
@@ -172,14 +186,13 @@ fn a_fault_in_the_combine_is_the_same_run_error_on_both_engines() {
         Value::Array(ArrayVal::from_i64s(vec![2; n as usize])),
     ];
     let compiled = Compiler::new().compile(src).expect("compiles");
-    let run = |engine| {
-        compiled
-            .run_with_opts(Device::Gtx780, &args, opts(engine))
+    let outcome = |reference| {
+        run(&compiled, Device::Gtx780, &args, reference)
             .map(|(v, _)| v)
             .map_err(|e| e.to_string())
     };
-    let warp = run(SimEngine::Warp);
-    let lane = run(SimEngine::Lane);
+    let warp = outcome(false);
+    let lane = outcome(true);
     assert_eq!(warp, lane);
     let err = warp.expect_err("the combine divides by a zero partial");
     assert!(err.contains("division by zero"), "{err}");

@@ -1,9 +1,11 @@
 //! A footprint guard for decoded kernels. A compiled program keeps its
 //! kernels decoded for the simulator (`DecodedPlan`), and futharkd keeps
 //! up to a cache's worth of compiled programs, so the decoded form must
-//! stay close to the size of the kernel trees it is decoded from. This
-//! binary's only test counts heap bytes with a counting global allocator,
-//! on the test's own thread only.
+//! stay no larger than the kernel trees it is decoded from. It can,
+//! because a decoded kernel keeps its tapes in one form only, the
+//! register form the warp engine runs. This binary's only test counts
+//! heap bytes with a counting global allocator, on the test's own thread
+//! only.
 
 use futhark::Compiler;
 use futhark_gpu::exec::DecodedPlan;
@@ -14,7 +16,7 @@ use std::cell::Cell;
 
 /// The bound: decoded kernels take at most this many times the heap
 /// bytes of their kernel trees.
-const MAX_RATIO: f64 = 1.5;
+const MAX_RATIO: f64 = 1.0;
 
 thread_local! {
     /// Whether this thread's allocations are being counted.
@@ -100,7 +102,7 @@ fn plan_kernels(plan: &GpuPlan) -> Vec<&Kernel> {
 }
 
 #[test]
-fn decoded_kernels_take_at_most_one_and_a_half_times_their_trees() {
+fn decoded_kernels_take_no_more_heap_than_their_trees() {
     let (mut trees, mut decoded) = (0i64, 0i64);
     for b in futhark_bench::all_benchmarks() {
         let c = Compiler::new().compile(&b.source).expect("compiles");

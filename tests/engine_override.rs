@@ -1,25 +1,16 @@
-//! Regression suite for the process-global-state bugs a long-lived
-//! daemon exposed: `FUTHARK_SIM_ENGINE` and `FUTHARK_SIM_THREADS` used to
-//! be latched in `OnceLock`s, so the first launch in a process pinned the
-//! engine and host thread count forever — per-request `RunOptions`
-//! overrides silently lost. These tests run lane-then-warp (and differing
-//! thread counts) *in one process* and demand that every request gets the
-//! configuration it asked for, with bit-identical results throughout.
-//!
-//! The uniform-path tallies double as the engine witness: only the warp
-//! engine takes uniform fast-path decisions, so a run that reports
-//! `uniform_hits + uniform_misses > 0` provably executed on the warp
-//! engine, and a zero-tally run on a divergence-bearing program provably
-//! did not. (Under the latched `OnceLock`, every run after the first
-//! reported the first run's engine behaviour.)
+//! Regression suite for the process-global-state bug a long-lived daemon
+//! exposed: `FUTHARK_SIM_THREADS` used to be latched in a `OnceLock`, so
+//! the first launch in a process pinned the host thread count forever —
+//! per-request `RunOptions` overrides silently lost. This test runs
+//! differing thread counts *in one process* and demands bit-identical
+//! results throughout.
 
-use futhark::{Compiler, Device, PerfReport, RunOptions, SimEngine};
+use futhark::{Compiler, Device, PerfReport, RunOptions};
 use futhark_core::{ArrayVal, Value};
 
 /// A program with both a data-dependent branch and enough parallelism to
-/// span several work-groups: divergence points exist (so the warp engine
-/// records uniform-path decisions) and multi-threaded group execution has
-/// real work to split.
+/// span several work-groups: divergence points exist and multi-threaded
+/// group execution has real work to split.
 const SRC: &str = "fun main (n: i64) (xs: [n]i64): [n]i64 =\n\
                    map (\\(x: i64) -> if x % 3 == 0 then x * 2 else x - 1) xs";
 
@@ -33,52 +24,15 @@ fn compile_and_args() -> (futhark::Compiled, Vec<Value>) {
     )
 }
 
-fn run(
-    compiled: &futhark::Compiled,
-    args: &[Value],
-    engine: SimEngine,
-    threads: usize,
-) -> (Vec<Value>, PerfReport) {
+fn run(compiled: &futhark::Compiled, args: &[Value], threads: usize) -> (Vec<Value>, PerfReport) {
     let opts = RunOptions {
         threads,
         profile: false,
-        engine,
+        ..RunOptions::default()
     };
     compiled
         .run_with_opts(Device::Gtx780, args, opts)
         .expect("runs")
-}
-
-/// Lane first, then warp, then lane again — in one process. Before the
-/// fix, the first run latched the engine: the second run would have
-/// executed on the lane engine too and reported zero uniform decisions.
-#[test]
-fn engine_overrides_win_per_request_lane_then_warp() {
-    let (compiled, args) = compile_and_args();
-
-    let (lane_vals, lane_perf) = run(&compiled, &args, SimEngine::Lane, 1);
-    assert_eq!(
-        lane_perf.uniform_hits + lane_perf.uniform_misses,
-        0,
-        "lane engine must not report warp uniform-path decisions"
-    );
-
-    let (warp_vals, warp_perf) = run(&compiled, &args, SimEngine::Warp, 1);
-    assert!(
-        warp_perf.uniform_hits + warp_perf.uniform_misses > 0,
-        "warp engine run recorded no uniform-path decisions — the lane \
-         engine from the previous request leaked into this one"
-    );
-
-    // And back: the warp run must not have latched warp for later requests.
-    let (lane2_vals, lane2_perf) = run(&compiled, &args, SimEngine::Lane, 1);
-    assert_eq!(lane2_perf.uniform_hits + lane2_perf.uniform_misses, 0);
-
-    // Observational equivalence across all three runs.
-    assert_eq!(lane_vals, warp_vals);
-    assert_eq!(lane_vals, lane2_vals);
-    assert_eq!(lane_perf.stats, warp_perf.stats);
-    assert_eq!(lane_perf.stats, lane2_perf.stats);
 }
 
 /// Differing thread counts in one process: every request's `threads`
@@ -87,9 +41,9 @@ fn engine_overrides_win_per_request_lane_then_warp() {
 #[test]
 fn thread_count_overrides_win_per_request() {
     let (compiled, args) = compile_and_args();
-    let (base_vals, base_perf) = run(&compiled, &args, SimEngine::Warp, 1);
+    let (base_vals, base_perf) = run(&compiled, &args, 1);
     for threads in [2, 4, 3, 1] {
-        let (vals, perf) = run(&compiled, &args, SimEngine::Warp, threads);
+        let (vals, perf) = run(&compiled, &args, threads);
         assert_eq!(vals, base_vals, "threads={threads} changed outputs");
         assert_eq!(
             perf, base_perf,
@@ -97,17 +51,4 @@ fn thread_count_overrides_win_per_request() {
              must be observationally invisible"
         );
     }
-}
-
-/// Uniform-path tallies are per-run values: two identical warp runs report
-/// identical tallies, and runs do not accumulate into each other (the old
-/// process-wide atomics only ever grew).
-#[test]
-fn uniform_tallies_are_per_run_not_cumulative() {
-    let (compiled, args) = compile_and_args();
-    let (_, first) = run(&compiled, &args, SimEngine::Warp, 1);
-    let (_, second) = run(&compiled, &args, SimEngine::Warp, 1);
-    assert!(first.uniform_hits + first.uniform_misses > 0);
-    assert_eq!(first.uniform_hits, second.uniform_hits);
-    assert_eq!(first.uniform_misses, second.uniform_misses);
 }

@@ -1,38 +1,20 @@
-//! `FUTHARK_SIM_ENGINE`/`FUTHARK_SIM_THREADS` are *default-only
-//! fallbacks*, re-read from the environment each time a default is built —
-//! never latched in a `OnceLock` (the old behaviour, under which the first
-//! read pinned the value for the life of the process, so a long-lived
-//! daemon could never honour a changed default).
+//! `FUTHARK_SIM_THREADS` is a *default-only fallback*, re-read from the
+//! environment each time a default is built — never latched in a
+//! `OnceLock` (the old behaviour, under which the first read pinned the
+//! value for the life of the process, so a long-lived daemon could never
+//! honour a changed default).
 //!
 //! This file holds the single test that mutates the process environment;
 //! it is registered as its own integration-test binary so the mutation
 //! cannot race other tests' environment reads.
 
-use futhark::{sim_engine, RunOptions, SimEngine};
+use futhark::RunOptions;
 
 #[test]
 fn env_is_a_default_only_fallback_reread_per_call() {
-    // Engine: flip the variable back and forth; each read must see the
-    // current value, not a snapshot from the first call.
-    std::env::set_var("FUTHARK_SIM_ENGINE", "lane");
-    assert_eq!(sim_engine(), SimEngine::Lane);
-    assert_eq!(RunOptions::default().engine, SimEngine::Lane);
-
-    std::env::set_var("FUTHARK_SIM_ENGINE", "warp");
-    assert_eq!(sim_engine(), SimEngine::Warp);
-
-    std::env::set_var("FUTHARK_SIM_ENGINE", "LANE"); // case-insensitive
-    assert_eq!(sim_engine(), SimEngine::Lane);
-
-    std::env::remove_var("FUTHARK_SIM_ENGINE");
-    assert_eq!(
-        sim_engine(),
-        SimEngine::Warp,
-        "unset means the warp default"
-    );
-
-    // Thread count: same contract. An unparsable value clamps to 1, a
-    // removed variable falls back to available parallelism (>= 1).
+    // Each read sees the variable's current value: an unparsable value
+    // clamps to 1, a removed variable falls back to available
+    // parallelism (>= 1).
     std::env::set_var("FUTHARK_SIM_THREADS", "3");
     assert_eq!(futhark_gpu::host_threads(), 3);
     assert_eq!(RunOptions::default().threads, 3);
@@ -51,15 +33,11 @@ fn env_is_a_default_only_fallback_reread_per_call() {
     assert!(futhark_gpu::host_threads() >= 1);
 
     // Explicit options always beat the environment.
-    std::env::set_var("FUTHARK_SIM_ENGINE", "lane");
     std::env::set_var("FUTHARK_SIM_THREADS", "2");
     let opts = RunOptions {
         threads: 7,
-        profile: false,
-        engine: SimEngine::Warp,
+        ..RunOptions::default()
     };
-    assert_eq!(opts.engine, SimEngine::Warp);
     assert_eq!(opts.threads, 7);
-    std::env::remove_var("FUTHARK_SIM_ENGINE");
     std::env::remove_var("FUTHARK_SIM_THREADS");
 }

@@ -262,6 +262,20 @@ fn trace_round_trips_through_json() {
             .expect("decodes");
     assert!(none_back.is_none());
     assert_eq!(run_back, perf);
+
+    // Traces written while runs reported the warp engine's uniform-path
+    // tallies carry two more keys; they still load, to the same report.
+    let mut run = perf.to_json();
+    if let futhark::Json::Obj(fields) = &mut run {
+        fields.push(("uniform_hits".into(), futhark::Json::U64(7)));
+        fields.push(("uniform_misses".into(), futhark::Json::U64(2)));
+    }
+    let old = futhark::Json::obj(vec![("compile", futhark::Json::Null), ("run", run)]);
+    let text = old.render();
+    assert!(text.contains("\"uniform_hits\""));
+    let (_, run_back) =
+        prof::trace_from_json(&futhark::Json::parse(&text).expect("parses")).expect("decodes");
+    assert_eq!(run_back, perf);
 }
 
 #[test]

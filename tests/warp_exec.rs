@@ -1,7 +1,9 @@
 //! The warp execution engine must be observationally identical to the
-//! per-lane reference engine: for any program, outputs, faults, and every
-//! [`KernelStats`] counter are bit-identical between the two. This suite
-//! checks that end to end over every corpus fixture and every paper
+//! per-lane reference engine (a kernel decoded by
+//! [`DecodedKernel::reference`], a program run by
+//! [`Compiled::run_reference`]): for any program, outputs, faults, and
+//! every [`KernelStats`] counter are bit-identical between the two. This
+//! suite checks that end to end over every corpus fixture and every paper
 //! program, and then pins the divergence machinery directly at the launch
 //! level, at one and at four host threads: all-lanes-diverge branch trees,
 //! a single active lane in a full grid, alternating masks, partial warps
@@ -10,46 +12,38 @@
 //! reporting. The masked-lane tests verify that inactive lanes never write
 //! registers, memory, or counters.
 
-use futhark::{Compiled, Compiler, Device, PerfReport, RunOptions, Schedule, SimEngine};
+use futhark::{Compiled, Compiler, Device, PerfReport, RunOptions, Schedule};
 use futhark_core::{Buffer, CmpOp, Scalar, ScalarType, Value};
 use futhark_fuzz::corpus;
 use futhark_gpu::kernel::{KExp, KParam, KStm, Kernel};
-use futhark_gpu::sim::{Arg, DeviceMemory, KernelStats};
+use futhark_gpu::sim::{Arg, DeviceMemory, KernelStats, SimError};
 use futhark_gpu::{launch, DecodedKernel, DeviceProfile};
 use std::path::PathBuf;
 
-/// Runs `compiled` on the given engine, normalising errors to display
-/// strings so faulting programs can be compared too. The uniform-path
-/// tallies are zeroed before comparison: they count warp-engine fast-path
-/// decisions, so they are engine-dependent *by design* (the lane engine
-/// always reports zero) and excluded from the bit-identity contract, which
-/// covers outputs, faults, and every [`futhark::KernelStats`] counter.
+/// Runs `compiled` on the warp engine, or on the per-lane reference when
+/// `reference` is set, normalising errors to display strings so faulting
+/// programs can be compared too.
 fn outcome(
     compiled: &Compiled,
     device: Device,
     args: &[Value],
-    engine: SimEngine,
+    reference: bool,
 ) -> Result<(Vec<Value>, PerfReport), String> {
-    let opts = RunOptions {
-        engine,
-        ..RunOptions::default()
+    let opts = RunOptions::default();
+    let run = if reference {
+        compiled.run_reference(device, args, opts)
+    } else {
+        compiled.run_with_opts(device, args, opts)
     };
-    compiled
-        .run_with_opts(device, args, opts)
-        .map(|(vals, mut perf)| {
-            perf.uniform_hits = 0;
-            perf.uniform_misses = 0;
-            (vals, perf)
-        })
-        .map_err(|e| e.to_string())
+    run.map_err(|e| e.to_string())
 }
 
 /// Runs `compiled` on both engines and both devices and asserts
 /// bit-identical outcomes.
 fn engines_agree_on_program(label: &str, compiled: &Compiled, args: &[Value]) {
     for device in [Device::Gtx780, Device::W8100] {
-        let warp = outcome(compiled, device, args, SimEngine::Warp);
-        let lane = outcome(compiled, device, args, SimEngine::Lane);
+        let warp = outcome(compiled, device, args, false);
+        let lane = outcome(compiled, device, args, true);
         assert_eq!(
             warp, lane,
             "{label}: warp engine diverged from per-lane on {device:?}"
@@ -103,24 +97,28 @@ fn eq(a: KExp, b: KExp) -> KExp {
     KExp::Cmp(CmpOp::Eq, Box::new(a), Box::new(b))
 }
 
-/// Runs one launch of `kernel` on the given engine and host thread count
-/// against fresh device memory and returns the stats plus the final
-/// contents of every buffer argument.
+/// A kernel decoder: [`DecodedKernel::decode`] for the warp engine, or
+/// [`DecodedKernel::reference`] for the per-lane reference engine.
+type Decode = fn(&Kernel) -> Result<DecodedKernel, SimError>;
+
+/// Runs one launch of `kernel`, decoded by `decode`, at the given host
+/// thread count against fresh device memory and returns the stats plus
+/// the final contents of every buffer argument.
 fn run_launch(
     kernel: &Kernel,
     num_threads: u64,
     setup: &dyn Fn(&mut DeviceMemory) -> Vec<Arg>,
-    engine: SimEngine,
+    decode: Decode,
     threads: usize,
 ) -> Result<(KernelStats, Vec<Buffer>), String> {
     let device = DeviceProfile::gtx780();
-    let dk = DecodedKernel::decode(kernel).expect("decode");
+    let dk = decode(kernel).expect("decode");
     let mut mem = DeviceMemory::new();
     let args = setup(&mut mem);
     let opts = RunOptions {
         threads,
         profile: false,
-        engine,
+        ..RunOptions::default()
     };
     let stats = launch(&device, &dk, num_threads, &args, &mut mem, &opts)
         .map_err(|e| e.to_string())?
@@ -144,15 +142,21 @@ fn engines_agree(
     num_threads: u64,
     setup: &dyn Fn(&mut DeviceMemory) -> Vec<Arg>,
 ) -> Result<(KernelStats, Vec<Buffer>), String> {
-    let warp = run_launch(kernel, num_threads, setup, SimEngine::Warp, 1);
+    let warp = run_launch(kernel, num_threads, setup, DecodedKernel::decode, 1);
     for threads in [1, 4] {
-        let lane = run_launch(kernel, num_threads, setup, SimEngine::Lane, threads);
+        let lane = run_launch(
+            kernel,
+            num_threads,
+            setup,
+            DecodedKernel::reference,
+            threads,
+        );
         assert_eq!(
             warp, lane,
             "{label}: per-lane engine at {threads} thread(s) diverged from warp at 1"
         );
     }
-    let par = run_launch(kernel, num_threads, setup, SimEngine::Warp, 4);
+    let par = run_launch(kernel, num_threads, setup, DecodedKernel::decode, 4);
     assert_eq!(
         warp, par,
         "{label}: warp engine at 4 threads diverged from 1"
@@ -623,8 +627,8 @@ fn divergent_fuzz_sample_is_engine_invariant() {
         compiled_ok += 1;
         let args = case.args();
         let device = [Device::Gtx780, Device::W8100][(seed % 2) as usize];
-        let warp = outcome(&compiled, device, &args, SimEngine::Warp);
-        let lane = outcome(&compiled, device, &args, SimEngine::Lane);
+        let warp = outcome(&compiled, device, &args, false);
+        let lane = outcome(&compiled, device, &args, true);
         assert_eq!(
             warp, lane,
             "seed {seed}: warp engine diverged from per-lane on {device:?}\n{src}"
