@@ -183,14 +183,6 @@ pub fn check_fun(prog: &Program, f: &FunDef) -> CResult<()> {
     Ok(())
 }
 
-/// Checks a function body given precomputed aliases, returning its trace.
-/// Exposed for the optimiser's post-pass validation.
-pub fn body_trace(prog: &Program, f: &FunDef) -> CResult<Trace> {
-    let aliases = analyze_fun(prog, f);
-    let mut ck = ConsumeCheck { prog, aliases };
-    ck.body(&f.body)
-}
-
 struct ConsumeCheck<'a> {
     prog: &'a Program,
     aliases: Aliases,

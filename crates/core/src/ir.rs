@@ -231,11 +231,6 @@ impl BinOp {
         )
     }
 
-    /// Whether the operator is commutative.
-    pub fn is_commutative(self) -> bool {
-        self.is_associative()
-    }
-
     /// The textual operator name used by the pretty-printer and parser.
     pub fn symbol(self) -> &'static str {
         match self {
@@ -843,11 +838,6 @@ impl Program {
     /// Looks up a function by name.
     pub fn function(&self, name: &str) -> Option<&FunDef> {
         self.functions.iter().find(|f| f.name == name)
-    }
-
-    /// Looks up a function mutably by name.
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut FunDef> {
-        self.functions.iter_mut().find(|f| f.name == name)
     }
 
     /// The entry point (the function named `main`).

@@ -14,21 +14,20 @@
 //!   `scan`, `stream_map`, `stream_red`, and `stream_seq`.
 //! - [`value`]: runtime values (scalars and regular multi-dimensional
 //!   arrays) used by the interpreter and the GPU simulator.
-//! - [`builder`]: an ergonomic programmatic construction API for IR.
 //! - [`pretty`]: a pretty-printer whose output is re-parseable by
 //!   `futhark-frontend`.
+//! - [`schedule`]: every decision of the optimisation pipeline as one
+//!   value, with a canonical label.
 //!
 //! # Example
 //!
 //! ```
-//! use futhark_core::{NameSource, builder::ProgramBuilder};
+//! use futhark_core::{ChoiceClass, Schedule};
 //!
-//! let mut names = NameSource::new();
-//! let prog = ProgramBuilder::new(&mut names).build();
-//! assert!(prog.functions.is_empty());
+//! let sched = Schedule::default().with_default(ChoiceClass::Tile, false);
+//! assert_eq!(Schedule::parse_label(&sched.label()), Ok(sched));
 //! ```
 
-pub mod builder;
 pub mod ir;
 pub mod name;
 pub mod pretty;

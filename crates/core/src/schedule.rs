@@ -36,8 +36,6 @@ pub enum ChoiceClass {
     FuseHorizontal,
     /// StreamMap+Reduce to StreamRed fusion.
     FuseStream,
-    /// Sequentialising a map–scan–reduce chain into a loop.
-    FuseChain,
     /// Rule G5: a segmented-reduction kernel for a nested reduce.
     FlattenG5,
     /// Rule G7: loop interchange over an invariant-bound loop.
@@ -51,12 +49,12 @@ pub enum ChoiceClass {
 }
 
 impl ChoiceClass {
-    /// All classes, in canonical (encoding) order.
-    pub const ALL: [ChoiceClass; 9] = [
+    /// All classes, in canonical (encoding) order. This is declaration
+    /// order, since [`ChoiceClass::index`] is the discriminant.
+    pub const ALL: &'static [ChoiceClass] = &[
         ChoiceClass::FuseVertical,
         ChoiceClass::FuseHorizontal,
         ChoiceClass::FuseStream,
-        ChoiceClass::FuseChain,
         ChoiceClass::FlattenG5,
         ChoiceClass::FlattenInterchange,
         ChoiceClass::CoalesceInputs,
@@ -64,24 +62,21 @@ impl ChoiceClass {
         ChoiceClass::Tile,
     ];
 
+    /// The number of classes: the length of every per-class array.
+    pub const COUNT: usize = ChoiceClass::ALL.len();
+
     /// Stable name, used in JSON and human-readable reports.
     pub fn name(self) -> &'static str {
         match self {
             ChoiceClass::FuseVertical => "fuse_vertical",
             ChoiceClass::FuseHorizontal => "fuse_horizontal",
             ChoiceClass::FuseStream => "fuse_stream",
-            ChoiceClass::FuseChain => "fuse_chain",
             ChoiceClass::FlattenG5 => "flatten_g5",
             ChoiceClass::FlattenInterchange => "flatten_interchange",
             ChoiceClass::CoalesceInputs => "coalesce_inputs",
             ChoiceClass::CoalesceOutputs => "coalesce_outputs",
             ChoiceClass::Tile => "tile",
         }
-    }
-
-    /// The class with the given stable name.
-    pub fn from_name(name: &str) -> Option<ChoiceClass> {
-        ChoiceClass::ALL.into_iter().find(|c| c.name() == name)
     }
 
     /// Index into per-class arrays (canonical order).
@@ -167,7 +162,7 @@ pub struct Schedule {
     /// Rewrite families within the simplify pass.
     pub simplify: SimplifyToggles,
     /// Per-class site decisions, indexed by [`ChoiceClass::index`].
-    pub sites: [SiteDecisions; 9],
+    pub sites: [SiteDecisions; ChoiceClass::COUNT],
 }
 
 impl Default for Schedule {
@@ -205,7 +200,7 @@ impl fmt::Display for LabelError {
 
 /// The label's format-version prefix. Bump on any encoding change so
 /// old labels are rejected rather than misread.
-const LABEL_VERSION: &str = "sched1";
+const LABEL_VERSION: &str = "sched2";
 
 impl Schedule {
     /// The decisions of one class.
@@ -302,7 +297,7 @@ impl Schedule {
             },
             sites: std::array::from_fn(|_| SiteDecisions::uniform(true)),
         };
-        for class in ChoiceClass::ALL {
+        for &class in ChoiceClass::ALL {
             let d = s.decisions_mut(class);
             d.default = rng.chance(3, 4);
             for site in 0..4u32 {
@@ -320,9 +315,10 @@ impl Schedule {
     /// and overrides are sorted by site index — so equal labels imply
     /// equal schedules and vice versa.
     ///
-    /// Layout: `sched1,` then one field of nine bits (coarse switches +
-    /// simplify toggles), then one field per choice class holding the
-    /// class default and its overrides.
+    /// Layout: `sched2,` then one field of nine bits (coarse switches +
+    /// simplify toggles), then one field per choice class, in
+    /// [`ChoiceClass::ALL`] order, holding the class default and its
+    /// overrides.
     pub fn label(&self) -> String {
         let mut out = String::new();
         out.push_str(LABEL_VERSION);
@@ -342,7 +338,7 @@ impl Schedule {
             bits.push(if b { '1' } else { '0' });
         }
         push_field(&mut out, &bits);
-        for class in ChoiceClass::ALL {
+        for &class in ChoiceClass::ALL {
             let d = self.decisions(class);
             let mut body = String::new();
             body.push(if d.default { '1' } else { '0' });
@@ -392,7 +388,7 @@ impl Schedule {
             },
             sites: std::array::from_fn(|_| SiteDecisions::uniform(true)),
         };
-        for class in ChoiceClass::ALL {
+        for &class in ChoiceClass::ALL {
             let start = pos;
             let body = take_field(label, &mut pos)?;
             let mut chars = body.as_bytes();
@@ -470,7 +466,7 @@ impl Schedule {
                 parts.push(format!("-{name}"));
             }
         }
-        for class in ChoiceClass::ALL {
+        for &class in ChoiceClass::ALL {
             let d = self.decisions(class);
             if !d.default {
                 parts.push(format!("-{}", class.name()));
@@ -541,7 +537,7 @@ fn take_field<'a>(label: &'a str, pos: &mut usize) -> Result<&'a str, LabelError
 #[derive(Debug, Clone)]
 pub struct ScheduleCursor {
     schedule: Schedule,
-    counts: [u32; 9],
+    counts: [u32; ChoiceClass::COUNT],
 }
 
 impl ScheduleCursor {
@@ -549,7 +545,7 @@ impl ScheduleCursor {
     pub fn new(schedule: Schedule) -> ScheduleCursor {
         ScheduleCursor {
             schedule,
-            counts: [0; 9],
+            counts: [0; ChoiceClass::COUNT],
         }
     }
 
@@ -574,7 +570,7 @@ impl ScheduleCursor {
     }
 
     /// Per-class visit counts, indexed by [`ChoiceClass::index`].
-    pub fn observed_counts(&self) -> [u32; 9] {
+    pub fn observed_counts(&self) -> [u32; ChoiceClass::COUNT] {
         self.counts
     }
 }
@@ -586,7 +582,7 @@ mod tests {
     #[test]
     fn default_schedule_answers_true_everywhere() {
         let mut cur = ScheduleCursor::new(Schedule::default());
-        for class in ChoiceClass::ALL {
+        for &class in ChoiceClass::ALL {
             for _ in 0..4 {
                 assert!(cur.decide(class));
             }
@@ -615,7 +611,7 @@ mod tests {
             .with_default(ChoiceClass::Tile, false)
             .with_override(ChoiceClass::CoalesceInputs, 0, false)
             .with_override(ChoiceClass::CoalesceInputs, 13, false)
-            .with_override(ChoiceClass::FuseChain, 7, true);
+            .with_override(ChoiceClass::FuseStream, 7, true);
         sched.simplify.cse = false;
         sched.memplan = false;
         let label = sched.label();
@@ -650,6 +646,8 @@ mod tests {
         for bad in [
             "".to_string(),
             "sched0,9:111111111,".to_string(),
+            // The default label of version 1, which had nine classes.
+            format!("sched1,9:111111111,{}", "1:1,".repeat(9)),
             good[..good.len() - 1].to_string(),     // truncated
             format!("{good}x"),                     // trailing input
             good.replacen("9:", "09:", 1),          // non-canonical length

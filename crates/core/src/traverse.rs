@@ -5,7 +5,7 @@
 //! code (inlining, loop peeling, fusion of shared producers) first call
 //! [`alpha_rename_lambda`] / [`alpha_rename_body`] to freshen every binder.
 
-use crate::ir::{Body, Exp, Lambda, LoopForm, Param, PatElem, Soac, Stm, SubExp};
+use crate::ir::{Body, Exp, Lambda, LoopForm, Soac, SubExp};
 use crate::name::{Name, NameSource};
 use crate::types::{Size, Type};
 use std::collections::{HashMap, HashSet};
@@ -697,25 +697,10 @@ fn collect_bound_exp(exp: &Exp, out: &mut HashSet<Name>) {
     }
 }
 
-/// Builds a parameter list/pattern helper: turns params into pattern
-/// elements.
-pub fn params_to_pat(params: &[Param]) -> Vec<PatElem> {
-    params
-        .iter()
-        .map(|p| PatElem::new(p.name.clone(), p.ty.clone()))
-        .collect()
-}
-
-/// Convenience: a statement binding nothing of interest is never produced;
-/// assert that patterns are non-empty (IR invariant).
-pub fn check_stm_invariants(stm: &Stm) -> bool {
-    !stm.pat.is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{BinOp, Scalar};
+    use crate::ir::{BinOp, Param, Scalar, Stm};
     use crate::types::ScalarType;
 
     fn i64t() -> Type {

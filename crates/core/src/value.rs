@@ -224,22 +224,6 @@ impl ArrayVal {
         }
     }
 
-    /// Builds a rank-1 array from `i32` values.
-    pub fn from_i32s(v: Vec<i32>) -> ArrayVal {
-        ArrayVal {
-            shape: vec![v.len()],
-            data: Buffer::I32(v),
-        }
-    }
-
-    /// Builds a rank-1 array from `f64` values.
-    pub fn from_f64s(v: Vec<f64>) -> ArrayVal {
-        ArrayVal {
-            shape: vec![v.len()],
-            data: Buffer::F64(v),
-        }
-    }
-
     /// The element type.
     pub fn elem_type(&self) -> ScalarType {
         self.data.elem_type()
@@ -387,11 +371,6 @@ impl ArrayVal {
         }
         ArrayVal { shape, data }
     }
-
-    /// Iterates over the scalar elements in row-major order.
-    pub fn iter_scalars(&self) -> impl Iterator<Item = Scalar> + '_ {
-        (0..self.data.len()).map(move |i| self.data.get(i))
-    }
 }
 
 /// The elements of `src` in the row-major order of `shape`, where stepping
@@ -471,14 +450,6 @@ impl Value {
 
     /// The array, if this is one.
     pub fn as_array(&self) -> Option<&ArrayVal> {
-        match self {
-            Value::Scalar(_) => None,
-            Value::Array(a) => Some(a),
-        }
-    }
-
-    /// Consumes the value, returning the array if it is one.
-    pub fn into_array(self) -> Option<ArrayVal> {
         match self {
             Value::Scalar(_) => None,
             Value::Array(a) => Some(a),

@@ -45,16 +45,6 @@ pub enum UBinOp {
     Ge,
 }
 
-impl UBinOp {
-    /// Whether this is a comparison (result type `bool`).
-    pub fn is_cmp(self) -> bool {
-        matches!(
-            self,
-            UBinOp::Eq | UBinOp::Ne | UBinOp::Lt | UBinOp::Le | UBinOp::Gt | UBinOp::Ge
-        )
-    }
-}
-
 /// A surface unary operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UUnOp {

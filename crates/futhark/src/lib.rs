@@ -324,7 +324,7 @@ pub struct Compiled {
     pub schedule: Schedule,
     /// How many choice sites of each class the compilation visited,
     /// indexed by [`ChoiceClass::index`] — the autotuner's search space.
-    pub choice_counts: [u32; 9],
+    pub choice_counts: [u32; ChoiceClass::COUNT],
     /// The plan's kernels, decoded by the `decode` stage; every run reads
     /// them and none decodes again.
     decoded: DecodedPlan,

@@ -115,24 +115,27 @@ fn truncated(v: &Value) -> String {
     }
 }
 
-fn compare(reference: &[Value], got: &[Value]) -> Option<String> {
-    if reference.len() != got.len() {
+/// How two runs' outputs differ, if they do, naming each side as `sides`
+/// does: `sides[0]` produced `a` and `sides[1]` produced `b`.
+fn compare(sides: [&str; 2], a: &[Value], b: &[Value]) -> Option<String> {
+    let [an, bn] = sides;
+    if a.len() != b.len() {
         return Some(format!(
-            "result arity {} vs interpreter's {}",
-            got.len(),
-            reference.len()
+            "result arity: {an} {} vs {bn} {}",
+            a.len(),
+            b.len()
         ));
     }
-    for (i, (r, g)) in reference.iter().zip(got).enumerate() {
-        if !r.bit_eq(g) {
-            let at = r
-                .first_mismatch(g)
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        if !x.bit_eq(y) {
+            let at = x
+                .first_mismatch(y)
                 .map(|k| format!(" (first differing flat index {k})"))
                 .unwrap_or_default();
             return Some(format!(
-                "result {i}{at}: interpreter {} vs simulator {}",
-                truncated(r),
-                truncated(g)
+                "result {i}{at}: {an} {} vs {bn} {}",
+                truncated(x),
+                truncated(y)
             ));
         }
     }
@@ -177,7 +180,7 @@ fn check_profiled_run(
     };
     match compiled.run_with_opts(device, args, profiled) {
         Ok((got, pperf)) => {
-            if let Some(detail) = compare(unprofiled, &got) {
+            if let Some(detail) = compare(["unprofiled", "profiled"], unprofiled, &got) {
                 return diverge(detail);
             }
             if let Some(d) = counters_differ(perf, &pperf) {
@@ -216,11 +219,14 @@ fn check_warp_vs_reference(
         .run_reference(device, args, RunOptions::default())
         .map_err(|e| e.to_string());
     let detail = match (warp_run, &reference_run) {
-        (Ok((vals, perf)), Ok((rvals, rperf))) => compare(rvals, vals)
-            .map(|d| format!("outputs, reference vs warp engine: {d}"))
-            .or_else(|| {
-                counters_differ(perf, rperf).map(|d| format!("counters, warp vs reference: {d}"))
-            }),
+        (Ok((vals, perf)), Ok((rvals, rperf))) => {
+            compare(["reference", "warp engine"], rvals, vals)
+                .map(|d| format!("outputs: {d}"))
+                .or_else(|| {
+                    counters_differ(perf, rperf)
+                        .map(|d| format!("counters, warp vs reference: {d}"))
+                })
+        }
         (Err(e), Err(re)) => {
             (e != re).then(|| format!("engines fault differently: warp {e:?} vs reference {re:?}"))
         }
@@ -345,7 +351,7 @@ pub fn check_schedules(
         for (device, dlabel) in devices() {
             match compiled.run_with_opts(device, args, RunOptions::default()) {
                 Ok((got, _)) => {
-                    if let Some(detail) = compare(reference, &got) {
+                    if let Some(detail) = compare(["interpreter", "simulator"], reference, &got) {
                         return Some(Divergence {
                             config: config.clone(),
                             device: Some(dlabel.to_string()),
@@ -422,7 +428,7 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
             }
             match run {
                 Ok((got, perf)) => {
-                    if let Some(detail) = compare(&reference, &got) {
+                    if let Some(detail) = compare(["interpreter", "simulator"], &reference, &got) {
                         return Outcome::Diverged(Divergence {
                             config: sched.describe(),
                             device: Some(dlabel.to_string()),
@@ -474,6 +480,20 @@ mod tests {
     #[test]
     fn clean_program_is_clean() {
         assert!(matches!(check_source(DOUBLE, &args()), Outcome::Clean));
+    }
+
+    #[test]
+    fn compare_names_the_sides_it_is_given() {
+        let one = [Value::i64(1)];
+        let two = [Value::i64(2)];
+        let arity = compare(["unprofiled", "profiled"], &one, &[]).unwrap();
+        assert_eq!(arity, "result arity: unprofiled 1 vs profiled 0");
+        let value = compare(["reference", "warp engine"], &one, &two).unwrap();
+        assert!(
+            value.starts_with("result 0: reference ") && value.contains(" vs warp engine "),
+            "{value}"
+        );
+        assert_eq!(compare(["a", "b"], &one, &one), None);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! This is the executable form of the paper's array-combinator calculus
 //! (Section 2.1): a direct, sequential implementation of the semantics used
 //! as the correctness oracle for every compiler pass and for the GPU
-//! simulator. It also accounts *work* and *span* in the work–depth model,
-//! which the evaluation harness uses to report asymptotic effects such as
-//! the O(n·k) vs O(n) K-means formulations of Figure 4.
+//! simulator. It also counts *work* (scalar operations and element
+//! touches), which the evaluation harness uses to report asymptotic
+//! effects such as the O(n·k) vs O(n) K-means formulations of Figure 4.
 //!
 //! Streaming SOACs are chunked according to a configurable
 //! [`Interpreter::set_chunk_size`]; by the paper's well-definedness argument
@@ -61,15 +61,6 @@ impl fmt::Display for InterpError {
 impl std::error::Error for InterpError {}
 
 type IResult<T> = Result<T, InterpError>;
-
-/// Work–depth accounting for one evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Cost {
-    /// Total number of scalar operations / element touches.
-    pub work: u64,
-    /// Critical-path length under the parallel semantics of the SOACs.
-    pub span: u64,
-}
 
 /// The reference interpreter.
 ///
@@ -136,8 +127,7 @@ impl<'a> Interpreter<'a> {
         }
         let mut env: Env = HashMap::new();
         bind_params(&mut env, f, args)?;
-        let (vals, _span) = self.eval_body(&env, &f.body)?;
-        Ok(vals)
+        self.eval_body(&env, &f.body)
     }
 
     /// Runs `main`.
@@ -160,15 +150,13 @@ impl<'a> Interpreter<'a> {
         bindings: &HashMap<Name, Value>,
         exp: &Exp,
     ) -> IResult<Vec<Value>> {
-        self.eval_exp(bindings, exp).map(|(v, _)| v)
+        self.eval_exp(bindings, exp)
     }
 
-    fn eval_body(&mut self, env: &Env, body: &Body) -> IResult<(Vec<Value>, u64)> {
+    fn eval_body(&mut self, env: &Env, body: &Body) -> IResult<Vec<Value>> {
         let mut env = env.clone();
-        let mut span = 0u64;
         for stm in &body.stms {
-            let (vals, s) = self.eval_exp(&env, &stm.exp)?;
-            span += s;
+            let vals = self.eval_exp(&env, &stm.exp)?;
             if vals.len() != stm.pat.len() {
                 return Err(InterpError::Type(format!(
                     "statement pattern of {} names bound to {} values",
@@ -184,7 +172,7 @@ impl<'a> Interpreter<'a> {
         for se in &body.result {
             out.push(self.eval_subexp(&env, se)?);
         }
-        Ok((out, span))
+        Ok(out)
     }
 
     fn eval_subexp(&self, env: &Env, se: &SubExp) -> IResult<Value> {
@@ -217,30 +205,30 @@ impl<'a> Interpreter<'a> {
             .ok_or_else(|| InterpError::Type("expected integer index".into()))
     }
 
-    fn eval_exp(&mut self, env: &Env, exp: &Exp) -> IResult<(Vec<Value>, u64)> {
+    fn eval_exp(&mut self, env: &Env, exp: &Exp) -> IResult<Vec<Value>> {
         match exp {
-            Exp::SubExp(se) => Ok((vec![self.eval_subexp(env, se)?], 0)),
+            Exp::SubExp(se) => Ok(vec![self.eval_subexp(env, se)?]),
             Exp::UnOp(op, a) => {
                 self.work += 1;
                 let v = self.scalar(env, a)?;
-                Ok((vec![Value::Scalar(eval_unop(*op, v)?)], 1))
+                Ok(vec![Value::Scalar(eval_unop(*op, v)?)])
             }
             Exp::BinOp(op, a, b) => {
                 self.work += 1;
                 let x = self.scalar(env, a)?;
                 let y = self.scalar(env, b)?;
-                Ok((vec![Value::Scalar(eval_binop(*op, x, y)?)], 1))
+                Ok(vec![Value::Scalar(eval_binop(*op, x, y)?)])
             }
             Exp::Cmp(op, a, b) => {
                 self.work += 1;
                 let x = self.scalar(env, a)?;
                 let y = self.scalar(env, b)?;
-                Ok((vec![Value::Scalar(eval_cmp(*op, x, y)?)], 1))
+                Ok(vec![Value::Scalar(eval_cmp(*op, x, y)?)])
             }
             Exp::Convert(t, a) => {
                 self.work += 1;
                 let v = self.scalar(env, a)?;
-                Ok((vec![Value::Scalar(eval_convert(*t, v)?)], 1))
+                Ok(vec![Value::Scalar(eval_convert(*t, v)?)])
             }
             Exp::If {
                 cond,
@@ -252,12 +240,11 @@ impl<'a> Interpreter<'a> {
                     .scalar(env, cond)?
                     .as_bool()
                     .ok_or_else(|| InterpError::Type("if condition not boolean".into()))?;
-                let (vals, s) = if c {
-                    self.eval_body(env, then_body)?
+                if c {
+                    self.eval_body(env, then_body)
                 } else {
-                    self.eval_body(env, else_body)?
-                };
-                Ok((vals, s + 1))
+                    self.eval_body(env, else_body)
+                }
             }
             Exp::Apply { func, args } => {
                 let f = self
@@ -284,10 +271,9 @@ impl<'a> Interpreter<'a> {
                 } else {
                     arr.index_slice(&idx).map(Value::Array)
                 };
-                v.map(|v| (vec![v], 1))
-                    .ok_or_else(|| InterpError::OutOfBounds {
-                        what: format!("{array}{idx:?} (shape {:?})", arr.shape),
-                    })
+                v.map(|v| vec![v]).ok_or_else(|| InterpError::OutOfBounds {
+                    what: format!("{array}{idx:?} (shape {:?})", arr.shape),
+                })
             }
             Exp::Update {
                 array,
@@ -312,7 +298,7 @@ impl<'a> Interpreter<'a> {
                         what: format!("update {array}{idx:?} (shape {:?})", arr.shape),
                     });
                 }
-                Ok((vec![Value::Array(arr)], 1))
+                Ok(vec![Value::Array(arr)])
             }
             Exp::Iota(n) => {
                 let n = self.index_of(env, n)?;
@@ -320,7 +306,7 @@ impl<'a> Interpreter<'a> {
                     return Err(InterpError::NegativeSize(n));
                 }
                 self.work += n as u64;
-                Ok((vec![Value::Array(ArrayVal::from_i64s((0..n).collect()))], 1))
+                Ok(vec![Value::Array(ArrayVal::from_i64s((0..n).collect()))])
             }
             Exp::Replicate(n, v) => {
                 let n = self.index_of(env, n)?;
@@ -346,12 +332,12 @@ impl<'a> Interpreter<'a> {
                         ArrayVal::new(shape, buf)
                     }
                 };
-                Ok((vec![Value::Array(arr)], 1))
+                Ok(vec![Value::Array(arr)])
             }
             Exp::Rearrange { perm, array } => {
                 let arr = self.array(env, array)?;
                 self.work += arr.data.len() as u64;
-                Ok((vec![Value::Array(arr.rearrange(perm))], 1))
+                Ok(vec![Value::Array(arr.rearrange(perm))])
             }
             Exp::Reshape { shape, array } => {
                 let arr = self.array(env, array)?;
@@ -360,7 +346,7 @@ impl<'a> Interpreter<'a> {
                     .map(|s| self.index_of(env, s).map(|k| k as usize))
                     .collect::<IResult<_>>()?;
                 arr.reshape(dims.clone())
-                    .map(|a| (vec![Value::Array(a)], 1))
+                    .map(|a| vec![Value::Array(a)])
                     .ok_or_else(|| {
                         InterpError::SizeMismatch(format!("reshape {:?} -> {:?}", arr.shape, dims))
                     })
@@ -372,12 +358,12 @@ impl<'a> Interpreter<'a> {
                     .collect::<IResult<_>>()?;
                 let refs: Vec<&ArrayVal> = arrs.iter().collect();
                 self.work += arrs.iter().map(|a| a.data.len() as u64).sum::<u64>();
-                Ok((vec![Value::Array(ArrayVal::concat(&refs))], 1))
+                Ok(vec![Value::Array(ArrayVal::concat(&refs))])
             }
             Exp::Copy(a) => {
                 let arr = self.array(env, a)?;
                 self.work += arr.data.len() as u64;
-                Ok((vec![Value::Array(arr)], 1))
+                Ok(vec![Value::Array(arr)])
             }
             Exp::Loop { params, form, body } => self.eval_loop(env, params, form, body),
             Exp::Soac(soac) => self.eval_soac(env, soac),
@@ -390,13 +376,12 @@ impl<'a> Interpreter<'a> {
         params: &[(futhark_core::Param, SubExp)],
         form: &LoopForm,
         body: &Body,
-    ) -> IResult<(Vec<Value>, u64)> {
+    ) -> IResult<Vec<Value>> {
         let mut env = env.clone();
         let mut merge: Vec<Value> = params
             .iter()
             .map(|(_, init)| self.eval_subexp(&env, init))
             .collect::<IResult<_>>()?;
-        let mut span = 0u64;
         match form {
             LoopForm::For { var, bound } => {
                 let n = self.index_of(&env, bound)?;
@@ -405,17 +390,14 @@ impl<'a> Interpreter<'a> {
                         env.insert(p.name.clone(), v.clone());
                     }
                     env.insert(var.clone(), Value::i64(i));
-                    let (vals, s) = self.eval_body(&env, body)?;
-                    span += s;
-                    merge = vals;
+                    merge = self.eval_body(&env, body)?;
                 }
             }
             LoopForm::While(cond) => loop {
                 for ((p, _), v) in params.iter().zip(&merge) {
                     env.insert(p.name.clone(), v.clone());
                 }
-                let (cvals, s) = self.eval_body(&env, cond)?;
-                span += s;
+                let cvals = self.eval_body(&env, cond)?;
                 let c = cvals
                     .first()
                     .and_then(Value::as_scalar)
@@ -424,22 +406,15 @@ impl<'a> Interpreter<'a> {
                 if !c {
                     break;
                 }
-                let (vals, s) = self.eval_body(&env, body)?;
-                span += s;
-                merge = vals;
+                merge = self.eval_body(&env, body)?;
             },
         }
-        Ok((merge, span))
+        Ok(merge)
     }
 
     /// Applies a lambda to argument values. Lambdas capture the enclosing
     /// scope, so evaluation extends `env`.
-    fn apply_lambda(
-        &mut self,
-        env: &Env,
-        lam: &Lambda,
-        args: &[Value],
-    ) -> IResult<(Vec<Value>, u64)> {
+    fn apply_lambda(&mut self, env: &Env, lam: &Lambda, args: &[Value]) -> IResult<Vec<Value>> {
         if lam.params.len() != args.len() {
             return Err(InterpError::Type(format!(
                 "lambda of {} params applied to {} values",
@@ -558,7 +533,7 @@ impl<'a> Interpreter<'a> {
             .collect()
     }
 
-    fn eval_soac(&mut self, env: &Env, soac: &Soac) -> IResult<(Vec<Value>, u64)> {
+    fn eval_soac(&mut self, env: &Env, soac: &Soac) -> IResult<Vec<Value>> {
         match soac {
             Soac::Map { width, lam, arrs } => {
                 let n = self.width_of(env, width, arrs)?;
@@ -566,15 +541,11 @@ impl<'a> Interpreter<'a> {
                     return self.empty_map_results(lam);
                 }
                 let mut per_iter = Vec::with_capacity(n);
-                let mut span = 0u64;
                 for i in 0..n as i64 {
                     let args = self.rows_at(env, arrs, i)?;
-                    let (vals, s) = self.apply_lambda(env, lam, &args)?;
-                    span = span.max(s);
-                    per_iter.push(vals);
+                    per_iter.push(self.apply_lambda(env, lam, &args)?);
                 }
-                let out = self.assemble(n, per_iter, lam.ret.len())?;
-                Ok((out, span + 1))
+                self.assemble(n, per_iter, lam.ret.len())
             }
             Soac::Reduce {
                 width,
@@ -588,17 +559,12 @@ impl<'a> Interpreter<'a> {
                     .iter()
                     .map(|e| self.eval_subexp(env, e))
                     .collect::<IResult<_>>()?;
-                let mut op_span = 0u64;
                 for i in 0..n as i64 {
                     let mut args = acc;
                     args.extend(self.rows_at(env, arrs, i)?);
-                    let (vals, s) = self.apply_lambda(env, lam, &args)?;
-                    op_span = op_span.max(s);
-                    acc = vals;
+                    acc = self.apply_lambda(env, lam, &args)?;
                 }
-                // Parallel depth: log2(n) rounds of the operator.
-                let span = op_span * (64 - (n.max(1) as u64).leading_zeros() as u64) + 1;
-                Ok((acc, span))
+                Ok(acc)
             }
             Soac::Scan {
                 width,
@@ -612,22 +578,18 @@ impl<'a> Interpreter<'a> {
                     .map(|e| self.eval_subexp(env, e))
                     .collect::<IResult<_>>()?;
                 let mut per_iter = Vec::with_capacity(n);
-                let mut op_span = 0u64;
                 for i in 0..n as i64 {
                     let mut args = acc;
                     args.extend(self.rows_at(env, arrs, i)?);
-                    let (vals, s) = self.apply_lambda(env, lam, &args)?;
-                    op_span = op_span.max(s);
+                    let vals = self.apply_lambda(env, lam, &args)?;
                     per_iter.push(vals.clone());
                     acc = vals;
                 }
-                let out = if n == 0 {
-                    self.empty_scan_results(env, neutral)?
+                if n == 0 {
+                    self.empty_scan_results(env, neutral)
                 } else {
-                    self.assemble(n, per_iter, lam.ret.len())?
-                };
-                let span = op_span * (64 - (n.max(1) as u64).leading_zeros() as u64) + 1;
-                Ok((out, span))
+                    self.assemble(n, per_iter, lam.ret.len())
+                }
             }
             Soac::Redomap {
                 width,
@@ -644,16 +606,13 @@ impl<'a> Interpreter<'a> {
                     .map(|e| self.eval_subexp(env, e))
                     .collect::<IResult<_>>()?;
                 let mut extras: Vec<Vec<Value>> = Vec::with_capacity(n);
-                let mut span = 0u64;
                 for i in 0..n as i64 {
                     let args = self.rows_at(env, arrs, i)?;
-                    let (mapped, s1) = self.apply_lambda(env, map_lam, &args)?;
+                    let mapped = self.apply_lambda(env, map_lam, &args)?;
                     let (red_part, extra) = mapped.split_at(k);
                     let mut rargs = acc;
                     rargs.extend(red_part.iter().cloned());
-                    let (vals, s2) = self.apply_lambda(env, red_lam, &rargs)?;
-                    span = span.max(s1 + s2);
-                    acc = vals;
+                    acc = self.apply_lambda(env, red_lam, &rargs)?;
                     if !extra.is_empty() {
                         extras.push(extra.to_vec());
                     }
@@ -667,21 +626,17 @@ impl<'a> Interpreter<'a> {
                     }
                     out.extend(self.assemble(n, extras, map_lam.ret.len() - k)?);
                 }
-                Ok((out, span + 1))
+                Ok(out)
             }
             Soac::StreamMap { width, lam, arrs } => {
                 let n = self.width_of(env, width, arrs)?;
                 let mut parts: Vec<Vec<Value>> = Vec::new();
-                let mut span = 0u64;
                 for (at, len) in self.chunk_bounds(n) {
                     let mut args = vec![Value::i64(len as i64)];
                     args.extend(self.chunk_values(env, arrs, at, len)?);
-                    let (vals, s) = self.apply_lambda(env, lam, &args)?;
-                    span = span.max(s);
-                    parts.push(vals);
+                    parts.push(self.apply_lambda(env, lam, &args)?);
                 }
-                let out = concat_chunk_results(&parts, lam.ret.len())?;
-                Ok((out, span + 1))
+                concat_chunk_results(&parts, lam.ret.len())
             }
             Soac::StreamRed {
                 width,
@@ -698,26 +653,22 @@ impl<'a> Interpreter<'a> {
                 let k = init.len();
                 let mut combined = init.clone();
                 let mut parts: Vec<Vec<Value>> = Vec::new();
-                let mut span = 0u64;
                 for (at, len) in self.chunk_bounds(n) {
                     let mut args = vec![Value::i64(len as i64)];
                     args.extend(init.iter().cloned());
                     args.extend(self.chunk_values(env, arrs, at, len)?);
-                    let (vals, s) = self.apply_lambda(env, fold_lam, &args)?;
-                    span = span.max(s);
+                    let vals = self.apply_lambda(env, fold_lam, &args)?;
                     let (accs_out, arrs_out) = vals.split_at(k);
                     let mut rargs = combined;
                     rargs.extend(accs_out.iter().cloned());
-                    let (rvals, s2) = self.apply_lambda(env, red_lam, &rargs)?;
-                    span = span.max(s2);
-                    combined = rvals;
+                    combined = self.apply_lambda(env, red_lam, &rargs)?;
                     parts.push(arrs_out.to_vec());
                 }
                 let mut out = combined;
                 if fold_lam.ret.len() > k {
                     out.extend(concat_chunk_results(&parts, fold_lam.ret.len() - k)?);
                 }
-                Ok((out, span + 1))
+                Ok(out)
             }
             Soac::StreamSeq {
                 width,
@@ -732,13 +683,11 @@ impl<'a> Interpreter<'a> {
                     .collect::<IResult<_>>()?;
                 let k = acc.len();
                 let mut parts: Vec<Vec<Value>> = Vec::new();
-                let mut span = 0u64;
                 for (at, len) in self.chunk_bounds(n) {
                     let mut args = vec![Value::i64(len as i64)];
                     args.extend(acc.iter().cloned());
                     args.extend(self.chunk_values(env, arrs, at, len)?);
-                    let (vals, s) = self.apply_lambda(env, lam, &args)?;
-                    span += s;
+                    let vals = self.apply_lambda(env, lam, &args)?;
                     let (accs_out, arrs_out) = vals.split_at(k);
                     acc = accs_out.to_vec();
                     parts.push(arrs_out.to_vec());
@@ -747,7 +696,7 @@ impl<'a> Interpreter<'a> {
                 if lam.ret.len() > k {
                     out.extend(concat_chunk_results(&parts, lam.ret.len() - k)?);
                 }
-                Ok((out, span + 1))
+                Ok(out)
             }
             Soac::Scatter {
                 width,
@@ -786,20 +735,20 @@ impl<'a> Interpreter<'a> {
                         d.update_slice(&[ix], &v);
                     }
                 }
-                Ok((vec![Value::Array(d)], 1))
+                Ok(vec![Value::Array(d)])
             }
         }
     }
 
     /// Result arrays of a zero-width map: empty arrays of the lambda's
     /// return element types.
-    fn empty_map_results(&mut self, lam: &Lambda) -> IResult<(Vec<Value>, u64)> {
+    fn empty_map_results(&mut self, lam: &Lambda) -> IResult<Vec<Value>> {
         let mut out = Vec::new();
         for t in &lam.ret {
             let elem = t.elem();
             out.push(Value::Array(ArrayVal::new(vec![0], Buffer::zeros(elem, 0))));
         }
-        Ok((out, 1))
+        Ok(out)
     }
 
     fn empty_scan_results(&mut self, env: &Env, neutral: &[SubExp]) -> IResult<Vec<Value>> {

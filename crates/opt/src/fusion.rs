@@ -20,11 +20,6 @@
 //! edge is a choice point of the cursor's schedule, asked once: a declined
 //! edge is asked again only after its producer or consumer is rewritten.
 //!
-//! F2/F4/F5/F7 at chunk size one is [`chain_to_loop`]: it rewrites a
-//! map→scan→reduce chain into a single sequential loop with scalar
-//! accumulators — the Figure 10c "tension resolved" form with O(1)
-//! per-thread footprint. Only its unit test calls it; no pass does.
-//!
 //! In-place updates are not a burden on the engine; the only restriction is
 //! that a producer never moves past a consumption point of one of its
 //! inputs. Updates, calls and scatters bound every rewrite, and a
@@ -33,10 +28,7 @@
 
 use futhark_core::schedule::{ChoiceClass, ScheduleCursor};
 use futhark_core::traverse::{alpha_rename_lambda, free_in_exp, free_in_lambda, Subst};
-use futhark_core::{
-    Body, Exp, Lambda, LoopForm, Name, NameSource, Param, PatElem, Program, ScalarType, Soac, Stm,
-    SubExp, Type,
-};
+use futhark_core::{Body, Exp, Lambda, Name, NameSource, Param, Program, Soac, Stm, SubExp};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::Range;
 
@@ -67,23 +59,6 @@ fn fuse_body(body: &mut Body, ns: &mut NameSource, cur: &mut ScheduleCursor) {
     let mut graph = Graph::new(std::mem::take(&mut body.stms), &body.result);
     graph.reduce(ns, cur);
     body.stms = graph.into_stms();
-}
-
-/// Counts uses of each name in a body (operands, SOAC inputs, results,
-/// nested bodies).
-fn use_counts(body: &Body) -> HashMap<Name, usize> {
-    let mut counts: HashMap<Name, usize> = HashMap::new();
-    for stm in &body.stms {
-        for v in free_in_exp(&stm.exp) {
-            *counts.entry(v).or_insert(0) += 1;
-        }
-    }
-    for se in &body.result {
-        if let SubExp::Var(v) = se {
-            *counts.entry(v.clone()).or_insert(0) += 1;
-        }
-    }
-    counts
 }
 
 /// Whether a statement may consume an array: the blanket barrier that no
@@ -881,197 +856,6 @@ fn stream_red(jstm: &Stm, kstm: &Stm, ns: &mut NameSource) -> Stm {
     .with_prov(jstm.prov.union(&kstm.prov))
 }
 
-// ---- Chain sequentialisation (F2/F4/F5/F7 at chunk size 1) ----
-
-/// Rewrites a linear map→scan→reduce chain over the same width into one
-/// sequential loop with scalar accumulators, as produced by converting each
-/// member to a stream (F2/F4/F5), fusing the streams (F7), and choosing
-/// chunk size one (Section 4.3: "the thread footprint is O(1)").
-///
-/// `body` is modified in place; returns whether anything changed. Only
-/// chains whose intermediate arrays are each used exactly once, ending in a
-/// `reduce` (scalar result), are rewritten; the final reduce's value is the
-/// loop result. The rewrite is consulted as a `FuseChain` choice point.
-pub fn chain_to_loop(body: &mut Body, ns: &mut NameSource, cur: &mut ScheduleCursor) -> bool {
-    let counts = use_counts(body);
-    // Find a reduce whose input comes from a chain of single-use map/scan
-    // statements.
-    for k in 0..body.stms.len() {
-        let Some(Soac::Reduce {
-            width,
-            lam: rlam,
-            neutral,
-            arrs,
-            ..
-        }) = soac_of(&body.stms[k])
-        else {
-            continue;
-        };
-        if arrs.len() != 1 || neutral.len() != 1 || !rlam.ret[0].is_scalar() {
-            continue;
-        }
-        // Walk the chain backwards.
-        let mut chain: Vec<usize> = vec![k];
-        let mut cur_input = arrs[0].clone();
-        let width = width.clone();
-        while let Some(j) = body
-            .stms
-            .iter()
-            .position(|s| s.pat.len() == 1 && s.pat[0].name == cur_input)
-        {
-            match soac_of(&body.stms[j]) {
-                Some(Soac::Map {
-                    width: w, arrs: a, ..
-                })
-                | Some(Soac::Scan {
-                    width: w, arrs: a, ..
-                }) if *w == width
-                    && a.len() == 1
-                    && counts.get(&cur_input) == Some(&1)
-                    && !body.result.iter().any(|se| se.as_var() == Some(&cur_input)) =>
-                {
-                    chain.push(j);
-                    cur_input = a[0].clone();
-                }
-                _ => break,
-            }
-        }
-        if chain.len() < 2 {
-            continue;
-        }
-        chain.reverse(); // now source-first
-                         // Ensure the chain is contiguous enough to collapse: no statement
-                         // between members defines or consumes anything the members use.
-        let lo = *chain.first().unwrap();
-        let hi = *chain.last().unwrap();
-        if body.stms[lo..=hi]
-            .iter()
-            .enumerate()
-            .any(|(off, s)| !chain.contains(&(lo + off)) && is_consuming(s))
-        {
-            continue;
-        }
-        // A collapsible chain exists: the choice point.
-        if !cur.decide(ChoiceClass::FuseChain) {
-            continue;
-        }
-        // Build the loop.
-        let i = ns.fresh("i");
-        let mut loop_stms: Vec<Stm> = Vec::new();
-        // Read the source element.
-        let elem = ns.fresh("x");
-        let src_ty = match &body.stms[chain[0]].exp {
-            Exp::Soac(Soac::Map { lam, .. }) | Exp::Soac(Soac::Scan { lam, .. }) => {
-                lam.params[0].ty.clone()
-            }
-            _ => continue,
-        };
-        loop_stms.push(Stm::single(
-            elem.clone(),
-            src_ty,
-            Exp::Index {
-                array: cur_input.clone(),
-                indices: vec![SubExp::Var(i.clone())],
-            },
-        ));
-        let mut cur_val = SubExp::Var(elem);
-        let mut merge: Vec<(Param, SubExp)> = Vec::new();
-        let mut final_results: Vec<SubExp> = Vec::new();
-        for &idx in &chain {
-            match &body.stms[idx].exp {
-                Exp::Soac(Soac::Map { lam, .. }) => {
-                    let mut l = alpha_rename_lambda(ns, lam);
-                    let mut s = Subst::new();
-                    s.bind(l.params[0].name.clone(), cur_val.clone());
-                    s.apply_body(&mut l.body);
-                    loop_stms.extend(l.body.stms);
-                    cur_val = l.body.result[0].clone();
-                }
-                Exp::Soac(Soac::Scan { lam, neutral, .. }) => {
-                    // carry ⊕ x, threading the carry.
-                    let carry = ns.fresh("carry");
-                    let cty = lam.ret[0].clone();
-                    let mut l = alpha_rename_lambda(ns, lam);
-                    let mut s = Subst::new();
-                    s.bind(l.params[0].name.clone(), SubExp::Var(carry.clone()));
-                    s.bind(l.params[1].name.clone(), cur_val.clone());
-                    s.apply_body(&mut l.body);
-                    loop_stms.extend(l.body.stms);
-                    cur_val = l.body.result[0].clone();
-                    merge.push((Param::new(carry, cty), neutral[0].clone()));
-                    final_results.push(cur_val.clone());
-                }
-                Exp::Soac(Soac::Reduce { lam, neutral, .. }) => {
-                    let racc = ns.fresh("racc");
-                    let rty = lam.ret[0].clone();
-                    let mut l = alpha_rename_lambda(ns, lam);
-                    let mut s = Subst::new();
-                    s.bind(l.params[0].name.clone(), SubExp::Var(racc.clone()));
-                    s.bind(l.params[1].name.clone(), cur_val.clone());
-                    s.apply_body(&mut l.body);
-                    loop_stms.extend(l.body.stms);
-                    cur_val = l.body.result[0].clone();
-                    merge.push((Param::new(racc, rty), neutral[0].clone()));
-                    final_results.push(cur_val.clone());
-                }
-                _ => unreachable!(),
-            }
-        }
-        // Loop results: one per merge parameter, in order.
-        let loop_body = Body::new(loop_stms, final_results);
-        // The reduce's pattern receives the last merge value; scans in the
-        // middle of the chain had their (array) outputs consumed inside the
-        // chain only, so only the final scalar matters.
-        let reduce_pat = body.stms[k].pat.clone();
-        let n_merge = merge.len();
-        let loop_exp = Exp::Loop {
-            params: merge,
-            form: LoopForm::For {
-                var: i,
-                bound: width.clone(),
-            },
-            body: loop_body,
-        };
-        // The collapsed loop descends from every chain member's site.
-        let mut chain_prov = futhark_core::Prov::none();
-        for &idx in &chain {
-            chain_prov.merge(&body.stms[idx].prov);
-        }
-        let new_stm = if n_merge == 1 {
-            Stm::new(reduce_pat, loop_exp).with_prov(chain_prov)
-        } else {
-            // Bind all merge results; the reduce output is the last.
-            let mut pat = Vec::new();
-            for m in 0..n_merge - 1 {
-                pat.push(PatElem::new(
-                    ns.fresh("carryout"),
-                    Type::Scalar(ScalarType::F64), // placeholder, fixed below
-                ));
-                let _ = m;
-            }
-            pat.push(reduce_pat[0].clone());
-            Stm::new(pat, loop_exp).with_prov(chain_prov)
-        };
-        // Fix placeholder types from the loop params.
-        let mut new_stm = new_stm;
-        if let Exp::Loop { params, .. } = &new_stm.exp {
-            for (pe, (p, _)) in new_stm.pat.iter_mut().zip(params) {
-                pe.ty = p.ty.clone();
-            }
-        }
-        // Replace: remove chain members except k, substitute statement k.
-        futhark_trace::event("fusion.chain_to_loop");
-        let mut to_remove: Vec<usize> = chain[..chain.len() - 1].to_vec();
-        body.stms[k] = new_stm;
-        to_remove.sort_unstable_by(|a, b| b.cmp(a));
-        for idx in to_remove {
-            body.stms.remove(idx);
-        }
-        return true;
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1291,34 +1075,5 @@ mod tests {
             assert!(a.approx_eq(b, 1e-6), "{a} vs {b}");
         }
         futhark_check::check_program(&opt).unwrap();
-    }
-
-    #[test]
-    fn figure10_chain_to_loop() {
-        // The inner part of Figure 10: map (g a) → scan ⊙ → reduce (+)
-        // collapses into one loop with two scalar accumulators.
-        let src = "fun main (m: i64) (a: f32) (iss: [m]f32): f32 =\n\
-                   let t = map (\\x -> x * a) iss\n\
-                   let y = scan (+) 0.0f32 t\n\
-                   let b = reduce max 0.0f32 y\n\
-                   in b";
-        let (mut prog, mut ns) = parse_program(src).unwrap();
-        let f = prog.function_mut("main").unwrap();
-        let mut cur = ScheduleCursor::new(Schedule::default());
-        let changed = chain_to_loop(&mut f.body, &mut ns, &mut cur);
-        assert!(changed, "{f}");
-        let f = prog.main().unwrap();
-        assert_eq!(count_soacs(&f.body), 0, "{f}");
-        assert!(f.to_string().contains("loop"), "{f}");
-        // Semantics check.
-        let args = vec![
-            Value::i64(4),
-            Value::f32(2.0),
-            Value::Array(ArrayVal::from_f32s(vec![1.0, -2.0, 3.0, 0.5])),
-        ];
-        let (orig, _) = parse_program(src).unwrap();
-        let r1 = Interpreter::new(&orig).run_main(&args).unwrap();
-        let r2 = Interpreter::new(&prog).run_main(&args).unwrap();
-        assert!(r1[0].approx_eq(&r2[0], 1e-6), "{:?} vs {:?}", r1, r2);
     }
 }

@@ -139,7 +139,7 @@ pub fn evaluate(
     args: &[Value],
     device: Device,
     sched: &Schedule,
-) -> Result<(Vec<Value>, Score, [u32; 9]), Error> {
+) -> Result<(Vec<Value>, Score, [u32; ChoiceClass::COUNT]), Error> {
     let compiled = Compiler::with_schedule(sched.clone()).compile(source)?;
     let counts = compiled.choice_counts;
     let (outputs, perf) = compiled.run_with_opts(device, args, RunOptions::default())?;
@@ -153,7 +153,7 @@ fn bit_identical(a: &[Value], b: &[Value]) -> bool {
 /// The fixed part of the neighbourhood: coarse pass switches, simplify
 /// rewrite toggles, and class-default flips for classes with at least
 /// one observed site. Deterministic enumeration order.
-fn fixed_neighbours(cur: &Schedule, counts: &[u32; 9]) -> Vec<(String, Schedule)> {
+fn fixed_neighbours(cur: &Schedule, counts: &[u32; ChoiceClass::COUNT]) -> Vec<(String, Schedule)> {
     let mut out: Vec<(String, Schedule)> = Vec::new();
     {
         let mut s = cur.clone();
@@ -191,7 +191,7 @@ fn fixed_neighbours(cur: &Schedule, counts: &[u32; 9]) -> Vec<(String, Schedule)
             out.push((format!("flip simplify.{name}"), s));
         }
     }
-    for class in ChoiceClass::ALL {
+    for &class in ChoiceClass::ALL {
         if counts[class.index()] == 0 {
             continue;
         }
@@ -210,12 +210,13 @@ fn fixed_neighbours(cur: &Schedule, counts: &[u32; 9]) -> Vec<(String, Schedule)
 /// Sampled per-site override flips within the observed site counts.
 fn sampled_neighbours(
     cur: &Schedule,
-    counts: &[u32; 9],
+    counts: &[u32; ChoiceClass::COUNT],
     rng: &mut Rng64,
     samples: usize,
 ) -> Vec<(String, Schedule)> {
     let live: Vec<ChoiceClass> = ChoiceClass::ALL
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|c| counts[c.index()] > 0)
         .collect();
     if live.is_empty() {
@@ -279,7 +280,7 @@ pub fn tune(
             &mut rng,
             cfg.site_samples,
         ));
-        let mut best: Option<(String, Schedule, Score, [u32; 9])> = None;
+        let mut best: Option<(String, Schedule, Score, [u32; ChoiceClass::COUNT])> = None;
         for (desc, sched) in cands {
             let Ok((outs, score, c)) = evaluate(source, args, device, &sched) else {
                 continue;

@@ -189,13 +189,13 @@ fn ablation_corners_are_well_formed() {
     assert_eq!(
         labels,
         [
-            "sched1,9:111111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
-            "sched1,9:000111111,1:1,1:1,1:1,1:1,1:1,1:1,1:0,1:0,1:0,",
-            "sched1,9:011111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
-            "sched1,9:101111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
-            "sched1,9:111111111,1:1,1:1,1:1,1:1,1:1,1:1,1:0,1:0,1:1,",
-            "sched1,9:111111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:0,",
-            "sched1,9:110111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
+            "sched2,9:111111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
+            "sched2,9:000111111,1:1,1:1,1:1,1:1,1:1,1:0,1:0,1:0,",
+            "sched2,9:011111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
+            "sched2,9:101111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
+            "sched2,9:111111111,1:1,1:1,1:1,1:1,1:1,1:0,1:0,1:1,",
+            "sched2,9:111111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:0,",
+            "sched2,9:110111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
         ]
     );
 }

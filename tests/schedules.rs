@@ -4,11 +4,11 @@
 //! default schedule reproduces the classic pipeline exactly, the tuner
 //! is deterministic and monotone, a tuned schedule beats the default by
 //! a double-digit margin on a named paper benchmark without changing a
-//! single output bit, and the schedules committed under `schedules/`
-//! replay bit-for-bit.
+//! single output bit, the schedules committed under `schedules/`
+//! replay bit-for-bit, and every choice class has a live call site.
 
-use futhark::{schedule_from_json, Compiler, Device, Json, RunOptions, Schedule};
-use futhark_bench::benchmark;
+use futhark::{schedule_from_json, ChoiceClass, Compiler, Device, Json, RunOptions, Schedule};
+use futhark_bench::{all_benchmarks, benchmark};
 use futhark_tune::{evaluate, tune, TuneConfig};
 
 /// The default schedule must compile to the very same artifact as the
@@ -146,5 +146,46 @@ fn committed_schedules_replay_bit_for_bit() {
             ds.total_us,
             ts.total_us
         );
+    }
+}
+
+/// Every choice class is asked by some pass. Under the default schedule,
+/// the 16 paper programs, Figure 10's and Figure 4b's sources (as in
+/// `tests/paper_figures.rs`) and two independent maps over one array
+/// visit at least one site of each class. A class that no pass asks
+/// decides nothing, yet it would still be a field of every schedule
+/// label and a draw of every sampled schedule.
+#[test]
+fn every_choice_class_has_a_call_site() {
+    let figure10 = "fun main (n: i64) (xs: [n]i64): i64 =\n\
+                    let ys = stream_map (\\(chunk: i64) (cs: [chunk]i64) ->\n\
+                      map (\\c -> c * 2 + 1) cs) xs\n\
+                    let s = reduce (+) 0 ys\n\
+                    in s";
+    let figure4b = "fun main (n: i64) (k: i64) (ms: [n]i64): [k]i64 =\n\
+                    let incr = map (\\(cl: i64) ->\n\
+                      let e = replicate k 0\n\
+                      let e[cl] = 1\n\
+                      in e) ms\n\
+                    let z = replicate k 0\n\
+                    let c = reduce (\\(x: [k]i64) (y: [k]i64) -> map (+) x y) z incr\n\
+                    in c";
+    let two_maps = "fun main (n: i64) (xs: [n]i64): ([n]i64, [n]i64) =\n\
+                    let a = map (\\x -> x + 1) xs\n\
+                    let b = map (\\x -> x * 2) xs\n\
+                    in (a, b)";
+    let mut sources: Vec<String> = all_benchmarks().into_iter().map(|b| b.source).collect();
+    sources.extend([figure10, figure4b, two_maps].map(String::from));
+    let mut counts = [0u32; ChoiceClass::COUNT];
+    for src in &sources {
+        let compiled = Compiler::with_schedule(Schedule::default())
+            .compile(src)
+            .expect("compiles");
+        for (n, c) in counts.iter_mut().zip(compiled.choice_counts) {
+            *n += c;
+        }
+    }
+    for &class in ChoiceClass::ALL {
+        assert!(counts[class.index()] > 0, "no program asks `{class}`");
     }
 }
