@@ -157,8 +157,6 @@ pub struct Schedule {
     pub fusion_pass: bool,
     /// Run the memory planner.
     pub memplan: bool,
-    /// Type-check after the frontend.
-    pub check: bool,
     /// Rewrite families within the simplify pass.
     pub simplify: SimplifyToggles,
     /// Per-class site decisions, indexed by [`ChoiceClass::index`].
@@ -171,7 +169,6 @@ impl Default for Schedule {
             simplify_pass: true,
             fusion_pass: true,
             memplan: true,
-            check: true,
             simplify: SimplifyToggles::default(),
             sites: std::array::from_fn(|_| SiteDecisions::uniform(true)),
         }
@@ -200,7 +197,7 @@ impl fmt::Display for LabelError {
 
 /// The label's format-version prefix. Bump on any encoding change so
 /// old labels are rejected rather than misread.
-const LABEL_VERSION: &str = "sched2";
+const LABEL_VERSION: &str = "sched3";
 
 impl Schedule {
     /// The decisions of one class.
@@ -241,10 +238,9 @@ impl Schedule {
     /// The ablation corners the differential fuzzer compiles every
     /// program under, after the Section 6.1.1 ablations: everything on,
     /// everything off, and each optimisation switched off on its own
-    /// (simplify, fusion, coalescing, tiling, memplan). Checking stays on
-    /// in every corner. Every corner must produce bit-identical results on every
-    /// program the frontend accepts; the fuzzer treats any difference as
-    /// a bug.
+    /// (simplify, fusion, coalescing, tiling, memplan). Every corner must
+    /// produce bit-identical results on every program the frontend
+    /// accepts; the fuzzer treats any difference as a bug.
     pub fn ablation_corners() -> Vec<Schedule> {
         let all = Schedule::default();
         let none = Schedule {
@@ -280,14 +276,12 @@ impl Schedule {
     /// and overrides at sites the pipeline never queries are inert — so
     /// any combination of answers compiles to a program with the same
     /// semantics. Coarse switches and class defaults are biased towards
-    /// `on` (the interesting interactions need most passes running);
-    /// `check` stays on so malformed programs are still rejected early.
+    /// `on` (the interesting interactions need most passes running).
     pub fn sample(rng: &mut crate::rng::Rng64) -> Schedule {
         let mut s = Schedule {
             simplify_pass: rng.chance(3, 4),
             fusion_pass: rng.chance(3, 4),
             memplan: rng.chance(3, 4),
-            check: true,
             simplify: SimplifyToggles {
                 copy_prop: rng.chance(3, 4),
                 const_fold: rng.chance(3, 4),
@@ -315,7 +309,7 @@ impl Schedule {
     /// and overrides are sorted by site index — so equal labels imply
     /// equal schedules and vice versa.
     ///
-    /// Layout: `sched2,` then one field of nine bits (coarse switches +
+    /// Layout: `sched3,` then one field of eight bits (coarse switches +
     /// simplify toggles), then one field per choice class, in
     /// [`ChoiceClass::ALL`] order, holding the class default and its
     /// overrides.
@@ -323,12 +317,11 @@ impl Schedule {
         let mut out = String::new();
         out.push_str(LABEL_VERSION);
         out.push(',');
-        let mut bits = String::with_capacity(9);
+        let mut bits = String::with_capacity(8);
         for b in [
             self.simplify_pass,
             self.fusion_pass,
             self.memplan,
-            self.check,
             self.simplify.copy_prop,
             self.simplify.const_fold,
             self.simplify.cse,
@@ -370,21 +363,20 @@ impl Schedule {
         }
         let mut pos = head;
         let bits = take_field(label, &mut pos)?;
-        if bits.len() != 9 || !bits.bytes().all(|b| b == b'0' || b == b'1') {
-            return Err(err(pos, "switch field must be exactly 9 bits"));
+        if bits.len() != 8 || !bits.bytes().all(|b| b == b'0' || b == b'1') {
+            return Err(err(pos, "switch field must be exactly 8 bits"));
         }
         let bit = |i: usize| bits.as_bytes()[i] == b'1';
         let mut sched = Schedule {
             simplify_pass: bit(0),
             fusion_pass: bit(1),
             memplan: bit(2),
-            check: bit(3),
             simplify: SimplifyToggles {
-                copy_prop: bit(4),
-                const_fold: bit(5),
-                cse: bit(6),
-                hoist: bit(7),
-                dead_code: bit(8),
+                copy_prop: bit(3),
+                const_fold: bit(4),
+                cse: bit(5),
+                hoist: bit(6),
+                dead_code: bit(7),
             },
             sites: std::array::from_fn(|_| SiteDecisions::uniform(true)),
         };
@@ -449,7 +441,6 @@ impl Schedule {
             ("simplify", self.simplify_pass, base.simplify_pass),
             ("fusion", self.fusion_pass, base.fusion_pass),
             ("memplan", self.memplan, base.memplan),
-            ("check", self.check, base.check),
         ] {
             if have != want {
                 parts.push(format!("{}{}", if have { "+" } else { "-" }, name));
@@ -648,14 +639,16 @@ mod tests {
             "sched0,9:111111111,".to_string(),
             // The default label of version 1, which had nine classes.
             format!("sched1,9:111111111,{}", "1:1,".repeat(9)),
+            // The default label of version 2, which had a `check` switch.
+            format!("sched2,9:111111111,{}", "1:1,".repeat(8)),
             good[..good.len() - 1].to_string(),     // truncated
             format!("{good}x"),                     // trailing input
-            good.replacen("9:", "09:", 1),          // non-canonical length
+            good.replacen("8:", "08:", 1),          // non-canonical length
             good.replacen("1:1,", "6:1 1+1-,", 1),  // missing separator
             good.replacen("1:1,", "7:1 2+ 1-,", 1), // unsorted overrides
             good.replacen("1:1,", "7:1 1+ 1-,", 1), // duplicate site
             good.replacen("1:1,", "5:1 01+,", 1),   // non-canonical index
-            good.replacen("9:", "10:", 1),          // wrong bit count
+            good.replacen("8:11111111", "9:111111111", 1), // wrong bit count
         ] {
             assert!(
                 Schedule::parse_label(&bad).is_err(),

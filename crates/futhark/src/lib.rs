@@ -233,13 +233,11 @@ impl Compiler {
                 .unwrap_or_default();
             (res, after)
         })?;
+        let size = program_size(&prog);
+        spanned(&mut report, "check", size, || {
+            (futhark_check::check_program(&prog), size)
+        })?;
         let sched = &self.sched;
-        if sched.check {
-            let size = program_size(&prog);
-            spanned(&mut report, "check", size, || {
-                (futhark_check::check_program(&prog), size)
-            })?;
-        }
         let mut cur = ScheduleCursor::new(sched.clone());
         // Provenance fill #1: give compiler-synthesised scaffolding from
         // elaboration a source line by inheritance, so the optimisation
@@ -358,25 +356,17 @@ impl Compiled {
         )?)
     }
 
-    /// Runs as [`Compiled::run_with_opts`] does, with every kernel
-    /// decoded afresh for the per-lane reference engine
-    /// ([`DecodedPlan::reference`]). Only tests and the fuzz oracle call
-    /// it, to check that outputs, faults and counters match.
+    /// The same program with every kernel decoded, once, for the
+    /// per-lane reference engine ([`DecodedPlan::reference`]), so that
+    /// [`Compiled::run_with_opts`] runs it there. Only tests and the fuzz
+    /// oracle call it, to check that outputs, faults and counters match.
     ///
     /// # Errors
     ///
-    /// Returns an [`Error`] for runtime faults.
-    pub fn run_reference(
-        &self,
-        device: impl Into<DeviceProfile>,
-        args: &[Value],
-        opts: RunOptions,
-    ) -> Result<(Vec<Value>, PerfReport), Error> {
+    /// Returns [`Error::Decode`] for a kernel the reference rejects.
+    pub fn into_reference(self) -> Result<Compiled, Error> {
         let decoded = DecodedPlan::reference(&self.plan).map_err(Error::Decode)?;
-        let device = device.into();
-        Ok(exec::run(
-            &self.plan, &decoded, &self.prog, &device, args, &opts,
-        )?)
+        Ok(Compiled { decoded, ..self })
     }
 
     /// The pass-level trace (present when compiled with

@@ -38,7 +38,7 @@ pub enum DivergenceKind {
     /// perturbed or misread the run.
     AnalysisPerturbation,
     /// The warp execution engine disagreed with the per-lane reference
-    /// engine ([`futhark::Compiled::run_reference`]): different output
+    /// engine ([`futhark::Compiled::into_reference`]): different output
     /// values, a different error, or different aggregate cost counters.
     /// The two engines implement the same SIMT semantics and must be
     /// observationally indistinguishable.
@@ -200,23 +200,23 @@ fn check_profiled_run(
     }
 }
 
-/// Re-runs the program on the per-lane reference engine
-/// ([`futhark::Compiled::run_reference`]) and demands bit-identical
+/// Re-runs the program on the per-lane reference engine (`reference`,
+/// from [`futhark::Compiled::into_reference`]) and demands bit-identical
 /// outputs — or the identical error — and identical aggregate
 /// [`futhark::PerfReport`] counters to the warp engine's run. The warp
 /// engine is a pure execution-strategy change; any observable difference
 /// is a bug in its masking, fault ordering, register compilation or
 /// counter accounting.
 fn check_warp_vs_reference(
-    compiled: &futhark::Compiled,
+    reference: &futhark::Compiled,
     device: Device,
     dlabel: &str,
     args: &[Value],
     warp_run: &Result<(Vec<Value>, futhark::PerfReport), String>,
     sched: &Schedule,
 ) -> Option<Divergence> {
-    let reference_run = compiled
-        .run_reference(device, args, RunOptions::default())
+    let reference_run = reference
+        .run_with_opts(device, args, RunOptions::default())
         .map_err(|e| e.to_string());
     let detail = match (warp_run, &reference_run) {
         (Ok((vals, perf)), Ok((rvals, rperf))) => {
@@ -414,20 +414,49 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
                 })
             }
         };
-        for (device, dlabel) in devices() {
-            let run = compiled
-                .run_with_opts(device, args, RunOptions::default())
-                .map_err(|e| e.to_string());
-            // The warp engine must be observationally indistinguishable
-            // from the per-lane reference on every configuration: re-run
-            // on the reference and demand identical outputs (or the
-            // identical fault) and identical aggregate counters.
-            if let Some(d) = check_warp_vs_reference(&compiled, device, dlabel, args, &run, &sched)
+        // The warp runs first, each with its profiled re-run on the
+        // default configuration: profiled execution must be a pure
+        // observer, giving bit-identical outputs and identical aggregate
+        // cost counters. Its verdict is reported after the checks below,
+        // in their order.
+        let runs: Vec<_> = devices()
+            .into_iter()
+            .map(|(device, dlabel)| {
+                let run = compiled
+                    .run_with_opts(device, args, RunOptions::default())
+                    .map_err(|e| e.to_string());
+                let profiled = match &run {
+                    Ok((got, perf)) if sched.is_default() => {
+                        check_profiled_run(&compiled, device, dlabel, args, got, perf, &sched)
+                    }
+                    _ => None,
+                };
+                (run, profiled)
+            })
+            .collect();
+        // The warp engine must be observationally indistinguishable from
+        // the per-lane reference on every configuration: decode the
+        // program once for the reference, re-run it on each device, and
+        // demand identical outputs (or the identical fault) and identical
+        // aggregate counters.
+        let per_lane = match compiled.into_reference() {
+            Ok(r) => r,
+            Err(e) => {
+                return Outcome::Diverged(Divergence {
+                    config: format!("{}+reference", sched.describe()),
+                    device: None,
+                    kind: DivergenceKind::WarpExecution,
+                    detail: format!("reference decode failed: {e}"),
+                })
+            }
+        };
+        for ((device, dlabel), (run, profiled)) in devices().into_iter().zip(runs) {
+            if let Some(d) = check_warp_vs_reference(&per_lane, device, dlabel, args, &run, &sched)
             {
                 return Outcome::Diverged(d);
             }
             match run {
-                Ok((got, perf)) => {
+                Ok((got, _)) => {
                     if let Some(detail) = compare(["interpreter", "simulator"], &reference, &got) {
                         return Outcome::Diverged(Divergence {
                             config: sched.describe(),
@@ -435,17 +464,6 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
                             kind: DivergenceKind::Mismatch,
                             detail,
                         });
-                    }
-                    // Profiled execution must be a pure observer: on the
-                    // default configuration, re-run with per-site
-                    // profiling on and demand bit-identical outputs and
-                    // identical aggregate cost counters.
-                    if sched.is_default() {
-                        if let Some(d) =
-                            check_profiled_run(&compiled, device, dlabel, args, &got, &perf, &sched)
-                        {
-                            return Outcome::Diverged(d);
-                        }
                     }
                 }
                 Err(e) => {
@@ -456,6 +474,9 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
                         detail: e,
                     })
                 }
+            }
+            if let Some(d) = profiled {
+                return Outcome::Diverged(d);
             }
         }
     }

@@ -1,5 +1,5 @@
-//! Pre-decoded kernel execution: flat opcode tapes, typed register files,
-//! and deterministic parallel work-group execution.
+//! Pre-decoded kernel execution: flat opcode tapes, one register file of
+//! bit columns, and deterministic parallel work-group execution.
 //!
 //! The tree-walking simulator paid for every scalar operation twice: once
 //! chasing `Box`ed [`KExp`] nodes, and once boxing/unboxing [`Scalar`]
@@ -7,12 +7,12 @@
 //! removes both costs ahead of time:
 //!
 //! - every expression becomes a flat `Tape` of register-form `WInstr`s
-//!   over scratch columns — no recursion, no allocation per lane;
-//! - every virtual register gets a *statically inferred* scalar class and a
-//!   slot in a typed, unboxed register file (separate `Vec<i64>`,
-//!   `Vec<i32>`, `Vec<f32>`, `Vec<f64>`, `Vec<bool>` in structure-of-arrays
-//!   layout, `file[slot * lanes + lane]`) instead of a `Vec<Scalar>` per
-//!   lane.
+//!   over register-file columns — no recursion, no allocation per lane;
+//! - every virtual register gets a *statically inferred* scalar class,
+//!   which decode checks every use against, and a column of raw `u64`
+//!   bits in one structure-of-arrays register file (`regs[reg * lanes +
+//!   lane]`), as on a GPU, whose registers are untyped lane slots that
+//!   each instruction reads at its own type.
 //!
 //! Scalar *semantics* are unchanged: integer arithmetic wraps, `/` and `%`
 //! are floored ([`futhark_interp::scalar::floor_div_i64`] and friends), and
@@ -62,18 +62,22 @@
 //! How a kernel was decoded, not a run option, picks its engine. The
 //! warp engine ([`DecodedKernel::decode`], the only decode production
 //! calls) runs each statement a column at a time: one dispatch, then
-//! dense loops over the group's lanes. Register tapes run instruction by
-//! instruction over scratch columns split into distinct slices, so their
-//! loops vectorize; a memory statement converts its index column once,
-//! scans every active lane for a fault in one branch-free pass, and only
-//! if that scan or a tape reports a fault walks its lanes in ascending
-//! order to pick the error the per-lane engine would report. Fault-free,
-//! it gathers from the launch snapshot straight into the typed register
-//! file, or writes its whole column into the group's window. The
-//! per-lane engine ([`DecodedKernel::reference`]) runs each statement
-//! lane by lane over postfix tapes; it is the reference the tests and the
-//! fuzz oracle hold the warp engine to. Both engines count global-memory
-//! transactions through one coalescer over the statement's index column.
+//! dense loops over the group's lanes. A group's register file holds the
+//! kernel's registers and, above them, the temporaries of its tapes.
+//! Register tapes run instruction by instruction over its columns split
+//! into distinct slices, so their loops vectorize; an instruction names a
+//! register's column directly, so reading a register costs no
+//! instruction, and only a store writes one. A memory statement converts its index column
+//! once, scans every active lane for a fault in one branch-free pass, and
+//! only if that scan or a tape reports a fault walks its lanes in
+//! ascending order to pick the error the per-lane engine would report.
+//! Fault-free, it gathers the bits of the launch snapshot's elements
+//! straight into its register's column, or writes its whole column into
+//! the group's window. The per-lane engine ([`DecodedKernel::reference`])
+//! runs each statement lane by lane over postfix tapes and the same
+//! register file; it is the reference the tests and the fuzz oracle hold
+//! the warp engine to. Both engines count global-memory transactions
+//! through one coalescer over the statement's index column.
 
 // Lane loops index several parallel per-lane arrays (mask, indices,
 // registers) by the same lane id; iterator rewrites obscure that.
@@ -98,7 +102,9 @@ type SResult<T> = Result<T, SimError>;
 // class says how to interpret them. Encoding: i64 as-is; i32 zero-extended
 // from its 32-bit two's-complement pattern; floats via `to_bits` (f32 in the
 // low 32 bits); bool as 0/1. Round-tripping is exact, including NaN
-// payloads.
+// payloads. Every instruction, gather and argument produces bits in
+// exactly this form, so registers hold them as they come, and nothing
+// re-normalises them on the way in or out.
 
 #[inline]
 fn enc(s: Scalar) -> u64 {
@@ -164,8 +170,8 @@ fn index_i64(t: ScalarType, bits: u64) -> SResult<i64> {
 enum EOp {
     /// Push pre-encoded constant bits.
     Const(u64),
-    /// Push a register (class + slot in that class's file).
-    Load(ScalarType, u32),
+    /// Push a register (its column of the register file).
+    Load(u32),
     /// Push the linear global thread id (i64).
     GlobalId,
     /// Push the work-group id (i64).
@@ -195,41 +201,28 @@ enum EOp {
 /// A tape owns no instructions: it is the range `start..start + len` of
 /// its kernel's one instruction array, in whichever form the kernel was
 /// decoded to ([`Instrs`]). The decoder always builds a tape's postfix
-/// ops first; [`reg_compile`] turns them into the register form, the
-/// same ops with explicit scratch-register operands, one instruction per
-/// op, so a tape's range is the same in either form. The warp engine
-/// executes the register form one *instruction* at a time across all
-/// lanes (each scratch register is a column of `lanes` bit-slots); the
-/// reference engine evaluates the postfix form one *lane* at a time on a
-/// bit stack, and the result is the single remaining slot.
+/// ops first; [`reg_compile`] turns them into the register form, which
+/// names register-file columns explicitly and emits nothing for a
+/// register read. The warp engine executes the register form one
+/// *instruction* at a time across all lanes (each column holds `lanes`
+/// bit-slots); the reference engine evaluates the postfix form one
+/// *lane* at a time on a bit stack, and the result is the single
+/// remaining slot.
 #[derive(Debug, Clone, Copy)]
 struct Tape {
     /// First instruction in the kernel's array.
     start: u32,
     /// Instructions in the kernel's array.
     len: u32,
-    /// Scratch registers the register form needs (high-water mark of the
-    /// decode-time allocator); 0 in the postfix form.
-    n_regs: u32,
-    /// Scratch register holding the tape's result; 0 in the postfix form.
+    /// Column holding the tape's result in the register form: the
+    /// register's own when the tape only reads one, else a temporary; 0
+    /// in the postfix form.
     result: u32,
     cost: u32,
     class: ScalarType,
 }
 
-/// The scratch-register budget the warp engine preallocates per group.
-/// Tapes whose register form needs more ([`Tape::spills`]) grow the
-/// scratch arena on first use — the simulator's analogue of spilling.
-const WREG_FILE: u32 = 16;
-
 impl Tape {
-    /// Registers beyond the preallocated file ([`WREG_FILE`]): how far
-    /// this tape spills.
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn spills(&self) -> u32 {
-        self.n_regs.saturating_sub(WREG_FILE)
-    }
-
     /// The tape's instructions in its kernel's array.
     #[inline]
     fn range(&self) -> std::ops::Range<usize> {
@@ -245,18 +238,14 @@ impl Tape {
 }
 
 /// One register-form instruction: the [`EOp`] payload plus explicit
-/// scratch-register operands assigned by [`reg_compile`]. Registers hold
-/// the same raw `u64` bit patterns as the postfix stack did.
+/// register-file columns assigned by [`reg_compile`]. Columns hold the
+/// same raw `u64` bit patterns as the postfix stack did; a destination is
+/// always a temporary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum WInstr {
     Const {
         dst: u32,
         bits: u64,
-    },
-    Load {
-        dst: u32,
-        class: ScalarType,
-        slot: u32,
     },
     GlobalId {
         dst: u32,
@@ -305,26 +294,31 @@ enum WInstr {
     },
 }
 
-/// Deterministic linear-scan register allocation over a postfix tape: a
-/// stack of register ids mirrors the evaluation stack, and a LIFO free
-/// list recycles the registers an operator consumes, so a binary op's
-/// destination reuses its left operand's register (safe: every lane reads
-/// both operands before writing the destination). Same tape, same
-/// assignment — always; nothing here depends on runtime state, which is
-/// what keeps profiled counters and the profgate baseline bit-for-bit.
+/// Deterministic linear-scan allocation of a postfix tape onto the
+/// register file, whose first `base` columns are the kernel's registers.
+/// A register read pushes the register's own column and emits nothing;
+/// every other op emits one instruction into a temporary, a column from
+/// `base` up. A stack of columns mirrors the evaluation stack, and a LIFO
+/// free list recycles the temporaries an operator consumes, so a binary
+/// op's destination reuses its left operand's temporary (safe: every lane
+/// reads both operands before writing the destination). A register's
+/// column never enters the free list, so no instruction writes a
+/// register. Same tape, same assignment — always; nothing here depends
+/// on runtime state, which is what keeps profiled counters and the
+/// profgate baseline bit-for-bit.
 ///
-/// The register form is appended to `out`, exactly one instruction per
-/// op, and the result is `(n_regs, result register)`. That one-to-one
-/// correspondence is what gives a [`Tape`] the same range in either of
-/// its kernel's forms.
+/// The register form is appended to `out`, and the result is `(columns,
+/// result column)`: the columns the tape needs, `base` plus its
+/// temporaries, and the one holding its result.
 ///
 /// A structurally invalid tape — an operator with too few operands on the
 /// stack, an empty tape, or leftover operands — is reported as an error
 /// string (the caller wraps it in [`SimError::Malformed`] with the kernel
 /// name attached): such tapes cannot come out of the decoder, but a
 /// hand-constructed artifact must not panic a long-lived process.
-fn reg_compile(ops: &[EOp], out: &mut Vec<WInstr>) -> Result<(u32, u32), String> {
+fn reg_compile(ops: &[EOp], base: u32, out: &mut Vec<WInstr>) -> Result<(u32, u32), String> {
     struct Alloc {
+        base: u32,
         free: Vec<u32>,
         next: u32,
     }
@@ -336,13 +330,21 @@ fn reg_compile(ops: &[EOp], out: &mut Vec<WInstr>) -> Result<(u32, u32), String>
                 r
             })
         }
+
+        /// Returns a consumed operand's column to the free list if it is
+        /// a temporary.
+        fn release(&mut self, c: u32) {
+            if c >= self.base {
+                self.free.push(c);
+            }
+        }
     }
     let mut alloc = Alloc {
+        base,
         free: Vec::new(),
-        next: 0,
+        next: base,
     };
     let mut stack: Vec<u32> = Vec::new();
-    let emitted = out.len();
     for (at, op) in ops.iter().enumerate() {
         let pop = |stack: &mut Vec<u32>| {
             stack
@@ -355,11 +357,7 @@ fn reg_compile(ops: &[EOp], out: &mut Vec<WInstr>) -> Result<(u32, u32), String>
                 out.push(WInstr::Const { dst, bits });
                 stack.push(dst);
             }
-            EOp::Load(class, slot) => {
-                let dst = alloc.get();
-                out.push(WInstr::Load { dst, class, slot });
-                stack.push(dst);
-            }
+            EOp::Load(reg) => stack.push(reg),
             EOp::GlobalId => {
                 let dst = alloc.get();
                 out.push(WInstr::GlobalId { dst });
@@ -393,8 +391,8 @@ fn reg_compile(ops: &[EOp], out: &mut Vec<WInstr>) -> Result<(u32, u32), String>
             EOp::Bin(op, t) => {
                 let b = pop(&mut stack)?;
                 let a = pop(&mut stack)?;
-                alloc.free.push(b);
-                alloc.free.push(a);
+                alloc.release(b);
+                alloc.release(a);
                 let dst = alloc.get();
                 out.push(WInstr::Bin { op, t, dst, a, b });
                 stack.push(dst);
@@ -402,22 +400,22 @@ fn reg_compile(ops: &[EOp], out: &mut Vec<WInstr>) -> Result<(u32, u32), String>
             EOp::Cmp(op, t) => {
                 let b = pop(&mut stack)?;
                 let a = pop(&mut stack)?;
-                alloc.free.push(b);
-                alloc.free.push(a);
+                alloc.release(b);
+                alloc.release(a);
                 let dst = alloc.get();
                 out.push(WInstr::Cmp { op, t, dst, a, b });
                 stack.push(dst);
             }
             EOp::Un(op, t) => {
                 let a = pop(&mut stack)?;
-                alloc.free.push(a);
+                alloc.release(a);
                 let dst = alloc.get();
                 out.push(WInstr::Un { op, t, dst, a });
                 stack.push(dst);
             }
             EOp::Conv(from, to) => {
                 let a = pop(&mut stack)?;
-                alloc.free.push(a);
+                alloc.release(a);
                 let dst = alloc.get();
                 out.push(WInstr::Conv { from, to, dst, a });
                 stack.push(dst);
@@ -431,23 +429,20 @@ fn reg_compile(ops: &[EOp], out: &mut Vec<WInstr>) -> Result<(u32, u32), String>
             stack.len()
         ));
     }
-    debug_assert_eq!(out.len() - emitted, ops.len(), "one instruction per op");
     Ok((alloc.next, result))
 }
 
 /// A decoded statement: the same shapes as [`KStm`], with expressions as
-/// tapes and destinations as (class, slot) pairs resolved at decode time.
+/// tapes. A destination register is its column of the register file.
 /// Every nested body is a boxed slice of exactly its statement count.
 #[derive(Debug, Clone)]
 enum DStm {
     Assign {
-        class: ScalarType,
-        slot: u32,
+        reg: u32,
         exp: Tape,
     },
     GlobalRead {
-        class: ScalarType,
-        slot: u32,
+        reg: u32,
         buf: usize,
         index: Tape,
     },
@@ -457,8 +452,7 @@ enum DStm {
         value: Tape,
     },
     LocalRead {
-        class: ScalarType,
-        slot: u32,
+        reg: u32,
         mem: usize,
         index: Tape,
     },
@@ -472,8 +466,7 @@ enum DStm {
         size: Tape,
     },
     PrivRead {
-        class: ScalarType,
-        slot: u32,
+        reg: u32,
         arr: usize,
         index: Tape,
     },
@@ -488,8 +481,8 @@ enum DStm {
         len: Tape,
     },
     For {
-        /// Slot of the (i64) loop counter.
-        slot: u32,
+        /// Register of the (i64) loop counter.
+        reg: u32,
         bound: Tape,
         body: Box<[DStm]>,
     },
@@ -512,18 +505,6 @@ enum DStm {
     },
 }
 
-/// Index of a scalar class in per-class tables.
-#[inline]
-fn ci(t: ScalarType) -> usize {
-    match t {
-        ScalarType::Bool => 0,
-        ScalarType::I32 => 1,
-        ScalarType::I64 => 2,
-        ScalarType::F32 => 3,
-        ScalarType::F64 => 4,
-    }
-}
-
 /// Every tape's instructions of one kernel, back to back, in the one
 /// form that picks the kernel's engine.
 #[derive(Debug, Clone)]
@@ -534,8 +515,8 @@ enum Instrs {
     Postfix(Box<[EOp]>),
 }
 
-/// A kernel pre-decoded for execution: register classes inferred, slots
-/// assigned, expressions flattened to tapes. Decoded kernels are
+/// A kernel pre-decoded for execution: register classes inferred and
+/// checked, expressions flattened to tapes. Decoded kernels are
 /// immutable once built, so one can be shared by any number of
 /// concurrent launches.
 ///
@@ -550,8 +531,9 @@ pub struct DecodedKernel {
     /// Local buffer element types and (uniform) size expressions, kept in
     /// tree form: they are evaluated once per launch, not per lane.
     locals: Vec<(ScalarType, KExp)>,
-    /// Slots used per class (indexed by [`ci`]).
-    file_len: [u32; 5],
+    /// Columns of a group's register file: the kernel's registers, then
+    /// the temporaries of its deepest register-form tape.
+    columns: u32,
     /// Element class of each private array.
     priv_class: Vec<ScalarType>,
     body: Box<[DStm]>,
@@ -692,7 +674,9 @@ impl<'k> Decoder<'k> {
 
 struct Compiler<'k> {
     kernel: &'k Kernel,
-    reg_slot: Vec<(ScalarType, u32)>,
+    /// The inferred class of each register, which every use is checked
+    /// against.
+    reg_class: Vec<ScalarType>,
     priv_class: Vec<ScalarType>,
     /// Postfix ops: every tape's so far in a reference decode, else only
     /// those of the tape being built, [`reg_compile`]'s input.
@@ -700,6 +684,8 @@ struct Compiler<'k> {
     /// Every tape's register-form instructions so far; `None` in a
     /// reference decode.
     winstrs: Option<Vec<WInstr>>,
+    /// The register-file columns the tapes so far need.
+    columns: u32,
 }
 
 impl<'k> Compiler<'k> {
@@ -712,9 +698,8 @@ impl<'k> Compiler<'k> {
                 s.scalar_type()
             }
             KExp::Var(r) => {
-                let (t, slot) = self.reg_slot[*r as usize];
-                self.ops.push(EOp::Load(t, slot));
-                t
+                self.ops.push(EOp::Load(*r));
+                self.reg_class[*r as usize]
             }
             KExp::GlobalId => {
                 self.ops.push(EOp::GlobalId);
@@ -795,16 +780,17 @@ impl<'k> Compiler<'k> {
     fn tape(&mut self, e: &KExp) -> SResult<Tape> {
         let start = self.ops.len();
         let class = self.exp(e)?;
-        let (start, end, n_regs, result) = match &mut self.winstrs {
+        let (start, end, result) = match &mut self.winstrs {
             Some(winstrs) => {
                 let at = winstrs.len();
-                let compiled = reg_compile(&self.ops[start..], winstrs);
+                let compiled = reg_compile(&self.ops[start..], self.kernel.num_regs, winstrs);
                 let end = winstrs.len();
                 self.ops.truncate(start);
-                let (n_regs, result) = compiled.map_err(|what| self.malformed(what))?;
-                (at, end, n_regs, result)
+                let (columns, result) = compiled.map_err(|what| self.malformed(what))?;
+                self.columns = self.columns.max(columns);
+                (at, end, result)
             }
-            None => (start, self.ops.len(), 0, 0),
+            None => (start, self.ops.len(), 0),
         };
         let end = u32::try_from(end)
             .map_err(|_| self.malformed("kernel tapes exceed 2^32 instructions"))?;
@@ -812,7 +798,6 @@ impl<'k> Compiler<'k> {
         Ok(Tape {
             start,
             len: end - start,
-            n_regs,
             result,
             cost: u32::try_from(e.op_count())
                 .map_err(|_| self.malformed("expression cost exceeds 2^32 operations"))?,
@@ -850,10 +835,6 @@ impl<'k> Compiler<'k> {
         Ok(tape)
     }
 
-    fn reg(&self, r: u32) -> (ScalarType, u32) {
-        self.reg_slot[r as usize]
-    }
-
     /// Decodes a body into a slice of exactly its length (collecting a
     /// `Result` iterator would start at capacity 4 and double).
     fn stms(&mut self, stms: &[KStm]) -> SResult<Box<[DStm]>> {
@@ -866,23 +847,15 @@ impl<'k> Compiler<'k> {
 
     fn stm(&mut self, stm: &KStm) -> SResult<DStm> {
         Ok(match stm {
-            KStm::Assign { var, exp } => {
-                let (class, slot) = self.reg(*var);
-                DStm::Assign {
-                    class,
-                    slot,
-                    exp: self.value_tape(exp, class, "assignment")?,
-                }
-            }
-            KStm::GlobalRead { var, buf, index } => {
-                let (class, slot) = self.reg(*var);
-                DStm::GlobalRead {
-                    class,
-                    slot,
-                    buf: *buf,
-                    index: self.index_tape(index)?,
-                }
-            }
+            KStm::Assign { var, exp } => DStm::Assign {
+                reg: *var,
+                exp: self.value_tape(exp, self.reg_class[*var as usize], "assignment")?,
+            },
+            KStm::GlobalRead { var, buf, index } => DStm::GlobalRead {
+                reg: *var,
+                buf: *buf,
+                index: self.index_tape(index)?,
+            },
             KStm::GlobalWrite { buf, index, value } => {
                 let elem = match self.kernel.params.get(*buf) {
                     Some(KParam::Buffer(t)) => *t,
@@ -896,15 +869,11 @@ impl<'k> Compiler<'k> {
                     value: self.value_tape(value, elem, "global write")?,
                 }
             }
-            KStm::LocalRead { var, mem, index } => {
-                let (class, slot) = self.reg(*var);
-                DStm::LocalRead {
-                    class,
-                    slot,
-                    mem: *mem,
-                    index: self.index_tape(index)?,
-                }
-            }
+            KStm::LocalRead { var, mem, index } => DStm::LocalRead {
+                reg: *var,
+                mem: *mem,
+                index: self.index_tape(index)?,
+            },
             KStm::LocalWrite { mem, index, value } => DStm::LocalWrite {
                 mem: *mem,
                 index: self.index_tape(index)?,
@@ -914,15 +883,11 @@ impl<'k> Compiler<'k> {
                 arr: *arr,
                 size: self.index_tape(size)?,
             },
-            KStm::PrivRead { var, arr, index } => {
-                let (class, slot) = self.reg(*var);
-                DStm::PrivRead {
-                    class,
-                    slot,
-                    arr: *arr,
-                    index: self.index_tape(index)?,
-                }
-            }
+            KStm::PrivRead { var, arr, index } => DStm::PrivRead {
+                reg: *var,
+                arr: *arr,
+                index: self.index_tape(index)?,
+            },
             KStm::PrivWrite { arr, index, value } => DStm::PrivWrite {
                 arr: *arr,
                 index: self.index_tape(index)?,
@@ -934,10 +899,9 @@ impl<'k> Compiler<'k> {
                 len: self.index_tape(len)?,
             },
             KStm::For { var, bound, body } => {
-                let (class, slot) = self.reg(*var);
-                debug_assert_eq!(class, ScalarType::I64);
+                debug_assert_eq!(self.reg_class[*var as usize], ScalarType::I64);
                 DStm::For {
-                    slot,
+                    reg: *var,
                     bound: self.index_tape(bound)?,
                     body: self.stms(body)?,
                 }
@@ -968,9 +932,9 @@ impl DecodedKernel {
     /// Pre-decodes a kernel for the warp engine: infers a scalar class
     /// for every register and private array (fixpoint over the body;
     /// registers that are never written default to i64, matching the old
-    /// `Scalar::I64(0)` register initialisation), assigns each register a
-    /// slot in its class's file, and flattens every expression into a
-    /// register-form `Tape`.
+    /// `Scalar::I64(0)` register initialisation), checks every use
+    /// against it, and flattens every expression into a register-form
+    /// `Tape`.
     ///
     /// # Errors
     ///
@@ -984,9 +948,9 @@ impl DecodedKernel {
     }
 
     /// Decodes a kernel for the per-lane reference engine: the classes,
-    /// slots and tapes of [`DecodedKernel::decode`], kept in postfix form
-    /// and never register-compiled. Only tests and the fuzz oracle call
-    /// it.
+    /// checks and tapes of [`DecodedKernel::decode`], kept in postfix
+    /// form and never register-compiled. Only tests and the fuzz oracle
+    /// call it.
     ///
     /// # Errors
     ///
@@ -1017,16 +981,10 @@ impl DecodedKernel {
             inf.changed = false;
             inf.infer_stms(&kernel.body).map_err(named)?;
         }
-        let mut file_len = [0u32; 5];
-        let reg_slot: Vec<(ScalarType, u32)> = inf
+        let reg_class = inf
             .regs
             .iter()
-            .map(|c| {
-                let t = c.unwrap_or(ScalarType::I64);
-                let slot = file_len[ci(t)];
-                file_len[ci(t)] += 1;
-                (t, slot)
-            })
+            .map(|c| c.unwrap_or(ScalarType::I64))
             .collect();
         let priv_class: Vec<ScalarType> = inf
             .privs
@@ -1035,10 +993,11 @@ impl DecodedKernel {
             .collect();
         let mut comp = Compiler {
             kernel,
-            reg_slot,
+            reg_class,
             priv_class,
             ops: Vec::new(),
             winstrs: register.then(Vec::new),
+            columns: kernel.num_regs,
         };
         let body = comp.stms(&kernel.body).map_err(named)?;
         let mut site = Prov::none();
@@ -1049,7 +1008,7 @@ impl DecodedKernel {
             name: kernel.name.clone(),
             params: kernel.params.clone(),
             locals: kernel.locals.clone(),
-            file_len,
+            columns: comp.columns,
             priv_class: comp.priv_class,
             body,
             instrs: match comp.winstrs {
@@ -1211,64 +1170,6 @@ fn cmp_bits(op: CmpOp, t: ScalarType, a: u64, b: u64) -> u64 {
         ScalarType::F64 => cmp(op, f64::from_bits(a), f64::from_bits(b)),
         ScalarType::Bool => cmp(op, a != 0, b != 0),
     }) as u64
-}
-
-// ---------------------------------------------------------------------------
-// Typed register files
-// ---------------------------------------------------------------------------
-
-/// Unboxed per-class register files in structure-of-arrays layout: register
-/// slot `s` of lane `l` lives at `file[s * lanes + l]`, so a statement
-/// sweeping the lanes for one register walks memory contiguously.
-struct RegFiles {
-    lanes: usize,
-    i64s: Vec<i64>,
-    i32s: Vec<i32>,
-    f32s: Vec<f32>,
-    f64s: Vec<f64>,
-    bools: Vec<bool>,
-}
-
-impl RegFiles {
-    fn new(file_len: &[u32; 5], lanes: usize) -> RegFiles {
-        RegFiles {
-            lanes,
-            bools: vec![false; file_len[0] as usize * lanes],
-            i32s: vec![0; file_len[1] as usize * lanes],
-            i64s: vec![0; file_len[2] as usize * lanes],
-            f32s: vec![0.0; file_len[3] as usize * lanes],
-            f64s: vec![0.0; file_len[4] as usize * lanes],
-        }
-    }
-
-    #[inline]
-    fn get(&self, class: ScalarType, slot: u32, lane: usize) -> u64 {
-        let i = slot as usize * self.lanes + lane;
-        match class {
-            ScalarType::Bool => self.bools[i] as u64,
-            ScalarType::I32 => self.i32s[i] as u32 as u64,
-            ScalarType::I64 => self.i64s[i] as u64,
-            ScalarType::F32 => self.f32s[i].to_bits() as u64,
-            ScalarType::F64 => self.f64s[i].to_bits(),
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, class: ScalarType, slot: u32, lane: usize, bits: u64) {
-        let i = slot as usize * self.lanes + lane;
-        match class {
-            ScalarType::Bool => self.bools[i] = bits != 0,
-            ScalarType::I32 => self.i32s[i] = bits as u32 as i32,
-            ScalarType::I64 => self.i64s[i] = bits as i64,
-            ScalarType::F32 => self.f32s[i] = f32::from_bits(bits as u32),
-            ScalarType::F64 => self.f64s[i] = f64::from_bits(bits),
-        }
-    }
-
-    #[inline]
-    fn set_i64(&mut self, slot: u32, lane: usize, v: i64) {
-        self.i64s[slot as usize * self.lanes + lane] = v;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1556,7 +1457,11 @@ struct GroupRun<'a> {
     lanes: usize,
     warp_size: usize,
     transaction_bytes: u64,
-    files: RegFiles,
+    /// The register file: `dk.columns` columns of `lanes` bit-slots each,
+    /// column `c` of lane `l` at `regs[c * lanes + l]`. The kernel's
+    /// registers come first, so a register's column is its number; the
+    /// warp engine's tape temporaries follow.
+    regs: Vec<u64>,
     /// Per-lane private arrays as bits: `privs[arr * lanes + lane]`.
     privs: Vec<Vec<u64>>,
     /// Bytes the group's private arrays hold on the host, 8 an element.
@@ -1573,14 +1478,10 @@ struct GroupRun<'a> {
     stack: Vec<u64>,
     /// Scratch: segment ids for transaction counting.
     segs: Vec<i64>,
-    /// Warp engine: the scratch-register arena, `n_regs` columns of
-    /// `lanes` bit-slots each (`scratch[reg * lanes + lane]`).
-    /// Preallocated at [`WREG_FILE`] columns; spilling tapes grow it.
-    scratch: Vec<u64>,
     /// Per-lane element indices of the current memory statement, the
     /// column the coalescer counts. The warp engine fills it from the
-    /// index tape before the value tape runs, whose register columns
-    /// would otherwise collide.
+    /// index tape before the value tape runs, whose temporaries would
+    /// otherwise overwrite the index tape's result.
     icol: Vec<i64>,
     /// Warp engine: recycled mask storage for divergent control flow.
     mask_pool: Vec<Vec<bool>>,
@@ -1735,59 +1636,37 @@ fn first_fault(
     unreachable!("a column scan found a fault that no active lane holds")
 }
 
-/// Stores `bits(l)` into register `slot` of class `class` for the mask's
-/// active lanes: one class dispatch, then a typed loop. `bits` is only
-/// called for active lanes.
+/// Stores `bits(l)` into a register's column for the mask's active
+/// lanes; masked-off lanes keep their values. `bits` is only called for
+/// active lanes.
 #[inline(always)]
-fn store_lanes(
-    files: &mut RegFiles,
-    class: ScalarType,
-    slot: u32,
-    mask: &WMask,
-    bits: impl Fn(usize) -> u64,
-) {
-    let lanes = files.lanes;
-    let at = slot as usize * lanes;
-    macro_rules! store {
-        ($file:expr, |$b:ident| $e:expr) => {{
-            let dst = &mut $file[at..at + lanes];
-            if mask.all {
-                for (l, o) in dst.iter_mut().enumerate() {
-                    let $b = bits(l);
-                    *o = $e;
-                }
-            } else {
-                for (l, (o, &on)) in dst.iter_mut().zip(&mask.on).enumerate() {
-                    if on {
-                        let $b = bits(l);
-                        *o = $e;
-                    }
-                }
+fn store_lanes(col: &mut [u64], mask: &WMask, bits: impl Fn(usize) -> u64) {
+    if mask.all {
+        for (l, o) in col.iter_mut().enumerate() {
+            *o = bits(l);
+        }
+    } else {
+        for (l, (o, &on)) in col.iter_mut().zip(&mask.on).enumerate() {
+            if on {
+                *o = bits(l);
             }
-        }};
-    }
-    match class {
-        ScalarType::Bool => store!(files.bools, |b| b != 0),
-        ScalarType::I32 => store!(files.i32s, |b| b as u32 as i32),
-        ScalarType::I64 => store!(files.i64s, |b| b as i64),
-        ScalarType::F32 => store!(files.f32s, |b| f32::from_bits(b as u32)),
-        ScalarType::F64 => store!(files.f64s, |b| f64::from_bits(b)),
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Scratch-column arithmetic
+// Column arithmetic
 // ---------------------------------------------------------------------------
 //
 // One register-form instruction is one dispatch followed by one loop over
 // the lanes. The allocator often makes a destination one of its operands,
 // and indexing a single `&mut [u64]` at aliasing offsets defeats LLVM's
 // runtime alias check, so every loop below runs over distinct slices: the
-// destination column split out of the arena, and the operand columns
-// beside it. Infallible ops run over every lane, masked or not.
+// destination column split out of the register file, and the operand
+// columns beside it. Infallible ops run over every lane, masked or not.
 
-/// Splits column `dst` out of the arena for writing; every other column
-/// stays readable through the two halves around it.
+/// Splits column `dst` out of the register file for writing; every other
+/// column stays readable through the two halves around it.
 #[inline(always)]
 fn split_col(s: &mut [u64], lanes: usize, dst: u32) -> (&mut [u64], &[u64], &[u64]) {
     let (below, rest) = s.split_at_mut(dst as usize * lanes);
@@ -1795,7 +1674,8 @@ fn split_col(s: &mut [u64], lanes: usize, dst: u32) -> (&mut [u64], &[u64], &[u6
     (d, below, above)
 }
 
-/// Column `c` (not the split-out `dst`) of an arena split by [`split_col`].
+/// Column `c` (not the split-out `dst`) of a register file split by
+/// [`split_col`].
 #[inline(always)]
 fn col<'s>(below: &'s [u64], above: &'s [u64], lanes: usize, dst: u32, c: u32) -> &'s [u64] {
     let (c, dst) = (c as usize, dst as usize);
@@ -2090,7 +1970,7 @@ impl<'a> GroupRun<'a> {
         for op in dk.ops(tape) {
             match *op {
                 EOp::Const(bits) => self.stack.push(bits),
-                EOp::Load(class, slot) => self.stack.push(self.files.get(class, slot, lane)),
+                EOp::Load(reg) => self.stack.push(self.regs[reg as usize * self.lanes + lane]),
                 EOp::GlobalId => self
                     .stack
                     .push((self.group_id * self.group_size + lane as u64) as i64 as u64),
@@ -2237,22 +2117,18 @@ impl<'a> GroupRun<'a> {
         }
         for stm in stms {
             match stm {
-                DStm::Assign { class, slot, exp } => {
+                DStm::Assign { reg, exp } => {
                     self.issue(mask, exp.cost());
+                    let at = *reg as usize * self.lanes;
                     for lane in 0..mask.len() {
                         if mask[lane] {
-                            let bits = self.eval(exp, lane)?;
-                            self.files.set(*class, *slot, lane, bits);
+                            self.regs[at + lane] = self.eval(exp, lane)?;
                         }
                     }
                 }
-                DStm::GlobalRead {
-                    class,
-                    slot,
-                    buf,
-                    index,
-                } => {
+                DStm::GlobalRead { reg, buf, index } => {
                     self.issue(mask, index.cost());
+                    let at = *reg as usize * self.lanes;
                     let bid = self.buffer(*buf)?;
                     let base_buf = self.base.raw(bid);
                     let len = base_buf.len() as i64;
@@ -2265,11 +2141,11 @@ impl<'a> GroupRun<'a> {
                             }
                             self.icol[lane] = i;
                             // Overlay first: the group sees its own writes.
-                            let bits = match self.writes.get(bid).and_then(|w| w.get(i as usize)) {
-                                Some(b) => b,
-                                None => buf_get_bits(self.base.raw(bid), i as usize),
-                            };
-                            self.files.set(*class, *slot, lane, bits);
+                            self.regs[at + lane] =
+                                match self.writes.get(bid).and_then(|w| w.get(i as usize)) {
+                                    Some(b) => b,
+                                    None => buf_get_bits(self.base.raw(bid), i as usize),
+                                };
                         }
                     }
                     self.memory_access(mask, elem_bytes);
@@ -2292,13 +2168,9 @@ impl<'a> GroupRun<'a> {
                     }
                     self.memory_access(mask, elem_bytes);
                 }
-                DStm::LocalRead {
-                    class,
-                    slot,
-                    mem,
-                    index,
-                } => {
+                DStm::LocalRead { reg, mem, index } => {
                     self.issue(mask, index.cost());
+                    let at = *reg as usize * self.lanes;
                     let mut n = 0u64;
                     for lane in 0..mask.len() {
                         if mask[lane] {
@@ -2307,8 +2179,7 @@ impl<'a> GroupRun<'a> {
                             if i < 0 || i as usize >= len {
                                 return Err(self.oob(format!("local read {i} of len {len}")));
                             }
-                            let bits = self.locals[*mem][i as usize];
-                            self.files.set(*class, *slot, lane, bits);
+                            self.regs[at + lane] = self.locals[*mem][i as usize];
                             n += 1;
                         }
                     }
@@ -2341,13 +2212,9 @@ impl<'a> GroupRun<'a> {
                         }
                     }
                 }
-                DStm::PrivRead {
-                    class,
-                    slot,
-                    arr,
-                    index,
-                } => {
+                DStm::PrivRead { reg, arr, index } => {
                     self.issue(mask, index.cost());
+                    let at = *reg as usize * self.lanes;
                     for lane in 0..mask.len() {
                         if mask[lane] {
                             let i = self.eval_index(index, lane)?;
@@ -2357,8 +2224,7 @@ impl<'a> GroupRun<'a> {
                                     self.oob(format!("private read {i} of len {}", p.len()))
                                 );
                             }
-                            let bits = p[i as usize];
-                            self.files.set(*class, *slot, lane, bits);
+                            self.regs[at + lane] = p[i as usize];
                         }
                     }
                 }
@@ -2396,8 +2262,9 @@ impl<'a> GroupRun<'a> {
                         }
                     }
                 }
-                DStm::For { slot, bound, body } => {
+                DStm::For { reg, bound, body } => {
                     self.issue(mask, bound.cost());
+                    let at = *reg as usize * self.lanes;
                     let mut bounds = vec![0i64; mask.len()];
                     for lane in 0..mask.len() {
                         if mask[lane] {
@@ -2416,7 +2283,7 @@ impl<'a> GroupRun<'a> {
                         }
                         for lane in 0..mask.len() {
                             if sub[lane] {
-                                self.files.set_i64(*slot, lane, t);
+                                self.regs[at + lane] = t as u64;
                             }
                         }
                         self.exec(body, &sub)?;
@@ -2528,7 +2395,7 @@ impl<'a> GroupRun<'a> {
     /// dispatch, then a dense loop.
     fn index_column(&mut self, tape: &Tape) {
         let r = tape.result as usize * self.lanes;
-        let bits = &self.scratch[r..r + self.lanes];
+        let bits = &self.regs[r..r + self.lanes];
         let idx = self.icol.iter_mut().zip(bits);
         match tape.class {
             ScalarType::I32 => idx.for_each(|(i, &b)| *i = b as u32 as i32 as i64),
@@ -2558,49 +2425,45 @@ impl<'a> GroupRun<'a> {
         }))
     }
 
-    /// Reads `src[icol[l]]` into register `slot` for the mask's active
-    /// lanes: one match on (buffer type, register class), then a typed
-    /// gather straight from the launch snapshot. Only a group holding a
-    /// window for the buffer then reads its own writes through it.
-    fn gather_global(
-        &mut self,
-        class: ScalarType,
-        slot: u32,
-        bid: BufId,
-        src: &Buffer,
-        mask: &WMask,
-    ) {
+    /// Reads the bits of `src[icol[l]]` into register `reg` for the
+    /// mask's active lanes: one match on the buffer's type, then a gather
+    /// straight from the launch snapshot. Only a group holding a window
+    /// for the buffer then reads its own writes through it.
+    fn gather_global(&mut self, reg: u32, bid: BufId, src: &Buffer, mask: &WMask) {
         #[inline(always)]
-        fn gather<T: Copy>(dst: &mut [T], src: &[T], idx: &[i64], mask: &WMask) {
+        fn gather<T: Copy>(
+            dst: &mut [u64],
+            src: &[T],
+            idx: &[i64],
+            mask: &WMask,
+            bits: impl Fn(T) -> u64,
+        ) {
             if mask.all {
                 for (o, &i) in dst.iter_mut().zip(idx) {
-                    *o = src[i as usize];
+                    *o = bits(src[i as usize]);
                 }
             } else {
                 for ((o, &i), &on) in dst.iter_mut().zip(idx).zip(&mask.on) {
                     if on {
-                        *o = src[i as usize];
+                        *o = bits(src[i as usize]);
                     }
                 }
             }
         }
         let lanes = self.lanes;
-        let at = slot as usize * lanes..(slot as usize + 1) * lanes;
-        let (idx, files) = (&self.icol, &mut self.files);
-        match (src, class) {
-            (Buffer::Bool(v), ScalarType::Bool) => gather(&mut files.bools[at], v, idx, mask),
-            (Buffer::I32(v), ScalarType::I32) => gather(&mut files.i32s[at], v, idx, mask),
-            (Buffer::I64(v), ScalarType::I64) => gather(&mut files.i64s[at], v, idx, mask),
-            (Buffer::F32(v), ScalarType::F32) => gather(&mut files.f32s[at], v, idx, mask),
-            (Buffer::F64(v), ScalarType::F64) => gather(&mut files.f64s[at], v, idx, mask),
-            _ => store_lanes(files, class, slot, mask, |l| {
-                buf_get_bits(src, idx[l] as usize)
-            }),
+        let at = reg as usize * lanes;
+        let (idx, dst) = (&self.icol, &mut self.regs[at..at + lanes]);
+        match src {
+            Buffer::Bool(v) => gather(dst, v, idx, mask, |x| x as u64),
+            Buffer::I32(v) => gather(dst, v, idx, mask, |x| x as u32 as u64),
+            Buffer::I64(v) => gather(dst, v, idx, mask, |x| x as u64),
+            Buffer::F32(v) => gather(dst, v, idx, mask, |x| x.to_bits() as u64),
+            Buffer::F64(v) => gather(dst, v, idx, mask, f64::to_bits),
         }
         if let Some(w) = self.writes.get(bid) {
             for l in (0..lanes).filter(|&l| mask.on[l]) {
                 if let Some(bits) = w.get(idx[l] as usize) {
-                    files.set(class, slot, l, bits);
+                    dst[l] = bits;
                 }
             }
         }
@@ -2614,37 +2477,24 @@ impl<'a> GroupRun<'a> {
         }
     }
 
-    /// Stores a scratch column into the typed register file for the
-    /// mask's active lanes; masked-off lanes keep their register values.
-    fn store_column(&mut self, class: ScalarType, slot: u32, reg: u32, mask: &WMask) {
-        let lanes = self.lanes;
-        let r = reg as usize * lanes;
-        let s = &self.scratch;
-        let base = slot as usize * lanes;
-        let on = &mask.on;
-        macro_rules! store {
-            ($file:expr, |$b:ident| $e:expr) => {{
-                let src = &s[r..r + lanes];
-                let dc = &mut $file[base..base + lanes];
-                if mask.all {
-                    for (o, &$b) in dc.iter_mut().zip(src) {
-                        *o = $e;
-                    }
-                } else {
-                    for ((o, &$b), &m) in dc.iter_mut().zip(src).zip(on.iter()) {
-                        if m {
-                            *o = $e;
-                        }
-                    }
-                }
-            }};
+    /// Copies column `src` into register `dst` for the mask's active
+    /// lanes; masked-off lanes keep their register values.
+    fn store_column(&mut self, dst: u32, src: u32, mask: &WMask) {
+        if dst == src {
+            // A register assigned to itself.
+            return;
         }
-        match class {
-            ScalarType::Bool => store!(&mut self.files.bools, |b| b != 0),
-            ScalarType::I32 => store!(&mut self.files.i32s, |b| b as u32 as i32),
-            ScalarType::I64 => store!(&mut self.files.i64s, |b| b as i64),
-            ScalarType::F32 => store!(&mut self.files.f32s, |b| f32::from_bits(b as u32)),
-            ScalarType::F64 => store!(&mut self.files.f64s, |b| f64::from_bits(b)),
+        let lanes = self.lanes;
+        let (d, below, above) = split_col(&mut self.regs, lanes, dst);
+        let s = col(below, above, lanes, dst, src);
+        if mask.all {
+            d.copy_from_slice(s);
+        } else {
+            for ((o, &b), &on) in d.iter_mut().zip(s).zip(&mask.on) {
+                if on {
+                    *o = b;
+                }
+            }
         }
     }
 
@@ -2662,7 +2512,7 @@ impl<'a> GroupRun<'a> {
     /// with a zero divisor in the column, non-float unops, conversions)
     /// consult the mask, because a dead lane must not fault.
     ///
-    /// The result is left in scratch column `tape.result`. Faults are
+    /// The result is left in column `tape.result`. Faults are
     /// recorded per lane — a faulted lane is masked out of subsequent
     /// fallible instructions of the same tape — and returned for the
     /// caller to interleave with its own per-lane checks in lane-ascending
@@ -2671,17 +2521,10 @@ impl<'a> GroupRun<'a> {
     fn weval(&mut self, tape: &Tape, mask: &WMask) -> SResult<TapeFaults> {
         let lanes = self.lanes;
         let dk = self.dk;
-        let need = tape.n_regs as usize * lanes;
-        if self.scratch.len() < need {
-            // Spill: this tape needs more columns than the preallocated
-            // register file; the arena grows and stays grown.
-            self.scratch.resize(need, 0);
-        }
         let (group_id, group_size, num_threads) =
             (self.group_id, self.group_size, self.num_threads);
         let scalar_bits = self.scalar_bits;
-        let files = &self.files;
-        let s: &mut [u64] = &mut self.scratch;
+        let s: &mut [u64] = &mut self.regs;
         let on: &[bool] = &mask.on;
         let mut faults: Option<Box<[Option<SimError>]>> = None;
 
@@ -2697,28 +2540,6 @@ impl<'a> GroupRun<'a> {
         for ins in dk.winstrs(tape) {
             match *ins {
                 WInstr::Const { dst, bits } => fill1!(dst, |_l| bits),
-                WInstr::Load { dst, class, slot } => {
-                    // Exact subslices of the register file and the scratch
-                    // column: check-free, vectorizable copies.
-                    macro_rules! load {
-                        ($file:expr, |$v:ident| $e:expr) => {{
-                            let base = slot as usize * lanes;
-                            let src = &$file[base..base + lanes];
-                            let d = dst as usize * lanes;
-                            let dc = &mut s[d..d + lanes];
-                            for (o, &$v) in dc.iter_mut().zip(src) {
-                                *o = $e;
-                            }
-                        }};
-                    }
-                    match class {
-                        ScalarType::Bool => load!(files.bools, |v| v as u64),
-                        ScalarType::I32 => load!(files.i32s, |v| v as u32 as u64),
-                        ScalarType::I64 => load!(files.i64s, |v| v as u64),
-                        ScalarType::F32 => load!(files.f32s, |v| v.to_bits() as u64),
-                        ScalarType::F64 => load!(files.f64s, |v| v.to_bits()),
-                    }
-                }
                 WInstr::GlobalId { dst } => {
                     fill1!(dst, |l| (group_id * group_size + l as u64) as i64 as u64)
                 }
@@ -2767,9 +2588,9 @@ impl<'a> GroupRun<'a> {
     /// loops over the group's lanes: its tapes evaluate via
     /// [`GroupRun::weval`], a memory statement converts its index column
     /// once into `icol`, scans every active lane for a fault in one
-    /// branch-free pass, and then moves data between typed columns —
-    /// gathers from the launch snapshot, column writes into the group's
-    /// window — and control flow takes a uniform fast path when all
+    /// branch-free pass, and then moves whole columns of bits — gathers
+    /// from the launch snapshot, column writes into the group's window —
+    /// and control flow takes a uniform fast path when all
     /// active lanes agree, skipping per-lane mask rebuilds entirely.
     ///
     /// The fault-scan contract: only when a scan (or a tape) reports a
@@ -2785,20 +2606,15 @@ impl<'a> GroupRun<'a> {
         let snapshot: &'a DeviceMemory = self.base;
         for stm in stms {
             match stm {
-                DStm::Assign { class, slot, exp } => {
+                DStm::Assign { reg, exp } => {
                     self.issue_w(mask, exp.cost());
                     let tf = self.weval(exp, mask)?;
                     if let Some((_, e)) = tf.into_first() {
                         return Err(e);
                     }
-                    self.store_column(*class, *slot, exp.result, mask);
+                    self.store_column(*reg, exp.result, mask);
                 }
-                DStm::GlobalRead {
-                    class,
-                    slot,
-                    buf,
-                    index,
-                } => {
+                DStm::GlobalRead { reg, buf, index } => {
                     self.issue_w(mask, index.cost());
                     let bid = self.buffer(*buf)?;
                     let src = snapshot.raw(bid);
@@ -2814,7 +2630,7 @@ impl<'a> GroupRun<'a> {
                     ) {
                         return Err(e);
                     }
-                    self.gather_global(*class, *slot, bid, src, mask);
+                    self.gather_global(*reg, bid, src, mask);
                     self.memory_access(&mask.on, src.elem_type().byte_size() as u64);
                 }
                 DStm::GlobalWrite { buf, index, value } => {
@@ -2835,16 +2651,11 @@ impl<'a> GroupRun<'a> {
                         return Err(e);
                     }
                     let rv = value.result as usize * lanes;
-                    let (idx, vals) = (&self.icol, &self.scratch[rv..rv + lanes]);
+                    let (idx, vals) = (&self.icol, &self.regs[rv..rv + lanes]);
                     self.writes.window(bid).set_column(idx, vals, mask);
                     self.memory_access(&mask.on, src.elem_type().byte_size() as u64);
                 }
-                DStm::LocalRead {
-                    class,
-                    slot,
-                    mem,
-                    index,
-                } => {
+                DStm::LocalRead { reg, mem, index } => {
                     self.issue_w(mask, index.cost());
                     let tf = self.weval(index, mask)?;
                     self.index_column(index);
@@ -2858,8 +2669,9 @@ impl<'a> GroupRun<'a> {
                     ) {
                         return Err(e);
                     }
+                    let at = *reg as usize * lanes;
                     let (idx, local) = (&self.icol, &self.locals[*mem]);
-                    store_lanes(&mut self.files, *class, *slot, mask, |l| {
+                    store_lanes(&mut self.regs[at..at + lanes], mask, |l| {
                         local[idx[l] as usize]
                     });
                     self.count_local(mask.active);
@@ -2882,7 +2694,7 @@ impl<'a> GroupRun<'a> {
                         return Err(e);
                     }
                     let rv = value.result as usize * lanes;
-                    let (idx, vals) = (&self.icol, &self.scratch[rv..rv + lanes]);
+                    let (idx, vals) = (&self.icol, &self.regs[rv..rv + lanes]);
                     let local = &mut self.locals[*mem];
                     for l in (0..lanes).filter(|&l| mask.on[l]) {
                         local[idx[l] as usize] = vals[l];
@@ -2904,12 +2716,7 @@ impl<'a> GroupRun<'a> {
                         self.privs[*arr * lanes + l] = vec![0u64; n];
                     }
                 }
-                DStm::PrivRead {
-                    class,
-                    slot,
-                    arr,
-                    index,
-                } => {
+                DStm::PrivRead { reg, arr, index } => {
                     self.issue_w(mask, index.cost());
                     let tf = self.weval(index, mask)?;
                     self.index_column(index);
@@ -2923,8 +2730,9 @@ impl<'a> GroupRun<'a> {
                     ) {
                         return Err(e);
                     }
+                    let at = *reg as usize * lanes;
                     let idx = &self.icol;
-                    store_lanes(&mut self.files, *class, *slot, mask, |l| {
+                    store_lanes(&mut self.regs[at..at + lanes], mask, |l| {
                         ps[l][idx[l] as usize]
                     });
                 }
@@ -2944,7 +2752,7 @@ impl<'a> GroupRun<'a> {
                         return Err(e);
                     }
                     let rv = value.result as usize * lanes;
-                    let (idx, vals) = (&self.icol, &self.scratch[rv..rv + lanes]);
+                    let (idx, vals) = (&self.icol, &self.regs[rv..rv + lanes]);
                     let ps = &mut self.privs[*arr * lanes..(*arr + 1) * lanes];
                     for l in (0..lanes).filter(|&l| mask.on[l]) {
                         ps[l][idx[l] as usize] = vals[l];
@@ -2968,8 +2776,9 @@ impl<'a> GroupRun<'a> {
                         self.privs[*dst * lanes + l] = v;
                     }
                 }
-                DStm::For { slot, bound, body } => {
+                DStm::For { reg, bound, body } => {
                     self.issue_w(mask, bound.cost());
+                    let at = *reg as usize * lanes;
                     let tf = self.weval(bound, mask)?;
                     if let Some((_, e)) = tf.into_first() {
                         return Err(e);
@@ -2987,18 +2796,7 @@ impl<'a> GroupRun<'a> {
                         // is the loop mask itself — never rebuilt.
                         let b = first.unwrap_or(0);
                         for t in 0..b {
-                            if mask.all {
-                                let base = *slot as usize * lanes;
-                                for l in 0..lanes {
-                                    self.files.i64s[base + l] = t;
-                                }
-                            } else {
-                                for l in 0..lanes {
-                                    if mask.on[l] {
-                                        self.files.set_i64(*slot, l, t);
-                                    }
-                                }
-                            }
+                            store_lanes(&mut self.regs[at..at + lanes], mask, |_| t as u64);
                             self.wexec(body, mask)?;
                         }
                     } else {
@@ -3017,11 +2815,7 @@ impl<'a> GroupRun<'a> {
                             if !sub.any {
                                 break;
                             }
-                            for l in 0..lanes {
-                                if sub.on[l] {
-                                    self.files.set_i64(*slot, l, t);
-                                }
-                            }
+                            store_lanes(&mut self.regs[at..at + lanes], &sub, |_| t as u64);
                             self.wexec(body, &sub)?;
                         }
                         let bits = sub.on;
@@ -3044,7 +2838,7 @@ impl<'a> GroupRun<'a> {
                         }
                         let r = cond.result as usize * lanes;
                         let mut dropped = false;
-                        for (on, &c) in live.on.iter_mut().zip(&self.scratch[r..r + lanes]) {
+                        for (on, &c) in live.on.iter_mut().zip(&self.regs[r..r + lanes]) {
                             dropped |= *on & (c == 0);
                             *on &= c != 0;
                         }
@@ -3077,7 +2871,7 @@ impl<'a> GroupRun<'a> {
                     }
                     let r = cond.result as usize * lanes;
                     let (mut any_t, mut any_f) = (false, false);
-                    for (&on, &c) in mask.on.iter().zip(&self.scratch[r..r + lanes]) {
+                    for (&on, &c) in mask.on.iter().zip(&self.regs[r..r + lanes]) {
                         any_t |= on & (c != 0);
                         any_f |= on & (c == 0);
                     }
@@ -3088,7 +2882,7 @@ impl<'a> GroupRun<'a> {
                         let mut eb = self.take_bits();
                         for l in 0..lanes {
                             if mask.on[l] {
-                                let c = self.scratch[r + l] != 0;
+                                let c = self.regs[r + l] != 0;
                                 tb[l] = c;
                                 eb[l] = !c;
                             }
@@ -3165,7 +2959,7 @@ fn run_group(
         lanes,
         warp_size: device.warp_size as usize,
         transaction_bytes: device.transaction_bytes,
-        files: RegFiles::new(&dk.file_len, lanes),
+        regs: vec![0u64; dk.columns as usize * lanes],
         privs: vec![Vec::new(); dk.priv_class.len() * lanes],
         priv_bytes: 0,
         capacity: device.global_mem_bytes,
@@ -3173,11 +2967,6 @@ fn run_group(
         writes: Overlays::default(),
         stack: Vec::new(),
         segs: Vec::with_capacity(device.warp_size as usize),
-        scratch: if reference {
-            Vec::new()
-        } else {
-            vec![0u64; WREG_FILE as usize * lanes]
-        },
         icol: vec![0i64; lanes],
         mask_pool: Vec::new(),
         stats: KernelStats::default(),
@@ -3542,6 +3331,9 @@ mod tests {
 
     #[test]
     fn decode_infers_register_classes() {
+        // A buffer read, a scalar argument and a comparison each give
+        // their register a class. Every destination is the register's own
+        // column, and the tapes that read a register carry its class.
         let k = Kernel {
             name: "mixed".into(),
             params: vec![
@@ -3570,33 +3362,107 @@ mod tests {
                         Box::new(KExp::i64(3)),
                     ),
                 },
+                KStm::GlobalWrite {
+                    buf: 0,
+                    index: KExp::GlobalId,
+                    value: KExp::Var(0),
+                },
             ],
         };
         let dk = DecodedKernel::decode(&k).unwrap();
-        // Each register's destination carries its inferred class.
-        let dests: Vec<(ScalarType, u32)> = dk
-            .body
-            .iter()
-            .map(|s| match s {
-                DStm::GlobalRead { class, slot, .. } | DStm::Assign { class, slot, .. } => {
-                    (*class, *slot)
-                }
-                other => panic!("unexpected statement {other:?}"),
-            })
-            .collect();
+        let [DStm::GlobalRead { reg: 0, .. }, DStm::Assign { reg: 1, exp: arg }, DStm::Assign { reg: 2, exp: cmp }, DStm::GlobalWrite { value, .. }] =
+            &dk.body[..]
+        else {
+            panic!("unexpected statements {:?}", dk.body)
+        };
+        assert_eq!(arg.class, ScalarType::I64);
+        assert_eq!(cmp.class, ScalarType::Bool);
+        // The comparison reads register 1 at its class, i64, in place.
         assert_eq!(
-            dests,
+            dk.winstrs(cmp),
             [
-                (ScalarType::F64, 0),
-                (ScalarType::I64, 0),
-                (ScalarType::Bool, 0)
+                WInstr::Const { dst: 3, bits: 3 },
+                WInstr::Cmp {
+                    op: CmpOp::Lt,
+                    t: ScalarType::I64,
+                    dst: 3,
+                    a: 1,
+                    b: 3
+                }
             ]
         );
-        // One slot per class used.
-        assert_eq!(dk.file_len[ci(ScalarType::F64)], 1);
-        assert_eq!(dk.file_len[ci(ScalarType::I64)], 1);
-        assert_eq!(dk.file_len[ci(ScalarType::Bool)], 1);
-        assert_eq!(dk.file_len[ci(ScalarType::F32)], 0);
+        // Register 0 holds the f64 buffer's elements.
+        assert_eq!((value.class, value.result), (ScalarType::F64, 0));
+    }
+
+    #[test]
+    fn register_reads_are_columns_not_instructions() {
+        // Instructions read registers in place: a tape that only reads `x`
+        // holds no instruction and leaves its result in `x`'s column, and
+        // `x + y` is one `Bin` over the two registers' columns into the
+        // first temporary above them.
+        let k = Kernel {
+            name: "reads".into(),
+            params: vec![KParam::Buffer(ScalarType::I64); 2],
+            locals: vec![],
+            num_regs: 2,
+            num_priv: 0,
+            prov_table: vec![],
+            body: vec![
+                KStm::GlobalRead {
+                    var: 0,
+                    buf: 0,
+                    index: KExp::GlobalId,
+                },
+                KStm::Assign {
+                    var: 1,
+                    exp: KExp::Var(0),
+                },
+                KStm::GlobalWrite {
+                    buf: 1,
+                    index: KExp::GlobalId,
+                    value: KExp::Var(0).add(KExp::Var(1)),
+                },
+            ],
+        };
+        let dk = DecodedKernel::decode(&k).unwrap();
+        let [_, DStm::Assign { reg: 1, exp: read }, DStm::GlobalWrite { value: sum, .. }] =
+            &dk.body[..]
+        else {
+            panic!("unexpected statements {:?}", dk.body)
+        };
+        assert_eq!(dk.winstrs(read), []);
+        assert_eq!(read.result, 0);
+        assert_eq!(
+            dk.winstrs(sum),
+            [WInstr::Bin {
+                op: BinOp::Add,
+                t: ScalarType::I64,
+                dst: 2,
+                a: 0,
+                b: 1
+            }]
+        );
+        assert_eq!(sum.result, 2);
+        assert_eq!(dk.columns, 3);
+        // Both engines double the input.
+        let dev = DeviceProfile::gtx780();
+        let n = 300usize;
+        for (engine, dk) in &both_forms(&k) {
+            let mut mem = DeviceMemory::new();
+            let a = mem
+                .upload(Buffer::I64((0..n as i64).map(|i| i - 7).collect()))
+                .unwrap();
+            let out = mem.alloc(ScalarType::I64, n).unwrap();
+            let args = [Arg::Buffer(a), Arg::Buffer(out)];
+            launch(&dev, dk, n as u64, &args, &mut mem, &threads_only(1)).unwrap();
+            let Buffer::I64(v) = mem.download(out).unwrap() else {
+                panic!()
+            };
+            for (i, &x) in v.iter().enumerate() {
+                assert_eq!(x, 2 * (i as i64 - 7), "{engine}, lane {i}");
+            }
+        }
     }
 
     #[test]
@@ -3877,12 +3743,12 @@ mod tests {
     }
 
     // -----------------------------------------------------------------------
-    // Register allocator (reg_compile): determinism, spills, type classes
+    // Register allocator (reg_compile): determinism, sizing, type classes
     // -----------------------------------------------------------------------
 
     /// `out[i] = c1 + (c2 + (… + (c_depth + i)))`, built without the
     /// constant-folding helpers so the postfix stack reaches `depth + 1`
-    /// live slots — past the warp register file for `depth >= 16`.
+    /// live slots.
     fn deep_sum_kernel(depth: usize) -> Kernel {
         let mut e = KExp::GlobalId;
         for i in (1..=depth).rev() {
@@ -3921,7 +3787,7 @@ mod tests {
     fn decoded_statements_stay_compact() {
         // A tape is a range of its kernel's instruction arrays, so a
         // statement holds no instruction storage of its own.
-        assert_eq!(std::mem::size_of::<Tape>(), 24);
+        assert_eq!(std::mem::size_of::<Tape>(), 20);
         assert!(std::mem::size_of::<DStm>() <= 64);
     }
 
@@ -3933,10 +3799,9 @@ mod tests {
         let k = deep_sum_kernel(20);
         let dk = DecodedKernel::decode(&k).unwrap();
         let rk = DecodedKernel::reference(&k).unwrap();
-        let (Instrs::Register(winstrs), Instrs::Postfix(ops)) = (&dk.instrs, &rk.instrs) else {
+        let (Instrs::Register(_), Instrs::Postfix(_)) = (&dk.instrs, &rk.instrs) else {
             panic!("decode keeps the register form, reference the postfix form");
         };
-        assert_eq!(winstrs.len(), ops.len(), "one instruction per op");
         let (
             DStm::GlobalWrite {
                 index: di,
@@ -3953,12 +3818,11 @@ mod tests {
             panic!("expected a GlobalWrite in both");
         };
         for (d, r) in [(di, ri), (dv, rv)] {
-            assert_eq!(d.range(), r.range());
             assert!(dk.ops(d).is_empty() && rk.winstrs(r).is_empty());
             let mut w = Vec::new();
-            let (n_regs, result) = reg_compile(rk.ops(r), &mut w).unwrap();
+            let (_, result) = reg_compile(rk.ops(r), k.num_regs, &mut w).unwrap();
             assert_eq!(w, dk.winstrs(d));
-            assert_eq!((n_regs, result), (d.n_regs, d.result));
+            assert_eq!(result, d.result);
         }
     }
 
@@ -3972,7 +3836,7 @@ mod tests {
         let b = DecodedKernel::decode(&k).unwrap();
         let (ta, tb) = (write_value_tape(&a), write_value_tape(&b));
         assert_eq!(a.winstrs(ta), b.winstrs(tb));
-        assert_eq!(ta.n_regs, tb.n_regs);
+        assert_eq!(a.columns, b.columns);
         assert_eq!(ta.result, tb.result);
         // And directly on the allocator, with every leaf opcode kind.
         let ops = vec![
@@ -3983,9 +3847,13 @@ mod tests {
             EOp::Bin(BinOp::Mul, ScalarType::I64),
         ];
         let (mut wa, mut wb) = (Vec::new(), Vec::new());
-        assert_eq!(reg_compile(&ops, &mut wa), reg_compile(&ops, &mut wb));
+        assert_eq!(reg_compile(&ops, 0, &mut wa), reg_compile(&ops, 0, &mut wb));
         assert_eq!(wa, wb);
-        assert_eq!(wa.len(), ops.len(), "one instruction per op");
+        assert_eq!(
+            wa.len(),
+            ops.len(),
+            "no register reads: one instruction per op"
+        );
     }
 
     #[test]
@@ -4001,8 +3869,8 @@ mod tests {
             EOp::Bin(BinOp::Add, ScalarType::I64),
         ];
         let mut winstrs = Vec::new();
-        let (n_regs, result) = reg_compile(&ops, &mut winstrs).unwrap();
-        assert_eq!(n_regs, 2);
+        let (columns, result) = reg_compile(&ops, 0, &mut winstrs).unwrap();
+        assert_eq!(columns, 2);
         assert_eq!(result, 0);
         for w in &winstrs {
             if let WInstr::Bin { dst, a, .. } = w {
@@ -4017,14 +3885,14 @@ mod tests {
         // tapes cannot come out of the decoder, but a hand-constructed
         // artifact fed to a long-lived server must be a structured error.
         let underflow = vec![EOp::Bin(BinOp::Add, ScalarType::I64)];
-        let err = reg_compile(&underflow, &mut Vec::new()).unwrap_err();
+        let err = reg_compile(&underflow, 0, &mut Vec::new()).unwrap_err();
         assert!(err.contains("underflow"), "got: {err}");
         // An empty tape has no result.
-        let err = reg_compile(&[], &mut Vec::new()).unwrap_err();
+        let err = reg_compile(&[], 0, &mut Vec::new()).unwrap_err();
         assert!(err.contains("empty"), "got: {err}");
         // Two pushes, no combining op: leftover operands.
         let unbalanced = vec![EOp::Const(1), EOp::Const(2)];
-        let err = reg_compile(&unbalanced, &mut Vec::new()).unwrap_err();
+        let err = reg_compile(&unbalanced, 0, &mut Vec::new()).unwrap_err();
         assert!(err.contains("unbalanced"), "got: {err}");
     }
 
@@ -4067,14 +3935,10 @@ mod tests {
     fn deep_tapes_spill_past_the_register_file_and_still_evaluate() {
         let depth = 24usize;
         let dk = DecodedKernel::decode(&deep_sum_kernel(depth)).unwrap();
-        let tape = write_value_tape(&dk);
-        assert!(
-            tape.n_regs > WREG_FILE,
-            "depth {depth} should exceed the {WREG_FILE}-register file, used {}",
-            tape.n_regs
-        );
-        assert_eq!(tape.spills(), tape.n_regs - WREG_FILE);
-        // The spilling tape must still evaluate correctly on both engines.
+        // The register file is sized once, at decode, for the deepest
+        // tape: one temporary per live stack slot.
+        assert_eq!(dk.columns, depth as u32 + 1);
+        // The deep tape must still evaluate correctly on both engines.
         let dev = DeviceProfile::gtx780();
         let n = 300usize;
         let base: i64 = (1..=depth as i64).sum();

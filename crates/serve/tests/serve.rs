@@ -227,6 +227,32 @@ fn schedules_occupy_distinct_cache_entries() {
     assert_eq!(j.get("kind").and_then(Json::as_str), Some("protocol"));
 }
 
+/// The type and uniqueness checks always run: a program returning an
+/// `i64` where it declares `f64` is a compile error, and no schedule
+/// label switches the checks off. A label of the version that carried a
+/// check switch is a protocol error, even with that switch cleared.
+#[test]
+fn no_schedule_switches_the_checks_off() {
+    let d = daemon(1);
+    let src = "fun main (x: i64): f64 = x";
+    let line = |id: &str, schedule: &str| {
+        format!(
+            r#"{{"op":"run","id":"{id}","source":{},"args":[{{"i64":3}}]{schedule}}}"#,
+            quote(src)
+        )
+    };
+    let j = parse(&d.handle_line(&line("t", "")));
+    assert_eq!(j.get("status").and_then(Json::as_str), Some("error"));
+    assert_eq!(j.get("kind").and_then(Json::as_str), Some("compile"));
+    // The default `sched2` label with its fourth switch, `check`, cleared.
+    let unchecked = format!("sched2,9:111011111,{}", "1:1,".repeat(8));
+    let j = parse(&d.handle_line(&line("u", &format!(r#","schedule":{}"#, quote(&unchecked)))));
+    assert_eq!(j.get("status").and_then(Json::as_str), Some("error"));
+    assert_eq!(j.get("kind").and_then(Json::as_str), Some("protocol"));
+    let message = j.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("label version"), "{message}");
+}
+
 /// Concurrent mixed-tenant load produces bit-identical responses to the
 /// same jobs run sequentially: no cross-request state (thread count,
 /// cache) bleeds between tenants. Jobs naming the engine and jobs leaving

@@ -5,7 +5,7 @@
 //! kernelised, and check the fold against the interpreter: its
 //! left-to-right order, its tie-breaking, and its faults.
 
-use futhark::{Compiled, Compiler, Device, PerfReport, RunOptions, TimelineEvent};
+use futhark::{Compiled, Compiler, Device, RunOptions, TimelineEvent};
 use futhark_core::{ArrayVal, Value};
 use futhark_gpu::plan::{HBody, HStm};
 use std::path::PathBuf;
@@ -88,35 +88,28 @@ fn opts() -> RunOptions {
     }
 }
 
-/// Runs `compiled` on the warp engine, or on the per-lane reference when
-/// `reference` is set.
-fn run(
-    compiled: &Compiled,
-    device: Device,
-    args: &[Value],
-    reference: bool,
-) -> Result<(Vec<Value>, PerfReport), futhark::Error> {
-    if reference {
-        compiled.run_reference(device, args, opts())
-    } else {
-        compiled.run_with_opts(device, args, opts())
-    }
+/// `src` compiled for the warp engine, and converted for the per-lane
+/// reference.
+fn engines(src: &str) -> [(&'static str, Compiled); 2] {
+    let warp = Compiler::new().compile(src).expect("compiles");
+    let reference = warp
+        .clone()
+        .into_reference()
+        .expect("decodes for the reference");
+    [("warp", warp), ("reference", reference)]
 }
 
 /// Runs `src` on both devices and both engines, checks every output
 /// against the interpreter bit for bit, and returns the outputs.
 fn matches_interpreter(src: &str, args: &[Value]) -> Vec<Value> {
     let want = futhark::interpret(src, args).expect("interprets");
-    let compiled = Compiler::new().compile(src).expect("compiles");
+    let engines = engines(src);
     for device in [Device::Gtx780, Device::W8100] {
-        for reference in [false, true] {
-            let (got, _) = run(&compiled, device, args, reference).expect("runs");
+        for (engine, compiled) in &engines {
+            let (got, _) = compiled.run_with_opts(device, args, opts()).expect("runs");
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
-                assert!(
-                    g.bit_eq(w),
-                    "{device:?}, reference {reference}: {g:?} != {w:?}"
-                );
+                assert!(g.bit_eq(w), "{device:?}, {engine}: {g:?} != {w:?}");
             }
         }
     }
@@ -146,7 +139,9 @@ fn f32_sum_folds_partials_left_to_right() {
     );
     // The fold runs over one partial per stage-1 thread.
     let compiled = Compiler::new().compile(src).expect("compiles");
-    let (_, perf) = run(&compiled, Device::Gtx780, &args, false).expect("runs");
+    let (_, perf) = compiled
+        .run_with_opts(Device::Gtx780, &args, opts())
+        .expect("runs");
     let threads: Vec<u64> = perf
         .timeline
         .iter()
@@ -185,14 +180,12 @@ fn a_fault_in_the_combine_is_the_same_run_error_on_both_engines() {
         Value::i64(n),
         Value::Array(ArrayVal::from_i64s(vec![2; n as usize])),
     ];
-    let compiled = Compiler::new().compile(src).expect("compiles");
-    let outcome = |reference| {
-        run(&compiled, Device::Gtx780, &args, reference)
+    let [warp, lane] = engines(src).map(|(_, compiled)| {
+        compiled
+            .run_with_opts(Device::Gtx780, &args, opts())
             .map(|(v, _)| v)
             .map_err(|e| e.to_string())
-    };
-    let warp = outcome(false);
-    let lane = outcome(true);
+    });
     assert_eq!(warp, lane);
     let err = warp.expect_err("the combine divides by a zero partial");
     assert!(err.contains("division by zero"), "{err}");

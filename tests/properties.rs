@@ -183,19 +183,16 @@ fn ablation_corners_are_well_formed() {
         );
     }
     assert!(corners[0].is_default());
-    for sched in &corners {
-        assert!(sched.check, "ablations must keep the checker on");
-    }
     assert_eq!(
         labels,
         [
-            "sched2,9:111111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
-            "sched2,9:000111111,1:1,1:1,1:1,1:1,1:1,1:0,1:0,1:0,",
-            "sched2,9:011111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
-            "sched2,9:101111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
-            "sched2,9:111111111,1:1,1:1,1:1,1:1,1:1,1:0,1:0,1:1,",
-            "sched2,9:111111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:0,",
-            "sched2,9:110111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
+            "sched3,8:11111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
+            "sched3,8:00011111,1:1,1:1,1:1,1:1,1:1,1:0,1:0,1:0,",
+            "sched3,8:01111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
+            "sched3,8:10111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
+            "sched3,8:11111111,1:1,1:1,1:1,1:1,1:1,1:0,1:0,1:1,",
+            "sched3,8:11111111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:0,",
+            "sched3,8:11011111,1:1,1:1,1:1,1:1,1:1,1:1,1:1,1:1,",
         ]
     );
 }

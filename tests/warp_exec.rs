@@ -1,7 +1,7 @@
 //! The warp execution engine must be observationally identical to the
 //! per-lane reference engine (a kernel decoded by
-//! [`DecodedKernel::reference`], a program run by
-//! [`Compiled::run_reference`]): for any program, outputs, faults, and
+//! [`DecodedKernel::reference`], a program converted by
+//! [`Compiled::into_reference`]): for any program, outputs, faults, and
 //! every [`KernelStats`] counter are bit-identical between the two. This
 //! suite checks that end to end over every corpus fixture and every paper
 //! program, and then pins the divergence machinery directly at the launch
@@ -20,30 +20,29 @@ use futhark_gpu::sim::{Arg, DeviceMemory, KernelStats, SimError};
 use futhark_gpu::{launch, DecodedKernel, DeviceProfile};
 use std::path::PathBuf;
 
-/// Runs `compiled` on the warp engine, or on the per-lane reference when
-/// `reference` is set, normalising errors to display strings so faulting
-/// programs can be compared too.
+/// Runs `compiled` on `device`, normalising errors to display strings so
+/// faulting programs can be compared too.
 fn outcome(
     compiled: &Compiled,
     device: Device,
     args: &[Value],
-    reference: bool,
 ) -> Result<(Vec<Value>, PerfReport), String> {
-    let opts = RunOptions::default();
-    let run = if reference {
-        compiled.run_reference(device, args, opts)
-    } else {
-        compiled.run_with_opts(device, args, opts)
-    };
-    run.map_err(|e| e.to_string())
+    compiled
+        .run_with_opts(device, args, RunOptions::default())
+        .map_err(|e| e.to_string())
 }
 
-/// Runs `compiled` on both engines and both devices and asserts
+/// Runs `compiled` on both devices, then converts it once for the
+/// per-lane reference and runs that on both devices, and asserts
 /// bit-identical outcomes.
-fn engines_agree_on_program(label: &str, compiled: &Compiled, args: &[Value]) {
-    for device in [Device::Gtx780, Device::W8100] {
-        let warp = outcome(compiled, device, args, false);
-        let lane = outcome(compiled, device, args, true);
+fn engines_agree_on_program(label: &str, compiled: Compiled, args: &[Value]) {
+    let devices = [Device::Gtx780, Device::W8100];
+    let warp = devices.map(|device| outcome(&compiled, device, args));
+    let per_lane = compiled
+        .into_reference()
+        .expect("decodes for the reference");
+    for (device, warp) in devices.into_iter().zip(warp) {
+        let lane = outcome(&per_lane, device, args);
         assert_eq!(
             warp, lane,
             "{label}: warp engine diverged from per-lane on {device:?}"
@@ -70,7 +69,7 @@ fn corpus_is_bit_identical_across_engines() {
             Ok(c) => c,
             Err(_) => continue, // compile-time faults have no launches to compare
         };
-        engines_agree_on_program(&path.display().to_string(), &compiled, &args);
+        engines_agree_on_program(&path.display().to_string(), compiled, &args);
     }
     // The paper programs on their small datasets: float arithmetic,
     // tiling and segmented reductions that the i64 fixtures never reach.
@@ -78,7 +77,7 @@ fn corpus_is_bit_identical_across_engines() {
         let compiled = b
             .compile(Schedule::default())
             .unwrap_or_else(|e| panic!("{}: compile failed: {e}", b.name));
-        engines_agree_on_program(b.name, &compiled, &b.small_args);
+        engines_agree_on_program(b.name, compiled, &b.small_args);
     }
 }
 
@@ -627,8 +626,11 @@ fn divergent_fuzz_sample_is_engine_invariant() {
         compiled_ok += 1;
         let args = case.args();
         let device = [Device::Gtx780, Device::W8100][(seed % 2) as usize];
-        let warp = outcome(&compiled, device, &args, false);
-        let lane = outcome(&compiled, device, &args, true);
+        let warp = outcome(&compiled, device, &args);
+        let per_lane = compiled
+            .into_reference()
+            .expect("decodes for the reference");
+        let lane = outcome(&per_lane, device, &args);
         assert_eq!(
             warp, lane,
             "seed {seed}: warp engine diverged from per-lane on {device:?}\n{src}"
