@@ -3,8 +3,9 @@
 //! Replays every benchmark (verification-sized datasets, GTX 780 Ti
 //! profile) with tracing and profiling on, snapshots the **deterministic**
 //! execution shape — kernel launches, transpositions, per-kernel cost
-//! counters, compile-side rewrite counters — and compares it against the
-//! committed baseline (`prof-baseline.json` at the workspace root).
+//! counters, per-source-site counters, compile-side rewrite counters —
+//! and compares it against the committed baseline (`prof-baseline.json`
+//! at the workspace root).
 //! Wall-clock and modelled time are deliberately excluded: everything in
 //! the snapshot must reproduce bit-for-bit on any machine, so any
 //! difference is a real pipeline change, not noise.
@@ -14,7 +15,7 @@
 
 use futhark::{Compiler, Counters, Json, MemStats, RunOptions, Schedule, TimeBreakdown};
 use futhark_bench::all_benchmarks;
-use futhark_gpu::KernelStats;
+use futhark_gpu::{KernelStats, SiteStats};
 use std::collections::BTreeMap;
 
 const DEFAULT_BASELINE: &str = "prof-baseline.json";
@@ -30,6 +31,9 @@ struct Snapshot {
     mem: MemStats,
     /// Source site owning the peak footprint (from the memory timeline).
     peak_site: Option<String>,
+    /// The profiled run's counters per source site (`"?"` for work no
+    /// site claims), so attribution by source line is pinned too.
+    per_site: BTreeMap<String, SiteStats>,
     /// Per kernel: launches, merged counters, and the summed per-launch
     /// time decomposition (whose JSON carries the limiter class).
     per_kernel: BTreeMap<String, (u64, KernelStats, TimeBreakdown)>,
@@ -60,6 +64,15 @@ impl Snapshot {
                     .as_ref()
                     .map_or(Json::Null, |s| Json::Str(s.clone())),
             ),
+            (
+                "per_site",
+                Json::Obj(
+                    self.per_site
+                        .iter()
+                        .map(|(k, s)| (k.clone(), s.to_json()))
+                        .collect(),
+                ),
+            ),
             ("per_kernel", Json::Arr(kernels)),
             ("rewrites", self.rewrites.to_json()),
         ])
@@ -81,11 +94,16 @@ impl Snapshot {
             Json::Null => None,
             s => Some(s.as_str()?.to_string()),
         };
+        let mut per_site = BTreeMap::new();
+        for (k, s) in j.get("per_site")?.as_obj()? {
+            per_site.insert(k.clone(), SiteStats::from_json(s)?);
+        }
         Some(Snapshot {
             launches: j.get("launches")?.as_u64()?,
             transposes: j.get("transposes")?.as_u64()?,
             mem: MemStats::from_json(j.get("mem")?)?,
             peak_site,
+            per_site,
             per_kernel,
             rewrites: Counters::from_json(j.get("rewrites")?)?,
         })
@@ -104,7 +122,10 @@ fn measure() -> Result<BTreeMap<String, Snapshot>, String> {
             .run_with_opts(
                 futhark::Device::Gtx780,
                 &b.small_args,
-                RunOptions::default(),
+                RunOptions {
+                    profile: true,
+                    ..RunOptions::default()
+                },
             )
             .map_err(|e| format!("{}: run failed: {e}", b.name))?;
         let breakdowns = perf.kernel_breakdowns();
@@ -112,6 +133,7 @@ fn measure() -> Result<BTreeMap<String, Snapshot>, String> {
             launches: perf.launches,
             transposes: perf.transposes,
             peak_site: perf.peak_site().map(|(s, _)| s.to_string()),
+            per_site: perf.per_site.clone(),
             per_kernel: perf
                 .per_kernel
                 .iter()
@@ -214,6 +236,14 @@ fn report_drift(name: &str, old: &Snapshot, new: &Snapshot) -> bool {
             f(&old.peak_site),
             f(&new.peak_site)
         );
+    }
+    let sites: std::collections::BTreeSet<&String> =
+        old.per_site.keys().chain(new.per_site.keys()).collect();
+    for k in sites {
+        let (a, b) = (old.per_site.get(k), new.per_site.get(k));
+        if a != b {
+            println!("  site {k}: {a:?} -> {b:?}");
+        }
     }
     let keys: std::collections::BTreeSet<&String> =
         old.per_kernel.keys().chain(new.per_kernel.keys()).collect();

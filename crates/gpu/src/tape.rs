@@ -67,17 +67,25 @@
 //! Register tapes run instruction by instruction over its columns split
 //! into distinct slices, so their loops vectorize; an instruction names a
 //! register's column directly, so reading a register costs no
-//! instruction, and only a store writes one. A memory statement converts its index column
-//! once, scans every active lane for a fault in one branch-free pass, and
-//! only if that scan or a tape reports a fault walks its lanes in
-//! ascending order to pick the error the per-lane engine would report.
-//! Fault-free, it gathers the bits of the launch snapshot's elements
-//! straight into its register's column, or writes its whole column into
-//! the group's window. The per-lane engine ([`DecodedKernel::reference`])
-//! runs each statement lane by lane over postfix tapes and the same
-//! register file; it is the reference the tests and the fuzz oracle hold
-//! the warp engine to. Both engines count global-memory transactions
-//! through one coalescer over the statement's index column.
+//! instruction. Under a full mask an assignment's last instruction writes
+//! its register in place; under a partial one the tape's result is stored
+//! into the register's active lanes. A memory statement converts its
+//! index column once, scans every active lane for a fault in one
+//! branch-free pass, and only if that scan or a tape reports a fault walks
+//! its lanes in ascending order to pick the error the per-lane engine
+//! would report. Fault-free, it gathers the bits of the launch snapshot's
+//! elements straight into its register's column, or writes its whole
+//! column into the group's window. Reallocating a lane's private array
+//! at the length it has zeroes it in place, and copying into an array of
+//! the copied length overwrites it in place. The per-lane engine ([`DecodedKernel::reference`]) runs each statement
+//! lane by lane over postfix tapes and the same register file, allocating
+//! every private array afresh; it is the reference the tests and the fuzz
+//! oracle hold the warp engine to. Both engines count global-memory
+//! transactions through one coalescer over the statement's index column,
+//! which takes a warp's segments as a shift of its indices (`Segments`)
+//! and counts a full warp's in one branch-free pass. Each decoded
+//! statement carries the source site a profiled run charges it to, so
+//! provenance markers cost nothing at run time.
 
 // Lane loops index several parallel per-lane arrays (mask, indices,
 // registers) by the same lane id; iterator rewrites obscure that.
@@ -239,8 +247,10 @@ impl Tape {
 
 /// One register-form instruction: the [`EOp`] payload plus explicit
 /// register-file columns assigned by [`reg_compile`]. Columns hold the
-/// same raw `u64` bit patterns as the postfix stack did; a destination is
-/// always a temporary.
+/// same raw `u64` bit patterns as the postfix stack did; a decoded
+/// destination is always a temporary, and only an assignment under a full
+/// mask points its tape's last instruction at a register when it runs
+/// ([`GroupRun::weval_into`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum WInstr {
     Const {
@@ -292,6 +302,26 @@ enum WInstr {
         dst: u32,
         a: u32,
     },
+}
+
+impl WInstr {
+    /// The same instruction, writing column `to`.
+    fn with_dst(mut self, to: u32) -> WInstr {
+        match &mut self {
+            WInstr::Const { dst, .. }
+            | WInstr::GlobalId { dst }
+            | WInstr::GroupId { dst }
+            | WInstr::LocalId { dst }
+            | WInstr::GroupSize { dst }
+            | WInstr::NumThreads { dst }
+            | WInstr::ScalarArg { dst, .. }
+            | WInstr::Bin { dst, .. }
+            | WInstr::Cmp { dst, .. }
+            | WInstr::Un { dst, .. }
+            | WInstr::Conv { dst, .. } => *dst = to,
+        }
+        self
+    }
 }
 
 /// Deterministic linear-scan allocation of a postfix tape onto the
@@ -432,11 +462,24 @@ fn reg_compile(ops: &[EOp], base: u32, out: &mut Vec<WInstr>) -> Result<(u32, u3
     Ok((alloc.next, result))
 }
 
-/// A decoded statement: the same shapes as [`KStm`], with expressions as
-/// tapes. A destination register is its column of the register file.
-/// Every nested body is a boxed slice of exactly its statement count.
+/// A decoded statement: what it does, and the source site a profiled run
+/// charges its counters to. The site is an index into the kernel's
+/// provenance table, that of the innermost [`KStm::At`] marker around the
+/// statement, or the unattributed bucket just past the table for a
+/// statement outside every marker. Decode folds the markers into this
+/// field, so no marker is a statement of its own.
 #[derive(Debug, Clone)]
-enum DStm {
+struct DStm {
+    site: u32,
+    kind: DKind,
+}
+
+/// What a decoded statement does: the shapes of [`KStm`] other than its
+/// provenance marker, with expressions as tapes. A destination register
+/// is its column of the register file. Every nested body is a boxed slice
+/// of exactly its statement count.
+#[derive(Debug, Clone)]
+enum DKind {
     Assign {
         reg: u32,
         exp: Tape,
@@ -496,13 +539,6 @@ enum DStm {
         else_s: Box<[DStm]>,
     },
     Barrier,
-    /// Provenance marker: while executing `body`, profiled runs attribute
-    /// counters to site `prov` (an index into the decoded kernel's
-    /// provenance table). Free in unprofiled runs beyond the recursion.
-    At {
-        prov: u32,
-        body: Box<[DStm]>,
-    },
 }
 
 /// Every tape's instructions of one kernel, back to back, in the one
@@ -539,7 +575,7 @@ pub struct DecodedKernel {
     body: Box<[DStm]>,
     instrs: Instrs,
     /// Per-site counter buckets of a profiled launch: one per entry of
-    /// the kernel's [`Kernel::prov_table`] (the sites its `At` markers
+    /// the kernel's [`Kernel::prov_table`] (the sites its statements
     /// name), plus the implicit "unattributed" bucket last.
     n_sites: usize,
     /// The provenance-union key of all of the kernel's sites: the source
@@ -686,6 +722,9 @@ struct Compiler<'k> {
     winstrs: Option<Vec<WInstr>>,
     /// The register-file columns the tapes so far need.
     columns: u32,
+    /// The site of the statements being decoded: the innermost marker's,
+    /// or the unattributed bucket outside every marker.
+    site: u32,
 }
 
 impl<'k> Compiler<'k> {
@@ -836,22 +875,46 @@ impl<'k> Compiler<'k> {
     }
 
     /// Decodes a body into a slice of exactly its length (collecting a
-    /// `Result` iterator would start at capacity 4 and double).
+    /// `Result` iterator would start at capacity 4 and double). A
+    /// marker's statements take its site and its place in the body.
     fn stms(&mut self, stms: &[KStm]) -> SResult<Box<[DStm]>> {
-        let mut out = Vec::with_capacity(stms.len());
-        for s in stms {
-            out.push(self.stm(s)?);
+        fn len(stms: &[KStm]) -> usize {
+            stms.iter()
+                .map(|s| match s {
+                    KStm::At { body, .. } => len(body),
+                    _ => 1,
+                })
+                .sum()
         }
+        let mut out = Vec::with_capacity(len(stms));
+        self.push_stms(stms, &mut out)?;
         Ok(out.into_boxed_slice())
     }
 
-    fn stm(&mut self, stm: &KStm) -> SResult<DStm> {
+    fn push_stms(&mut self, stms: &[KStm], out: &mut Vec<DStm>) -> SResult<()> {
+        for s in stms {
+            if let KStm::At { prov, body } = s {
+                let outer = std::mem::replace(&mut self.site, *prov);
+                self.push_stms(body, out)?;
+                self.site = outer;
+            } else {
+                out.push(DStm {
+                    site: self.site,
+                    kind: self.stm(s)?,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Decodes a statement other than a marker.
+    fn stm(&mut self, stm: &KStm) -> SResult<DKind> {
         Ok(match stm {
-            KStm::Assign { var, exp } => DStm::Assign {
+            KStm::Assign { var, exp } => DKind::Assign {
                 reg: *var,
                 exp: self.value_tape(exp, self.reg_class[*var as usize], "assignment")?,
             },
-            KStm::GlobalRead { var, buf, index } => DStm::GlobalRead {
+            KStm::GlobalRead { var, buf, index } => DKind::GlobalRead {
                 reg: *var,
                 buf: *buf,
                 index: self.index_tape(index)?,
@@ -863,50 +926,50 @@ impl<'k> Compiler<'k> {
                         return Err(SimError::Scalar(format!("argument {buf} is not a buffer")));
                     }
                 };
-                DStm::GlobalWrite {
+                DKind::GlobalWrite {
                     buf: *buf,
                     index: self.index_tape(index)?,
                     value: self.value_tape(value, elem, "global write")?,
                 }
             }
-            KStm::LocalRead { var, mem, index } => DStm::LocalRead {
+            KStm::LocalRead { var, mem, index } => DKind::LocalRead {
                 reg: *var,
                 mem: *mem,
                 index: self.index_tape(index)?,
             },
-            KStm::LocalWrite { mem, index, value } => DStm::LocalWrite {
+            KStm::LocalWrite { mem, index, value } => DKind::LocalWrite {
                 mem: *mem,
                 index: self.index_tape(index)?,
                 value: self.value_tape(value, self.kernel.locals[*mem].0, "local write")?,
             },
-            KStm::PrivAlloc { arr, size, .. } => DStm::PrivAlloc {
+            KStm::PrivAlloc { arr, size, .. } => DKind::PrivAlloc {
                 arr: *arr,
                 size: self.index_tape(size)?,
             },
-            KStm::PrivRead { var, arr, index } => DStm::PrivRead {
+            KStm::PrivRead { var, arr, index } => DKind::PrivRead {
                 reg: *var,
                 arr: *arr,
                 index: self.index_tape(index)?,
             },
-            KStm::PrivWrite { arr, index, value } => DStm::PrivWrite {
+            KStm::PrivWrite { arr, index, value } => DKind::PrivWrite {
                 arr: *arr,
                 index: self.index_tape(index)?,
                 value: self.value_tape(value, self.priv_class[*arr], "private write")?,
             },
-            KStm::PrivCopy { dst, src, len } => DStm::PrivCopy {
+            KStm::PrivCopy { dst, src, len } => DKind::PrivCopy {
                 dst: *dst,
                 src: *src,
                 len: self.index_tape(len)?,
             },
             KStm::For { var, bound, body } => {
                 debug_assert_eq!(self.reg_class[*var as usize], ScalarType::I64);
-                DStm::For {
+                DKind::For {
                     reg: *var,
                     bound: self.index_tape(bound)?,
                     body: self.stms(body)?,
                 }
             }
-            KStm::While { cond, body } => DStm::While {
+            KStm::While { cond, body } => DKind::While {
                 cond: self.cond_tape(cond, "while")?,
                 body: self.stms(body)?,
             },
@@ -914,16 +977,13 @@ impl<'k> Compiler<'k> {
                 cond,
                 then_s,
                 else_s,
-            } => DStm::If {
+            } => DKind::If {
                 cond: self.cond_tape(cond, "if")?,
                 then_s: self.stms(then_s)?,
                 else_s: self.stms(else_s)?,
             },
-            KStm::Barrier => DStm::Barrier,
-            KStm::At { prov, body } => DStm::At {
-                prov: *prov,
-                body: self.stms(body)?,
-            },
+            KStm::Barrier => DKind::Barrier,
+            KStm::At { .. } => unreachable!("markers are folded into their statements"),
         })
     }
 }
@@ -998,6 +1058,7 @@ impl DecodedKernel {
             ops: Vec::new(),
             winstrs: register.then(Vec::new),
             columns: kernel.num_regs,
+            site: kernel.prov_table.len() as u32,
         };
         let body = comp.stms(&kernel.body).map_err(named)?;
         let mut site = Prov::none();
@@ -1386,36 +1447,93 @@ impl Overlays {
     }
 }
 
-/// The number of distinct `tb`-byte segments one warp's active lanes
-/// touch, and the bytes they move. `mask` and `idx` cover the warp's
-/// lanes (a tail warp may be short); an active lane holds an in-bounds,
-/// so non-negative, element index, and an inactive lane's index is
-/// ignored. Both engines count through here: one pass while the segments
-/// come non-decreasing, which coalesced accesses always do; anything else
-/// is sorted and deduplicated in `scratch`.
-#[inline]
-fn warp_transactions(
-    mask: &[bool],
-    idx: &[i64],
+/// How one memory statement's element indices map to the device's
+/// `tb`-byte segments, worked out once per statement. Both profiles'
+/// transaction sizes (128 and 64 bytes) are power-of-two multiples of
+/// every element size (1, 4 and 8 bytes), so the segment of an in-bounds,
+/// so non-negative, index is a shift of it, as a hardware coalescer
+/// compares line addresses. Any other ratio divides.
+#[derive(Debug, Clone, Copy)]
+struct Segments {
     elem_bytes: u64,
     tb: u64,
+    /// `log2(tb / elem_bytes)`, when `tb` is a power-of-two multiple of
+    /// `elem_bytes`.
+    shift: Option<u32>,
+}
+
+impl Segments {
+    fn new(elem_bytes: u64, tb: u64) -> Segments {
+        let per = tb / elem_bytes;
+        let shift = (per * elem_bytes == tb && per.is_power_of_two()).then(|| per.trailing_zeros());
+        Segments {
+            elem_bytes,
+            tb,
+            shift,
+        }
+    }
+}
+
+/// The number of distinct segments one warp's active lanes touch, and the
+/// bytes they move. `idx` covers the warp's lanes (a tail warp may be
+/// short), and `mask` is `None` when every one of them is active. An
+/// active lane holds an in-bounds, so non-negative, element index, and an
+/// inactive lane's index is ignored. Both engines count through here.
+#[inline]
+fn warp_transactions(
+    mask: Option<&[bool]>,
+    idx: &[i64],
+    segs: Segments,
     scratch: &mut Vec<i64>,
 ) -> (u64, u64) {
-    let seg = |i: i64| (i * elem_bytes as i64) / tb as i64;
+    let Segments { elem_bytes, tb, .. } = segs;
+    match segs.shift {
+        Some(k) => count_segments(mask, idx, elem_bytes, |i| i >> k, scratch),
+        None => count_segments(
+            mask,
+            idx,
+            elem_bytes,
+            |i| (i * elem_bytes as i64) / tb as i64,
+            scratch,
+        ),
+    }
+}
+
+/// [`warp_transactions`] for one segment function. A full warp counts the
+/// segment changes between adjacent lanes in one branch-free pass; a
+/// masked warp walks its active lanes once. Either way, segments that come
+/// non-decreasing, as coalesced accesses always do, are counted there, and
+/// anything else is sorted and deduplicated in `scratch`.
+#[inline(always)]
+fn count_segments(
+    mask: Option<&[bool]>,
+    idx: &[i64],
+    elem_bytes: u64,
+    seg: impl Fn(i64) -> i64,
+    scratch: &mut Vec<i64>,
+) -> (u64, u64) {
+    let Some(mask) = mask else {
+        if idx.is_empty() {
+            return (0, 0);
+        }
+        let (mut changes, mut down) = (0u64, false);
+        for (&a, &b) in idx.iter().zip(&idx[1..]) {
+            let (a, b) = (seg(a), seg(b));
+            changes += u64::from(a != b);
+            down |= b < a;
+        }
+        if down {
+            return sort_dedup(idx.iter().map(|&i| seg(i)), elem_bytes, scratch);
+        }
+        return (1 + changes, idx.len() as u64 * elem_bytes);
+    };
     let active = || mask.iter().zip(idx).filter_map(|(&on, &i)| on.then_some(i));
     let (mut tx, mut useful, mut last) = (0u64, 0u64, None);
     for off in active() {
         let s = seg(off);
         match last {
             Some(p) if s == p => {}
-            Some(p) if s < p => {
-                scratch.clear();
-                scratch.extend(active().map(seg));
-                let useful = scratch.len() as u64 * elem_bytes;
-                scratch.sort_unstable();
-                scratch.dedup();
-                return (scratch.len() as u64, useful);
-            }
+            Some(p) if s < p => return sort_dedup(active().map(&seg), elem_bytes, scratch),
             _ => {
                 tx += 1;
                 last = Some(s);
@@ -1424,6 +1542,22 @@ fn warp_transactions(
         useful += elem_bytes;
     }
     (tx, useful)
+}
+
+/// The number of distinct segments in `segs`, by sorting and
+/// deduplicating them in `scratch`, and the bytes their lanes move.
+#[cold]
+fn sort_dedup(
+    segs: impl Iterator<Item = i64>,
+    elem_bytes: u64,
+    scratch: &mut Vec<i64>,
+) -> (u64, u64) {
+    scratch.clear();
+    scratch.extend(segs);
+    let useful = scratch.len() as u64 * elem_bytes;
+    scratch.sort_unstable();
+    scratch.dedup();
+    (scratch.len() as u64, useful)
 }
 
 // ---------------------------------------------------------------------------
@@ -1485,11 +1619,14 @@ struct GroupRun<'a> {
     icol: Vec<i64>,
     /// Warp engine: recycled mask storage for divergent control flow.
     mask_pool: Vec<Vec<bool>>,
+    /// Warp engine: recycled copies of `icol` that hold each running
+    /// `for` loop's trip counts while its body reuses `icol`.
+    bounds_pool: Vec<Vec<i64>>,
     stats: KernelStats,
     /// Per-site counters, allocated only in profiled runs.
     sites: Option<Vec<SiteStats>>,
-    /// The site currently executing (maintained by `DStm::At`); starts at
-    /// the unattributed bucket.
+    /// The site a profiled run's counters go to: each statement's own,
+    /// set before it counts anything.
     cur_site: usize,
 }
 
@@ -2088,26 +2225,26 @@ impl<'a> GroupRun<'a> {
     /// Counts memory transactions for a warp-grouped global access using
     /// the per-lane indices in `self.icol`: per warp, the number of
     /// distinct aligned segments its active lanes touch
-    /// ([`warp_transactions`]).
-    fn memory_access(&mut self, mask: &[bool], elem_bytes: u64) {
-        for (w, chunk) in mask.chunks(self.warp_size).enumerate() {
-            let at = w * self.warp_size;
-            let (tx, useful) = warp_transactions(
-                chunk,
-                &self.icol[at..at + chunk.len()],
-                elem_bytes,
-                self.transaction_bytes,
-                &mut self.segs,
-            );
-            let bus = tx * self.transaction_bytes;
-            self.stats.global_transactions += tx;
-            self.stats.bus_bytes += bus;
-            self.stats.useful_bytes += useful;
-            if let Some(s) = self.site() {
-                s.global_transactions += tx;
-                s.bus_bytes += bus;
-                s.useful_bytes += useful;
-            }
+    /// ([`warp_transactions`]). `all` says that every lane of `mask` is
+    /// on.
+    fn memory_access(&mut self, mask: &[bool], all: bool, elem_bytes: u64) {
+        let segs = Segments::new(elem_bytes, self.transaction_bytes);
+        let ws = self.warp_size;
+        let (mut tx, mut useful) = (0u64, 0u64);
+        for (w, idx) in self.icol[..mask.len()].chunks(ws).enumerate() {
+            let on = (!all).then(|| &mask[w * ws..w * ws + idx.len()]);
+            let (t, u) = warp_transactions(on, idx, segs, &mut self.segs);
+            tx += t;
+            useful += u;
+        }
+        let bus = tx * self.transaction_bytes;
+        self.stats.global_transactions += tx;
+        self.stats.bus_bytes += bus;
+        self.stats.useful_bytes += useful;
+        if let Some(s) = self.site() {
+            s.global_transactions += tx;
+            s.bus_bytes += bus;
+            s.useful_bytes += useful;
         }
     }
 
@@ -2115,9 +2252,11 @@ impl<'a> GroupRun<'a> {
         if !mask.iter().any(|&b| b) {
             return Ok(());
         }
+        let all = mask.iter().all(|&b| b);
         for stm in stms {
-            match stm {
-                DStm::Assign { reg, exp } => {
+            self.cur_site = stm.site as usize;
+            match &stm.kind {
+                DKind::Assign { reg, exp } => {
                     self.issue(mask, exp.cost());
                     let at = *reg as usize * self.lanes;
                     for lane in 0..mask.len() {
@@ -2126,7 +2265,7 @@ impl<'a> GroupRun<'a> {
                         }
                     }
                 }
-                DStm::GlobalRead { reg, buf, index } => {
+                DKind::GlobalRead { reg, buf, index } => {
                     self.issue(mask, index.cost());
                     let at = *reg as usize * self.lanes;
                     let bid = self.buffer(*buf)?;
@@ -2148,9 +2287,9 @@ impl<'a> GroupRun<'a> {
                                 };
                         }
                     }
-                    self.memory_access(mask, elem_bytes);
+                    self.memory_access(mask, all, elem_bytes);
                 }
-                DStm::GlobalWrite { buf, index, value } => {
+                DKind::GlobalWrite { buf, index, value } => {
                     self.issue(mask, index.cost() + value.cost());
                     let bid = self.buffer(*buf)?;
                     let len = self.base.raw(bid).len() as i64;
@@ -2166,9 +2305,9 @@ impl<'a> GroupRun<'a> {
                             self.writes.window(bid).set(i as usize, bits);
                         }
                     }
-                    self.memory_access(mask, elem_bytes);
+                    self.memory_access(mask, all, elem_bytes);
                 }
-                DStm::LocalRead { reg, mem, index } => {
+                DKind::LocalRead { reg, mem, index } => {
                     self.issue(mask, index.cost());
                     let at = *reg as usize * self.lanes;
                     let mut n = 0u64;
@@ -2185,7 +2324,7 @@ impl<'a> GroupRun<'a> {
                     }
                     self.count_local(n);
                 }
-                DStm::LocalWrite { mem, index, value } => {
+                DKind::LocalWrite { mem, index, value } => {
                     self.issue(mask, index.cost() + value.cost());
                     let mut n = 0u64;
                     for lane in 0..mask.len() {
@@ -2202,7 +2341,7 @@ impl<'a> GroupRun<'a> {
                     }
                     self.count_local(n);
                 }
-                DStm::PrivAlloc { arr, size } => {
+                DKind::PrivAlloc { arr, size } => {
                     self.issue(mask, size.cost());
                     for lane in 0..mask.len() {
                         if mask[lane] {
@@ -2212,7 +2351,7 @@ impl<'a> GroupRun<'a> {
                         }
                     }
                 }
-                DStm::PrivRead { reg, arr, index } => {
+                DKind::PrivRead { reg, arr, index } => {
                     self.issue(mask, index.cost());
                     let at = *reg as usize * self.lanes;
                     for lane in 0..mask.len() {
@@ -2228,7 +2367,7 @@ impl<'a> GroupRun<'a> {
                         }
                     }
                 }
-                DStm::PrivWrite { arr, index, value } => {
+                DKind::PrivWrite { arr, index, value } => {
                     self.issue(mask, index.cost() + value.cost());
                     for lane in 0..mask.len() {
                         if mask[lane] {
@@ -2245,7 +2384,7 @@ impl<'a> GroupRun<'a> {
                         }
                     }
                 }
-                DStm::PrivCopy { dst, src, len } => {
+                DKind::PrivCopy { dst, src, len } => {
                     self.issue(mask, len.cost());
                     for lane in 0..mask.len() {
                         if mask[lane] {
@@ -2262,7 +2401,7 @@ impl<'a> GroupRun<'a> {
                         }
                     }
                 }
-                DStm::For { reg, bound, body } => {
+                DKind::For { reg, bound, body } => {
                     self.issue(mask, bound.cost());
                     let at = *reg as usize * self.lanes;
                     let mut bounds = vec![0i64; mask.len()];
@@ -2289,10 +2428,13 @@ impl<'a> GroupRun<'a> {
                         self.exec(body, &sub)?;
                     }
                 }
-                DStm::While { cond, body } => {
+                DKind::While { cond, body } => {
                     let mut live = mask.to_vec();
                     let mut iterations = 0u64;
                     loop {
+                        // The body's statements move the site; the
+                        // condition is the loop's own.
+                        self.cur_site = stm.site as usize;
                         self.issue(&live, cond.cost());
                         for lane in 0..live.len() {
                             if live[lane] {
@@ -2311,7 +2453,7 @@ impl<'a> GroupRun<'a> {
                         }
                     }
                 }
-                DStm::If {
+                DKind::If {
                     cond,
                     then_s,
                     else_s,
@@ -2329,7 +2471,7 @@ impl<'a> GroupRun<'a> {
                     self.exec(then_s, &then_mask)?;
                     self.exec(else_s, &else_mask)?;
                 }
-                DStm::Barrier => {
+                DKind::Barrier => {
                     // All in-bounds lanes of the group must participate.
                     if mask.iter().any(|&b| !b) {
                         return Err(SimError::DivergentBarrier {
@@ -2341,18 +2483,6 @@ impl<'a> GroupRun<'a> {
                         s.barriers += 1;
                     }
                     self.issue(mask, 0);
-                }
-                DStm::At { prov, body } => {
-                    // Transparent for execution; in profiled runs the body's
-                    // counters go to this site (restored on the way out, so
-                    // siblings keep the enclosing attribution).
-                    let saved = self.cur_site;
-                    if self.sites.is_some() {
-                        self.cur_site = *prov as usize;
-                    }
-                    let r = self.exec(body, mask);
-                    self.cur_site = saved;
-                    r?;
                 }
             }
         }
@@ -2389,6 +2519,18 @@ impl<'a> GroupRun<'a> {
 
     fn put_bits(&mut self, v: Vec<bool>) {
         self.mask_pool.push(v);
+    }
+
+    /// A recycled buffer holding a copy of `icol`.
+    fn take_bounds(&mut self) -> Vec<i64> {
+        let mut v = self.bounds_pool.pop().unwrap_or_default();
+        v.clear();
+        v.extend_from_slice(&self.icol);
+        v
+    }
+
+    fn put_bounds(&mut self, v: Vec<i64>) {
+        self.bounds_pool.push(v);
     }
 
     /// Converts a tape's integer result column into `self.icol`: one class
@@ -2478,7 +2620,9 @@ impl<'a> GroupRun<'a> {
     }
 
     /// Copies column `src` into register `dst` for the mask's active
-    /// lanes; masked-off lanes keep their register values.
+    /// lanes; masked-off lanes keep their register values. An assignment
+    /// stores through here only under a partial mask or from a tape that
+    /// runs no instruction.
     fn store_column(&mut self, dst: u32, src: u32, mask: &WMask) {
         if dst == src {
             // A register assigned to itself.
@@ -2519,6 +2663,14 @@ impl<'a> GroupRun<'a> {
     /// order, reproducing exactly the error the per-lane engine would
     /// pick.
     fn weval(&mut self, tape: &Tape, mask: &WMask) -> SResult<TapeFaults> {
+        self.weval_into(tape, tape.result, mask)
+    }
+
+    /// [`GroupRun::weval`], with the tape's last instruction writing
+    /// column `out` in place of `tape.result`: no instruction after it
+    /// reads that temporary, so the result lands in `out` and nothing
+    /// else changes.
+    fn weval_into(&mut self, tape: &Tape, out: u32, mask: &WMask) -> SResult<TapeFaults> {
         let lanes = self.lanes;
         let dk = self.dk;
         let (group_id, group_size, num_threads) =
@@ -2537,8 +2689,14 @@ impl<'a> GroupRun<'a> {
             }};
         }
 
-        for ins in dk.winstrs(tape) {
-            match *ins {
+        let instrs = dk.winstrs(tape);
+        for (k, &ins) in instrs.iter().enumerate() {
+            let ins = if k + 1 == instrs.len() {
+                ins.with_dst(out)
+            } else {
+                ins
+            };
+            match ins {
                 WInstr::Const { dst, bits } => fill1!(dst, |_l| bits),
                 WInstr::GlobalId { dst } => {
                     fill1!(dst, |l| (group_id * group_size + l as u64) as i64 as u64)
@@ -2605,16 +2763,24 @@ impl<'a> GroupRun<'a> {
         let lanes = self.lanes;
         let snapshot: &'a DeviceMemory = self.base;
         for stm in stms {
-            match stm {
-                DStm::Assign { reg, exp } => {
+            self.cur_site = stm.site as usize;
+            match &stm.kind {
+                DKind::Assign { reg, exp } => {
                     self.issue_w(mask, exp.cost());
-                    let tf = self.weval(exp, mask)?;
+                    // Under a full mask the tape's last instruction writes
+                    // the register itself. Under a partial one it may not:
+                    // infallible instructions write inactive lanes too.
+                    let in_place = mask.all && exp.len > 0;
+                    let out = if in_place { *reg } else { exp.result };
+                    let tf = self.weval_into(exp, out, mask)?;
                     if let Some((_, e)) = tf.into_first() {
                         return Err(e);
                     }
-                    self.store_column(*reg, exp.result, mask);
+                    if !in_place {
+                        self.store_column(*reg, exp.result, mask);
+                    }
                 }
-                DStm::GlobalRead { reg, buf, index } => {
+                DKind::GlobalRead { reg, buf, index } => {
                     self.issue_w(mask, index.cost());
                     let bid = self.buffer(*buf)?;
                     let src = snapshot.raw(bid);
@@ -2631,9 +2797,9 @@ impl<'a> GroupRun<'a> {
                         return Err(e);
                     }
                     self.gather_global(*reg, bid, src, mask);
-                    self.memory_access(&mask.on, src.elem_type().byte_size() as u64);
+                    self.memory_access(&mask.on, mask.all, src.elem_type().byte_size() as u64);
                 }
-                DStm::GlobalWrite { buf, index, value } => {
+                DKind::GlobalWrite { buf, index, value } => {
                     self.issue_w(mask, index.cost() + value.cost());
                     let bid = self.buffer(*buf)?;
                     let src = snapshot.raw(bid);
@@ -2653,9 +2819,9 @@ impl<'a> GroupRun<'a> {
                     let rv = value.result as usize * lanes;
                     let (idx, vals) = (&self.icol, &self.regs[rv..rv + lanes]);
                     self.writes.window(bid).set_column(idx, vals, mask);
-                    self.memory_access(&mask.on, src.elem_type().byte_size() as u64);
+                    self.memory_access(&mask.on, mask.all, src.elem_type().byte_size() as u64);
                 }
-                DStm::LocalRead { reg, mem, index } => {
+                DKind::LocalRead { reg, mem, index } => {
                     self.issue_w(mask, index.cost());
                     let tf = self.weval(index, mask)?;
                     self.index_column(index);
@@ -2676,7 +2842,7 @@ impl<'a> GroupRun<'a> {
                     });
                     self.count_local(mask.active);
                 }
-                DStm::LocalWrite { mem, index, value } => {
+                DKind::LocalWrite { mem, index, value } => {
                     self.issue_w(mask, index.cost() + value.cost());
                     let tfi = self.weval(index, mask)?;
                     self.index_column(index);
@@ -2701,7 +2867,7 @@ impl<'a> GroupRun<'a> {
                     }
                     self.count_local(mask.active);
                 }
-                DStm::PrivAlloc { arr, size } => {
+                DKind::PrivAlloc { arr, size } => {
                     self.issue_w(mask, size.cost());
                     let mut tf = self.weval(size, mask)?;
                     self.index_column(size);
@@ -2713,10 +2879,17 @@ impl<'a> GroupRun<'a> {
                         }
                         let n = self.icol[l].max(0) as usize;
                         self.reserve_private(*arr, l, n)?;
-                        self.privs[*arr * lanes + l] = vec![0u64; n];
+                        // An array of the same length is zeroed in place:
+                        // it is charged, and holds, exactly `n` elements.
+                        let p = &mut self.privs[*arr * lanes + l];
+                        if p.len() == n {
+                            p.fill(0);
+                        } else {
+                            *p = vec![0u64; n];
+                        }
                     }
                 }
-                DStm::PrivRead { reg, arr, index } => {
+                DKind::PrivRead { reg, arr, index } => {
                     self.issue_w(mask, index.cost());
                     let tf = self.weval(index, mask)?;
                     self.index_column(index);
@@ -2731,12 +2904,16 @@ impl<'a> GroupRun<'a> {
                         return Err(e);
                     }
                     let at = *reg as usize * lanes;
-                    let idx = &self.icol;
-                    store_lanes(&mut self.regs[at..at + lanes], mask, |l| {
-                        ps[l][idx[l] as usize]
-                    });
+                    let (idx, dst) = (&self.icol, &mut self.regs[at..at + lanes]);
+                    if mask.all {
+                        for ((o, &i), p) in dst.iter_mut().zip(idx).zip(ps) {
+                            *o = p[i as usize];
+                        }
+                    } else {
+                        store_lanes(dst, mask, |l| ps[l][idx[l] as usize]);
+                    }
                 }
-                DStm::PrivWrite { arr, index, value } => {
+                DKind::PrivWrite { arr, index, value } => {
                     self.issue_w(mask, index.cost() + value.cost());
                     let tfi = self.weval(index, mask)?;
                     self.index_column(index);
@@ -2754,11 +2931,17 @@ impl<'a> GroupRun<'a> {
                     let rv = value.result as usize * lanes;
                     let (idx, vals) = (&self.icol, &self.regs[rv..rv + lanes]);
                     let ps = &mut self.privs[*arr * lanes..(*arr + 1) * lanes];
-                    for l in (0..lanes).filter(|&l| mask.on[l]) {
-                        ps[l][idx[l] as usize] = vals[l];
+                    if mask.all {
+                        for ((p, &i), &v) in ps.iter_mut().zip(idx).zip(vals) {
+                            p[i as usize] = v;
+                        }
+                    } else {
+                        for l in (0..lanes).filter(|&l| mask.on[l]) {
+                            ps[l][idx[l] as usize] = vals[l];
+                        }
                     }
                 }
-                DStm::PrivCopy { dst, src, len } => {
+                DKind::PrivCopy { dst, src, len } => {
                     self.issue_w(mask, len.cost());
                     let mut tf = self.weval(len, mask)?;
                     self.index_column(len);
@@ -2772,11 +2955,18 @@ impl<'a> GroupRun<'a> {
                             return Err(self.oob(format!("private copy {n} of len {have}")));
                         }
                         self.reserve_private(*dst, l, n)?;
-                        let v = self.privs[*src * lanes + l][..n].to_vec();
-                        self.privs[*dst * lanes + l] = v;
+                        // Into an array of the same length, in place.
+                        let (s, d) = (*src * lanes + l, *dst * lanes + l);
+                        if self.privs[d].len() != n {
+                            self.privs[d] = self.privs[s][..n].to_vec();
+                        } else if s != d {
+                            let mut to = std::mem::take(&mut self.privs[d]);
+                            to.copy_from_slice(&self.privs[s][..n]);
+                            self.privs[d] = to;
+                        }
                     }
                 }
-                DStm::For { reg, bound, body } => {
+                DKind::For { reg, bound, body } => {
                     self.issue_w(mask, bound.cost());
                     let at = *reg as usize * lanes;
                     let tf = self.weval(bound, mask)?;
@@ -2784,9 +2974,9 @@ impl<'a> GroupRun<'a> {
                         return Err(e);
                     }
                     self.index_column(bound);
-                    // Owned per-For bounds: the body recurses through the
+                    // A copy of the bounds: the body recurses through the
                     // shared index column.
-                    let bounds = self.icol.clone();
+                    let bounds = self.take_bounds();
                     let mut active = (0..lanes).filter(|&l| mask.on[l]).map(|l| bounds[l]);
                     let first = active.next();
                     let uniform = active.all(|b| Some(b) == first);
@@ -2821,8 +3011,9 @@ impl<'a> GroupRun<'a> {
                         let bits = sub.on;
                         self.put_bits(bits);
                     }
+                    self.put_bounds(bounds);
                 }
-                DStm::While { cond, body } => {
+                DKind::While { cond, body } => {
                     let ws = self.warp_size;
                     let mut live = {
                         let mut v = self.take_bits();
@@ -2831,6 +3022,9 @@ impl<'a> GroupRun<'a> {
                     };
                     let mut iterations = 0u64;
                     loop {
+                        // The body's statements move the site; the
+                        // condition is the loop's own.
+                        self.cur_site = stm.site as usize;
                         self.issue_w(&live, cond.cost());
                         let tf = self.weval(cond, &live)?;
                         if let Some((_, e)) = tf.into_first() {
@@ -2859,7 +3053,7 @@ impl<'a> GroupRun<'a> {
                     let bits = live.on;
                     self.put_bits(bits);
                 }
-                DStm::If {
+                DKind::If {
                     cond,
                     then_s,
                     else_s,
@@ -2904,7 +3098,7 @@ impl<'a> GroupRun<'a> {
                         }
                     }
                 }
-                DStm::Barrier => {
+                DKind::Barrier => {
                     if !mask.all {
                         return Err(SimError::DivergentBarrier {
                             kernel: self.dk.name.clone(),
@@ -2915,15 +3109,6 @@ impl<'a> GroupRun<'a> {
                         s.barriers += 1;
                     }
                     self.issue_w(mask, 0);
-                }
-                DStm::At { prov, body } => {
-                    let saved = self.cur_site;
-                    if self.sites.is_some() {
-                        self.cur_site = *prov as usize;
-                    }
-                    let r = self.wexec(body, mask);
-                    self.cur_site = saved;
-                    r?;
                 }
             }
         }
@@ -2969,6 +3154,7 @@ fn run_group(
         segs: Vec::with_capacity(device.warp_size as usize),
         icol: vec![0i64; lanes],
         mask_pool: Vec::new(),
+        bounds_pool: Vec::new(),
         stats: KernelStats::default(),
         sites: profile.then(|| vec![SiteStats::default(); n_sites]),
         cur_site: n_sites - 1,
@@ -3284,6 +3470,7 @@ pub fn launch(
 mod tests {
     use super::*;
     use crate::kernel::{KParam, KStm};
+    use futhark_core::Prov;
 
     /// Unprofiled, on `threads` host threads.
     fn threads_only(threads: usize) -> RunOptions {
@@ -3370,8 +3557,9 @@ mod tests {
             ],
         };
         let dk = DecodedKernel::decode(&k).unwrap();
-        let [DStm::GlobalRead { reg: 0, .. }, DStm::Assign { reg: 1, exp: arg }, DStm::Assign { reg: 2, exp: cmp }, DStm::GlobalWrite { value, .. }] =
-            &dk.body[..]
+        let body = kinds(&dk.body);
+        let [DKind::GlobalRead { reg: 0, .. }, DKind::Assign { reg: 1, exp: arg }, DKind::Assign { reg: 2, exp: cmp }, DKind::GlobalWrite { value, .. }] =
+            &body[..]
         else {
             panic!("unexpected statements {:?}", dk.body)
         };
@@ -3426,8 +3614,9 @@ mod tests {
             ],
         };
         let dk = DecodedKernel::decode(&k).unwrap();
-        let [_, DStm::Assign { reg: 1, exp: read }, DStm::GlobalWrite { value: sum, .. }] =
-            &dk.body[..]
+        let body = kinds(&dk.body);
+        let [_, DKind::Assign { reg: 1, exp: read }, DKind::GlobalWrite { value: sum, .. }] =
+            &body[..]
         else {
             panic!("unexpected statements {:?}", dk.body)
         };
@@ -3769,6 +3958,11 @@ mod tests {
         }
     }
 
+    /// What each statement of a decoded body does.
+    fn kinds(body: &[DStm]) -> Vec<&DKind> {
+        body.iter().map(|s| &s.kind).collect()
+    }
+
     /// The value tape of a kernel whose single statement is a GlobalWrite.
     fn write_value_tape(dk: &DecodedKernel) -> &Tape {
         assert_eq!(dk.body.len(), 1, "expected a single statement");
@@ -3777,8 +3971,8 @@ mod tests {
 
     /// The value tape of the GlobalWrite at statement `at`.
     fn write_value_tape_at(dk: &DecodedKernel, at: usize) -> &Tape {
-        match &dk.body[at] {
-            DStm::GlobalWrite { value, .. } => value,
+        match &dk.body[at].kind {
+            DKind::GlobalWrite { value, .. } => value,
             other => panic!("expected a GlobalWrite, found {other:?}"),
         }
     }
@@ -3803,17 +3997,17 @@ mod tests {
             panic!("decode keeps the register form, reference the postfix form");
         };
         let (
-            DStm::GlobalWrite {
+            DKind::GlobalWrite {
                 index: di,
                 value: dv,
                 ..
             },
-            DStm::GlobalWrite {
+            DKind::GlobalWrite {
                 index: ri,
                 value: rv,
                 ..
             },
-        ) = (&dk.body[0], &rk.body[0])
+        ) = (&dk.body[0].kind, &rk.body[0].kind)
         else {
             panic!("expected a GlobalWrite in both");
         };
@@ -4028,8 +4222,8 @@ mod tests {
             }],
         };
         let dkb = DecodedKernel::decode(&kb).unwrap();
-        match &dkb.body[..] {
-            [DStm::If { cond, .. }] => {
+        match &kinds(&dkb.body)[..] {
+            [DKind::If { cond, .. }] => {
                 assert_eq!(cond.class, ScalarType::Bool);
                 let winstrs = dkb.winstrs(cond);
                 assert!(
@@ -4284,9 +4478,26 @@ mod tests {
 
     #[test]
     fn one_pass_coalescer_matches_sort_dedup() {
+        // Every element size against both profiles' transaction sizes
+        // shifts; 96 bytes, and a segment narrower than an element, divide.
+        let tbs = [
+            DeviceProfile::gtx780().transaction_bytes,
+            DeviceProfile::w8100().transaction_bytes,
+        ];
+        assert_eq!(tbs, [128, 64]);
+        for eb in [1u64, 4, 8] {
+            for tb in tbs {
+                let want = (tb / eb).trailing_zeros();
+                assert_eq!(Segments::new(eb, tb).shift, Some(want), "{eb} B in {tb} B");
+            }
+            assert_eq!(Segments::new(eb, 96).shift, None, "{eb} B in 96 B");
+        }
+        assert_eq!(Segments::new(8, 4).shift, None);
         let mut rng = futhark_core::rng::Rng64::seed_from_u64(7);
         let mut scratch = Vec::new();
-        let mut one_pass = 0;
+        // Cases per (shift path, full warp, segments ever decrease).
+        let mut seen = [[[0usize; 2]; 2]; 2];
+        let mut tails = 0;
         for case in 0..4000 {
             let warp = [32usize, 64][case % 2];
             // A partial tail warp every few cases.
@@ -4296,8 +4507,8 @@ mod tests {
                 warp
             };
             let eb = [1u64, 4, 8][rng.pick(3)];
-            // 96 is not a power of two.
             let tb = [64u64, 96, 128][rng.pick(3)];
+            let segs = Segments::new(eb, tb);
             let base = rng.gen_i64(0, 1 << 20);
             let stride = rng.gen_i64(0, 40);
             let mut idx: Vec<i64> = (0..lanes as i64).map(|l| base + l * stride).collect();
@@ -4327,10 +4538,12 @@ mod tests {
                         }
                     }
                 }
-                // Consecutive ascending, often with every lane on.
+                // Consecutive ascending.
                 _ => idx = (0..lanes as i64).map(|l| base + l).collect(),
             }
-            let full = case % 7 == 6 && case % 3 != 0;
+            // Every other round of the seven index patterns is a full
+            // warp.
+            let full = (case / 7) % 2 == 0;
             let mask: Vec<bool> = (0..lanes).map(|_| full || !rng.chance(1, 4)).collect();
             // An inactive lane's index is garbage the coalescer ignores.
             for (i, &on) in idx.iter_mut().zip(&mask) {
@@ -4339,33 +4552,53 @@ mod tests {
                 }
             }
             let want = sort_dedup_transactions(&mask, &idx, eb, tb);
-            let got = warp_transactions(&mask, &idx, eb, tb, &mut scratch);
+            let got = warp_transactions(Some(&mask), &idx, segs, &mut scratch);
             assert_eq!(got, want, "case {case}: mask {mask:?} indices {idx:?}");
+            if full {
+                let got = warp_transactions(None, &idx, segs, &mut scratch);
+                assert_eq!(got, want, "case {case}, full warp: indices {idx:?}");
+                tails += usize::from(lanes < warp);
+            }
             let mut last = i64::MIN;
-            one_pass += usize::from(mask.iter().zip(&idx).filter(|(&on, _)| on).all(|(_, &i)| {
+            let down = !mask.iter().zip(&idx).filter(|(&on, _)| on).all(|(_, &i)| {
                 let s = i * eb as i64 / tb as i64;
                 std::mem::replace(&mut last, s) <= s
-            }));
+            });
+            seen[usize::from(segs.shift.is_some())][usize::from(full)][usize::from(down)] += 1;
         }
+        for (shift, by_mask) in seen.iter().enumerate() {
+            for (full, by_order) in by_mask.iter().enumerate() {
+                for (down, &n) in by_order.iter().enumerate() {
+                    assert!(
+                        n > 100,
+                        "{n} cases of shift {shift}, full {full}, down {down}"
+                    );
+                }
+            }
+        }
+        let one_pass: usize = seen.iter().flatten().map(|by_order| by_order[0]).sum();
         assert!(one_pass > 1000, "monotone warps take the one-pass path");
+        assert!(tails > 100, "{tails} full tail warps");
         // A full warp of consecutive indices: 32 f32s from index 30 span
         // bytes 120..248, two 128-byte segments; 32 i64s from 0 span three
         // 96-byte segments.
         let on = [true; 32];
         let from = |k: i64| (k..k + 32).collect::<Vec<i64>>();
-        assert_eq!(
-            warp_transactions(&on, &from(30), 4, 128, &mut scratch),
-            (2, 128)
-        );
-        assert_eq!(
-            warp_transactions(&on, &from(0), 8, 96, &mut scratch),
-            (3, 256)
-        );
-        // An element wider than a segment skips segments.
-        assert_eq!(
-            warp_transactions(&on, &from(0), 8, 4, &mut scratch),
-            (32, 256)
-        );
+        for mask in [None, Some(&on[..])] {
+            assert_eq!(
+                warp_transactions(mask, &from(30), Segments::new(4, 128), &mut scratch),
+                (2, 128)
+            );
+            assert_eq!(
+                warp_transactions(mask, &from(0), Segments::new(8, 96), &mut scratch),
+                (3, 256)
+            );
+            // An element wider than a segment skips segments.
+            assert_eq!(
+                warp_transactions(mask, &from(0), Segments::new(8, 4), &mut scratch),
+                (32, 256)
+            );
+        }
     }
 
     // -----------------------------------------------------------------------
@@ -4620,6 +4853,351 @@ mod tests {
                         "kind {kind}, {what}: memory, {engine} at {host}"
                     );
                 }
+            }
+        }
+    }
+
+    /// Launches `dk` over `threads` threads on `host` host threads,
+    /// profiled, with one i64 buffer argument per entry of `bufs`, and
+    /// returns the launch's counters or error and every buffer afterwards.
+    fn launch_i64(
+        dk: &DecodedKernel,
+        threads: usize,
+        host: usize,
+        bufs: &[Vec<i64>],
+    ) -> (Result<LaunchOut, String>, Vec<Buffer>) {
+        let mut mem = DeviceMemory::new();
+        let args: Vec<Arg> = bufs
+            .iter()
+            .map(|v| Arg::Buffer(mem.upload(Buffer::I64(v.clone())).unwrap()))
+            .collect();
+        let opts = RunOptions {
+            threads: host,
+            profile: true,
+            ..RunOptions::default()
+        };
+        let got = launch(
+            &DeviceProfile::gtx780(),
+            dk,
+            threads as u64,
+            &args,
+            &mut mem,
+            &opts,
+        )
+        .map_err(|e| e.to_string());
+        let after = args
+            .iter()
+            .map(|a| match a {
+                Arg::Buffer(b) => mem.download(*b).unwrap().clone(),
+                Arg::Scalar(_) => unreachable!(),
+            })
+            .collect();
+        (got, after)
+    }
+
+    #[test]
+    fn assignments_store_in_place_like_the_lane_engine() {
+        // Registers x, y, w, z, d and q (0 to 5) are read from buffers 0
+        // to 5; then `x = x + y`, `w = w * w`, `z = 7` and `q = x / d` run
+        // for every thread, or for threads with `gid % 3 != 1`, and x, w,
+        // z and q are written to buffers 6 to 9. Under a full mask each
+        // tape's last instruction writes its register in place.
+        let gid = || KExp::GlobalId;
+        let assign_kernel = |partial: bool| {
+            let mut body: Vec<KStm> = (0..6)
+                .map(|r| KStm::GlobalRead {
+                    var: r,
+                    buf: r as usize,
+                    index: gid(),
+                })
+                .collect();
+            let assigns = vec![
+                KStm::Assign {
+                    var: 0,
+                    exp: KExp::Var(0).add(KExp::Var(1)),
+                },
+                KStm::Assign {
+                    var: 2,
+                    exp: KExp::Var(2).mul(KExp::Var(2)),
+                },
+                KStm::Assign {
+                    var: 3,
+                    exp: KExp::i64(7),
+                },
+                KStm::Assign {
+                    var: 5,
+                    exp: KExp::BinOp(BinOp::Div, Box::new(KExp::Var(0)), Box::new(KExp::Var(4))),
+                },
+            ];
+            if partial {
+                body.push(KStm::If {
+                    cond: KExp::Cmp(
+                        CmpOp::Ne,
+                        Box::new(gid().rem(KExp::i64(3))),
+                        Box::new(KExp::i64(1)),
+                    ),
+                    then_s: assigns,
+                    else_s: vec![],
+                });
+            } else {
+                body.extend(assigns);
+            }
+            for (k, r) in [0, 2, 3, 5].into_iter().enumerate() {
+                body.push(KStm::GlobalWrite {
+                    buf: 6 + k,
+                    index: gid(),
+                    value: KExp::Var(r),
+                });
+            }
+            Kernel {
+                name: "assign".into(),
+                params: vec![KParam::Buffer(ScalarType::I64); 10],
+                locals: vec![],
+                num_regs: 6,
+                num_priv: 0,
+                prov_table: vec![],
+                body,
+            }
+        };
+        let threads = 300usize; // a full group and a 44-lane tail
+        let scenarios: [(&str, bool, &[usize]); 6] = [
+            ("full mask", false, &[]),
+            ("partial mask", true, &[]),
+            ("full mask, zero divisor in the tail group", false, &[290]),
+            ("full mask, zero divisors in both groups", false, &[7, 290]),
+            ("partial mask, zero divisor in an inactive lane", true, &[4]),
+            ("partial mask, zero divisor in an active lane", true, &[5]),
+        ];
+        for (what, partial, zeros) in scenarios {
+            let k = assign_kernel(partial);
+            let [(_, reference), (_, warp)] = both_forms(&k);
+            let lanes = 0..threads as i64;
+            let x: Vec<i64> = lanes.clone().map(|g| g * 3 - 200).collect();
+            let y: Vec<i64> = lanes.clone().map(|g| 17 - g).collect();
+            let w: Vec<i64> = lanes.clone().map(|g| g - 150).collect();
+            let z: Vec<i64> = lanes.clone().map(|g| -g).collect();
+            let mut d: Vec<i64> = lanes
+                .clone()
+                .map(|g| [1, -2, 3, -4][g as usize % 4])
+                .collect();
+            for &g in zeros {
+                d[g] = 0;
+            }
+            let q: Vec<i64> = lanes.map(|g| g + 1000).collect();
+            let mut bufs = vec![
+                x.clone(),
+                y.clone(),
+                w.clone(),
+                z.clone(),
+                d.clone(),
+                q.clone(),
+            ];
+            bufs.extend(std::iter::repeat_n(vec![0; threads], 4));
+            let want = launch_i64(&reference, threads, 1, &bufs);
+            let faults = zeros.iter().any(|&g| !partial || g % 3 != 1);
+            assert_eq!(want.0.is_err(), faults, "{what}: {:?}", want.0);
+            if let Err(e) = &want.0 {
+                assert_eq!(e, "scalar fault: division by zero", "{what}");
+            } else {
+                // Active lanes hold the assigned values; inactive lanes
+                // keep what they read.
+                let on = |g: usize| !partial || g % 3 != 1;
+                let pick = |g: usize, new: i64, old: i64| if on(g) { new } else { old };
+                let xs: Vec<i64> = (0..threads).map(|g| pick(g, x[g] + y[g], x[g])).collect();
+                let expect = [
+                    xs.clone(),
+                    (0..threads).map(|g| pick(g, w[g] * w[g], w[g])).collect(),
+                    (0..threads).map(|g| pick(g, 7, z[g])).collect(),
+                    (0..threads)
+                        .map(|g| {
+                            if on(g) {
+                                floor_div_i64(xs[g], d[g])
+                            } else {
+                                q[g]
+                            }
+                        })
+                        .collect(),
+                ]
+                .map(Buffer::I64);
+                assert_eq!(want.1[6..], expect, "{what}: reference registers");
+            }
+            for (engine, dk, host) in [
+                ("reference", &reference, 4),
+                ("warp", &warp, 1),
+                ("warp", &warp, 4),
+            ] {
+                let got = launch_i64(dk, threads, host, &bufs);
+                assert_eq!(got.0, want.0, "{what}: {engine} at {host} threads");
+                assert_eq!(got.1, want.1, "{what}: memory, {engine} at {host}");
+            }
+        }
+    }
+
+    #[test]
+    fn private_arrays_are_reused_like_fresh_ones() {
+        // Each thread fills array 0 with `gid * 10 + i + 1`, copies it
+        // into a zeroed array 1 of the same length when `gid` is even,
+        // and reallocates array 0 at the same length when `gid % 3 != 1`.
+        // Reading both back, the reallocating lanes see zeros and the
+        // others their old elements, as freshly allocated arrays give.
+        let gid = || KExp::GlobalId;
+        let elem = || KExp::Var(0);
+        let when = |m: i64, r: i64, then_s: Vec<KStm>| KStm::If {
+            cond: KExp::Cmp(
+                CmpOp::Ne,
+                Box::new(gid().rem(KExp::i64(m))),
+                Box::new(KExp::i64(r)),
+            ),
+            then_s,
+            else_s: vec![],
+        };
+        let alloc = |arr: usize| KStm::PrivAlloc {
+            arr,
+            elem: ScalarType::I64,
+            size: KExp::i64(4),
+        };
+        let read_back = |arr: usize, buf: usize| KStm::For {
+            var: 0,
+            bound: KExp::i64(4),
+            body: vec![
+                KStm::PrivRead {
+                    var: 1,
+                    arr,
+                    index: elem(),
+                },
+                KStm::GlobalWrite {
+                    buf,
+                    index: gid().mul(KExp::i64(4)).add(elem()),
+                    value: KExp::Var(1),
+                },
+            ],
+        };
+        let k = Kernel {
+            name: "reuse".into(),
+            params: vec![KParam::Buffer(ScalarType::I64); 2],
+            locals: vec![],
+            num_regs: 2,
+            num_priv: 2,
+            prov_table: vec![],
+            body: vec![
+                alloc(0),
+                KStm::For {
+                    var: 0,
+                    bound: KExp::i64(4),
+                    body: vec![KStm::PrivWrite {
+                        arr: 0,
+                        index: elem(),
+                        value: gid().mul(KExp::i64(10)).add(elem()).add(KExp::i64(1)),
+                    }],
+                },
+                alloc(1),
+                when(
+                    2,
+                    1,
+                    vec![KStm::PrivCopy {
+                        dst: 1,
+                        src: 0,
+                        len: KExp::i64(4),
+                    }],
+                ),
+                when(3, 1, vec![alloc(0)]),
+                read_back(0, 0),
+                read_back(1, 1),
+            ],
+        };
+        let threads = 300usize;
+        let old = |g: usize, i: usize| (g * 10 + i + 1) as i64;
+        let expect = |keep: fn(usize) -> bool| {
+            let v: Vec<i64> = (0..threads * 4)
+                .map(|at| if keep(at / 4) { old(at / 4, at % 4) } else { 0 })
+                .collect();
+            Buffer::I64(v)
+        };
+        let want = vec![expect(|g| g % 3 == 1), expect(|g| g % 2 == 0)];
+        let bufs = vec![vec![-1; threads * 4]; 2];
+        for (engine, dk) in &both_forms(&k) {
+            for host in [1, 4] {
+                let (got, after) = launch_i64(dk, threads, host, &bufs);
+                assert!(got.is_ok(), "{engine} at {host}: {got:?}");
+                assert_eq!(after, want, "{engine} at {host}");
+            }
+        }
+    }
+
+    #[test]
+    fn profiled_runs_charge_each_statement_to_its_innermost_site() {
+        // Site 0 wraps an assignment and a `while` whose body holds sites 1
+        // and 2; a read outside every marker is unattributed (site 3).
+        // The loop's condition, issued again after sites 1 and 2 ran, is
+        // still charged to site 0.
+        let init = KExp::i64(0);
+        let cond = KExp::Cmp(CmpOp::Lt, Box::new(KExp::Var(0)), Box::new(KExp::i64(3)));
+        let step = KExp::Var(0).add(KExp::i64(1));
+        let at = |prov: u32, body: Vec<KStm>| KStm::At { prov, body };
+        let k = Kernel {
+            name: "sites".into(),
+            params: vec![KParam::Buffer(ScalarType::I64)],
+            locals: vec![],
+            num_regs: 2,
+            num_priv: 0,
+            prov_table: (1..=3).map(Prov::line).collect(),
+            body: vec![
+                at(
+                    0,
+                    vec![
+                        KStm::Assign {
+                            var: 0,
+                            exp: init.clone(),
+                        },
+                        KStm::While {
+                            cond: cond.clone(),
+                            body: vec![
+                                at(
+                                    1,
+                                    vec![KStm::Assign {
+                                        var: 0,
+                                        exp: step.clone(),
+                                    }],
+                                ),
+                                at(
+                                    2,
+                                    vec![KStm::GlobalWrite {
+                                        buf: 0,
+                                        index: KExp::GlobalId,
+                                        value: KExp::Var(0),
+                                    }],
+                                ),
+                            ],
+                        },
+                    ],
+                ),
+                KStm::GlobalRead {
+                    var: 1,
+                    buf: 0,
+                    index: KExp::GlobalId,
+                },
+            ],
+        };
+        // One warp of 32 i64 lanes: 256 bytes, two 128-byte segments.
+        let issue = |e: &KExp| 1 + e.op_count();
+        let site = |warp_instructions: u64, accesses: u64| SiteStats {
+            warp_instructions,
+            global_transactions: 2 * accesses,
+            bus_bytes: 256 * accesses,
+            useful_bytes: 256 * accesses,
+            ..SiteStats::default()
+        };
+        let want = vec![
+            site(issue(&init) + 4 * issue(&cond), 0),
+            site(3 * issue(&step), 0),
+            site(3, 3),
+            site(1, 1),
+        ];
+        for (engine, dk) in &both_forms(&k) {
+            for host in [1, 4] {
+                let (got, _) = launch_i64(dk, 32, host, &[vec![0; 32]]);
+                let sites = got.unwrap().sites.expect("profiled");
+                assert_eq!(sites, want, "{engine} at {host}");
             }
         }
     }

@@ -15,9 +15,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// The bound: decoded kernels take at most this many times the heap
-/// bytes of their kernel trees (0.75x measured on the 16 paper programs,
-/// where register reads emit no instruction).
-const MAX_RATIO: f64 = 0.75;
+/// bytes of their kernel trees (0.63x measured on the 16 paper programs,
+/// where register reads emit no instruction and provenance markers are
+/// folded into the statements they wrap).
+const MAX_RATIO: f64 = 0.65;
 
 thread_local! {
     /// Whether this thread's allocations are being counted.
