@@ -1,13 +1,15 @@
 //! `profgate` — the profile-regression gate.
 //!
 //! Replays every benchmark (verification-sized datasets, GTX 780 Ti
-//! profile) with tracing and profiling on, snapshots the **deterministic**
+//! profile) with tracing on, snapshots the **deterministic**
 //! execution shape — kernel launches, transpositions, per-kernel cost
 //! counters, per-source-site counters, compile-side rewrite counters —
 //! and compares it against the committed baseline (`prof-baseline.json`
 //! at the workspace root).
-//! Wall-clock and modelled time are deliberately excluded: everything in
-//! the snapshot must reproduce bit-for-bit on any machine, so any
+//! Wall-clock time is deliberately excluded, and modelled time enters
+//! only as the per-kernel time decompositions and per-site shares, which
+//! fixed-order arithmetic derives from the integer counters: everything
+//! in the snapshot must reproduce bit-for-bit on any machine, so any
 //! difference is a real pipeline change, not noise.
 //!
 //! Usage: profgate check [--baseline FILE]     compare; non-zero on drift
@@ -31,7 +33,7 @@ struct Snapshot {
     mem: MemStats,
     /// Source site owning the peak footprint (from the memory timeline).
     peak_site: Option<String>,
-    /// The profiled run's counters per source site (`"?"` for work no
+    /// The run's counters per source site (`"?"` for work no
     /// site claims), so attribution by source line is pinned too.
     per_site: BTreeMap<String, SiteStats>,
     /// Per kernel: launches, merged counters, and the summed per-launch
@@ -122,10 +124,7 @@ fn measure() -> Result<BTreeMap<String, Snapshot>, String> {
             .run_with_opts(
                 futhark::Device::Gtx780,
                 &b.small_args,
-                RunOptions {
-                    profile: true,
-                    ..RunOptions::default()
-                },
+                RunOptions::default(),
             )
             .map_err(|e| format!("{}: run failed: {e}", b.name))?;
         let breakdowns = perf.kernel_breakdowns();

@@ -11,7 +11,7 @@
 //!   --diff OLD NEW      compare two archived trace JSONs and exit
 //!   --device <name>     gtx780 (default) or w8100
 //!   --small             run the verification-sized dataset
-//!   --annotate          profile per source line and print the annotated listing
+//!   --annotate          print the annotated listing (counters per source line)
 //!   --analyze           print the bottleneck analysis (limiter table,
 //!                       findings, memory timeline)
 //!   --roofline          print the per-kernel roofline placement
@@ -129,14 +129,8 @@ fn profile_one(b: &Benchmark, cfg: &Config) -> Result<(), String> {
         .compile(&b.source)
         .map_err(|e| format!("{}: compile failed: {e}", b.name))?;
     let args = if cfg.small { &b.small_args } else { &b.args };
-    // A profiled run when per-site counters feed the annotated listing or
-    // the analysis findings (divergence waste is per-site).
-    let opts = RunOptions {
-        profile: cfg.annotate || cfg.analyze,
-        ..RunOptions::default()
-    };
     let (_, perf) = compiled
-        .run_with_opts(cfg.device, args, opts)
+        .run_with_opts(cfg.device, args, RunOptions::default())
         .map_err(|e| format!("{}: run failed: {e}", b.name))?;
     println!(
         "{} ({}) on {:?}, {} dataset",

@@ -351,8 +351,8 @@ pub fn analyze(run: &PerfReport, device: &DeviceProfile) -> AnalysisReport {
             });
         }
     }
-    // Divergence waste per source site (profiled runs only): issue slots
-    // burned by masked-off lanes.
+    // Divergence waste per source site: issue slots burned by masked-off
+    // lanes.
     for (site, s) in &run.per_site {
         if s.warp_instructions > 0
             && s.inactive_lane_instructions * 4 > s.warp_instructions

@@ -331,11 +331,10 @@ pub struct Compiled {
 impl Compiled {
     /// Runs the program on a simulated device: a [`Device`] or any custom
     /// [`DeviceProfile`] (a server's per-device capacity model). The
-    /// [`RunOptions`] choose the host thread count and per-site
-    /// profiling, per call — never process-global state. Outputs and
-    /// every aggregate counter of the [`PerfReport`] are bit-identical
-    /// across every option combination; profiling only adds
-    /// [`PerfReport::per_site`].
+    /// [`RunOptions`] choose the host thread count, per call — never
+    /// process-global state. Outputs and every counter of the
+    /// [`PerfReport`] are bit-identical at every thread count, and every
+    /// run fills [`PerfReport::per_site`].
     ///
     /// # Errors
     ///

@@ -318,12 +318,12 @@ fn site_lines(key: &str) -> Vec<usize> {
 /// therefore computed against the per-site total (each site counted
 /// once) and line shares can sum past 100% in heavily fused programs.
 ///
-/// Requires a profiled run ([`crate::RunOptions::profile`]); with an
-/// empty `per_site` the listing carries a note instead of numbers.
+/// With an empty `per_site` (a run that launched no kernel) the listing
+/// carries a note instead of numbers.
 pub fn render_annotated(source: &str, run: &PerfReport) -> String {
     let mut out = String::from("== annotated source ==\n");
     if run.per_site.is_empty() {
-        out.push_str("(no per-site counters: run with profiling enabled)\n");
+        out.push_str("(no per-site counters: no launch was recorded)\n");
         for (i, line) in source.lines().enumerate() {
             let _ = writeln!(out, "{:>4} | {line}", i + 1);
         }

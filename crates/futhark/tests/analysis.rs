@@ -19,14 +19,6 @@ fn compile(src: &str, sched: Schedule) -> Compiled {
         .expect("compiles")
 }
 
-/// Execution options for a profiled run (per-site counters on).
-fn profiled() -> RunOptions {
-    RunOptions {
-        profile: true,
-        ..RunOptions::default()
-    }
-}
-
 /// The PR-4 acceptance program: row-sums over a [n][m] matrix. Without
 /// coalescing transformation every lane strides by `m`.
 const ROWSUM: &str = "fun main (n: i64) (m: i64) (xss: [n][m]f32): [n]f32 =\n\
@@ -46,7 +38,7 @@ fn rowsum_args(n: i64, m: i64) -> Vec<Value> {
 
 fn run(src: &str, sched: Schedule, args: &[Value]) -> futhark::PerfReport {
     let (_, perf) = compile(src, sched)
-        .run_with_opts(Device::Gtx780, args, profiled())
+        .run_with_opts(Device::Gtx780, args, RunOptions::default())
         .expect("runs");
     perf
 }
@@ -204,7 +196,7 @@ fn memory_timeline_balances_to_mem_stats_and_peaks_at_peak_bytes() {
 #[test]
 fn modelled_time_attribution_splits_launch_busy_time_across_sites() {
     let perf = run(ROWSUM, Schedule::default(), &rowsum_args(64, 32));
-    assert!(!perf.per_site.is_empty(), "profiled run has sites");
+    assert!(!perf.per_site.is_empty(), "the run has sites");
     let attributed: f64 = perf.per_site.values().map(|s| s.modelled_us).sum();
     assert!(attributed > 0.0, "some busy time is attributed");
     // Busy time = total kernel time minus launch overheads; attribution
@@ -269,7 +261,7 @@ fn strip_new_fields(j: &Json) -> Json {
 fn pre_analysis_traces_still_load_and_diff_shows_na() {
     let c = compile(ROWSUM, Schedule::default());
     let (_, perf) = c
-        .run_with_opts(Device::Gtx780, &rowsum_args(64, 32), profiled())
+        .run_with_opts(Device::Gtx780, &rowsum_args(64, 32), RunOptions::default())
         .expect("runs");
     let new_doc = prof::trace_json(c.report(), &perf);
     let old_doc = strip_new_fields(&new_doc);

@@ -1,7 +1,7 @@
 //! Source-level performance attribution, end to end: provenance
-//! preservation through the optimising pipeline, per-site profiled
-//! execution, the annotated/diff/Chrome renderers, and the JSON
-//! round-trips the archival formats rely on.
+//! preservation through the optimising pipeline, per-site counting, the
+//! annotated/diff/Chrome renderers, and the JSON round-trips the
+//! archival formats rely on.
 
 use futhark::{prof, Compiled, Compiler, Device, Json, RunOptions, Schedule, SiteStats};
 use futhark_core::{ArrayVal, Buffer, Value};
@@ -14,14 +14,6 @@ fn compile(src: &str, sched: Schedule) -> Compiled {
         .with_trace()
         .compile(src)
         .expect("compiles")
-}
-
-/// Execution options for a profiled run (per-site counters on).
-fn profiled() -> RunOptions {
-    RunOptions {
-        profile: true,
-        ..RunOptions::default()
-    }
 }
 
 // ---- provenance preservation ----
@@ -158,11 +150,11 @@ fn annotate_attributes_uncoalesced_traffic_to_the_offending_line() {
     ];
     let uncoalesced = compile(src, Schedule::default().with_coalescing(false));
     let (vals_u, perf_u) = uncoalesced
-        .run_with_opts(Device::Gtx780, &args, profiled())
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
         .expect("uncoalesced run");
     let coalesced = compile(src, Schedule::default());
     let (vals_c, perf_c) = coalesced
-        .run_with_opts(Device::Gtx780, &args, profiled())
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
         .expect("coalesced run");
     assert_eq!(vals_u, vals_c, "coalescing must not change results");
 
@@ -214,44 +206,30 @@ fn annotate_attributes_uncoalesced_traffic_to_the_offending_line() {
     );
 }
 
-// ---- non-perturbation and determinism ----
+// ---- every run counts per site, and determinism ----
 
 #[test]
-fn profiled_execution_is_a_pure_observer() {
-    let src = "fun main (n: i64) (m: i64) (xss: [n][m]f32): [n]f32 =\n\
-               let sums = map (\\(row: [m]f32) -> reduce (+) 0.0f32 row) xss\n\
-               in sums";
-    let args = vec![
-        Value::i64(32),
-        Value::i64(16),
-        Value::Array(ArrayVal::new(
-            vec![32, 16],
-            Buffer::F32((0..512).map(|i| i as f32).collect()),
-        )),
-    ];
-    let c = compile(src, Schedule::default());
-    let (plain_vals, plain) = c
-        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
-        .expect("plain run");
-    let (prof_vals, profiled) = c
-        .run_with_opts(Device::Gtx780, &args, profiled())
-        .expect("profiled run");
-    assert_eq!(plain_vals, prof_vals);
-    assert_eq!(plain.stats, profiled.stats, "aggregate counters unchanged");
-    assert_eq!(plain.launches, profiled.launches);
-    assert_eq!(plain.per_kernel, profiled.per_kernel);
-    assert!(plain.per_site.is_empty(), "plain runs carry no site stats");
-    assert!(!profiled.per_site.is_empty());
-    // Site counters decompose the aggregates: summed across sites they
-    // reproduce the whole-run transaction and byte counts exactly.
-    let sum_tx: u64 = profiled
-        .per_site
-        .values()
-        .map(|s| s.global_transactions)
-        .sum();
-    let sum_bus: u64 = profiled.per_site.values().map(|s| s.bus_bytes).sum();
-    assert_eq!(sum_tx, profiled.stats.global_transactions);
-    assert_eq!(sum_bus, profiled.stats.bus_bytes);
+fn every_paper_program_counts_per_site_and_the_sites_sum_to_its_stats() {
+    for b in futhark_bench::all_benchmarks() {
+        let c = compile(&b.source, Schedule::default());
+        let (_, perf) = c
+            .run_with_opts(Device::Gtx780, &b.small_args, RunOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        assert!(!perf.per_site.is_empty(), "{}: no site counters", b.name);
+        let mut sum = KernelStats {
+            threads: perf.stats.threads,
+            ..KernelStats::default()
+        };
+        for s in perf.per_site.values() {
+            sum.warp_instructions += s.warp_instructions;
+            sum.global_transactions += s.global_transactions;
+            sum.bus_bytes += s.bus_bytes;
+            sum.useful_bytes += s.useful_bytes;
+            sum.local_accesses += s.local_accesses;
+            sum.barriers += s.barriers;
+        }
+        assert_eq!(sum, perf.stats, "{}: sites do not sum to stats", b.name);
+    }
 }
 
 #[test]
@@ -269,7 +247,7 @@ fn profiled_runs_are_deterministic_across_repeats() {
     ];
     let run = |sched: Schedule| -> futhark::PerfReport {
         let c = compile(src, sched);
-        c.run_with_opts(Device::Gtx780, &args, profiled())
+        c.run_with_opts(Device::Gtx780, &args, RunOptions::default())
             .expect("runs")
             .1
     };
@@ -417,9 +395,9 @@ fn full_trace_document_round_trips_through_text() {
     ];
     let c = compile(src, Schedule::default());
     let (_, perf) = c
-        .run_with_opts(Device::Gtx780, &args, profiled())
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
         .expect("runs");
-    assert!(!perf.per_site.is_empty(), "profiled run populates per_site");
+    assert!(!perf.per_site.is_empty(), "every run populates per_site");
     let text = prof::trace_json(c.report(), &perf).render_pretty();
     let (compile_back, run_back) =
         prof::trace_from_json(&Json::parse(&text).expect("parses")).expect("decodes");
@@ -437,4 +415,14 @@ fn full_trace_document_round_trips_through_text() {
     )]))
     .is_none());
     assert!(futhark::PerfReport::from_json(&Json::Null).is_none());
+    // A present but malformed `mem` is rejected, not read as zeros.
+    let mut run_doc = perf.to_json();
+    if let Json::Obj(fields) = &mut run_doc {
+        for (k, v) in fields.iter_mut() {
+            if k == "mem" {
+                *v = Json::obj(vec![("allocs", Json::Str("x".to_string()))]);
+            }
+        }
+    }
+    assert!(futhark::PerfReport::from_json(&run_doc).is_none());
 }

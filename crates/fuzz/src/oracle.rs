@@ -2,7 +2,9 @@
 //! interpreter and through the compiled simulator on every device profile
 //! under every ablation configuration, and demand bit-identical results.
 //! Every simulator run is repeated on the per-lane reference engine,
-//! whose faults and counters must match the warp engine's too.
+//! whose faults and counters, per source site too, must match the warp
+//! engine's, and the bottleneck analysis of every run must keep its
+//! invariants.
 //!
 //! Because every configuration must compute the same function, *any*
 //! difference — a compile error in one configuration, a runtime fault, or
@@ -27,19 +29,15 @@ pub enum DivergenceKind {
     RunError,
     /// The simulator produced different output values.
     Mismatch,
-    /// Profiled execution perturbed the run: different output values or
-    /// different aggregate cost counters than the unprofiled run.
-    ProfilePerturbation,
     /// The bottleneck analysis broke an invariant: a launch whose time
-    /// decomposition disagrees with its recorded time, limiters that
-    /// differ between the profiled and unprofiled run of the same
-    /// program, or an [`futhark::AnalysisReport`] that fails its own
-    /// JSON round-trip. Analysis is derived data — any of these means it
-    /// perturbed or misread the run.
+    /// decomposition disagrees with its recorded time, or an
+    /// [`futhark::AnalysisReport`] that fails its own JSON round-trip.
+    /// Analysis is derived data — either means it misread the run.
     AnalysisPerturbation,
     /// The warp execution engine disagreed with the per-lane reference
     /// engine ([`futhark::Compiled::into_reference`]): different output
-    /// values, a different error, or different aggregate cost counters.
+    /// values, a different error, or different cost counters, in
+    /// aggregate or at a source site.
     /// The two engines implement the same SIMT semantics and must be
     /// observationally indistinguishable.
     WarpExecution,
@@ -66,7 +64,6 @@ impl std::fmt::Display for Divergence {
             DivergenceKind::CompileError => "compile error",
             DivergenceKind::RunError => "run error",
             DivergenceKind::Mismatch => "mismatch",
-            DivergenceKind::ProfilePerturbation => "profile perturbation",
             DivergenceKind::AnalysisPerturbation => "analysis perturbation",
             DivergenceKind::WarpExecution => "warp execution",
         };
@@ -142,68 +139,29 @@ fn compare(sides: [&str; 2], a: &[Value], b: &[Value]) -> Option<String> {
     None
 }
 
-/// How two runs' aggregate [`futhark::PerfReport`] counters (launches,
-/// transposes, whole-run kernel stats) differ, if they do.
+/// How two runs' [`futhark::PerfReport`] counters (launches, transposes,
+/// whole-run kernel stats, and each source site's counters and modelled
+/// time) differ, if they do.
 fn counters_differ(a: &futhark::PerfReport, b: &futhark::PerfReport) -> Option<String> {
-    (a.stats != b.stats || a.launches != b.launches || a.transposes != b.transposes).then(|| {
-        format!(
+    if a.stats != b.stats || a.launches != b.launches || a.transposes != b.transposes {
+        return Some(format!(
             "launches {} vs {}, transposes {} vs {}, stats {:?} vs {:?}",
             a.launches, b.launches, a.transposes, b.transposes, a.stats, b.stats
-        )
-    })
-}
-
-/// Compares a profiled re-run against the unprofiled run: the outputs
-/// must be bit-identical and the aggregate [`futhark::PerfReport`]
-/// counters (launches, transposes, whole-run kernel stats) unchanged —
-/// profiling is an observer, never a participant.
-fn check_profiled_run(
-    compiled: &futhark::Compiled,
-    device: Device,
-    dlabel: &str,
-    args: &[Value],
-    unprofiled: &[Value],
-    perf: &futhark::PerfReport,
-    sched: &Schedule,
-) -> Option<Divergence> {
-    let diverge = |detail: String| {
-        Some(Divergence {
-            config: format!("{}+profile", sched.describe()),
-            device: Some(dlabel.to_string()),
-            kind: DivergenceKind::ProfilePerturbation,
-            detail,
-        })
-    };
-    let profiled = RunOptions {
-        profile: true,
-        ..RunOptions::default()
-    };
-    match compiled.run_with_opts(device, args, profiled) {
-        Ok((got, pperf)) => {
-            if let Some(detail) = compare(["unprofiled", "profiled"], unprofiled, &got) {
-                return diverge(detail);
-            }
-            if let Some(d) = counters_differ(perf, &pperf) {
-                return diverge(format!("aggregate counters changed under profiling: {d}"));
-            }
-            if let Some(detail) = check_analysis(device, perf, &pperf) {
-                return Some(Divergence {
-                    config: format!("{}+analyze", sched.describe()),
-                    device: Some(dlabel.to_string()),
-                    kind: DivergenceKind::AnalysisPerturbation,
-                    detail,
-                });
-            }
-            None
-        }
-        Err(e) => diverge(format!("profiled run failed: {e}")),
+        ));
     }
+    let sites: std::collections::BTreeSet<&String> =
+        a.per_site.keys().chain(b.per_site.keys()).collect();
+    sites.into_iter().find_map(|k| {
+        let (x, y) = (a.per_site.get(k), b.per_site.get(k));
+        (x != y).then(|| format!("site {k}: {x:?} vs {y:?}"))
+    })
 }
 
 /// Re-runs the program on the per-lane reference engine (`reference`,
 /// from [`futhark::Compiled::into_reference`]) and demands bit-identical
-/// outputs — or the identical error — and identical aggregate
-/// [`futhark::PerfReport`] counters to the warp engine's run. The warp
+/// outputs — or the identical error — and identical
+/// [`futhark::PerfReport`] counters, per site too, to the warp engine's
+/// run. The warp
 /// engine is a pure execution-strategy change; any observable difference
 /// is a bug in its masking, fault ordering, register compilation or
 /// counter accounting.
@@ -241,83 +199,37 @@ fn check_warp_vs_reference(
     })
 }
 
-/// Checks that the bottleneck analysis layer is a pure observer of the
-/// run it describes. Invariants, all exact (no tolerances):
+/// Checks that the bottleneck analysis reads the run it describes
+/// faithfully. Invariants, both exact (no tolerances):
 ///
 /// 1. Every launch's recorded time decomposition reproduces its recorded
 ///    time bit-for-bit: `breakdown.total_us() == us`.
-/// 2. The per-kernel limiters and summed decompositions of the profiled
-///    and unprofiled runs are identical — enabling per-site profiling
-///    must not move a single modelled nanosecond.
-/// 3. The peak footprint and its owning site agree between the runs.
-/// 4. The [`futhark::AnalysisReport`] survives a JSON round-trip.
-fn check_analysis(
-    device: Device,
-    perf: &futhark::PerfReport,
-    pperf: &futhark::PerfReport,
-) -> Option<String> {
+/// 2. The [`futhark::AnalysisReport`] survives a JSON round-trip.
+fn check_analysis(device: Device, perf: &futhark::PerfReport) -> Option<String> {
     use futhark::TimelineEvent;
-    for (label, r) in [("unprofiled", perf), ("profiled", pperf)] {
-        for e in &r.timeline {
-            if let TimelineEvent::Launch(l) = e {
-                match l.breakdown {
-                    None => {
-                        return Some(format!("{label} launch of {} has no breakdown", l.kernel))
-                    }
-                    Some(bd) if bd.total_us() != l.us => {
-                        return Some(format!(
-                            "{label} launch of {}: breakdown total {:?} != recorded {:?} us",
-                            l.kernel,
-                            bd.total_us(),
-                            l.us
-                        ))
-                    }
-                    Some(_) => {}
+    for e in &perf.timeline {
+        if let TimelineEvent::Launch(l) = e {
+            match l.breakdown {
+                None => return Some(format!("launch of {} has no breakdown", l.kernel)),
+                Some(bd) if bd.total_us() != l.us => {
+                    return Some(format!(
+                        "launch of {}: breakdown total {:?} != recorded {:?} us",
+                        l.kernel,
+                        bd.total_us(),
+                        l.us
+                    ))
                 }
+                Some(_) => {}
             }
         }
     }
-    let profile = device.profile();
-    let a = futhark::analyze::analyze(perf, &profile);
-    let b = futhark::analyze::analyze(pperf, &profile);
-    if a.kernels.len() != b.kernels.len() {
-        return Some(format!(
-            "analysis sees {} kernels unprofiled vs {} profiled",
-            a.kernels.len(),
-            b.kernels.len()
-        ));
+    let report = futhark::analyze::analyze(perf, &device.profile());
+    let text = report.to_json().render();
+    let parsed = futhark::Json::parse(&text).ok();
+    match parsed.as_ref().and_then(futhark::AnalysisReport::from_json) {
+        Some(back) if back == report => None,
+        _ => Some("analysis report failed its JSON round-trip".to_string()),
     }
-    for (name, ka) in &a.kernels {
-        let Some(kb) = b.kernels.get(name) else {
-            return Some(format!("kernel {name} analysed only in the unprofiled run"));
-        };
-        if ka.limiter != kb.limiter || ka.breakdown != kb.breakdown {
-            return Some(format!(
-                "kernel {name}: limiter/breakdown changed under profiling: \
-                 {} {:?} vs {} {:?}",
-                ka.limiter, ka.breakdown, kb.limiter, kb.breakdown
-            ));
-        }
-    }
-    if a.peak_bytes != b.peak_bytes || a.peak_site != b.peak_site {
-        return Some(format!(
-            "peak attribution changed under profiling: {} B at {:?} vs {} B at {:?}",
-            a.peak_bytes, a.peak_site, b.peak_bytes, b.peak_site
-        ));
-    }
-    for (label, rep) in [("unprofiled", &a), ("profiled", &b)] {
-        let text = rep.to_json().render();
-        let parsed = futhark::Json::parse(&text).ok();
-        match parsed.as_ref().and_then(futhark::AnalysisReport::from_json) {
-            Some(back) if back == *rep => {}
-            _ => {
-                return Some(format!(
-                    "{label} analysis report failed its JSON round-trip"
-                ))
-            }
-        }
-    }
-    None
 }
 
 /// The schedule-sampling stage: compiles the program under `n` random
@@ -414,31 +326,20 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
                 })
             }
         };
-        // The warp runs first, each with its profiled re-run on the
-        // default configuration: profiled execution must be a pure
-        // observer, giving bit-identical outputs and identical aggregate
-        // cost counters. Its verdict is reported after the checks below,
-        // in their order.
+        // The warp runs go first: `into_reference` consumes `compiled`.
         let runs: Vec<_> = devices()
             .into_iter()
-            .map(|(device, dlabel)| {
-                let run = compiled
+            .map(|(device, _)| {
+                compiled
                     .run_with_opts(device, args, RunOptions::default())
-                    .map_err(|e| e.to_string());
-                let profiled = match &run {
-                    Ok((got, perf)) if sched.is_default() => {
-                        check_profiled_run(&compiled, device, dlabel, args, got, perf, &sched)
-                    }
-                    _ => None,
-                };
-                (run, profiled)
+                    .map_err(|e| e.to_string())
             })
             .collect();
         // The warp engine must be observationally indistinguishable from
         // the per-lane reference on every configuration: decode the
         // program once for the reference, re-run it on each device, and
         // demand identical outputs (or the identical fault) and identical
-        // aggregate counters.
+        // counters, in aggregate and per site.
         let per_lane = match compiled.into_reference() {
             Ok(r) => r,
             Err(e) => {
@@ -450,18 +351,26 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
                 })
             }
         };
-        for ((device, dlabel), (run, profiled)) in devices().into_iter().zip(runs) {
+        for ((device, dlabel), run) in devices().into_iter().zip(runs) {
             if let Some(d) = check_warp_vs_reference(&per_lane, device, dlabel, args, &run, &sched)
             {
                 return Outcome::Diverged(d);
             }
             match run {
-                Ok((got, _)) => {
+                Ok((got, perf)) => {
                     if let Some(detail) = compare(["interpreter", "simulator"], &reference, &got) {
                         return Outcome::Diverged(Divergence {
                             config: sched.describe(),
                             device: Some(dlabel.to_string()),
                             kind: DivergenceKind::Mismatch,
+                            detail,
+                        });
+                    }
+                    if let Some(detail) = check_analysis(device, &perf) {
+                        return Outcome::Diverged(Divergence {
+                            config: format!("{}+analyze", sched.describe()),
+                            device: Some(dlabel.to_string()),
+                            kind: DivergenceKind::AnalysisPerturbation,
                             detail,
                         });
                     }
@@ -474,9 +383,6 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
                         detail: e,
                     })
                 }
-            }
-            if let Some(d) = profiled {
-                return Outcome::Diverged(d);
             }
         }
     }
@@ -507,8 +413,8 @@ mod tests {
     fn compare_names_the_sides_it_is_given() {
         let one = [Value::i64(1)];
         let two = [Value::i64(2)];
-        let arity = compare(["unprofiled", "profiled"], &one, &[]).unwrap();
-        assert_eq!(arity, "result arity: unprofiled 1 vs profiled 0");
+        let arity = compare(["interpreter", "simulator"], &one, &[]).unwrap();
+        assert_eq!(arity, "result arity: interpreter 1 vs simulator 0");
         let value = compare(["reference", "warp engine"], &one, &two).unwrap();
         assert!(
             value.starts_with("result 0: reference ") && value.contains(" vs warp engine "),

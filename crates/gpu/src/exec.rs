@@ -16,7 +16,7 @@ use crate::sim::{
     self, Arg, BufId, DeviceMemory, KernelStats, Limiter, MemEvent, MemOp, MemStats, SimError,
     SiteStats, TimeBreakdown,
 };
-use crate::tape::{DecodedKernel, RunOptions, SimEngine};
+use crate::tape::{DecodedKernel, RunOptions};
 use futhark_core::traverse::free_in_exp;
 use futhark_core::{
     ArrayVal, Buffer, Exp, Name, PatElem, Program, Scalar, ScalarType, Size, SubExp, Type, Value,
@@ -280,9 +280,10 @@ pub struct PerfReport {
     /// increment; event durations sum to `total_us`).
     pub timeline: Vec<TimelineEvent>,
     /// Per-source-site counters, keyed by the site's line set (e.g. `"4"`,
-    /// `"4,7"`, or `"?"` for unattributed work). Populated only by profiled
-    /// runs ([`RunOptions::profile`]); empty otherwise and omitted from the
-    /// JSON form when empty.
+    /// `"4,7"`, or `"?"` for unattributed work). Every run fills it, and
+    /// summed over its sites each counter `stats` shares with
+    /// [`SiteStats`] equals `stats`' own. Each site's `modelled_us` is
+    /// its share of every launch's busy time, summed in launch order.
     pub per_site: BTreeMap<String, SiteStats>,
     /// Device-memory counters for the run: allocations, frees, slot and
     /// in-place reuses, hoisted writes, and the live/peak byte footprint.
@@ -344,7 +345,7 @@ impl PerfReport {
 
     /// Serialises to JSON.
     pub fn to_json(&self) -> Json {
-        let mut j = Json::obj(vec![
+        Json::obj(vec![
             ("total_us", Json::F64(self.total_us)),
             ("kernel_us", Json::F64(self.kernel_us)),
             ("device_op_us", Json::F64(self.device_op_us)),
@@ -375,21 +376,16 @@ impl PerfReport {
                 Json::Arr(self.timeline.iter().map(TimelineEvent::to_json).collect()),
             ),
             ("mem", self.mem.to_json()),
-        ]);
-        if !self.per_site.is_empty() {
-            if let Json::Obj(fields) = &mut j {
-                fields.push((
-                    "per_site".to_string(),
-                    Json::Obj(
-                        self.per_site
-                            .iter()
-                            .map(|(k, s)| (k.clone(), s.to_json()))
-                            .collect(),
-                    ),
-                ));
-            }
-        }
-        j
+            (
+                "per_site",
+                Json::Obj(
+                    self.per_site
+                        .iter()
+                        .map(|(k, s)| (k.clone(), s.to_json()))
+                        .collect(),
+                ),
+            ),
+        ])
     }
 
     /// Deserialises from JSON. Keys it does not know are ignored, such as
@@ -412,8 +408,8 @@ impl PerfReport {
             .iter()
             .map(TimelineEvent::from_json)
             .collect::<Option<Vec<_>>>()?;
-        // `per_site` is optional: unprofiled traces (and traces from before
-        // profiling existed) simply lack it.
+        // `per_site` is optional: traces from before every run counted per
+        // site may lack it.
         let mut per_site = BTreeMap::new();
         if let Some(ps) = j.get("per_site") {
             for (k, s) in ps.as_obj()? {
@@ -421,11 +417,11 @@ impl PerfReport {
             }
         }
         // `mem` is optional for the same reason: traces predating the
-        // memory planner lack it.
-        let mem = j
-            .get("mem")
-            .and_then(MemStats::from_json)
-            .unwrap_or_default();
+        // memory planner lack it. A malformed one is rejected.
+        let mem = match j.get("mem") {
+            Some(m) => MemStats::from_json(m)?,
+            None => MemStats::default(),
+        };
         Some(PerfReport {
             total_us: j.get("total_us")?.as_f64()?,
             kernel_us: j.get("kernel_us")?.as_f64()?,
@@ -582,10 +578,9 @@ impl DecodedPlan {
     }
 }
 
-/// Runs a compiled plan on the given device profile with explicit
-/// execution options (host worker threads, source-site profiling).
-/// Results and every aggregate counter of the [`PerfReport`] are
-/// bit-identical across every option combination.
+/// Runs a compiled plan on the given device profile on `opts.threads`
+/// host worker threads. Results and every counter of the [`PerfReport`],
+/// per-site ones included, are bit-identical at every thread count.
 ///
 /// `decoded` is the plan's kernels, decoded once when it was compiled
 /// ([`DecodedPlan::decode`]); a run only reads it, and its form picks the
@@ -1613,46 +1608,39 @@ impl<'a> Executor<'a> {
             &mut self.mem,
             &self.opts,
         )?;
-        let stats = if self.opts.profile {
-            let stats = out.stats;
-            let sites = out.sites.expect("profiled launch returns sites");
-            // Modelled-time attribution: the launch's busy time (total
-            // minus overhead) splits across sites in proportion to their
-            // share of whichever counter bound this launch.
-            let bd = sim::kernel_time_breakdown(self.device, &stats);
-            let busy = bd.total_us() - bd.overhead_us;
-            let limiting = |s: &SiteStats| match bd.limiter() {
-                Limiter::Compute => s.warp_instructions,
-                Limiter::Memory => s.bus_bytes,
-                Limiter::Local => s.local_accesses,
-            };
-            let denom = match bd.limiter() {
-                Limiter::Compute => stats.warp_instructions,
-                Limiter::Memory => stats.bus_bytes,
-                Limiter::Local => stats.local_accesses,
-            };
-            // Bucket by source-line key; the slot past the provenance table
-            // is the unattributed remainder (`Prov::none().key()` = "?").
-            for (i, s) in sites.iter().enumerate() {
-                if s.is_zero() {
-                    continue;
-                }
-                let mut s = *s;
-                if denom > 0 {
-                    s.modelled_us = busy * limiting(&s) as f64 / denom as f64;
-                }
-                let key = match self.plan.kernels[spec.kernel].prov_table.get(i) {
-                    Some(p) => p.key(),
-                    None => futhark_core::Prov::none().key(),
-                };
-                self.report.per_site.entry(key).or_default().merge(&s);
-            }
-            stats
-        } else {
-            out.stats
-        };
+        let stats = out.stats;
         let breakdown = sim::kernel_time_breakdown(self.device, &stats);
         let t = breakdown.total_us();
+        // Modelled-time attribution: the launch's busy time (total minus
+        // overhead) splits across sites in proportion to their share of
+        // whichever counter bound this launch.
+        let busy = t - breakdown.overhead_us;
+        let limiting = |s: &SiteStats| match breakdown.limiter() {
+            Limiter::Compute => s.warp_instructions,
+            Limiter::Memory => s.bus_bytes,
+            Limiter::Local => s.local_accesses,
+        };
+        let denom = match breakdown.limiter() {
+            Limiter::Compute => stats.warp_instructions,
+            Limiter::Memory => stats.bus_bytes,
+            Limiter::Local => stats.local_accesses,
+        };
+        // Bucket by source-line key; the slot past the provenance table
+        // is the unattributed remainder (`Prov::none().key()` = "?").
+        for (i, s) in out.sites.iter().enumerate() {
+            if s.is_zero() {
+                continue;
+            }
+            let mut s = *s;
+            if denom > 0 {
+                s.modelled_us = busy * limiting(&s) as f64 / denom as f64;
+            }
+            let key = match self.plan.kernels[spec.kernel].prov_table.get(i) {
+                Some(p) => p.key(),
+                None => futhark_core::Prov::none().key(),
+            };
+            self.report.per_site.entry(key).or_default().merge(&s);
+        }
         self.report.total_us += t;
         self.report.kernel_us += t;
         self.report.launches += 1;
@@ -1708,8 +1696,7 @@ impl<'a> Executor<'a> {
             })?;
         let opts = RunOptions {
             threads: 1,
-            profile: false,
-            engine: SimEngine::Warp,
+            ..self.opts
         };
         crate::tape::launch(self.device, dk, 1, &args, &mut self.mem, &opts)?;
         let bytes: f64 = parts.iter().map(|d| d.bytes() as f64).sum();

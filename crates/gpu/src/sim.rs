@@ -586,6 +586,24 @@ impl KernelStats {
         }
     }
 
+    /// A launch's counters: `threads`, and the sum of its per-site
+    /// buckets for every other field.
+    pub(crate) fn of_sites(threads: u64, sites: &[SiteStats]) -> KernelStats {
+        let mut k = KernelStats {
+            threads,
+            ..KernelStats::default()
+        };
+        for s in sites {
+            k.warp_instructions += s.warp_instructions;
+            k.global_transactions += s.global_transactions;
+            k.bus_bytes += s.bus_bytes;
+            k.useful_bytes += s.useful_bytes;
+            k.local_accesses += s.local_accesses;
+            k.barriers += s.barriers;
+        }
+        k
+    }
+
     /// Adds the counters of another launch into this one (used for
     /// per-kernel and whole-run aggregation).
     pub fn merge(&mut self, o: &KernelStats) {
@@ -627,11 +645,11 @@ impl KernelStats {
 }
 
 /// Cost counters for one *source site* (a [`Prov`](futhark_core::Prov) set
-/// from a kernel's provenance table), collected only in profiled execution
-/// mode. Mirrors [`KernelStats`] minus `threads`, plus the inactive-lane
-/// issue slots lost to divergence — tracked here and not in the aggregate
-/// counters, so enabling profiling cannot perturb [`KernelStats`] by
-/// construction.
+/// from a kernel's provenance table). Every launch counts into one bucket
+/// per site, and its [`KernelStats`] is the sum of the buckets plus
+/// `threads`. Mirrors [`KernelStats`] minus `threads`, plus the
+/// inactive-lane issue slots lost to divergence, which the aggregate does
+/// not carry.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SiteStats {
     /// Warp instruction issues attributed to this site.

@@ -83,9 +83,13 @@
 //! oracle hold the warp engine to. Both engines count global-memory
 //! transactions through one coalescer over the statement's index column,
 //! which takes a warp's segments as a shift of its indices (`Segments`)
-//! and counts a full warp's in one branch-free pass. Each decoded
-//! statement carries the source site a profiled run charges it to, so
-//! provenance markers cost nothing at run time.
+//! and counts a full warp's in one branch-free pass.
+//!
+//! Every count goes once, to the bucket of the current statement's source
+//! site ([`SiteStats`]); each decoded statement carries its site, so
+//! provenance markers cost nothing at run time. A launch's
+//! [`KernelStats`] is the sum of its buckets plus `threads`, so the site
+//! counters add up to the aggregate by construction.
 
 // Lane loops index several parallel per-lane arrays (mask, indices,
 // registers) by the same lane id; iterator rewrites obscure that.
@@ -334,8 +338,8 @@ impl WInstr {
 /// reads both operands before writing the destination). A register's
 /// column never enters the free list, so no instruction writes a
 /// register. Same tape, same assignment — always; nothing here depends
-/// on runtime state, which is what keeps profiled counters and the
-/// profgate baseline bit-for-bit.
+/// on runtime state, which is what keeps the counters and the profgate
+/// baseline bit-for-bit.
 ///
 /// The register form is appended to `out`, and the result is `(columns,
 /// result column)`: the columns the tape needs, `base` plus its
@@ -462,8 +466,8 @@ fn reg_compile(ops: &[EOp], base: u32, out: &mut Vec<WInstr>) -> Result<(u32, u3
     Ok((alloc.next, result))
 }
 
-/// A decoded statement: what it does, and the source site a profiled run
-/// charges its counters to. The site is an index into the kernel's
+/// A decoded statement: what it does, and the source site its counters
+/// are charged to. The site is an index into the kernel's
 /// provenance table, that of the innermost [`KStm::At`] marker around the
 /// statement, or the unattributed bucket just past the table for a
 /// statement outside every marker. Decode folds the markers into this
@@ -574,7 +578,7 @@ pub struct DecodedKernel {
     priv_class: Vec<ScalarType>,
     body: Box<[DStm]>,
     instrs: Instrs,
-    /// Per-site counter buckets of a profiled launch: one per entry of
+    /// Per-site counter buckets of a launch: one per entry of
     /// the kernel's [`Kernel::prov_table`] (the sites its statements
     /// name), plus the implicit "unattributed" bucket last.
     n_sites: usize,
@@ -894,6 +898,13 @@ impl<'k> Compiler<'k> {
     fn push_stms(&mut self, stms: &[KStm], out: &mut Vec<DStm>) -> SResult<()> {
         for s in stms {
             if let KStm::At { prov, body } = s {
+                // Every run indexes its site buckets by this number.
+                if *prov as usize >= self.kernel.prov_table.len() {
+                    return Err(self.malformed(format!(
+                        "marker names site {prov} of a {}-entry provenance table",
+                        self.kernel.prov_table.len()
+                    )));
+                }
                 let outer = std::mem::replace(&mut self.site, *prov);
                 self.push_stms(body, out)?;
                 self.site = outer;
@@ -1000,9 +1011,8 @@ impl DecodedKernel {
     ///
     /// Returns [`SimError::Scalar`] for kernels the static model rejects:
     /// a register or private array used at two different classes, operand
-    /// class mismatches, or argument kind confusion (these were dynamic
-    /// faults in the tree-walking simulator; well-typed codegen output
-    /// never triggers them).
+    /// class mismatches, or argument kind confusion (well-typed codegen
+    /// output never triggers them).
     pub fn decode(kernel: &Kernel) -> SResult<DecodedKernel> {
         Self::decode_to(kernel, true)
     }
@@ -1113,8 +1123,8 @@ impl DecodedKernel {
 // (double rounding in i64→f32, NaN/±inf/out-of-range in float→int).
 
 fn div_by_zero() -> SimError {
-    // Matches `InterpError::DivisionByZero`'s display, which the old
-    // tree-walking evaluator surfaced through `eval_binop`.
+    // Matches `InterpError::DivisionByZero`'s display, the error
+    // `eval_binop` reports.
     SimError::Scalar("division by zero".into())
 }
 
@@ -1573,11 +1583,10 @@ const MAX_WHILE_ITERATIONS: u64 = 100_000_000;
 /// (final value per written element — within-group ordering is already
 /// resolved, last write wins).
 struct GroupOut {
-    stats: KernelStats,
     writes: Overlays,
-    /// Per-site counters (profiled runs only); length is
-    /// `prov_table.len() + 1`, the last slot being the unattributed bucket.
-    sites: Option<Vec<SiteStats>>,
+    /// Per-site counters; length is `prov_table.len() + 1`, the last slot
+    /// being the unattributed bucket.
+    sites: Vec<SiteStats>,
 }
 
 struct GroupRun<'a> {
@@ -1622,11 +1631,10 @@ struct GroupRun<'a> {
     /// Warp engine: recycled copies of `icol` that hold each running
     /// `for` loop's trip counts while its body reuses `icol`.
     bounds_pool: Vec<Vec<i64>>,
-    stats: KernelStats,
-    /// Per-site counters, allocated only in profiled runs.
-    sites: Option<Vec<SiteStats>>,
-    /// The site a profiled run's counters go to: each statement's own,
-    /// set before it counts anything.
+    /// The group's counters, one bucket per source site.
+    sites: Vec<SiteStats>,
+    /// The bucket counters go to: each statement's own site, set before
+    /// it counts anything.
     cur_site: usize,
 }
 
@@ -2164,37 +2172,27 @@ impl<'a> GroupRun<'a> {
         index_i64(tape.class, bits)
     }
 
-    /// The current site's counters, if this is a profiled run.
+    /// The current statement's counters.
     #[inline]
-    fn site(&mut self) -> Option<&mut SiteStats> {
-        let i = self.cur_site;
-        self.sites.as_mut().map(|s| &mut s[i])
+    fn site(&mut self) -> &mut SiteStats {
+        &mut self.sites[self.cur_site]
     }
 
-    /// Counts the warp issue cost for one statement over a mask.
+    /// Counts the warp issue cost for one statement over a mask, and the
+    /// issue slots of lanes masked off in warps that still issue: the
+    /// divergence waste.
     fn issue(&mut self, mask: &[bool], ops: u64) {
-        let mut warps = 0u64;
+        let (mut warps, mut inactive) = (0u64, 0u64);
         for chunk in mask.chunks(self.warp_size) {
-            if chunk.iter().any(|&b| b) {
+            let active = chunk.iter().filter(|&&b| b).count() as u64;
+            if active > 0 {
                 warps += 1;
+                inactive += chunk.len() as u64 - active;
             }
         }
-        self.stats.warp_instructions += warps * (1 + ops);
-        if self.sites.is_some() {
-            // Inactive-lane slots: lanes masked off in warps that still
-            // issue — the divergence waste. Counted per site only, so the
-            // aggregate stats are identical with and without profiling.
-            let mut inactive = 0u64;
-            for chunk in mask.chunks(self.warp_size) {
-                let active = chunk.iter().filter(|&&b| b).count() as u64;
-                if active > 0 {
-                    inactive += chunk.len() as u64 - active;
-                }
-            }
-            let s = self.site().expect("profiled run");
-            s.warp_instructions += warps * (1 + ops);
-            s.inactive_lane_instructions += inactive * (1 + ops);
-        }
+        let s = self.site();
+        s.warp_instructions += warps * (1 + ops);
+        s.inactive_lane_instructions += inactive * (1 + ops);
     }
 
     /// Charges the group's private storage for lane `lane`'s array `arr`
@@ -2238,14 +2236,10 @@ impl<'a> GroupRun<'a> {
             useful += u;
         }
         let bus = tx * self.transaction_bytes;
-        self.stats.global_transactions += tx;
-        self.stats.bus_bytes += bus;
-        self.stats.useful_bytes += useful;
-        if let Some(s) = self.site() {
-            s.global_transactions += tx;
-            s.bus_bytes += bus;
-            s.useful_bytes += useful;
-        }
+        let s = self.site();
+        s.global_transactions += tx;
+        s.bus_bytes += bus;
+        s.useful_bytes += useful;
     }
 
     fn exec(&mut self, stms: &[DStm], mask: &[bool]) -> SResult<()> {
@@ -2478,10 +2472,7 @@ impl<'a> GroupRun<'a> {
                             kernel: self.dk.name.clone(),
                         });
                     }
-                    self.stats.barriers += 1;
-                    if let Some(s) = self.site() {
-                        s.barriers += 1;
-                    }
+                    self.site().barriers += 1;
                     self.issue(mask, 0);
                 }
             }
@@ -2496,13 +2487,9 @@ impl<'a> GroupRun<'a> {
     /// O(1) warp-issue accounting from the mask's precomputed meta;
     /// counter-identical to [`GroupRun::issue`] over `mask.on`.
     fn issue_w(&mut self, mask: &WMask, ops: u64) {
-        self.stats.warp_instructions += mask.warps * (1 + ops);
-        if self.sites.is_some() {
-            let (warps, inactive) = (mask.warps, mask.inactive);
-            let s = self.site().expect("profiled run");
-            s.warp_instructions += warps * (1 + ops);
-            s.inactive_lane_instructions += inactive * (1 + ops);
-        }
+        let s = self.site();
+        s.warp_instructions += mask.warps * (1 + ops);
+        s.inactive_lane_instructions += mask.inactive * (1 + ops);
     }
 
     /// A recycled lane-sized mask buffer (all false).
@@ -2613,10 +2600,7 @@ impl<'a> GroupRun<'a> {
 
     /// Counts `n` local-memory accesses.
     fn count_local(&mut self, n: u64) {
-        self.stats.local_accesses += n;
-        if let Some(s) = self.site() {
-            s.local_accesses += n;
-        }
+        self.site().local_accesses += n;
     }
 
     /// Copies column `src` into register `dst` for the mask's active
@@ -3104,10 +3088,7 @@ impl<'a> GroupRun<'a> {
                             kernel: self.dk.name.clone(),
                         });
                     }
-                    self.stats.barriers += 1;
-                    if let Some(s) = self.site() {
-                        s.barriers += 1;
-                    }
+                    self.site().barriers += 1;
                     self.issue_w(mask, 0);
                 }
             }
@@ -3117,7 +3098,8 @@ impl<'a> GroupRun<'a> {
 }
 
 /// Runs one work-group against the shared memory snapshot and returns its
-/// stats and write log, on the engine the kernel's decoded form picks.
+/// per-site counters and write log, on the engine the kernel's decoded
+/// form picks.
 #[allow(clippy::too_many_arguments)]
 fn run_group(
     dk: &DecodedKernel,
@@ -3129,7 +3111,6 @@ fn run_group(
     group_id: u64,
     lanes: usize,
     num_threads: u64,
-    profile: bool,
 ) -> SResult<GroupOut> {
     let n_sites = dk.n_sites;
     let reference = matches!(dk.instrs, Instrs::Postfix(_));
@@ -3155,8 +3136,7 @@ fn run_group(
         icol: vec![0i64; lanes],
         mask_pool: Vec::new(),
         bounds_pool: Vec::new(),
-        stats: KernelStats::default(),
-        sites: profile.then(|| vec![SiteStats::default(); n_sites]),
+        sites: vec![SiteStats::default(); n_sites],
         cur_site: n_sites - 1,
     };
     if reference {
@@ -3167,7 +3147,6 @@ fn run_group(
         run.wexec(&dk.body, &mask)?;
     }
     Ok(GroupOut {
-        stats: run.stats,
         writes: run.writes,
         sites: run.sites,
     })
@@ -3179,7 +3158,7 @@ fn run_group(
 
 /// Evaluates a local-buffer size expression, which must be uniform across
 /// the group: built from constants, `GroupSize`, scalar arguments, and
-/// binary operators (all at i64, as in the tree-walking simulator).
+/// binary operators, all at i64.
 fn eval_uniform(e: &KExp, group_size: u64, scalars: &[Option<Scalar>]) -> SResult<i64> {
     match e {
         KExp::Const(k) => k
@@ -3211,9 +3190,7 @@ fn eval_uniform(e: &KExp, group_size: u64, scalars: &[Option<Scalar>]) -> SResul
 /// machine's available parallelism. Read from the environment on every
 /// call — this is a *default-only fallback*, consulted when building
 /// [`RunOptions`] defaults; explicit per-request overrides
-/// always win. (It used to be latched in a `OnceLock`, which pinned the
-/// first caller's snapshot for the life of the process — fatal in a
-/// long-lived daemon serving requests with differing settings.)
+/// always win.
 pub fn host_threads() -> usize {
     match std::env::var("FUTHARK_SIM_THREADS") {
         Ok(v) => v
@@ -3249,11 +3226,9 @@ pub enum SimEngine {
 pub struct RunOptions {
     /// Host worker threads for parallel group execution (`1` = sequential).
     pub threads: usize,
-    /// Collect per-source-site counters ([`LaunchOut::sites`], and the
-    /// run's `PerfReport::per_site`). Off by default; the aggregate
-    /// counters are bit-identical either way (per-site counters are
-    /// accumulated separately and never feed back into execution or the
-    /// [`KernelStats`] totals).
+    /// Changes nothing: every run counts per source site, and no code
+    /// reads it. The benchmark's adapter still sets it; the next change
+    /// to the benchmark deletes it.
     pub profile: bool,
     /// Selects nothing: its only value is [`SimEngine::Warp`] and no code
     /// reads it. The benchmark's adapter still sets it; the next change
@@ -3271,15 +3246,17 @@ impl Default for RunOptions {
     }
 }
 
-/// Everything one launch produced: the aggregate counters, and per-site
-/// buckets when profiled.
+/// Everything one launch produced: its counters per source site, and the
+/// aggregate they sum to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchOut {
-    /// Aggregate execution counters (bit-identical across engines, thread
-    /// counts, and profiling).
+    /// Aggregate execution counters: `threads`, and the sum of `sites`
+    /// for every other field (bit-identical across engines and thread
+    /// counts).
     pub stats: KernelStats,
-    /// Per-site counters, present only on profiled launches.
-    pub sites: Option<Vec<SiteStats>>,
+    /// Per-site counters: one per entry of the kernel's
+    /// [`Kernel::prov_table`], then the unattributed bucket.
+    pub sites: Vec<SiteStats>,
 }
 
 /// Minimum group count before spawning worker threads: below this the
@@ -3288,13 +3265,13 @@ const PAR_MIN_GROUPS: u64 = 2;
 
 /// Launches a pre-decoded kernel over `num_threads` threads, executing
 /// independent work-groups on up to `opts.threads` host threads, and
-/// bucketing counters by source site when `opts.profile` is set (the
-/// decoded kernel's provenance table; the extra final slot is the
-/// unattributed bucket). The kernel runs on the warp engine if it was
-/// decoded by [`DecodedKernel::decode`], and on the per-lane reference
-/// engine if by [`DecodedKernel::reference`]. Results — device memory,
-/// the returned [`KernelStats`], and any error — are bit-identical for
-/// every thread count, engine and profiling choice (see the module docs
+/// bucketing counters by source site (the decoded kernel's provenance
+/// table; the extra final slot is the unattributed bucket). The kernel
+/// runs on the warp engine if it was decoded by
+/// [`DecodedKernel::decode`], and on the per-lane reference engine if by
+/// [`DecodedKernel::reference`]. Results — device memory, the returned
+/// counters, and any error — are bit-identical for every thread count
+/// and engine (see the module docs
 /// for the memory model that guarantees this). The kernel is decoded
 /// once, ahead of any launch (a compiled program decodes all of its
 /// kernels at compile time, [`crate::exec::DecodedPlan`]), and a launch
@@ -3314,9 +3291,7 @@ pub fn launch(
     mem: &mut DeviceMemory,
     opts: &RunOptions,
 ) -> SResult<LaunchOut> {
-    let &RunOptions {
-        threads, profile, ..
-    } = opts;
+    let threads = opts.threads;
     // Tapes index the arguments by parameter position.
     if args.len() != dk.params.len() {
         return Err(SimError::Malformed {
@@ -3403,7 +3378,6 @@ pub fn launch(
             g,
             lanes,
             num_threads,
-            profile,
         ))
     };
 
@@ -3446,23 +3420,17 @@ pub fn launch(
     // Commit in ascending group order: write logs are applied and counters
     // merged deterministically, and the lowest faulting group's error wins
     // with exactly its predecessors' writes committed.
-    let mut stats = KernelStats {
-        threads: num_threads,
-        ..KernelStats::default()
-    };
-    let mut sites = profile.then(|| vec![SiteStats::default(); dk.n_sites]);
+    let mut sites = vec![SiteStats::default(); dk.n_sites];
     for out in outs.into_iter().flatten() {
         let out = out?;
         for (bid, win) in &out.writes.0 {
             win.commit(mem.raw_mut(*bid));
         }
-        stats.merge(&out.stats);
-        if let (Some(total), Some(group)) = (&mut sites, &out.sites) {
-            for (t, g) in total.iter_mut().zip(group) {
-                t.merge(g);
-            }
+        for (t, g) in sites.iter_mut().zip(&out.sites) {
+            t.merge(g);
         }
     }
+    let stats = KernelStats::of_sites(num_threads, &sites);
     Ok(LaunchOut { stats, sites })
 }
 
@@ -3472,7 +3440,7 @@ mod tests {
     use crate::kernel::{KParam, KStm};
     use futhark_core::Prov;
 
-    /// Unprofiled, on `threads` host threads.
+    /// On `threads` host threads.
     fn threads_only(threads: usize) -> RunOptions {
         RunOptions {
             threads,
@@ -3675,6 +3643,35 @@ mod tests {
             ],
         };
         assert!(DecodedKernel::decode(&k).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_markers_past_the_provenance_table() {
+        let k = Kernel {
+            name: "stray".into(),
+            params: vec![],
+            locals: vec![],
+            num_regs: 1,
+            num_priv: 0,
+            prov_table: vec![Prov::line(1)],
+            body: vec![KStm::At {
+                prov: 1,
+                body: vec![KStm::Assign {
+                    var: 0,
+                    exp: KExp::i64(1),
+                }],
+            }],
+        };
+        for (engine, got) in [
+            ("reference", DecodedKernel::reference(&k)),
+            ("warp", DecodedKernel::decode(&k)),
+        ] {
+            assert!(
+                matches!(got, Err(SimError::Malformed { ref kernel, .. }) if kernel == "stray"),
+                "{engine}: {:?}",
+                got.err()
+            );
+        }
     }
 
     #[test]
@@ -4811,11 +4808,7 @@ mod tests {
                         up(&data),
                         up(&vec![0; threads]),
                     ];
-                    let opts = RunOptions {
-                        threads: host,
-                        profile: true,
-                        ..RunOptions::default()
-                    };
+                    let opts = threads_only(host);
                     let got = launch(&dev, dk, threads as u64, &args, &mut mem, &opts)
                         .map(|out| (out.stats, out.sites))
                         .map_err(|e| e.to_string());
@@ -4858,7 +4851,7 @@ mod tests {
     }
 
     /// Launches `dk` over `threads` threads on `host` host threads,
-    /// profiled, with one i64 buffer argument per entry of `bufs`, and
+    /// with one i64 buffer argument per entry of `bufs`, and
     /// returns the launch's counters or error and every buffer afterwards.
     fn launch_i64(
         dk: &DecodedKernel,
@@ -4871,18 +4864,13 @@ mod tests {
             .iter()
             .map(|v| Arg::Buffer(mem.upload(Buffer::I64(v.clone())).unwrap()))
             .collect();
-        let opts = RunOptions {
-            threads: host,
-            profile: true,
-            ..RunOptions::default()
-        };
         let got = launch(
             &DeviceProfile::gtx780(),
             dk,
             threads as u64,
             &args,
             &mut mem,
-            &opts,
+            &threads_only(host),
         )
         .map_err(|e| e.to_string());
         let after = args
@@ -5196,8 +5184,13 @@ mod tests {
         for (engine, dk) in &both_forms(&k) {
             for host in [1, 4] {
                 let (got, _) = launch_i64(dk, 32, host, &[vec![0; 32]]);
-                let sites = got.unwrap().sites.expect("profiled");
-                assert_eq!(sites, want, "{engine} at {host}");
+                let out = got.unwrap();
+                assert_eq!(out.sites, want, "{engine} at {host}");
+                assert_eq!(
+                    out.stats,
+                    KernelStats::of_sites(32, &want),
+                    "{engine} at {host}"
+                );
             }
         }
     }

@@ -573,7 +573,7 @@ impl Daemon {
         let device = &self.inner.cfg.devices[dev_idx];
         let opts = RunOptions {
             threads: r.threads,
-            profile: r.profile,
+            profile: false,
             engine: SimEngine::Warp,
         };
         let target = device.clone();

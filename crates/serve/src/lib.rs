@@ -24,8 +24,8 @@
 //!    `OutOfMemory` run error instead of growing the host, and what it
 //!    asked for is learned, so the next submission is rejected up front.
 //!
-//! 3. **No process-global state.** Thread counts and profiling are
-//!    per-request ([`futhark::RunOptions`]), and every counter is
+//! 3. **No process-global state.** Thread counts are per-request
+//!    ([`futhark::RunOptions`]), and every counter is
 //!    per-run ([`futhark::PerfReport`]) — the daemon is the reason those
 //!    moved off `OnceLock`s and process-wide atomics.
 //!

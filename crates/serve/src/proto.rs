@@ -86,8 +86,6 @@ pub struct RunRequest {
     /// Host worker threads for group execution (default 1 — a server
     /// parallelises across jobs, not within them).
     pub threads: usize,
-    /// Whether to collect per-site profile counters.
-    pub profile: bool,
 }
 
 /// One timed stage of a job's lifecycle.
@@ -401,20 +399,12 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
                     format!("run: unknown engine {other:?} (only \"warp\" exists)"),
                 ));
             }
-            let profile = match j.get("profile") {
-                None => false,
-                Some(Json::Bool(p)) => *p,
-                Some(_) => {
-                    return Err((id, "run: \"profile\" must be true or false".to_string()));
-                }
-            };
             Ok(Request::Run(Box::new(RunRequest {
                 id,
                 source,
                 args,
                 schedule,
                 threads,
-                profile,
             })))
         }
         other => Err((id, format!("unknown op {other:?}"))),
@@ -550,7 +540,6 @@ mod tests {
             Request::Run(r) => {
                 assert_eq!(r.id, "j1");
                 assert_eq!(r.threads, 1);
-                assert!(!r.profile);
                 assert!(r.schedule.is_default());
                 assert_eq!(r.args, vec![Value::i64(5)]);
             }
@@ -605,17 +594,14 @@ mod tests {
         // (request line, the field a rejection must name; None = accepted)
         let cases = [
             (run(r#""engine":"warp""#), None),
-            (run(r#""profile":true"#), None),
-            (run(r#""profile":false"#), None),
+            // `profile` is not a field: ignored like any unknown key.
+            (run(r#""profile":"yes""#), None),
             (metrics(r#""format":"chrome""#), None),
             (run(r#""engine":"lane""#), Some("engine")),
             (run(r#""engine":"gpu""#), Some("engine")),
             (run(r#""engine":5"#), Some("engine")),
             (run(r#""engine":null"#), Some("engine")),
             (run(r#""engine":["warp"]"#), Some("engine")),
-            (run(r#""profile":"yes""#), Some("profile")),
-            (run(r#""profile":1"#), Some("profile")),
-            (run(r#""profile":null"#), Some("profile")),
             (metrics(r#""format":5"#), Some("format")),
             (metrics(r#""format":null"#), Some("format")),
             (metrics(r#""format":"xml""#), Some("format")),

@@ -83,7 +83,6 @@ fn combine_and_kernel_counts_are_pinned() {
 fn opts() -> RunOptions {
     RunOptions {
         threads: 2,
-        profile: false,
         ..RunOptions::default()
     }
 }

@@ -27,7 +27,6 @@ fn compile_and_args() -> (futhark::Compiled, Vec<Value>) {
 fn run(compiled: &futhark::Compiled, args: &[Value], threads: usize) -> (Vec<Value>, PerfReport) {
     let opts = RunOptions {
         threads,
-        profile: false,
         ..RunOptions::default()
     };
     compiled

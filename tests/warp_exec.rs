@@ -116,7 +116,6 @@ fn run_launch(
     let args = setup(&mut mem);
     let opts = RunOptions {
         threads,
-        profile: false,
         ..RunOptions::default()
     };
     let stats = launch(&device, &dk, num_threads, &args, &mut mem, &opts)
