@@ -1683,8 +1683,6 @@ impl<'a> Executor<'a> {
             .map(|p| self.array(p))
             .collect::<EResult<_>>()?;
         let t = parts[0].shape[0];
-        // The fold kernel's counters are not part of the modelled run: the
-        // combine is charged below as one small device op.
         let args = self.kernel_args(args, t as u64, &[])?;
         let decoded: &'a DecodedPlan = self.decoded;
         let dk = decoded
@@ -1694,11 +1692,11 @@ impl<'a> Executor<'a> {
             .ok_or_else(|| {
                 ExecError::Plan(format!("fold kernel `{}` was not decoded", kernel.name))
             })?;
-        let opts = RunOptions {
-            threads: 1,
-            ..self.opts
-        };
-        crate::tape::launch(self.device, dk, 1, &args, &mut self.mem, &opts)?;
+        // One thread is one work-group of one lane, so the fold runs on
+        // the one-lane path with one worker at any thread count. Its
+        // counters are discarded: the combine is charged below as one
+        // small device op.
+        crate::tape::launch(self.device, dk, 1, &args, &mut self.mem, &self.opts)?;
         let bytes: f64 = parts.iter().map(|d| d.bytes() as f64).sum();
         let t_us = self.device.launch_overhead_us
             + self.device.memory_us(bytes)

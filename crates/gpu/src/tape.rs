@@ -85,6 +85,21 @@
 //! which takes a warp's segments as a shift of its indices (`Segments`)
 //! and counts a full warp's in one branch-free pass.
 //!
+//! A work-group of one lane has nothing to spread a column's fixed costs
+//! over, so the warp engine runs it on its **one-lane path**: every
+//! stage-2 fold (a one-thread launch), and the tail group of a launch one
+//! thread past a multiple of the group size. The lane count alone selects
+//! it; no option does. The path walks the decoded statements once on the
+//! group's register file, where column `c` is just `regs[c]`, and
+//! evaluates each register-form instruction with the scalar functions the
+//! reference uses (`bin_bits`, `cmp_bits`, `eval_unop`, `eval_convert`),
+//! with no mask, column loop, fault scan or index column. A lone lane is
+//! always a full warp, so it writes, faults and counts exactly as the
+//! column path does at one lane: each statement charges `1 + cost` warp
+//! instructions to its site, each global access one transaction,
+//! `transaction_bytes` of bus and the element's useful bytes, and each
+//! error is the one the column path reports.
+//!
 //! Every count goes once, to the bucket of the current statement's source
 //! site ([`SiteStats`]); each decoded statement carries its site, so
 //! provenance markers cost nothing at run time. A launch's
@@ -1781,6 +1796,33 @@ fn first_fault(
     unreachable!("a column scan found a fault that no active lane holds")
 }
 
+/// The bits of scalar launch argument `arg`, or the fault of a launch
+/// that passed a buffer where the kernel reads a scalar.
+#[inline]
+fn scalar_arg(scalar_bits: &[Option<u64>], arg: u32) -> SResult<u64> {
+    scalar_bits[arg as usize]
+        .ok_or_else(|| SimError::Scalar(format!("argument {arg} is not a scalar")))
+}
+
+/// What one lane's tape evaluation gives on the one-lane path: the result
+/// bits, or the lane's fault (a zero divisor, a failing unop or
+/// conversion), which its statement reports in the per-lane engine's
+/// order.
+type LaneBits = Result<u64, SimError>;
+
+/// The rest of a tape after the lone lane faulted: the warp engine runs
+/// it through, skipping the faulted lane, so a missing scalar argument
+/// after the fault is the error it reports; otherwise it is the fault.
+#[cold]
+fn after_fault(rest: &[WInstr], scalar_bits: &[Option<u64>], e: SimError) -> SResult<LaneBits> {
+    for &ins in rest {
+        if let WInstr::ScalarArg { arg, .. } = ins {
+            scalar_arg(scalar_bits, arg)?;
+        }
+    }
+    Ok(Err(e))
+}
+
 /// Stores `bits(l)` into a register's column for the mask's active
 /// lanes; masked-off lanes keep their values. `bits` is only called for
 /// active lanes.
@@ -2220,6 +2262,42 @@ impl<'a> GroupRun<'a> {
         Ok(())
     }
 
+    /// Gives lane `lane`'s private array `arr` `n` zeroed elements,
+    /// charged by [`GroupRun::reserve_private`]. An array that already
+    /// has `n` elements is zeroed in place: it is charged, and holds,
+    /// exactly `n` elements.
+    fn alloc_private(&mut self, arr: usize, lane: usize, n: usize) -> SResult<()> {
+        self.reserve_private(arr, lane, n)?;
+        let p = &mut self.privs[arr * self.lanes + lane];
+        if p.len() == n {
+            p.fill(0);
+        } else {
+            *p = vec![0u64; n];
+        }
+        Ok(())
+    }
+
+    /// Makes lane `lane`'s private array `dst` a copy of the first `n`
+    /// elements of its array `src`, charged by
+    /// [`GroupRun::reserve_private`], in place when `dst` already has `n`
+    /// elements.
+    fn copy_private(&mut self, dst: usize, src: usize, lane: usize, n: usize) -> SResult<()> {
+        let (s, d) = (src * self.lanes + lane, dst * self.lanes + lane);
+        let have = self.privs[s].len();
+        if n > have {
+            return Err(self.oob(format!("private copy {n} of len {have}")));
+        }
+        self.reserve_private(dst, lane, n)?;
+        if self.privs[d].len() != n {
+            self.privs[d] = self.privs[s][..n].to_vec();
+        } else if s != d {
+            let mut to = std::mem::take(&mut self.privs[d]);
+            to.copy_from_slice(&self.privs[s][..n]);
+            self.privs[d] = to;
+        }
+        Ok(())
+    }
+
     /// Counts memory transactions for a warp-grouped global access using
     /// the per-lane indices in `self.icol`: per warp, the number of
     /// distinct aligned segments its active lanes touch
@@ -2521,7 +2599,10 @@ impl<'a> GroupRun<'a> {
     }
 
     /// Converts a tape's integer result column into `self.icol`: one class
-    /// dispatch, then a dense loop.
+    /// dispatch, then a dense loop. Marked inline so that whether the
+    /// statement loop inlines it does not depend on how the crate's code
+    /// is split into codegen units.
+    #[inline]
     fn index_column(&mut self, tape: &Tape) {
         let r = tape.result as usize * self.lanes;
         let bits = &self.regs[r..r + self.lanes];
@@ -2693,9 +2774,7 @@ impl<'a> GroupRun<'a> {
                     // A missing scalar argument faults every lane alike;
                     // the per-lane engine reported it at the first active
                     // lane, before any other lane's checks could run.
-                    let bits = scalar_bits[arg as usize].ok_or_else(|| {
-                        SimError::Scalar(format!("argument {arg} is not a scalar"))
-                    })?;
+                    let bits = scalar_arg(scalar_bits, arg)?;
                     fill1!(dst, |_l| bits)
                 }
                 WInstr::Bin { op, t, dst, a, b } => {
@@ -2861,16 +2940,7 @@ impl<'a> GroupRun<'a> {
                         if let Some(e) = tf.take(l) {
                             return Err(e);
                         }
-                        let n = self.icol[l].max(0) as usize;
-                        self.reserve_private(*arr, l, n)?;
-                        // An array of the same length is zeroed in place:
-                        // it is charged, and holds, exactly `n` elements.
-                        let p = &mut self.privs[*arr * lanes + l];
-                        if p.len() == n {
-                            p.fill(0);
-                        } else {
-                            *p = vec![0u64; n];
-                        }
+                        self.alloc_private(*arr, l, self.icol[l].max(0) as usize)?;
                     }
                 }
                 DKind::PrivRead { reg, arr, index } => {
@@ -2933,21 +3003,7 @@ impl<'a> GroupRun<'a> {
                         if let Some(e) = tf.take(l) {
                             return Err(e);
                         }
-                        let n = self.icol[l].max(0) as usize;
-                        let have = self.privs[*src * lanes + l].len();
-                        if n > have {
-                            return Err(self.oob(format!("private copy {n} of len {have}")));
-                        }
-                        self.reserve_private(*dst, l, n)?;
-                        // Into an array of the same length, in place.
-                        let (s, d) = (*src * lanes + l, *dst * lanes + l);
-                        if self.privs[d].len() != n {
-                            self.privs[d] = self.privs[s][..n].to_vec();
-                        } else if s != d {
-                            let mut to = std::mem::take(&mut self.privs[d]);
-                            to.copy_from_slice(&self.privs[s][..n]);
-                            self.privs[d] = to;
-                        }
+                        self.copy_private(*dst, *src, l, self.icol[l].max(0) as usize)?;
                     }
                 }
                 DKind::For { reg, bound, body } => {
@@ -3095,11 +3151,258 @@ impl<'a> GroupRun<'a> {
         }
         Ok(())
     }
+
+    // -----------------------------------------------------------------
+    // The one-lane path
+    // -----------------------------------------------------------------
+
+    /// Charges one statement of the lone lane: it is a whole warp with no
+    /// idle slot, so `1 + ops` warp instructions, as
+    /// [`GroupRun::issue_w`] counts under a one-lane mask.
+    #[inline]
+    fn issue_lane(&mut self, ops: u64) {
+        self.site().warp_instructions += 1 + ops;
+    }
+
+    /// Counts the lone lane's access to one global element of
+    /// `elem_bytes`: one transaction, as [`GroupRun::memory_access`]
+    /// counts a warp of one active lane.
+    #[inline]
+    fn access_lane(&mut self, elem_bytes: u64) {
+        let tb = self.transaction_bytes;
+        let s = self.site();
+        s.global_transactions += 1;
+        s.bus_bytes += tb;
+        s.useful_bytes += elem_bytes;
+    }
+
+    /// Evaluates a tape's register form for the lone lane, whose column
+    /// `c` is `regs[c]`, with the per-lane engine's scalar functions. A
+    /// missing scalar argument is the outer error, raised where its
+    /// instruction runs, as the warp engine raises it; the lane's own
+    /// fault is the inner one.
+    #[inline]
+    fn seval(&mut self, tape: &Tape) -> SResult<LaneBits> {
+        if tape.len == 0 {
+            return Ok(Ok(self.regs[tape.result as usize]));
+        }
+        let dk = self.dk;
+        let instrs = dk.winstrs(tape);
+        let scalar_bits = self.scalar_bits;
+        let gid = self.group_id as i64 as u64;
+        let first = (self.group_id * self.group_size) as i64 as u64;
+        let (group_size, num_threads) = (
+            self.group_size as i64 as u64,
+            self.num_threads as i64 as u64,
+        );
+        let r = &mut self.regs;
+        for (k, &ins) in instrs.iter().enumerate() {
+            let (dst, bits) = match ins {
+                WInstr::Const { dst, bits } => (dst, bits),
+                WInstr::GlobalId { dst } => (dst, first),
+                WInstr::GroupId { dst } => (dst, gid),
+                WInstr::LocalId { dst } => (dst, 0),
+                WInstr::GroupSize { dst } => (dst, group_size),
+                WInstr::NumThreads { dst } => (dst, num_threads),
+                WInstr::ScalarArg { dst, arg } => (dst, scalar_arg(scalar_bits, arg)?),
+                WInstr::Bin { op, t, dst, a, b } => {
+                    match bin_bits(op, t, r[a as usize], r[b as usize]) {
+                        Ok(v) => (dst, v),
+                        Err(e) => return after_fault(&instrs[k + 1..], scalar_bits, e),
+                    }
+                }
+                WInstr::Cmp { op, t, dst, a, b } => {
+                    (dst, cmp_bits(op, t, r[a as usize], r[b as usize]))
+                }
+                WInstr::Un { op, t, dst, a } => match eval_unop(op, dec(t, r[a as usize])) {
+                    Ok(v) => (dst, enc(v)),
+                    Err(e) => {
+                        let e = SimError::Scalar(e.to_string());
+                        return after_fault(&instrs[k + 1..], scalar_bits, e);
+                    }
+                },
+                WInstr::Conv { from, to, dst, a } => {
+                    match eval_convert(to, dec(from, r[a as usize])) {
+                        Ok(v) => (dst, enc(v)),
+                        Err(e) => {
+                            let e = SimError::Scalar(e.to_string());
+                            return after_fault(&instrs[k + 1..], scalar_bits, e);
+                        }
+                    }
+                }
+            };
+            r[dst as usize] = bits;
+        }
+        Ok(Ok(r[tape.result as usize]))
+    }
+
+    /// [`GroupRun::seval`] of an integer tape, as an element index
+    /// converted the way [`GroupRun::index_column`] converts a column.
+    #[inline]
+    fn sindex(&mut self, tape: &Tape) -> SResult<Result<i64, SimError>> {
+        let bits = self.seval(tape)?;
+        Ok(bits.map(|b| match tape.class {
+            ScalarType::I32 => b as u32 as i32 as i64,
+            _ => b as i64,
+        }))
+    }
+
+    /// The one-lane path: a work-group of one lane runs its statements as
+    /// scalar code, one [`GroupRun::seval`] per tape, with no mask, column
+    /// loop, fault scan or index column. It writes, faults and counts
+    /// exactly as [`GroupRun::wexec`] does at one lane, whose mask is
+    /// always full: each statement charges `1 + cost` warp instructions
+    /// to its own site and each global access one transaction, and a
+    /// memory statement's faults come in the per-lane engine's order
+    /// (index, then bounds, then value; the value before the bounds for
+    /// local and private writes).
+    fn sexec(&mut self, stms: &[DStm]) -> SResult<()> {
+        let snapshot: &'a DeviceMemory = self.base;
+        for stm in stms {
+            self.cur_site = stm.site as usize;
+            match &stm.kind {
+                DKind::Assign { reg, exp } => {
+                    self.issue_lane(exp.cost());
+                    self.regs[*reg as usize] = self.seval(exp)??;
+                }
+                DKind::GlobalRead { reg, buf, index } => {
+                    self.issue_lane(index.cost());
+                    let bid = self.buffer(*buf)?;
+                    let src = snapshot.raw(bid);
+                    let i = self.sindex(index)??;
+                    if i as u64 >= src.len() as u64 {
+                        return Err(self.oob(format!("read {i} of buffer len {}", src.len())));
+                    }
+                    // The group's own writes first.
+                    let i = i as usize;
+                    self.regs[*reg as usize] = match self.writes.get(bid).and_then(|w| w.get(i)) {
+                        Some(bits) => bits,
+                        None => buf_get_bits(src, i),
+                    };
+                    self.access_lane(src.elem_type().byte_size() as u64);
+                }
+                DKind::GlobalWrite { buf, index, value } => {
+                    self.issue_lane(index.cost() + value.cost());
+                    let bid = self.buffer(*buf)?;
+                    let src = snapshot.raw(bid);
+                    let i = self.sindex(index)?;
+                    let v = self.seval(value)?;
+                    let i = i?;
+                    if i as u64 >= src.len() as u64 {
+                        return Err(self.oob(format!("write {i} of buffer len {}", src.len())));
+                    }
+                    self.writes.window(bid).set(i as usize, v?);
+                    self.access_lane(src.elem_type().byte_size() as u64);
+                }
+                DKind::LocalRead { reg, mem, index } => {
+                    self.issue_lane(index.cost());
+                    let i = self.sindex(index)??;
+                    let local = &self.locals[*mem];
+                    if i as u64 >= local.len() as u64 {
+                        return Err(self.oob(format!("local read {i} of len {}", local.len())));
+                    }
+                    self.regs[*reg as usize] = local[i as usize];
+                    self.count_local(1);
+                }
+                DKind::LocalWrite { mem, index, value } => {
+                    self.issue_lane(index.cost() + value.cost());
+                    let i = self.sindex(index)?;
+                    let v = self.seval(value)?;
+                    let (i, v) = (i?, v?);
+                    let local = &mut self.locals[*mem];
+                    if i as u64 >= local.len() as u64 {
+                        let len = local.len();
+                        return Err(self.oob(format!("local write {i} of len {len}")));
+                    }
+                    local[i as usize] = v;
+                    self.count_local(1);
+                }
+                DKind::PrivAlloc { arr, size } => {
+                    self.issue_lane(size.cost());
+                    let n = self.sindex(size)??.max(0) as usize;
+                    self.alloc_private(*arr, 0, n)?;
+                }
+                DKind::PrivRead { reg, arr, index } => {
+                    self.issue_lane(index.cost());
+                    let i = self.sindex(index)??;
+                    let p = &self.privs[*arr];
+                    if i as u64 >= p.len() as u64 {
+                        return Err(self.oob(format!("private read {i} of len {}", p.len())));
+                    }
+                    self.regs[*reg as usize] = p[i as usize];
+                }
+                DKind::PrivWrite { arr, index, value } => {
+                    self.issue_lane(index.cost() + value.cost());
+                    let i = self.sindex(index)?;
+                    let v = self.seval(value)?;
+                    let (i, v) = (i?, v?);
+                    let p = &mut self.privs[*arr];
+                    if i as u64 >= p.len() as u64 {
+                        let len = p.len();
+                        return Err(self.oob(format!("private write {i} of len {len}")));
+                    }
+                    p[i as usize] = v;
+                }
+                DKind::PrivCopy { dst, src, len } => {
+                    self.issue_lane(len.cost());
+                    let n = self.sindex(len)??.max(0) as usize;
+                    self.copy_private(*dst, *src, 0, n)?;
+                }
+                DKind::For { reg, bound, body } => {
+                    self.issue_lane(bound.cost());
+                    let trips = self.sindex(bound)??;
+                    for t in 0..trips {
+                        self.regs[*reg as usize] = t as u64;
+                        self.sexec(body)?;
+                    }
+                }
+                DKind::While { cond, body } => {
+                    let mut iterations = 0u64;
+                    loop {
+                        // The body's statements move the site; the
+                        // condition is the loop's own.
+                        self.cur_site = stm.site as usize;
+                        self.issue_lane(cond.cost());
+                        if self.seval(cond)?? == 0 {
+                            break;
+                        }
+                        self.sexec(body)?;
+                        iterations += 1;
+                        if iterations > MAX_WHILE_ITERATIONS {
+                            return Err(SimError::RunawayLoop {
+                                kernel: self.dk.name.clone(),
+                            });
+                        }
+                    }
+                }
+                DKind::If {
+                    cond,
+                    then_s,
+                    else_s,
+                } => {
+                    self.issue_lane(cond.cost());
+                    let taken = if self.seval(cond)?? != 0 {
+                        then_s
+                    } else {
+                        else_s
+                    };
+                    self.sexec(taken)?;
+                }
+                DKind::Barrier => {
+                    self.site().barriers += 1;
+                    self.issue_lane(0);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Runs one work-group against the shared memory snapshot and returns its
 /// per-site counters and write log, on the engine the kernel's decoded
-/// form picks.
+/// form picks. A register-form group of one lane takes the one-lane path
+/// ([`GroupRun::sexec`]): a stage-2 fold, or the tail group of a launch
+/// one thread past a multiple of the group size.
 #[allow(clippy::too_many_arguments)]
 fn run_group(
     dk: &DecodedKernel,
@@ -3113,7 +3416,6 @@ fn run_group(
     num_threads: u64,
 ) -> SResult<GroupOut> {
     let n_sites = dk.n_sites;
-    let reference = matches!(dk.instrs, Instrs::Postfix(_));
     let mut run = GroupRun {
         dk,
         base,
@@ -3139,12 +3441,13 @@ fn run_group(
         sites: vec![SiteStats::default(); n_sites],
         cur_site: n_sites - 1,
     };
-    if reference {
-        let mask = vec![true; lanes];
-        run.exec(&dk.body, &mask)?;
-    } else {
-        let mask = WMask::new(vec![true; lanes], run.warp_size);
-        run.wexec(&dk.body, &mask)?;
+    match dk.instrs {
+        Instrs::Postfix(_) => run.exec(&dk.body, &vec![true; lanes])?,
+        Instrs::Register(_) if lanes == 1 => run.sexec(&dk.body)?,
+        Instrs::Register(_) => {
+            let mask = WMask::new(vec![true; lanes], run.warp_size);
+            run.wexec(&dk.body, &mask)?;
+        }
     }
     Ok(GroupOut {
         writes: run.writes,
@@ -3907,13 +4210,14 @@ mod tests {
             ],
         };
         let dk = DecodedKernel::decode(&k).unwrap();
-        for threads in [1, 4] {
+        // 513 threads end in a one-lane group, on the one-lane path.
+        for (n, threads) in [600, 513].into_iter().flat_map(|n| [(n, 1), (n, 4)]) {
             let mut mem = DeviceMemory::new();
-            let out = mem.alloc(ScalarType::I64, 600).unwrap();
+            let out = mem.alloc(ScalarType::I64, n).unwrap();
             launch(
                 &dev,
                 &dk,
-                600,
+                n as u64,
                 &[Arg::Buffer(out)],
                 &mut mem,
                 &threads_only(threads),
@@ -3924,7 +4228,7 @@ mod tests {
             };
             assert_eq!(v[0], 0);
             assert_eq!(v[299], 598);
-            assert_eq!(v[599], 1198);
+            assert_eq!(v[n - 1], 2 * (n as i64 - 1));
         }
     }
 
@@ -4119,6 +4423,137 @@ mod tests {
                 assert!(what.contains("underflow"), "got: {what}");
             }
             other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn one_lane_groups_evaluate_every_instruction_like_the_reference() {
+        // Each thread writes six values built from every instruction kind
+        // but comparisons (which every `If` runs): lane and launch ids, a
+        // scalar argument, i64, f64 and f32 arithmetic, unary ops and
+        // conversions, some of a register (`gid + 7`), whose column no
+        // instruction writes. The tail group of 257 threads and a lone
+        // thread run them on the one-lane path.
+        let gid = || KExp::GlobalId;
+        let reg = || KExp::Var(0);
+        let un = |op, e: KExp| KExp::UnOp(op, Box::new(e));
+        let conv = |t, e: KExp| KExp::Convert(t, Box::new(e));
+        let values = [
+            KExp::GroupId
+                .mul(KExp::i64(1000))
+                .add(KExp::LocalId.mul(KExp::i64(10)))
+                .add(KExp::GroupSize),
+            KExp::NumThreads.mul(KExp::ScalarArg(1)),
+            un(UnOp::Neg, reg()).add(un(UnOp::Abs, gid().add(KExp::i64(-300)))),
+            conv(
+                ScalarType::I64,
+                un(UnOp::Sqrt, conv(ScalarType::F64, reg())).mul(KExp::Const(Scalar::F64(1000.0))),
+            ),
+            conv(
+                ScalarType::I64,
+                conv(ScalarType::I32, gid().mul(KExp::i64(3_000_000_007))),
+            ),
+            conv(
+                ScalarType::I64,
+                conv(ScalarType::F32, gid()).mul(KExp::Const(Scalar::F32(0.3))),
+            ),
+        ];
+        let k = Kernel {
+            name: "every_instr".into(),
+            params: vec![
+                KParam::Buffer(ScalarType::I64),
+                KParam::Scalar(ScalarType::I64),
+            ],
+            locals: vec![],
+            num_regs: 1,
+            num_priv: 0,
+            prov_table: vec![],
+            body: std::iter::once(KStm::Assign {
+                var: 0,
+                exp: gid().add(KExp::i64(7)),
+            })
+            .chain(
+                values
+                    .into_iter()
+                    .enumerate()
+                    .map(|(j, value)| KStm::GlobalWrite {
+                        buf: 0,
+                        index: gid().mul(KExp::i64(6)).add(KExp::i64(j as i64)),
+                        value,
+                    }),
+            )
+            .collect(),
+        };
+        for threads in [257u64, 1] {
+            let run = |dk: &DecodedKernel| {
+                let mut mem = DeviceMemory::new();
+                let out = mem.alloc(ScalarType::I64, 6 * threads as usize).unwrap();
+                let args = [Arg::Buffer(out), Arg::Scalar(Scalar::I64(-3))];
+                let dev = DeviceProfile::gtx780();
+                let got = launch(&dev, dk, threads, &args, &mut mem, &threads_only(1)).unwrap();
+                (got, mem.download(out).unwrap().clone())
+            };
+            let [want, got] = both_forms(&k).map(|(_, dk)| run(&dk));
+            assert_eq!(got, want, "{threads} threads");
+            let Buffer::I64(v) = &got.1 else {
+                panic!("an i64 buffer")
+            };
+            assert_eq!(v[6 * threads as usize - 5], -3 * threads as i64);
+        }
+    }
+
+    #[test]
+    fn a_buffer_passed_for_a_scalar_outranks_lane_faults_at_every_width() {
+        // Argument 1 is declared a scalar but launched with a buffer. The
+        // warp engine raises that where an instruction reads it, after
+        // running past a lane's zero divisor earlier in the same tape or in
+        // the statement's index tape, so at 32 lanes and on the one-lane
+        // path alike it is the error; without the read, the divisor is.
+        let zero_div = || {
+            KExp::BinOp(
+                BinOp::Div,
+                Box::new(KExp::i64(1)),
+                Box::new(KExp::GlobalId.mul(KExp::i64(0))),
+            )
+        };
+        let write = |index: KExp, value: KExp| KStm::GlobalWrite {
+            buf: 0,
+            index,
+            value,
+        };
+        let missing = "scalar fault: argument 1 is not a scalar";
+        let cases = [
+            (
+                KStm::Assign {
+                    var: 0,
+                    exp: zero_div().add(KExp::ScalarArg(1)),
+                },
+                missing,
+            ),
+            (write(zero_div(), KExp::ScalarArg(1)), missing),
+            (
+                write(zero_div(), KExp::GlobalId),
+                "scalar fault: division by zero",
+            ),
+        ];
+        for (stm, want) in cases {
+            let k = Kernel {
+                name: "args".into(),
+                params: vec![
+                    KParam::Buffer(ScalarType::I64),
+                    KParam::Scalar(ScalarType::I64),
+                ],
+                locals: vec![],
+                num_regs: 1,
+                num_priv: 0,
+                prov_table: vec![],
+                body: vec![stm],
+            };
+            let dk = DecodedKernel::decode(&k).unwrap();
+            for threads in [32, 1] {
+                let (got, _) = launch_i64(&dk, threads, 1, &[vec![0; 32], vec![0; 32]]);
+                assert_eq!(got.unwrap_err(), want, "{:?} at {threads}", k.body[0]);
+            }
         }
     }
 
@@ -4616,10 +5051,11 @@ mod tests {
     /// A kernel whose statement of kind `kind` (0 `GlobalRead`, 1
     /// `GlobalWrite`, 2 `LocalRead`, 3 `LocalWrite`, 4 `PrivAlloc`, 5
     /// `PrivRead`, 6 `PrivWrite`, 7 `PrivCopy`) runs for threads with
-    /// `gid % 5 != 3`. Its index is `ctl[gid]`, and its index and value
-    /// tapes divide by `dz_index[gid]` and `dz_value[gid]`. Reads land in
-    /// `out[gid]`; writes land in `data`, local or private memory, which
-    /// is then copied to `out[gid]`.
+    /// `gid % 5 != 3`. Its index is `ctl[gid]`, converted to i32 for the
+    /// local kinds (whose out-of-bounds index is negative), and its index
+    /// and value tapes divide by `dz_index[gid]` and `dz_value[gid]`.
+    /// Reads land in `out[gid]`; writes land in `data`, local or private
+    /// memory, which is then copied to `out[gid]`.
     fn fault_kernel(kind: usize) -> Kernel {
         let gid = || KExp::GlobalId;
         let guard = |e: KExp, reg: u32| {
@@ -4634,7 +5070,10 @@ mod tests {
                 )),
             )
         };
-        let index = || guard(KExp::Var(0), 1);
+        let index = || match kind {
+            2 | 3 => KExp::Convert(ScalarType::I32, Box::new(guard(KExp::Var(0), 1))),
+            _ => guard(KExp::Var(0), 1),
+        };
         let value = || guard(gid(), 2);
         let lane4 = || KExp::LocalId.rem(KExp::i64(4));
         let stm = match kind {
@@ -4744,7 +5183,6 @@ mod tests {
     #[test]
     fn column_statements_fault_and_count_like_the_lane_engine() {
         let dev = DeviceProfile::gtx780();
-        let threads = 300usize; // a full group and a 44-lane tail
         let data_len = 512i64;
         let scenarios: Vec<(&str, Vec<(usize, Plant)>)> = vec![
             ("clean", vec![]),
@@ -4777,7 +5215,11 @@ mod tests {
                 vec![(12, Plant::OutOfBounds), (12, Plant::ValueFault)],
             ),
         ];
-        for kind in 0..8 {
+        // A full group and a 44-lane tail; a full group and a one-lane
+        // tail, which every planted lane moves into; and one lane alone.
+        // The one-lane groups run on the one-lane path.
+        let launches = [(300usize, None), (257, Some(256)), (1, Some(0))];
+        for (kind, (threads, moved)) in (0..8).flat_map(|k| launches.map(|l| (k, l))) {
             let [(_, reference), (_, warp)] = both_forms(&fault_kernel(kind));
             let (normal, oob): (fn(i64) -> i64, i64) = match kind {
                 0 | 1 => (|g| g * 7 % 512, data_len + 3),
@@ -4787,9 +5229,13 @@ mod tests {
                 _ => (|g| g % 4, 4),
             };
             for (what, plants) in &scenarios {
+                let plants: Vec<(usize, Plant)> = plants
+                    .iter()
+                    .map(|&(g, p)| (moved.unwrap_or(g), p))
+                    .collect();
                 let mut ctl: Vec<i64> = (0..threads as i64).map(normal).collect();
                 let (mut dz_index, mut dz_value) = (vec![1i64; threads], vec![1i64; threads]);
-                for &(g, plant) in plants {
+                for &(g, plant) in &plants {
                     match plant {
                         Plant::IndexFault => dz_index[g] = 0,
                         Plant::OutOfBounds => ctl[g] = oob,
@@ -4828,7 +5274,7 @@ mod tests {
                 assert_eq!(
                     want.0.is_ok(),
                     masked_only,
-                    "kind {kind}, {what}: {:?}",
+                    "kind {kind}, {what}, {threads} threads: {:?}",
                     want.0
                 );
                 for (engine, dk, host) in [
@@ -4839,11 +5285,11 @@ mod tests {
                     let got = run(dk, host);
                     assert_eq!(
                         got.0, want.0,
-                        "kind {kind}, {what}: {engine} at {host} threads"
+                        "kind {kind}, {what}, {threads} threads: {engine} at {host} host threads"
                     );
                     assert_eq!(
                         got.1, want.1,
-                        "kind {kind}, {what}: memory, {engine} at {host}"
+                        "kind {kind}, {what}, {threads} threads: memory, {engine} at {host}"
                     );
                 }
             }
@@ -4947,7 +5393,6 @@ mod tests {
                 body,
             }
         };
-        let threads = 300usize; // a full group and a 44-lane tail
         let scenarios: [(&str, bool, &[usize]); 6] = [
             ("full mask", false, &[]),
             ("partial mask", true, &[]),
@@ -4956,9 +5401,17 @@ mod tests {
             ("partial mask, zero divisor in an inactive lane", true, &[4]),
             ("partial mask, zero divisor in an active lane", true, &[5]),
         ];
-        for (what, partial, zeros) in scenarios {
+        // A full group and a 44-lane tail, a full group and a one-lane tail
+        // (inactive under the partial mask), and one lane alone; a zero
+        // divisor past the last thread moves to the last thread.
+        for (threads, (what, partial, zeros)) in [300, 257, 1]
+            .into_iter()
+            .flat_map(|t| scenarios.map(|s| (t, s)))
+        {
             let k = assign_kernel(partial);
             let [(_, reference), (_, warp)] = both_forms(&k);
+            let zeros: Vec<usize> = zeros.iter().map(|&g| g.min(threads - 1)).collect();
+            let what = format!("{what}, {threads} threads");
             let lanes = 0..threads as i64;
             let x: Vec<i64> = lanes.clone().map(|g| g * 3 - 200).collect();
             let y: Vec<i64> = lanes.clone().map(|g| 17 - g).collect();
@@ -4968,7 +5421,7 @@ mod tests {
                 .clone()
                 .map(|g| [1, -2, 3, -4][g as usize % 4])
                 .collect();
-            for &g in zeros {
+            for &g in &zeros {
                 d[g] = 0;
             }
             let q: Vec<i64> = lanes.map(|g| g + 1000).collect();
@@ -5093,21 +5546,24 @@ mod tests {
                 read_back(1, 1),
             ],
         };
-        let threads = 300usize;
         let old = |g: usize, i: usize| (g * 10 + i + 1) as i64;
-        let expect = |keep: fn(usize) -> bool| {
-            let v: Vec<i64> = (0..threads * 4)
-                .map(|at| if keep(at / 4) { old(at / 4, at % 4) } else { 0 })
-                .collect();
-            Buffer::I64(v)
-        };
-        let want = vec![expect(|g| g % 3 == 1), expect(|g| g % 2 == 0)];
-        let bufs = vec![vec![-1; threads * 4]; 2];
-        for (engine, dk) in &both_forms(&k) {
-            for host in [1, 4] {
-                let (got, after) = launch_i64(dk, threads, host, &bufs);
-                assert!(got.is_ok(), "{engine} at {host}: {got:?}");
-                assert_eq!(after, want, "{engine} at {host}");
+        // The one-lane tail of 257 threads copies and keeps its array; one
+        // lane alone copies and reallocates it.
+        for threads in [300, 257, 1] {
+            let expect = |keep: fn(usize) -> bool| {
+                let v: Vec<i64> = (0..threads * 4)
+                    .map(|at| if keep(at / 4) { old(at / 4, at % 4) } else { 0 })
+                    .collect();
+                Buffer::I64(v)
+            };
+            let want = vec![expect(|g| g % 3 == 1), expect(|g| g % 2 == 0)];
+            let bufs = vec![vec![-1; threads * 4]; 2];
+            for (engine, dk) in &both_forms(&k) {
+                for host in [1, 4] {
+                    let (got, after) = launch_i64(dk, threads, host, &bufs);
+                    assert!(got.is_ok(), "{threads}, {engine} at {host}: {got:?}");
+                    assert_eq!(after, want, "{threads}, {engine} at {host}");
+                }
             }
         }
     }
@@ -5166,44 +5622,64 @@ mod tests {
                 },
             ],
         };
-        // One warp of 32 i64 lanes: 256 bytes, two 128-byte segments.
+        // One warp of 32 i64 lanes moves 256 bytes in two 128-byte
+        // segments; one lane, on the one-lane path, 8 bytes in one.
         let issue = |e: &KExp| 1 + e.op_count();
-        let site = |warp_instructions: u64, accesses: u64| SiteStats {
-            warp_instructions,
-            global_transactions: 2 * accesses,
-            bus_bytes: 256 * accesses,
-            useful_bytes: 256 * accesses,
-            ..SiteStats::default()
-        };
-        let want = vec![
-            site(issue(&init) + 4 * issue(&cond), 0),
-            site(3 * issue(&step), 0),
-            site(3, 3),
-            site(1, 1),
-        ];
-        for (engine, dk) in &both_forms(&k) {
-            for host in [1, 4] {
-                let (got, _) = launch_i64(dk, 32, host, &[vec![0; 32]]);
-                let out = got.unwrap();
-                assert_eq!(out.sites, want, "{engine} at {host}");
-                assert_eq!(
-                    out.stats,
-                    KernelStats::of_sites(32, &want),
-                    "{engine} at {host}"
-                );
+        for (lanes, segments, useful) in [(32, 2, 256), (1, 1, 8)] {
+            let site = |warp_instructions: u64, accesses: u64| SiteStats {
+                warp_instructions,
+                global_transactions: segments * accesses,
+                bus_bytes: 128 * segments * accesses,
+                useful_bytes: useful * accesses,
+                ..SiteStats::default()
+            };
+            let want = vec![
+                site(issue(&init) + 4 * issue(&cond), 0),
+                site(3 * issue(&step), 0),
+                site(3, 3),
+                site(1, 1),
+            ];
+            for (engine, dk) in &both_forms(&k) {
+                for host in [1, 4] {
+                    let (got, _) = launch_i64(dk, lanes, host, &[vec![0; lanes]]);
+                    let out = got.unwrap();
+                    assert_eq!(out.sites, want, "{lanes} lanes, {engine} at {host}");
+                    assert_eq!(
+                        out.stats,
+                        KernelStats::of_sites(lanes as u64, &want),
+                        "{lanes} lanes, {engine} at {host}"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn private_storage_is_bounded_by_the_device_per_group() {
-        // Each lane reallocates a 16-element array three times: the old
-        // array is released first, so eight lanes fit a 1024-byte device
-        // exactly and a ninth lane's array does not. Every element costs
-        // the 8 bytes the host holds it in, a bool's as much as an i64's.
+        // Each lane reallocates an array three times: the old array is
+        // released first, so eight lanes of 16 elements fit a 1024-byte
+        // device exactly and a ninth lane's array does not. One lane alone
+        // fits 128 elements and not 129, and so does the one-lane tail of
+        // 257 threads, whose full group before it allocates nothing
+        // (`GroupId * n` elements a lane). Every element costs the 8 bytes
+        // the host holds it in, a bool's as much as an i64's.
         let mut dev = DeviceProfile::gtx780();
         dev.global_mem_bytes = 1024;
-        for elem in [ScalarType::I64, ScalarType::Bool] {
+        let tail = |n: i64| KExp::GroupId.mul(KExp::i64(n));
+        // Elements a lane, threads, and the requested and live bytes of the
+        // error, if the launch fails.
+        let cases = [
+            (KExp::i64(16), 8, None),
+            (KExp::i64(16), 9, Some((128, 1024))),
+            (KExp::i64(128), 1, None),
+            (KExp::i64(129), 1, Some((1032, 0))),
+            (tail(128), 257, None),
+            (tail(129), 257, Some((1032, 0))),
+        ];
+        for (elem, (size, threads, fails)) in [ScalarType::I64, ScalarType::Bool]
+            .iter()
+            .flat_map(|&e| cases.clone().map(|c| (e, c)))
+        {
             let k = Kernel {
                 name: "privs".into(),
                 params: vec![],
@@ -5217,25 +5693,26 @@ mod tests {
                     body: vec![KStm::PrivAlloc {
                         arr: 0,
                         elem,
-                        size: KExp::i64(16),
+                        size: size.clone(),
                     }],
                 }],
             };
+            let want = match fails {
+                None => Ok(()),
+                Some((requested, live)) => Err(SimError::OutOfMemory {
+                    requested,
+                    live,
+                    capacity: 1024,
+                }),
+            };
             for (engine, dk) in &both_forms(&k) {
-                for threads in [1, 4] {
-                    let opts = threads_only(threads);
+                for host in [1, 4] {
+                    let opts = threads_only(host);
                     let mut mem = DeviceMemory::new();
-                    let fits = launch(&dev, dk, 8, &[], &mut mem, &opts);
-                    assert!(fits.is_ok(), "{elem:?}, {engine} at {threads}: {fits:?}");
-                    let err = launch(&dev, dk, 9, &[], &mut mem, &opts).unwrap_err();
+                    let got = launch(&dev, dk, threads, &[], &mut mem, &opts).map(|_| ());
                     assert_eq!(
-                        err,
-                        SimError::OutOfMemory {
-                            requested: 128,
-                            live: 1024,
-                            capacity: 1024
-                        },
-                        "{elem:?}, {engine} at {threads}"
+                        got, want,
+                        "{elem:?}, {size:?} at {threads}, {engine} at {host}"
                     );
                 }
             }

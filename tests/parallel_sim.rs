@@ -6,10 +6,15 @@
 //! fuzz campaign — by compiling once and running each program at several
 //! thread counts via [`Compiled::run_with_opts`].
 //!
+//! Only a launch of two or more work-groups runs in parallel, so the
+//! campaign draws outer sizes up to 300 (a group is 256 threads on both
+//! devices) and fails if fewer than 5% of its launches span two groups.
+//! The corpus's `multi_group_tail.fut` launches three.
+//!
 //! The campaign size defaults to 1000 cases and can be overridden with
-//! `FUTHARK_PAR_FUZZ_CASES` (CI smoke uses a smaller value).
+//! `FUTHARK_PAR_FUZZ_CASES`.
 
-use futhark::{Compiled, Compiler, Device, PerfReport, RunOptions};
+use futhark::{Compiled, Compiler, Device, PerfReport, RunOptions, TimelineEvent};
 use futhark_core::Value;
 use futhark_fuzz::{corpus, generate, GenConfig};
 use std::path::PathBuf;
@@ -73,8 +78,12 @@ fn fuzz_campaign_is_bit_identical_across_thread_counts() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(1000);
-    let cfg = GenConfig::default();
+    let cfg = GenConfig {
+        max_size: 300,
+        ..GenConfig::default()
+    };
     let mut compiled_ok = 0u64;
+    let (mut launches, mut multi_group) = (0u64, 0u64);
     for seed in 0..cases {
         let case = generate(seed, &cfg);
         let src = case.source();
@@ -94,9 +103,21 @@ fn fuzz_campaign_is_bit_identical_across_thread_counts() {
             seq, par,
             "case seed {seed}: 4-thread run differs from sequential on {device:?}\n{src}"
         );
+        if let Ok((_, perf)) = &seq {
+            for e in &perf.timeline {
+                if let TimelineEvent::Launch(l) = e {
+                    launches += 1;
+                    multi_group += u64::from(l.num_groups >= 2);
+                }
+            }
+        }
     }
     assert!(
         compiled_ok > cases / 2,
         "campaign degenerate: only {compiled_ok}/{cases} cases compiled"
+    );
+    assert!(
+        multi_group * 20 >= launches,
+        "campaign runs nothing in parallel: only {multi_group} of {launches} launches span two or more groups"
     );
 }

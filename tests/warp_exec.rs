@@ -10,7 +10,9 @@
 //! and fully inactive warps at the grid tail, per-lane loop trip counts,
 //! a local-memory exchange across a barrier, and identical fault
 //! reporting. The masked-lane tests verify that inactive lanes never write
-//! registers, memory, or counters.
+//! registers, memory, or counters. The loop, fault and barrier shapes also
+//! run in work-groups of one lane (a tail of 257 or 1025 threads, and one
+//! thread), which take the warp engine's one-lane path.
 
 use futhark::{Compiled, Compiler, Device, PerfReport, RunOptions, Schedule};
 use futhark_core::{Buffer, CmpOp, Scalar, ScalarType, Value};
@@ -425,55 +427,94 @@ fn masked_lanes_never_write_registers() {
     }
 }
 
-/// Per-lane trip counts: each lane loops `GlobalId % 5` times, so every
-/// warp's lanes peel off the loop at different iterations.
+/// Per-lane trip counts: each lane loops `(GlobalId + 2) % 5` times, so
+/// every warp's lanes peel off the loop at different iterations. The sum
+/// accumulates in a register, or in a one-element private array; 257
+/// threads leave a one-lane tail group, and one thread is a group of one
+/// lane, both on the one-lane path.
 #[test]
 fn per_lane_trip_counts() {
-    let n = 128usize;
-    let kernel = Kernel {
-        name: "varloop".into(),
-        params: vec![KParam::Buffer(ScalarType::I64)],
-        locals: vec![],
-        num_regs: 3,
-        num_priv: 0,
-        prov_table: vec![],
-        body: vec![
-            KStm::Assign {
-                var: 0,
-                exp: KExp::i64(0),
-            },
-            KStm::For {
-                var: 1,
-                bound: KExp::GlobalId.rem(KExp::i64(5)),
-                body: vec![KStm::Assign {
-                    var: 0,
-                    exp: KExp::Var(0).add(KExp::Var(1)).add(KExp::i64(1)),
-                }],
-            },
-            KStm::GlobalWrite {
-                buf: 0,
-                index: KExp::GlobalId,
-                value: KExp::Var(0),
-            },
-        ],
-    };
-    let setup = |mem: &mut DeviceMemory| vec![sentinel_buf(mem, n, -1)];
-    let (_, bufs) =
-        engines_agree("per_lane_trip_counts", &kernel, n as u64, &setup).expect("clean");
-    let got = i64s(&bufs[0]);
-    for (i, &x) in got.iter().enumerate() {
-        let trips = i as i64 % 5;
-        let expect: i64 = (0..trips).map(|t| t + 1).sum();
-        assert_eq!(x, expect, "lane {i} ran the wrong number of iterations");
+    let step = KExp::Var(0).add(KExp::Var(1)).add(KExp::i64(1));
+    let in_register = vec![KStm::Assign {
+        var: 0,
+        exp: step.clone(),
+    }];
+    let in_private = vec![
+        KStm::PrivRead {
+            var: 0,
+            arr: 0,
+            index: KExp::i64(0),
+        },
+        KStm::PrivWrite {
+            arr: 0,
+            index: KExp::i64(0),
+            value: step,
+        },
+        KStm::PrivRead {
+            var: 0,
+            arr: 0,
+            index: KExp::i64(0),
+        },
+    ];
+    for (acc, loop_body) in [("register", in_register), ("private", in_private)] {
+        for n in [128usize, 257, 1] {
+            let kernel = Kernel {
+                name: "varloop".into(),
+                params: vec![KParam::Buffer(ScalarType::I64)],
+                locals: vec![],
+                num_regs: 3,
+                num_priv: 1,
+                prov_table: vec![],
+                body: vec![
+                    KStm::PrivAlloc {
+                        arr: 0,
+                        elem: ScalarType::I64,
+                        size: KExp::i64(1),
+                    },
+                    KStm::Assign {
+                        var: 0,
+                        exp: KExp::i64(0),
+                    },
+                    KStm::For {
+                        var: 1,
+                        bound: KExp::GlobalId.add(KExp::i64(2)).rem(KExp::i64(5)),
+                        body: loop_body.clone(),
+                    },
+                    KStm::GlobalWrite {
+                        buf: 0,
+                        index: KExp::GlobalId,
+                        value: KExp::Var(0),
+                    },
+                ],
+            };
+            let setup = |mem: &mut DeviceMemory| vec![sentinel_buf(mem, n, -1)];
+            let label = format!("per_lane_trip_counts, {acc}, {n} threads");
+            let (_, bufs) = engines_agree(&label, &kernel, n as u64, &setup).expect("clean");
+            let got = i64s(&bufs[0]);
+            for (i, &x) in got.iter().enumerate() {
+                let trips = (i as i64 + 2) % 5;
+                let expect: i64 = (0..trips).map(|t| t + 1).sum();
+                assert_eq!(
+                    x, expect,
+                    "{label}: lane {i} ran the wrong number of iterations"
+                );
+            }
+        }
     }
 }
 
 /// Faults must be identical across engines, including which lane's fault
-/// wins: lane 90 reads out of bounds, everything else is fine.
+/// wins: lane 90 of 128 reads out of bounds, everything else is fine. The
+/// same read faults in the one-lane tail group of 257 threads (lane 256)
+/// and in a lone lane.
 #[test]
 fn faults_are_identical_across_engines() {
-    let n = 128usize;
-    let small = 90usize;
+    for (n, small) in [(128usize, 90usize), (257, 256), (1, 0)] {
+        faults_identically(n, small);
+    }
+}
+
+fn faults_identically(n: usize, small: usize) {
     let kernel = Kernel {
         name: "oob".into(),
         params: vec![
@@ -499,8 +540,13 @@ fn faults_are_identical_across_engines() {
     };
     let setup =
         |mem: &mut DeviceMemory| vec![sentinel_buf(mem, small, 9), sentinel_buf(mem, n, -1)];
-    let err = engines_agree("identical_faults", &kernel, n as u64, &setup)
-        .expect_err("lane 90 must fault");
+    let label = format!("identical_faults, {n} threads");
+    let err = engines_agree(&label, &kernel, n as u64, &setup)
+        .expect_err("the first lane past the buffer must fault");
+    assert!(
+        err.contains(&format!("read {small} of buffer len {small}")),
+        "{n} threads: the wrong lane faulted: {err}"
+    );
     assert!(
         err.contains("out of bounds") || err.contains("bounds"),
         "unexpected fault text: {err}"
@@ -509,12 +555,18 @@ fn faults_are_identical_across_engines() {
 
 /// Local memory across a barrier: every lane stages its element in the
 /// group's local tile, and after the barrier reads its right neighbour's
-/// (wrapping within the group). Four full groups, so the four-thread
-/// runs execute groups in parallel, each with its own tile.
+/// (wrapping within the group), or zero where no thread has it. Four full
+/// groups, so the four-thread runs execute groups in parallel, each with
+/// its own tile; then a fifth group of one lane, on the one-lane path.
 #[test]
 fn local_rotate_across_a_barrier() {
     let group = DeviceProfile::gtx780().group_size as usize;
-    let n = 4 * group;
+    for n in [4 * group, 4 * group + 1] {
+        local_rotate(group, n);
+    }
+}
+
+fn local_rotate(group: usize, n: usize) {
     let kernel = Kernel {
         name: "local_rotate".into(),
         params: vec![
@@ -576,9 +628,14 @@ fn local_rotate_across_a_barrier() {
     };
     for (i, &x) in got.iter().enumerate() {
         let src = i - i % group + (i + 1) % group;
-        assert_eq!(x, src as f64 * 0.5, "lane {i} read the wrong neighbour");
+        let want = if src < n { src as f64 * 0.5 } else { 0.0 };
+        assert_eq!(x, want, "{n} threads: lane {i} read the wrong neighbour");
     }
-    assert_eq!(stats.barriers, 4, "one barrier per group");
+    assert_eq!(
+        stats.barriers,
+        n.div_ceil(group) as u64,
+        "one barrier per group"
+    );
 }
 
 /// An empty grid (zero threads) launches no warps at all and must be a
