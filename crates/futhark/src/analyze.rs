@@ -286,15 +286,9 @@ pub fn analyze(run: &PerfReport, device: &DeviceProfile) -> AnalysisReport {
     let mut kernels = BTreeMap::new();
     let mut whole = TimeBreakdown::default();
     for (name, (launches, time_us, stats)) in &run.per_kernel {
-        // Prefer the summed per-launch decomposition from the timeline;
-        // recompute from the merged counters for traces that predate the
-        // analysis layer (mathematically equal: every component is linear
-        // in its counter).
-        let bd = per_launch.get(name).copied().unwrap_or_else(|| {
-            let mut b = futhark_gpu::kernel_time_breakdown(device, stats);
-            b.overhead_us *= *launches as f64;
-            b
-        });
+        // The summed decompositions of the kernel's launches on the
+        // timeline, which every kernel in `per_kernel` has.
+        let bd = per_launch.get(name).copied().unwrap_or_default();
         whole.merge(&bd);
         kernels.insert(
             name.clone(),
@@ -418,6 +412,15 @@ mod tests {
             barriers: 0,
         };
         let bd = futhark_gpu::kernel_time_breakdown(&device, &stats);
+        let launch = futhark_gpu::exec::LaunchRecord {
+            kernel: "k0".to_string(),
+            num_groups: 16,
+            group_size: 256,
+            num_threads: 4096,
+            stats,
+            us: bd.total_us(),
+            breakdown: bd,
+        };
         let run = PerfReport {
             total_us: bd.total_us(),
             kernel_us: bd.total_us(),
@@ -426,6 +429,7 @@ mod tests {
             per_kernel: [("k0".to_string(), (1, bd.total_us(), stats))]
                 .into_iter()
                 .collect(),
+            timeline: vec![futhark_gpu::exec::TimelineEvent::Launch(launch)],
             ..PerfReport::default()
         };
         analyze(&run, &device)

@@ -663,7 +663,7 @@ mod tests {
 
     #[test]
     fn decode_stage_rejects_a_two_class_register_naming_the_kernel() {
-        use futhark_gpu::plan::{HBody, HStm};
+        use futhark_gpu::plan::HBody;
         let expect_rejected = |plan: &GpuPlan, name: &str| match decode(plan) {
             Err(Error::Decode(e)) => {
                 let msg = Error::Decode(e).to_string();
@@ -676,42 +676,22 @@ mod tests {
             Err(other) => panic!("expected a decode error, got {other}"),
             Ok(_) => panic!("kernel `{name}` was accepted"),
         };
-        // A launch kernel: rejected even though nothing launches it.
-        let plan = GpuPlan {
+        // A launch kernel and a stage-2 fold kernel: each rejected even
+        // though nothing runs it.
+        let plan = |kernels, folds| GpuPlan {
             params: vec![],
-            kernels: vec![two_class_kernel("bad_launch")],
+            kernels,
+            folds,
             body: HBody::default(),
             mem_planned: false,
         };
-        expect_rejected(&plan, "bad_launch");
-        // A stage-2 fold kernel, nested in a host loop's body.
-        let combine = HStm::Combine {
-            pat: vec![],
-            partials: vec![],
-            kernel: two_class_kernel("bad_fold"),
-            args: vec![],
-        };
-        let plan = GpuPlan {
-            params: vec![],
-            kernels: vec![],
-            body: HBody {
-                stms: vec![HStm::Loop {
-                    pat: vec![],
-                    params: vec![],
-                    while_cond: None,
-                    for_var: Some((
-                        futhark_core::NameSource::new().fresh("i"),
-                        futhark_core::SubExp::i64(0),
-                    )),
-                    body: HBody {
-                        stms: vec![combine],
-                        result: vec![],
-                    },
-                }],
-                result: vec![],
-            },
-            mem_planned: false,
-        };
-        expect_rejected(&plan, "bad_fold");
+        expect_rejected(
+            &plan(vec![two_class_kernel("bad_launch")], vec![]),
+            "bad_launch",
+        );
+        expect_rejected(
+            &plan(vec![], vec![two_class_kernel("bad_fold")]),
+            "bad_fold",
+        );
     }
 }

@@ -409,9 +409,8 @@ pub struct TraceDiff {
     pub peak_bytes: (u64, u64),
     /// Buffer reuses (free-list hits plus in-place steals), old vs new.
     pub reuses: (u64, u64),
-    /// Whole-run binding limiter, old vs new. `None` on a side means the
-    /// trace predates the analysis layer (no per-launch breakdowns) and
-    /// is rendered as "n/a" — old traces stay readable.
+    /// Whole-run binding limiter, old vs new. `None` on a side means that
+    /// run launched no kernel; it is rendered as "n/a".
     pub limiter: (Option<Limiter>, Option<Limiter>),
     /// Kernels whose launches/time/counters differ (or that exist on one
     /// side only), keyed by kernel name.
@@ -439,8 +438,8 @@ impl TraceDiff {
 /// Compares two runs. Kernels and sites equal on both sides are dropped;
 /// what remains is the difference (plus the always-present totals).
 pub fn diff_runs(old: &PerfReport, new: &PerfReport) -> TraceDiff {
-    // Whole-run limiter from the summed per-launch breakdowns; a trace
-    // without breakdowns (pre-analysis) yields None, rendered "n/a".
+    // Whole-run limiter from the summed per-launch breakdowns; a run that
+    // launched no kernel yields None, rendered "n/a".
     let run_limiter = |r: &PerfReport| {
         let mut whole = futhark_gpu::sim::TimeBreakdown::default();
         let mut seen = false;
@@ -623,7 +622,8 @@ pub fn chrome_trace(compile: Option<&CompileReport>, run: &PerfReport) -> Json {
     for e in &run.timeline {
         match e {
             TimelineEvent::Launch(l) => {
-                let mut args = vec![
+                let b = &l.breakdown;
+                let args = vec![
                     ("num_groups", Json::U64(l.num_groups)),
                     ("group_size", Json::U64(l.group_size)),
                     ("threads", Json::U64(l.num_threads)),
@@ -633,13 +633,11 @@ pub fn chrome_trace(compile: Option<&CompileReport>, run: &PerfReport) -> Json {
                     ),
                     ("warp_instructions", Json::U64(l.stats.warp_instructions)),
                     ("barriers", Json::U64(l.stats.barriers)),
+                    ("limiter", Json::Str(b.limiter().to_string())),
+                    ("compute_us", Json::F64(b.compute_us)),
+                    ("memory_us", Json::F64(b.memory_us)),
+                    ("local_us", Json::F64(b.local_us)),
                 ];
-                if let Some(b) = &l.breakdown {
-                    args.push(("limiter", Json::Str(b.limiter().to_string())));
-                    args.push(("compute_us", Json::F64(b.compute_us)));
-                    args.push(("memory_us", Json::F64(b.memory_us)));
-                    args.push(("local_us", Json::F64(b.local_us)));
-                }
                 t.complete(&l.kernel, "kernel", 2, 1, ts, l.us, args)
             }
             TimelineEvent::DeviceOp { what, bytes, us } => t.complete(

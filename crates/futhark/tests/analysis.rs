@@ -2,8 +2,8 @@
 //! decompositions and their exact identities, limiter classification of
 //! the coalescing acceptance case before and after transposition, the
 //! device memory timeline against `MemStats`, per-site modelled-time
-//! attribution, the analysis/roofline renderers, and graceful
-//! degradation on traces that predate the analysis layer.
+//! attribution, the analysis/roofline renderers, and a trace reader
+//! that accepts exactly what the writer writes.
 
 use futhark::analyze::{analyze, AnalysisReport};
 use futhark::{
@@ -53,7 +53,7 @@ fn every_launch_decomposes_exactly_and_sums_over_the_timeline() {
     for e in &perf.timeline {
         if let TimelineEvent::Launch(l) = e {
             launches += 1;
-            let bd = l.breakdown.expect("fresh runs always record breakdowns");
+            let bd = l.breakdown;
             // Bit-exact identity, not approximate: the recorded time IS
             // the decomposition's total.
             assert_eq!(
@@ -233,62 +233,55 @@ fn analysis_of_a_real_run_round_trips_and_renders() {
     }
 }
 
-// ---- old traces: graceful degradation + malformed rejection ----
+// ---- one trace format: what the writer writes, and nothing less ----
 
-/// Recursively strips the analysis-era fields from a trace document,
-/// simulating a trace archived before this layer existed.
-fn strip_new_fields(j: &Json) -> Json {
+/// Removes the first field named `key` from `j`: a depth-first walk that
+/// looks at an object's own fields before its children's. Returns
+/// whether it found one.
+fn drop_first(j: &mut Json, key: &str) -> bool {
     match j {
-        Json::Obj(pairs) => Json::Obj(
-            pairs
-                .iter()
-                .filter(|(k, _)| k != "breakdown" && k != "modelled_us")
-                .map(|(k, v)| (k.clone(), strip_new_fields(v)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(
-            items
-                .iter()
-                .filter(|e| e.get("kind").and_then(Json::as_str) != Some("mem"))
-                .map(strip_new_fields)
-                .collect(),
-        ),
-        other => other.clone(),
+        Json::Obj(pairs) => match pairs.iter().position(|(k, _)| k == key) {
+            Some(i) => {
+                pairs.remove(i);
+                true
+            }
+            None => pairs.iter_mut().any(|(_, v)| drop_first(v, key)),
+        },
+        Json::Arr(items) => items.iter_mut().any(|v| drop_first(v, key)),
+        _ => false,
     }
 }
 
 #[test]
-fn pre_analysis_traces_still_load_and_diff_shows_na() {
+fn traces_missing_a_field_or_malformed_are_rejected() {
     let c = compile(ROWSUM, Schedule::default());
     let (_, perf) = c
         .run_with_opts(Device::Gtx780, &rowsum_args(64, 32), RunOptions::default())
         .expect("runs");
     let new_doc = prof::trace_json(c.report(), &perf);
-    let old_doc = strip_new_fields(&new_doc);
+    let (_, back) = prof::trace_from_json(&new_doc).expect("a written trace reads back");
+    assert_eq!(back, perf, "bit-exact round-trip");
 
-    // The stripped (pre-analysis) document still parses...
-    let (_, old_perf) = prof::trace_from_json(&old_doc).expect("old traces stay readable");
-    // ...with the new fields absent rather than defaulted.
-    for e in &old_perf.timeline {
-        if let TimelineEvent::Launch(l) = e {
-            assert!(l.breakdown.is_none(), "stripped trace has no breakdowns");
-        }
-    }
-    assert_eq!(old_perf.mem_events().count(), 0);
-    for s in old_perf.per_site.values() {
-        assert_eq!(s.modelled_us, 0.0);
+    // Each field the writer always writes is required: the first launch's
+    // `breakdown`, the first site's `modelled_us`, the run's `per_site`
+    // and `mem`.
+    for key in ["breakdown", "modelled_us", "per_site", "mem"] {
+        let mut doc = new_doc.clone();
+        assert!(drop_first(&mut doc, key), "the trace has a `{key}`");
+        assert!(
+            prof::trace_from_json(&doc).is_none(),
+            "a trace without `{key}` is rejected"
+        );
+        assert!(prof::diff_traces(&doc, &new_doc).is_none());
     }
 
-    // Diffing old-vs-new degrades gracefully: the old side's limiter is
-    // "n/a", and the diff is clean (same deterministic counters).
-    let d = prof::diff_traces(&old_doc, &new_doc).expect("both sides parse");
+    // A run that launched no kernel has no limiter, rendered "n/a".
+    let (_, scalar) = compile("fun main (x: i64): i64 = x + 1", Schedule::default())
+        .run_with_opts(Device::Gtx780, &[Value::i64(1)], RunOptions::default())
+        .expect("runs");
+    let d = prof::diff_runs(&scalar, &perf);
     assert!(d.limiter.0.is_none() && d.limiter.1.is_some());
-    assert!(d.is_clean(), "stripping derived fields changes no counters");
-    let rendered = prof::render_diff(&d);
-    assert!(
-        rendered.contains("limiter n/a ->"),
-        "absent limiter renders as n/a: {rendered}"
-    );
+    assert!(prof::render_diff(&d).contains("limiter n/a ->"));
 
     // Malformed documents are rejected, not misread: truncation, a
     // breakdown contradicting its own limiter tag, a missing field.

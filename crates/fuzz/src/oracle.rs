@@ -209,17 +209,13 @@ fn check_analysis(device: Device, perf: &futhark::PerfReport) -> Option<String> 
     use futhark::TimelineEvent;
     for e in &perf.timeline {
         if let TimelineEvent::Launch(l) = e {
-            match l.breakdown {
-                None => return Some(format!("launch of {} has no breakdown", l.kernel)),
-                Some(bd) if bd.total_us() != l.us => {
-                    return Some(format!(
-                        "launch of {}: breakdown total {:?} != recorded {:?} us",
-                        l.kernel,
-                        bd.total_us(),
-                        l.us
-                    ))
-                }
-                Some(_) => {}
+            if l.breakdown.total_us() != l.us {
+                return Some(format!(
+                    "launch of {}: breakdown total {:?} != recorded {:?} us",
+                    l.kernel,
+                    l.breakdown.total_us(),
+                    l.us
+                ));
             }
         }
     }

@@ -68,6 +68,7 @@ pub fn compile(prog: &Program, cur: &mut ScheduleCursor) -> Result<GpuPlan, Code
     let mut cg = Codegen {
         cur,
         kernels: Vec::new(),
+        folds: Vec::new(),
         types: HashMap::new(),
         kcount: 0,
     };
@@ -79,6 +80,7 @@ pub fn compile(prog: &Program, cur: &mut ScheduleCursor) -> Result<GpuPlan, Code
     Ok(GpuPlan {
         params: main.params.clone(),
         kernels: cg.kernels,
+        folds: cg.folds,
         body,
         mem_planned: false,
     })
@@ -88,6 +90,7 @@ struct Codegen<'a> {
     /// Choice points: per-site coalescing and per-kernel tiling decisions.
     cur: &'a mut ScheduleCursor,
     kernels: Vec<Kernel>,
+    folds: Vec<Kernel>,
     types: HashMap<Name, Type>,
     kcount: usize,
 }
@@ -663,10 +666,11 @@ impl Codegen<'_> {
     /// (the interpreter's order), and writes the result into row 0 of the
     /// partials, which are dead afterwards. `rows` are the per-thread
     /// accumulator types. The kernel takes its stage-1 kernel's name and
-    /// joins no kernel table; parameter 0 is the partial count
-    /// ([`ArgSpec::NumThreadsArg`] of the stage-1 launch).
+    /// joins the plan's fold kernels, not its launch kernels; parameter 0
+    /// is the partial count ([`ArgSpec::NumThreadsArg`] of the stage-1
+    /// launch).
     fn combine(
-        &self,
+        &mut self,
         name: &str,
         stm: &Stm,
         partials: &[Name],
@@ -723,11 +727,13 @@ impl Codegen<'_> {
         for (g, acc) in parts.iter().zip(&accs) {
             lower.write_into(&g.slice(&[KExp::i64(0)]), acc, &mut body)?;
         }
+        let args = kb_args(&kb);
+        self.folds.push(kb.finish(body));
         Ok(HStm::Combine {
             pat: stm.pat.clone(),
             partials: partials.to_vec(),
-            args: kb_args(&kb),
-            kernel: kb.finish(body),
+            fold: self.folds.len() - 1,
+            args,
         })
     }
 

@@ -117,10 +117,9 @@ pub struct LaunchRecord {
     pub stats: KernelStats,
     /// Modelled duration, microseconds.
     pub us: f64,
-    /// Full time decomposition of this launch (`None` only for traces
-    /// recorded before the analysis layer existed; fresh runs always
-    /// record it, and `breakdown.total_us() == us` bit-for-bit).
-    pub breakdown: Option<TimeBreakdown>,
+    /// Full time decomposition of this launch:
+    /// `breakdown.total_us() == us` bit-for-bit.
+    pub breakdown: TimeBreakdown,
 }
 
 /// One entry of the ordered execution timeline. Every modelled-time
@@ -178,21 +177,16 @@ impl TimelineEvent {
     /// Serialises to JSON (tagged by a `kind` field).
     pub fn to_json(&self) -> Json {
         match self {
-            TimelineEvent::Launch(l) => {
-                let mut fields = vec![
-                    ("kind".to_string(), Json::Str("launch".into())),
-                    ("kernel".to_string(), Json::Str(l.kernel.clone())),
-                    ("num_groups".to_string(), Json::U64(l.num_groups)),
-                    ("group_size".to_string(), Json::U64(l.group_size)),
-                    ("num_threads".to_string(), Json::U64(l.num_threads)),
-                    ("stats".to_string(), l.stats.to_json()),
-                    ("us".to_string(), Json::F64(l.us)),
-                ];
-                if let Some(b) = &l.breakdown {
-                    fields.push(("breakdown".to_string(), b.to_json()));
-                }
-                Json::Obj(fields)
-            }
+            TimelineEvent::Launch(l) => Json::obj(vec![
+                ("kind", Json::Str("launch".into())),
+                ("kernel", Json::Str(l.kernel.clone())),
+                ("num_groups", Json::U64(l.num_groups)),
+                ("group_size", Json::U64(l.group_size)),
+                ("num_threads", Json::U64(l.num_threads)),
+                ("stats", l.stats.to_json()),
+                ("us", Json::F64(l.us)),
+                ("breakdown", l.breakdown.to_json()),
+            ]),
             TimelineEvent::DeviceOp { what, bytes, us } => Json::obj(vec![
                 ("kind", Json::Str("device_op".into())),
                 ("what", Json::Str(what.clone())),
@@ -220,8 +214,8 @@ impl TimelineEvent {
         }
     }
 
-    /// Deserialises from JSON. The launch `breakdown` is optional so
-    /// traces written before the analysis layer still load (as `None`).
+    /// Deserialises from JSON: exactly what [`TimelineEvent::to_json`]
+    /// writes.
     pub fn from_json(j: &Json) -> Option<TimelineEvent> {
         match j.get("kind")?.as_str()? {
             "launch" => Some(TimelineEvent::Launch(LaunchRecord {
@@ -231,10 +225,7 @@ impl TimelineEvent {
                 num_threads: j.get("num_threads")?.as_u64()?,
                 stats: KernelStats::from_json(j.get("stats")?)?,
                 us: j.get("us")?.as_f64()?,
-                breakdown: match j.get("breakdown") {
-                    Some(b) => Some(TimeBreakdown::from_json(b)?),
-                    None => None,
-                },
+                breakdown: TimeBreakdown::from_json(j.get("breakdown")?)?,
             })),
             "device_op" => Some(TimelineEvent::DeviceOp {
                 what: j.get("what")?.as_str()?.to_string(),
@@ -309,16 +300,12 @@ impl PerfReport {
     }
 
     /// Per-kernel summed time decompositions, merged from the per-launch
-    /// breakdowns on the timeline. Launches without a recorded breakdown
-    /// (traces predating the analysis layer) contribute nothing, so the
-    /// map can be empty for old traces.
+    /// breakdowns on the timeline.
     pub fn kernel_breakdowns(&self) -> BTreeMap<String, TimeBreakdown> {
         let mut m: BTreeMap<String, TimeBreakdown> = BTreeMap::new();
         for e in &self.timeline {
             if let TimelineEvent::Launch(l) = e {
-                if let Some(b) = &l.breakdown {
-                    m.entry(l.kernel.clone()).or_default().merge(b);
-                }
+                m.entry(l.kernel.clone()).or_default().merge(&l.breakdown);
             }
         }
         m
@@ -335,7 +322,7 @@ impl PerfReport {
     /// The source site owning the peak footprint: the site of the first
     /// memory event whose live-bytes reading reaches the curve's maximum,
     /// together with that maximum. `None` when no memory events were
-    /// recorded (old traces).
+    /// recorded.
     pub fn peak_site(&self) -> Option<(&str, u64)> {
         let peak = self.mem_events().map(|m| m.live_bytes).max()?;
         self.mem_events()
@@ -388,8 +375,9 @@ impl PerfReport {
         ])
     }
 
-    /// Deserialises from JSON. Keys it does not know are ignored, such as
-    /// the uniform-path tallies older traces carry.
+    /// Deserialises from JSON: every field [`PerfReport::to_json`] writes
+    /// is required. Keys it does not know are ignored, such as the
+    /// uniform-path tallies older traces carry.
     pub fn from_json(j: &Json) -> Option<PerfReport> {
         let mut per_kernel = BTreeMap::new();
         for (k, e) in j.get("per_kernel")?.as_obj()? {
@@ -408,20 +396,10 @@ impl PerfReport {
             .iter()
             .map(TimelineEvent::from_json)
             .collect::<Option<Vec<_>>>()?;
-        // `per_site` is optional: traces from before every run counted per
-        // site may lack it.
         let mut per_site = BTreeMap::new();
-        if let Some(ps) = j.get("per_site") {
-            for (k, s) in ps.as_obj()? {
-                per_site.insert(k.clone(), SiteStats::from_json(s)?);
-            }
+        for (k, s) in j.get("per_site")?.as_obj()? {
+            per_site.insert(k.clone(), SiteStats::from_json(s)?);
         }
-        // `mem` is optional for the same reason: traces predating the
-        // memory planner lack it. A malformed one is rejected.
-        let mem = match j.get("mem") {
-            Some(m) => MemStats::from_json(m)?,
-            None => MemStats::default(),
-        };
         Some(PerfReport {
             total_us: j.get("total_us")?.as_f64()?,
             kernel_us: j.get("kernel_us")?.as_f64()?,
@@ -433,7 +411,7 @@ impl PerfReport {
             per_kernel,
             timeline,
             per_site,
-            mem,
+            mem: MemStats::from_json(j.get("mem")?)?,
         })
     }
 }
@@ -486,10 +464,8 @@ pub struct DecodedPlan {
     /// One per entry of [`GpuPlan::kernels`], indexed like
     /// [`LaunchSpec::kernel`].
     kernels: Box<[DecodedKernel]>,
-    /// The stage-2 fold kernel of every [`HStm::Combine`], including
-    /// those nested in host loops, `while` conditions and branches, in
-    /// plan order. Each is named after its stage-1 kernel, so names are
-    /// unique within a plan.
+    /// One per entry of [`GpuPlan::folds`], indexed like
+    /// [`HStm::Combine`]'s `fold`.
     folds: Box<[DecodedKernel]>,
 }
 
@@ -504,8 +480,7 @@ impl DecodedPlan {
     /// # Errors
     ///
     /// Returns the [`SimError`] of the first kernel the simulator's static
-    /// model rejects (it names the kernel), or [`SimError::Malformed`] if
-    /// two fold kernels share a name.
+    /// model rejects (it names the kernel).
     pub fn decode(plan: &GpuPlan) -> Result<DecodedPlan, SimError> {
         Self::decode_with(plan, DecodedKernel::decode)
     }
@@ -523,47 +498,10 @@ impl DecodedPlan {
 
     /// Decodes every kernel of `plan` with `decode`.
     fn decode_with(plan: &GpuPlan, decode: Decode) -> Result<DecodedPlan, SimError> {
-        fn folds(b: &HBody, decode: Decode, out: &mut Vec<DecodedKernel>) -> Result<(), SimError> {
-            for stm in &b.stms {
-                match stm {
-                    HStm::Combine { kernel, .. } => {
-                        if out.iter().any(|d| d.name == kernel.name) {
-                            return Err(SimError::Malformed {
-                                kernel: kernel.name.clone(),
-                                what: "two fold kernels share this name".into(),
-                            });
-                        }
-                        out.push(decode(kernel)?);
-                    }
-                    HStm::Loop {
-                        while_cond, body, ..
-                    } => {
-                        if let Some(c) = while_cond {
-                            folds(c, decode, out)?;
-                        }
-                        folds(body, decode, out)?;
-                    }
-                    HStm::If { then_b, else_b, .. } => {
-                        folds(then_b, decode, out)?;
-                        folds(else_b, decode, out)?;
-                    }
-                    HStm::Direct(_)
-                    | HStm::Launch { .. }
-                    | HStm::Free { .. }
-                    | HStm::Alloc { .. } => {}
-                }
-            }
-            Ok(())
-        }
-        let mut kernels = Vec::with_capacity(plan.kernels.len());
-        for k in &plan.kernels {
-            kernels.push(decode(k)?);
-        }
-        let mut fold_kernels = Vec::new();
-        folds(&plan.body, decode, &mut fold_kernels)?;
+        let all = |ks: &[Kernel]| ks.iter().map(decode).collect::<Result<_, _>>();
         Ok(DecodedPlan {
-            kernels: kernels.into_boxed_slice(),
-            folds: fold_kernels.into_boxed_slice(),
+            kernels: all(&plan.kernels)?,
+            folds: all(&plan.folds)?,
         })
     }
 
@@ -572,7 +510,7 @@ impl DecodedPlan {
         &self.kernels
     }
 
-    /// The decoded stage-2 fold kernels, in plan order.
+    /// The decoded stage-2 fold kernels, indexed like [`GpuPlan::folds`].
     pub fn folds(&self) -> &[DecodedKernel] {
         &self.folds
     }
@@ -599,11 +537,13 @@ pub fn run(
     args: &[Value],
     opts: &RunOptions,
 ) -> EResult<(Vec<Value>, PerfReport)> {
-    if decoded.kernels.len() != plan.kernels.len() {
+    if (decoded.kernels.len(), decoded.folds.len()) != (plan.kernels.len(), plan.folds.len()) {
         return Err(ExecError::Plan(format!(
-            "{} decoded kernels for a plan of {}",
+            "{} decoded kernels and {} folds for a plan of {} and {}",
             decoded.kernels.len(),
-            plan.kernels.len()
+            decoded.folds.len(),
+            plan.kernels.len(),
+            plan.folds.len()
         )));
     }
     let mut arena = DeviceMemory::from_profile(device);
@@ -699,22 +639,22 @@ struct Executor<'a> {
     loop_watermarks: Vec<u64>,
 }
 
-impl<'a> Executor<'a> {
-    /// The decoded kernel of a launch, checked against the plan's.
-    fn launch_kernel(&self, spec: &LaunchSpec) -> EResult<&'a DecodedKernel> {
-        let decoded: &'a DecodedPlan = self.decoded;
-        match (
-            decoded.kernels.get(spec.kernel),
-            self.plan.kernels.get(spec.kernel),
-        ) {
-            (Some(dk), Some(k)) if dk.name == k.name => Ok(dk),
-            _ => Err(ExecError::Plan(format!(
-                "launch of kernel {} has no matching decoded kernel",
-                spec.kernel
-            ))),
-        }
+/// Entry `i` of a decoded kernel table, checked against the plan's
+/// table it was decoded from.
+fn decoded_at<'d>(
+    decoded: &'d [DecodedKernel],
+    plan: &[Kernel],
+    i: usize,
+) -> EResult<&'d DecodedKernel> {
+    match (decoded.get(i), plan.get(i)) {
+        (Some(dk), Some(k)) if dk.name == k.name => Ok(dk),
+        _ => Err(ExecError::Plan(format!(
+            "kernel {i} has no matching decoded kernel"
+        ))),
     }
+}
 
+impl<'a> Executor<'a> {
     /// The source site a statement's memory traffic is attributed to.
     fn stm_site(&self, stm: &HStm) -> Cow<'a, str> {
         let decoded: &'a DecodedPlan = self.decoded;
@@ -1001,9 +941,9 @@ impl<'a> Executor<'a> {
             HStm::Combine {
                 pat,
                 partials,
-                kernel,
+                fold,
                 args,
-            } => self.combine(pat, partials, kernel, args),
+            } => self.combine(pat, partials, *fold, args),
             HStm::Loop {
                 pat,
                 params,
@@ -1470,7 +1410,7 @@ impl<'a> Executor<'a> {
     }
 
     fn launch(&mut self, pat: &[PatElem], spec: &LaunchSpec) -> EResult<()> {
-        let dk = self.launch_kernel(spec)?;
+        let dk = decoded_at(&self.decoded.kernels, &self.plan.kernels, spec.kernel)?;
         // Thread count.
         let num_threads = match &spec.kind {
             LaunchKind::Grid => {
@@ -1663,7 +1603,7 @@ impl<'a> Executor<'a> {
                 num_threads,
                 stats,
                 us: t,
-                breakdown: Some(breakdown),
+                breakdown,
             }));
         for (pe, d) in pat.iter().zip(out_darrs) {
             self.env.insert(pe.name.clone(), HVal::Array(d));
@@ -1675,7 +1615,7 @@ impl<'a> Executor<'a> {
         &mut self,
         pat: &[PatElem],
         partials: &[Name],
-        kernel: &Kernel,
+        fold: usize,
         args: &[ArgSpec],
     ) -> EResult<()> {
         let parts: Vec<DArr> = partials
@@ -1684,14 +1624,7 @@ impl<'a> Executor<'a> {
             .collect::<EResult<_>>()?;
         let t = parts[0].shape[0];
         let args = self.kernel_args(args, t as u64, &[])?;
-        let decoded: &'a DecodedPlan = self.decoded;
-        let dk = decoded
-            .folds
-            .iter()
-            .find(|d| d.name == kernel.name)
-            .ok_or_else(|| {
-                ExecError::Plan(format!("fold kernel `{}` was not decoded", kernel.name))
-            })?;
+        let dk = decoded_at(&self.decoded.folds, &self.plan.folds, fold)?;
         // One thread is one work-group of one lane, so the fold runs on
         // the one-lane path with one worker at any thread count. Its
         // counters are discarded: the combine is charged below as one

@@ -123,18 +123,19 @@ pub enum HStm {
     /// partials with the associative operator, left to right from the
     /// initial accumulators (`acc = init; for i < t: acc = red(acc,
     /// partials[i])`, the interpreter's order), and leaves the result in
-    /// row 0 of the partials, which are dead afterwards. The executor runs
-    /// it decoded with the rest of the plan, so on the same engine as the
-    /// stage-1 launch, and charges it as one `combine` device op:
-    /// the fold kernel adds no launch, no per-kernel entry, and nothing to
-    /// [`GpuPlan::kernel_count`].
+    /// row 0 of the partials, which are dead afterwards. The fold kernel
+    /// is an entry of [`GpuPlan::folds`], named by index as a launch names
+    /// its kernel. The executor runs it decoded with the rest of the plan,
+    /// so on the same engine as the stage-1 launch, and charges it as one
+    /// `combine` device op: the fold kernel adds no launch, no per-kernel
+    /// entry, and nothing to [`GpuPlan::kernel_count`].
     Combine {
         /// Bound pattern (the final accumulator values).
         pat: Vec<PatElem>,
         /// Partials: one array per accumulator, outer size = thread count.
         partials: Vec<Name>,
-        /// The fold kernel, named after its stage-1 kernel.
-        kernel: Kernel,
+        /// Index into [`GpuPlan::folds`].
+        fold: usize,
         /// Its arguments, aligned with the kernel's parameter list.
         args: Vec<ArgSpec>,
     },
@@ -198,6 +199,10 @@ pub struct GpuPlan {
     pub params: Vec<Param>,
     /// Compiled kernels.
     pub kernels: Vec<Kernel>,
+    /// The stage-2 fold kernels of the [`HStm::Combine`]s, each named
+    /// after its stage-1 kernel. They are not launches, so they are not
+    /// in `kernels`.
+    pub folds: Vec<Kernel>,
     /// The host program.
     pub body: HBody,
     /// Whether the memory planner ran (the executor only trusts

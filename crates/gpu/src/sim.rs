@@ -710,8 +710,7 @@ impl SiteStats {
         ])
     }
 
-    /// Deserialises from JSON. `modelled_us` is optional (0.0 when
-    /// absent) so traces written before the analysis layer still load.
+    /// Deserialises from JSON.
     pub fn from_json(j: &futhark_trace::Json) -> Option<SiteStats> {
         Some(SiteStats {
             warp_instructions: j.get("warp_instructions")?.as_u64()?,
@@ -721,10 +720,7 @@ impl SiteStats {
             useful_bytes: j.get("useful_bytes")?.as_u64()?,
             local_accesses: j.get("local_accesses")?.as_u64()?,
             barriers: j.get("barriers")?.as_u64()?,
-            modelled_us: match j.get("modelled_us") {
-                Some(v) => v.as_f64()?,
-                None => 0.0,
-            },
+            modelled_us: j.get("modelled_us")?.as_f64()?,
         })
     }
 }

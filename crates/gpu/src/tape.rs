@@ -85,6 +85,13 @@
 //! which takes a warp's segments as a shift of its indices (`Segments`)
 //! and counts a full warp's in one branch-free pass.
 //!
+//! A launch checks its arguments before any group runs ([`launch`]): each
+//! argument's kind and type against its parameter, and a buffer's
+//! liveness. Decode has checked that every scalar read names a scalar
+//! parameter and every global access a buffer one, so the engines read
+//! the arguments by parameter position with no fault path, and no engine
+//! orders an argument fault among its lanes' faults.
+//!
 //! A work-group of one lane has nothing to spread a column's fixed costs
 //! over, so the warp engine runs it on its **one-lane path**: every
 //! stage-2 fold (a one-thread launch), and the tail group of a launch one
@@ -177,13 +184,13 @@ fn buf_set_bits(b: &mut Buffer, i: usize, bits: u64) {
     }
 }
 
-/// Interprets index bits of the given class as an `i64` element index.
+/// Interprets index bits of the given class, i32 or i64 (decode rejects
+/// any other index class), as an `i64` element index.
 #[inline]
-fn index_i64(t: ScalarType, bits: u64) -> SResult<i64> {
+fn index_i64(t: ScalarType, bits: u64) -> i64 {
     match t {
-        ScalarType::I64 => Ok(bits as i64),
-        ScalarType::I32 => Ok(bits as u32 as i32 as i64),
-        _ => Err(SimError::Scalar("non-integer index".into())),
+        ScalarType::I32 => bits as u32 as i32 as i64,
+        _ => bits as i64,
     }
 }
 
@@ -615,25 +622,25 @@ struct Decoder<'k> {
     changed: bool,
 }
 
+/// The type of scalar parameter `i`: decode's one check that an
+/// expression's `ScalarArg` names a scalar.
+fn param_scalar(kernel: &Kernel, i: usize) -> SResult<ScalarType> {
+    match kernel.params.get(i) {
+        Some(KParam::Scalar(t)) => Ok(*t),
+        _ => Err(SimError::Scalar(format!("argument {i} is not a scalar"))),
+    }
+}
+
+/// The element type of buffer parameter `i`: decode's one check that a
+/// global access names a buffer.
+fn param_buffer(kernel: &Kernel, i: usize) -> SResult<ScalarType> {
+    match kernel.params.get(i) {
+        Some(KParam::Buffer(t)) => Ok(*t),
+        _ => Err(SimError::Scalar(format!("argument {i} is not a buffer"))),
+    }
+}
+
 impl<'k> Decoder<'k> {
-    fn scalar_err(msg: impl Into<String>) -> SimError {
-        SimError::Scalar(msg.into())
-    }
-
-    fn param_scalar(&self, i: usize) -> SResult<ScalarType> {
-        match self.kernel.params.get(i) {
-            Some(KParam::Scalar(t)) => Ok(*t),
-            _ => Err(Self::scalar_err(format!("argument {i} is not a scalar"))),
-        }
-    }
-
-    fn param_buffer(&self, i: usize) -> SResult<ScalarType> {
-        match self.kernel.params.get(i) {
-            Some(KParam::Buffer(t)) => Ok(*t),
-            _ => Err(Self::scalar_err(format!("argument {i} is not a buffer"))),
-        }
-    }
-
     /// The class of an expression, if enough register classes are known.
     fn exp_class(&self, e: &KExp) -> SResult<Option<ScalarType>> {
         Ok(match e {
@@ -642,7 +649,7 @@ impl<'k> Decoder<'k> {
             KExp::GlobalId | KExp::GroupId | KExp::LocalId | KExp::GroupSize | KExp::NumThreads => {
                 Some(ScalarType::I64)
             }
-            KExp::ScalarArg(i) => Some(self.param_scalar(*i)?),
+            KExp::ScalarArg(i) => Some(param_scalar(self.kernel, *i)?),
             KExp::BinOp(_, a, b) => match self.exp_class(a)? {
                 Some(t) => Some(t),
                 None => self.exp_class(b)?,
@@ -661,7 +668,7 @@ impl<'k> Decoder<'k> {
                 Ok(())
             }
             Some(old) if old == t => Ok(()),
-            Some(old) => Err(Self::scalar_err(format!(
+            Some(old) => Err(SimError::Scalar(format!(
                 "register {r} used at both {old:?} and {t:?}"
             ))),
         }
@@ -675,7 +682,7 @@ impl<'k> Decoder<'k> {
                 Ok(())
             }
             Some(old) if old == t => Ok(()),
-            Some(old) => Err(Self::scalar_err(format!(
+            Some(old) => Err(SimError::Scalar(format!(
                 "private array {p} used at both {old:?} and {t:?}"
             ))),
         }
@@ -690,7 +697,7 @@ impl<'k> Decoder<'k> {
                     }
                 }
                 KStm::GlobalRead { var, buf, .. } => {
-                    let t = self.param_buffer(*buf)?;
+                    let t = param_buffer(self.kernel, *buf)?;
                     self.set_reg(*var, t)?;
                 }
                 KStm::LocalRead { var, mem, .. } => {
@@ -780,14 +787,8 @@ impl<'k> Compiler<'k> {
                 ScalarType::I64
             }
             KExp::ScalarArg(i) => {
-                let t = match self.kernel.params.get(*i) {
-                    Some(KParam::Scalar(t)) => *t,
-                    _ => {
-                        return Err(SimError::Scalar(format!("argument {i} is not a scalar")));
-                    }
-                };
                 self.ops.push(EOp::ScalarArg(*i as u32));
-                t
+                param_scalar(self.kernel, *i)?
             }
             KExp::BinOp(op, a, b) => {
                 let ta = self.exp(a)?;
@@ -946,12 +947,7 @@ impl<'k> Compiler<'k> {
                 index: self.index_tape(index)?,
             },
             KStm::GlobalWrite { buf, index, value } => {
-                let elem = match self.kernel.params.get(*buf) {
-                    Some(KParam::Buffer(t)) => *t,
-                    _ => {
-                        return Err(SimError::Scalar(format!("argument {buf} is not a buffer")));
-                    }
-                };
+                let elem = param_buffer(self.kernel, *buf)?;
                 DKind::GlobalWrite {
                     buf: *buf,
                     index: self.index_tape(index)?,
@@ -1607,8 +1603,9 @@ struct GroupOut {
 struct GroupRun<'a> {
     dk: &'a DecodedKernel,
     base: &'a DeviceMemory,
-    buf_ids: &'a [Option<BufId>],
-    scalar_bits: &'a [Option<u64>],
+    /// The launch arguments by parameter position, as [`launch`] checked
+    /// and resolved them: a scalar's bits, or a buffer's id.
+    args: &'a [u64],
     group_id: u64,
     group_size: u64,
     num_threads: u64,
@@ -1794,33 +1791,6 @@ fn first_fault(
         }
     }
     unreachable!("a column scan found a fault that no active lane holds")
-}
-
-/// The bits of scalar launch argument `arg`, or the fault of a launch
-/// that passed a buffer where the kernel reads a scalar.
-#[inline]
-fn scalar_arg(scalar_bits: &[Option<u64>], arg: u32) -> SResult<u64> {
-    scalar_bits[arg as usize]
-        .ok_or_else(|| SimError::Scalar(format!("argument {arg} is not a scalar")))
-}
-
-/// What one lane's tape evaluation gives on the one-lane path: the result
-/// bits, or the lane's fault (a zero divisor, a failing unop or
-/// conversion), which its statement reports in the per-lane engine's
-/// order.
-type LaneBits = Result<u64, SimError>;
-
-/// The rest of a tape after the lone lane faulted: the warp engine runs
-/// it through, skipping the faulted lane, so a missing scalar argument
-/// after the fault is the error it reports; otherwise it is the fault.
-#[cold]
-fn after_fault(rest: &[WInstr], scalar_bits: &[Option<u64>], e: SimError) -> SResult<LaneBits> {
-    for &ins in rest {
-        if let WInstr::ScalarArg { arg, .. } = ins {
-            scalar_arg(scalar_bits, arg)?;
-        }
-    }
-    Ok(Err(e))
 }
 
 /// Stores `bits(l)` into a register's column for the mask's active
@@ -2132,12 +2102,11 @@ impl<'a> GroupRun<'a> {
         }
     }
 
-    fn buffer(&self, arg: usize) -> SResult<BufId> {
-        self.buf_ids
-            .get(arg)
-            .copied()
-            .flatten()
-            .ok_or_else(|| SimError::Scalar(format!("argument {arg} is not a buffer")))
+    /// The buffer of argument `arg`, which decode checked names a buffer
+    /// parameter and [`launch`] checked is a live buffer.
+    #[inline]
+    fn buffer(&self, arg: usize) -> BufId {
+        self.args[arg] as BufId
     }
 
     /// A malformed-artifact fault attributed to this kernel (tape stack
@@ -2165,11 +2134,7 @@ impl<'a> GroupRun<'a> {
                 EOp::LocalId => self.stack.push(lane as i64 as u64),
                 EOp::GroupSize => self.stack.push(self.group_size as i64 as u64),
                 EOp::NumThreads => self.stack.push(self.num_threads as i64 as u64),
-                EOp::ScalarArg(i) => {
-                    let bits = self.scalar_bits[i as usize]
-                        .ok_or_else(|| SimError::Scalar(format!("argument {i} is not a scalar")))?;
-                    self.stack.push(bits);
-                }
+                EOp::ScalarArg(i) => self.stack.push(self.args[i as usize]),
                 EOp::Bin(op, t) => {
                     let b = self.pop_operand()?;
                     let a = self.pop_operand()?;
@@ -2210,8 +2175,7 @@ impl<'a> GroupRun<'a> {
     }
 
     fn eval_index(&mut self, tape: &Tape, lane: usize) -> SResult<i64> {
-        let bits = self.eval(tape, lane)?;
-        index_i64(tape.class, bits)
+        Ok(index_i64(tape.class, self.eval(tape, lane)?))
     }
 
     /// The current statement's counters.
@@ -2340,7 +2304,7 @@ impl<'a> GroupRun<'a> {
                 DKind::GlobalRead { reg, buf, index } => {
                     self.issue(mask, index.cost());
                     let at = *reg as usize * self.lanes;
-                    let bid = self.buffer(*buf)?;
+                    let bid = self.buffer(*buf);
                     let base_buf = self.base.raw(bid);
                     let len = base_buf.len() as i64;
                     let elem_bytes = base_buf.elem_type().byte_size() as u64;
@@ -2363,7 +2327,7 @@ impl<'a> GroupRun<'a> {
                 }
                 DKind::GlobalWrite { buf, index, value } => {
                     self.issue(mask, index.cost() + value.cost());
-                    let bid = self.buffer(*buf)?;
+                    let bid = self.buffer(*buf);
                     let len = self.base.raw(bid).len() as i64;
                     let elem_bytes = self.base.raw(bid).elem_type().byte_size() as u64;
                     for lane in 0..mask.len() {
@@ -2727,7 +2691,7 @@ impl<'a> GroupRun<'a> {
     /// caller to interleave with its own per-lane checks in lane-ascending
     /// order, reproducing exactly the error the per-lane engine would
     /// pick.
-    fn weval(&mut self, tape: &Tape, mask: &WMask) -> SResult<TapeFaults> {
+    fn weval(&mut self, tape: &Tape, mask: &WMask) -> TapeFaults {
         self.weval_into(tape, tape.result, mask)
     }
 
@@ -2735,12 +2699,12 @@ impl<'a> GroupRun<'a> {
     /// column `out` in place of `tape.result`: no instruction after it
     /// reads that temporary, so the result lands in `out` and nothing
     /// else changes.
-    fn weval_into(&mut self, tape: &Tape, out: u32, mask: &WMask) -> SResult<TapeFaults> {
+    fn weval_into(&mut self, tape: &Tape, out: u32, mask: &WMask) -> TapeFaults {
         let lanes = self.lanes;
         let dk = self.dk;
         let (group_id, group_size, num_threads) =
             (self.group_id, self.group_size, self.num_threads);
-        let scalar_bits = self.scalar_bits;
+        let args = self.args;
         let s: &mut [u64] = &mut self.regs;
         let on: &[bool] = &mask.on;
         let mut faults: Option<Box<[Option<SimError>]>> = None;
@@ -2771,10 +2735,7 @@ impl<'a> GroupRun<'a> {
                 WInstr::GroupSize { dst } => fill1!(dst, |_l| group_size as i64 as u64),
                 WInstr::NumThreads { dst } => fill1!(dst, |_l| num_threads as i64 as u64),
                 WInstr::ScalarArg { dst, arg } => {
-                    // A missing scalar argument faults every lane alike;
-                    // the per-lane engine reported it at the first active
-                    // lane, before any other lane's checks could run.
-                    let bits = scalar_arg(scalar_bits, arg)?;
+                    let bits = args[arg as usize];
                     fill1!(dst, |_l| bits)
                 }
                 WInstr::Bin { op, t, dst, a, b } => {
@@ -2800,7 +2761,7 @@ impl<'a> GroupRun<'a> {
                 }
             }
         }
-        Ok(TapeFaults(faults))
+        TapeFaults(faults)
     }
 
     /// The warp execution engine: statement-major like [`GroupRun::exec`]
@@ -2835,7 +2796,7 @@ impl<'a> GroupRun<'a> {
                     // infallible instructions write inactive lanes too.
                     let in_place = mask.all && exp.len > 0;
                     let out = if in_place { *reg } else { exp.result };
-                    let tf = self.weval_into(exp, out, mask)?;
+                    let tf = self.weval_into(exp, out, mask);
                     if let Some((_, e)) = tf.into_first() {
                         return Err(e);
                     }
@@ -2845,10 +2806,10 @@ impl<'a> GroupRun<'a> {
                 }
                 DKind::GlobalRead { reg, buf, index } => {
                     self.issue_w(mask, index.cost());
-                    let bid = self.buffer(*buf)?;
+                    let bid = self.buffer(*buf);
                     let src = snapshot.raw(bid);
                     let len = src.len();
-                    let tf = self.weval(index, mask)?;
+                    let tf = self.weval(index, mask);
                     self.index_column(index);
                     if let Some(e) = self.column_fault(
                         mask,
@@ -2864,12 +2825,12 @@ impl<'a> GroupRun<'a> {
                 }
                 DKind::GlobalWrite { buf, index, value } => {
                     self.issue_w(mask, index.cost() + value.cost());
-                    let bid = self.buffer(*buf)?;
+                    let bid = self.buffer(*buf);
                     let src = snapshot.raw(bid);
                     let len = src.len();
-                    let tfi = self.weval(index, mask)?;
+                    let tfi = self.weval(index, mask);
                     self.index_column(index);
-                    let tfv = self.weval(value, mask)?;
+                    let tfv = self.weval(value, mask);
                     if let Some(e) = self.column_fault(
                         mask,
                         (tfi, tfv),
@@ -2886,7 +2847,7 @@ impl<'a> GroupRun<'a> {
                 }
                 DKind::LocalRead { reg, mem, index } => {
                     self.issue_w(mask, index.cost());
-                    let tf = self.weval(index, mask)?;
+                    let tf = self.weval(index, mask);
                     self.index_column(index);
                     let len = self.locals[*mem].len();
                     if let Some(e) = self.column_fault(
@@ -2907,9 +2868,9 @@ impl<'a> GroupRun<'a> {
                 }
                 DKind::LocalWrite { mem, index, value } => {
                     self.issue_w(mask, index.cost() + value.cost());
-                    let tfi = self.weval(index, mask)?;
+                    let tfi = self.weval(index, mask);
                     self.index_column(index);
-                    let tfv = self.weval(value, mask)?;
+                    let tfv = self.weval(value, mask);
                     let len = self.locals[*mem].len();
                     // The per-lane engine checked bounds after evaluating
                     // the value.
@@ -2932,7 +2893,7 @@ impl<'a> GroupRun<'a> {
                 }
                 DKind::PrivAlloc { arr, size } => {
                     self.issue_w(mask, size.cost());
-                    let mut tf = self.weval(size, mask)?;
+                    let mut tf = self.weval(size, mask);
                     self.index_column(size);
                     // Lane-ascending, as the per-lane engine allocated: a
                     // lane's size fault, then its allocation.
@@ -2945,7 +2906,7 @@ impl<'a> GroupRun<'a> {
                 }
                 DKind::PrivRead { reg, arr, index } => {
                     self.issue_w(mask, index.cost());
-                    let tf = self.weval(index, mask)?;
+                    let tf = self.weval(index, mask);
                     self.index_column(index);
                     let ps = &self.privs[*arr * lanes..(*arr + 1) * lanes];
                     if let Some(e) = self.column_fault(
@@ -2969,9 +2930,9 @@ impl<'a> GroupRun<'a> {
                 }
                 DKind::PrivWrite { arr, index, value } => {
                     self.issue_w(mask, index.cost() + value.cost());
-                    let tfi = self.weval(index, mask)?;
+                    let tfi = self.weval(index, mask);
                     self.index_column(index);
-                    let tfv = self.weval(value, mask)?;
+                    let tfv = self.weval(value, mask);
                     let ps = &self.privs[*arr * lanes..(*arr + 1) * lanes];
                     if let Some(e) = self.column_fault(
                         mask,
@@ -2997,7 +2958,7 @@ impl<'a> GroupRun<'a> {
                 }
                 DKind::PrivCopy { dst, src, len } => {
                     self.issue_w(mask, len.cost());
-                    let mut tf = self.weval(len, mask)?;
+                    let mut tf = self.weval(len, mask);
                     self.index_column(len);
                     for l in (0..lanes).filter(|&l| mask.on[l]) {
                         if let Some(e) = tf.take(l) {
@@ -3009,7 +2970,7 @@ impl<'a> GroupRun<'a> {
                 DKind::For { reg, bound, body } => {
                     self.issue_w(mask, bound.cost());
                     let at = *reg as usize * lanes;
-                    let tf = self.weval(bound, mask)?;
+                    let tf = self.weval(bound, mask);
                     if let Some((_, e)) = tf.into_first() {
                         return Err(e);
                     }
@@ -3066,7 +3027,7 @@ impl<'a> GroupRun<'a> {
                         // condition is the loop's own.
                         self.cur_site = stm.site as usize;
                         self.issue_w(&live, cond.cost());
-                        let tf = self.weval(cond, &live)?;
+                        let tf = self.weval(cond, &live);
                         if let Some((_, e)) = tf.into_first() {
                             return Err(e);
                         }
@@ -3099,7 +3060,7 @@ impl<'a> GroupRun<'a> {
                     else_s,
                 } => {
                     self.issue_w(mask, cond.cost());
-                    let tf = self.weval(cond, mask)?;
+                    let tf = self.weval(cond, mask);
                     if let Some((_, e)) = tf.into_first() {
                         return Err(e);
                     }
@@ -3177,18 +3138,14 @@ impl<'a> GroupRun<'a> {
     }
 
     /// Evaluates a tape's register form for the lone lane, whose column
-    /// `c` is `regs[c]`, with the per-lane engine's scalar functions. A
-    /// missing scalar argument is the outer error, raised where its
-    /// instruction runs, as the warp engine raises it; the lane's own
-    /// fault is the inner one.
+    /// `c` is `regs[c]`, with the per-lane engine's scalar functions.
     #[inline]
-    fn seval(&mut self, tape: &Tape) -> SResult<LaneBits> {
+    fn seval(&mut self, tape: &Tape) -> SResult<u64> {
         if tape.len == 0 {
-            return Ok(Ok(self.regs[tape.result as usize]));
+            return Ok(self.regs[tape.result as usize]);
         }
         let dk = self.dk;
-        let instrs = dk.winstrs(tape);
-        let scalar_bits = self.scalar_bits;
+        let args = self.args;
         let gid = self.group_id as i64 as u64;
         let first = (self.group_id * self.group_size) as i64 as u64;
         let (group_size, num_threads) = (
@@ -3196,7 +3153,7 @@ impl<'a> GroupRun<'a> {
             self.num_threads as i64 as u64,
         );
         let r = &mut self.regs;
-        for (k, &ins) in instrs.iter().enumerate() {
+        for &ins in dk.winstrs(tape) {
             let (dst, bits) = match ins {
                 WInstr::Const { dst, bits } => (dst, bits),
                 WInstr::GlobalId { dst } => (dst, first),
@@ -3204,47 +3161,31 @@ impl<'a> GroupRun<'a> {
                 WInstr::LocalId { dst } => (dst, 0),
                 WInstr::GroupSize { dst } => (dst, group_size),
                 WInstr::NumThreads { dst } => (dst, num_threads),
-                WInstr::ScalarArg { dst, arg } => (dst, scalar_arg(scalar_bits, arg)?),
+                WInstr::ScalarArg { dst, arg } => (dst, args[arg as usize]),
                 WInstr::Bin { op, t, dst, a, b } => {
-                    match bin_bits(op, t, r[a as usize], r[b as usize]) {
-                        Ok(v) => (dst, v),
-                        Err(e) => return after_fault(&instrs[k + 1..], scalar_bits, e),
-                    }
+                    (dst, bin_bits(op, t, r[a as usize], r[b as usize])?)
                 }
                 WInstr::Cmp { op, t, dst, a, b } => {
                     (dst, cmp_bits(op, t, r[a as usize], r[b as usize]))
                 }
-                WInstr::Un { op, t, dst, a } => match eval_unop(op, dec(t, r[a as usize])) {
-                    Ok(v) => (dst, enc(v)),
-                    Err(e) => {
-                        let e = SimError::Scalar(e.to_string());
-                        return after_fault(&instrs[k + 1..], scalar_bits, e);
-                    }
-                },
+                WInstr::Un { op, t, dst, a } => {
+                    let v = eval_unop(op, dec(t, r[a as usize]));
+                    (dst, enc(v.map_err(|e| SimError::Scalar(e.to_string()))?))
+                }
                 WInstr::Conv { from, to, dst, a } => {
-                    match eval_convert(to, dec(from, r[a as usize])) {
-                        Ok(v) => (dst, enc(v)),
-                        Err(e) => {
-                            let e = SimError::Scalar(e.to_string());
-                            return after_fault(&instrs[k + 1..], scalar_bits, e);
-                        }
-                    }
+                    let v = eval_convert(to, dec(from, r[a as usize]));
+                    (dst, enc(v.map_err(|e| SimError::Scalar(e.to_string()))?))
                 }
             };
             r[dst as usize] = bits;
         }
-        Ok(Ok(r[tape.result as usize]))
+        Ok(r[tape.result as usize])
     }
 
-    /// [`GroupRun::seval`] of an integer tape, as an element index
-    /// converted the way [`GroupRun::index_column`] converts a column.
+    /// [`GroupRun::seval`] of an integer tape, as an element index.
     #[inline]
-    fn sindex(&mut self, tape: &Tape) -> SResult<Result<i64, SimError>> {
-        let bits = self.seval(tape)?;
-        Ok(bits.map(|b| match tape.class {
-            ScalarType::I32 => b as u32 as i32 as i64,
-            _ => b as i64,
-        }))
+    fn sindex(&mut self, tape: &Tape) -> SResult<i64> {
+        Ok(index_i64(tape.class, self.seval(tape)?))
     }
 
     /// The one-lane path: a work-group of one lane runs its statements as
@@ -3263,13 +3204,13 @@ impl<'a> GroupRun<'a> {
             match &stm.kind {
                 DKind::Assign { reg, exp } => {
                     self.issue_lane(exp.cost());
-                    self.regs[*reg as usize] = self.seval(exp)??;
+                    self.regs[*reg as usize] = self.seval(exp)?;
                 }
                 DKind::GlobalRead { reg, buf, index } => {
                     self.issue_lane(index.cost());
-                    let bid = self.buffer(*buf)?;
+                    let bid = self.buffer(*buf);
                     let src = snapshot.raw(bid);
-                    let i = self.sindex(index)??;
+                    let i = self.sindex(index)?;
                     if i as u64 >= src.len() as u64 {
                         return Err(self.oob(format!("read {i} of buffer len {}", src.len())));
                     }
@@ -3283,20 +3224,19 @@ impl<'a> GroupRun<'a> {
                 }
                 DKind::GlobalWrite { buf, index, value } => {
                     self.issue_lane(index.cost() + value.cost());
-                    let bid = self.buffer(*buf)?;
+                    let bid = self.buffer(*buf);
                     let src = snapshot.raw(bid);
                     let i = self.sindex(index)?;
-                    let v = self.seval(value)?;
-                    let i = i?;
                     if i as u64 >= src.len() as u64 {
                         return Err(self.oob(format!("write {i} of buffer len {}", src.len())));
                     }
-                    self.writes.window(bid).set(i as usize, v?);
+                    let v = self.seval(value)?;
+                    self.writes.window(bid).set(i as usize, v);
                     self.access_lane(src.elem_type().byte_size() as u64);
                 }
                 DKind::LocalRead { reg, mem, index } => {
                     self.issue_lane(index.cost());
-                    let i = self.sindex(index)??;
+                    let i = self.sindex(index)?;
                     let local = &self.locals[*mem];
                     if i as u64 >= local.len() as u64 {
                         return Err(self.oob(format!("local read {i} of len {}", local.len())));
@@ -3308,7 +3248,6 @@ impl<'a> GroupRun<'a> {
                     self.issue_lane(index.cost() + value.cost());
                     let i = self.sindex(index)?;
                     let v = self.seval(value)?;
-                    let (i, v) = (i?, v?);
                     let local = &mut self.locals[*mem];
                     if i as u64 >= local.len() as u64 {
                         let len = local.len();
@@ -3319,12 +3258,12 @@ impl<'a> GroupRun<'a> {
                 }
                 DKind::PrivAlloc { arr, size } => {
                     self.issue_lane(size.cost());
-                    let n = self.sindex(size)??.max(0) as usize;
+                    let n = self.sindex(size)?.max(0) as usize;
                     self.alloc_private(*arr, 0, n)?;
                 }
                 DKind::PrivRead { reg, arr, index } => {
                     self.issue_lane(index.cost());
-                    let i = self.sindex(index)??;
+                    let i = self.sindex(index)?;
                     let p = &self.privs[*arr];
                     if i as u64 >= p.len() as u64 {
                         return Err(self.oob(format!("private read {i} of len {}", p.len())));
@@ -3335,7 +3274,6 @@ impl<'a> GroupRun<'a> {
                     self.issue_lane(index.cost() + value.cost());
                     let i = self.sindex(index)?;
                     let v = self.seval(value)?;
-                    let (i, v) = (i?, v?);
                     let p = &mut self.privs[*arr];
                     if i as u64 >= p.len() as u64 {
                         let len = p.len();
@@ -3345,12 +3283,12 @@ impl<'a> GroupRun<'a> {
                 }
                 DKind::PrivCopy { dst, src, len } => {
                     self.issue_lane(len.cost());
-                    let n = self.sindex(len)??.max(0) as usize;
+                    let n = self.sindex(len)?.max(0) as usize;
                     self.copy_private(*dst, *src, 0, n)?;
                 }
                 DKind::For { reg, bound, body } => {
                     self.issue_lane(bound.cost());
-                    let trips = self.sindex(bound)??;
+                    let trips = self.sindex(bound)?;
                     for t in 0..trips {
                         self.regs[*reg as usize] = t as u64;
                         self.sexec(body)?;
@@ -3363,7 +3301,7 @@ impl<'a> GroupRun<'a> {
                         // condition is the loop's own.
                         self.cur_site = stm.site as usize;
                         self.issue_lane(cond.cost());
-                        if self.seval(cond)?? == 0 {
+                        if self.seval(cond)? == 0 {
                             break;
                         }
                         self.sexec(body)?;
@@ -3381,7 +3319,7 @@ impl<'a> GroupRun<'a> {
                     else_s,
                 } => {
                     self.issue_lane(cond.cost());
-                    let taken = if self.seval(cond)?? != 0 {
+                    let taken = if self.seval(cond)? != 0 {
                         then_s
                     } else {
                         else_s
@@ -3408,8 +3346,7 @@ fn run_group(
     dk: &DecodedKernel,
     device: &DeviceProfile,
     base: &DeviceMemory,
-    buf_ids: &[Option<BufId>],
-    scalar_bits: &[Option<u64>],
+    args: &[u64],
     local_sizes: &[(ScalarType, usize)],
     group_id: u64,
     lanes: usize,
@@ -3419,8 +3356,7 @@ fn run_group(
     let mut run = GroupRun {
         dk,
         base,
-        buf_ids,
-        scalar_bits,
+        args,
         group_id,
         group_size: device.group_size as u64,
         num_threads,
@@ -3461,22 +3397,23 @@ fn run_group(
 
 /// Evaluates a local-buffer size expression, which must be uniform across
 /// the group: built from constants, `GroupSize`, scalar arguments, and
-/// binary operators, all at i64.
-fn eval_uniform(e: &KExp, group_size: u64, scalars: &[Option<Scalar>]) -> SResult<i64> {
+/// binary operators, all at i64. These expressions stay in tree form and
+/// are never decoded, so this checks itself that a `ScalarArg` names an
+/// integer scalar.
+fn eval_uniform(e: &KExp, group_size: u64, args: &[Arg]) -> SResult<i64> {
     match e {
         KExp::Const(k) => k
             .as_i64()
             .ok_or_else(|| SimError::Scalar("non-integer uniform expression".into())),
         KExp::GroupSize => Ok(group_size as i64),
-        KExp::ScalarArg(i) => scalars
-            .get(*i)
-            .copied()
-            .flatten()
-            .and_then(|s| s.as_i64())
-            .ok_or_else(|| SimError::Scalar("bad scalar argument".into())),
+        KExp::ScalarArg(i) => match args.get(*i) {
+            Some(Arg::Scalar(s)) => s.as_i64(),
+            _ => None,
+        }
+        .ok_or_else(|| SimError::Scalar("bad scalar argument".into())),
         KExp::BinOp(op, a, b) => {
-            let x = eval_uniform(a, group_size, scalars)?;
-            let y = eval_uniform(b, group_size, scalars)?;
+            let x = eval_uniform(a, group_size, args)?;
+            let y = eval_uniform(b, group_size, args)?;
             eval_binop(*op, Scalar::I64(x), Scalar::I64(y))
                 .map_err(|e| SimError::Scalar(e.to_string()))?
                 .as_i64()
@@ -3580,12 +3517,22 @@ const PAR_MIN_GROUPS: u64 = 2;
 /// kernels at compile time, [`crate::exec::DecodedPlan`]), and a launch
 /// only reads it.
 ///
+/// A launch checks its arguments once, before any group runs: each must
+/// have its parameter's kind (buffer or scalar) and element or scalar
+/// type, and each buffer must be live. The engines then read them by
+/// parameter position with no fault path of their own.
+///
 /// # Errors
 ///
-/// Returns a [`SimError`] on faults (bounds, divergent barriers, runaway
-/// loops, negative local-memory sizes). When several groups fault, the
-/// lowest-numbered group's error is reported, after committing the writes
-/// of the groups before it — exactly what sequential execution observed.
+/// Before any group runs: [`SimError::Malformed`] if the argument count
+/// is not the parameter count; [`SimError::Scalar`], naming the argument
+/// and the kernel, for an argument of the wrong kind or type;
+/// [`SimError::UseAfterFree`] for a freed buffer; and the faults of
+/// sizing local memory. Then [`SimError`]s of the groups' faults
+/// (bounds, divergent barriers, runaway loops). When several groups
+/// fault, the lowest-numbered group's error is reported, after
+/// committing the writes of the groups before it — exactly what
+/// sequential execution observed.
 pub fn launch(
     device: &DeviceProfile,
     dk: &DecodedKernel,
@@ -3608,54 +3555,55 @@ pub fn launch(
     }
     let group_size = device.group_size as u64;
     let num_groups = num_threads.div_ceil(group_size).max(1);
-    // Resolve launch arguments once.
-    let mut buf_ids: Vec<Option<BufId>> = vec![None; args.len()];
-    let mut scalar_bits: Vec<Option<u64>> = vec![None; args.len()];
-    let mut scalars: Vec<Option<Scalar>> = vec![None; args.len()];
-    for (i, a) in args.iter().enumerate() {
-        match a {
-            Arg::Buffer(b) => buf_ids[i] = Some(*b),
-            Arg::Scalar(s) => {
-                scalar_bits[i] = Some(enc(*s));
-                scalars[i] = Some(*s);
+    // Check each argument against its parameter and resolve it to the
+    // bits the engines read. Registers are statically classed from the
+    // declarations, so a mismatch would reinterpret bits.
+    let mut arg_bits = Vec::with_capacity(args.len());
+    for (i, (p, a)) in dk.params.iter().zip(args).enumerate() {
+        let kernel = &dk.name;
+        arg_bits.push(match (p, a) {
+            (KParam::Buffer(want), Arg::Buffer(bid)) => {
+                let got = mem
+                    .download(*bid)
+                    .map_err(|_| SimError::UseAfterFree {
+                        buf: *bid,
+                        what: format!("buffer argument {i} of kernel `{kernel}`"),
+                    })?
+                    .elem_type();
+                if got != *want {
+                    return Err(SimError::Scalar(format!(
+                        "buffer argument {i} has element type {got:?}, kernel `{kernel}` expects {want:?}"
+                    )));
+                }
+                *bid as u64
             }
-        }
-    }
-    // Buffer arguments must carry the element type the kernel declared:
-    // registers are statically classed from the declaration, so a mismatch
-    // would silently reinterpret bits.
-    for (i, p) in dk.params.iter().enumerate() {
-        if let (KParam::Buffer(want), Some(Some(bid))) = (p, buf_ids.get(i)) {
-            let got = mem
-                .download(*bid)
-                .map_err(|_| SimError::UseAfterFree {
-                    buf: *bid,
-                    what: format!("buffer argument {i} of kernel `{}`", dk.name),
-                })?
-                .elem_type();
-            if got != *want {
+            (KParam::Scalar(want), Arg::Scalar(s)) => {
+                let got = s.scalar_type();
+                if got != *want {
+                    return Err(SimError::Scalar(format!(
+                        "scalar argument {i} has type {got:?}, kernel `{kernel}` expects {want:?}"
+                    )));
+                }
+                enc(*s)
+            }
+            (KParam::Scalar(_), Arg::Buffer(_)) => {
                 return Err(SimError::Scalar(format!(
-                    "buffer argument {i} has element type {got:?}, kernel `{}` expects {want:?}",
-                    dk.name
+                    "argument {i} of kernel `{kernel}` is not a scalar"
                 )));
             }
-        }
-        if let (KParam::Scalar(want), Some(Some(s))) = (p, scalars.get(i)) {
-            let got = s.scalar_type();
-            if got != *want {
+            (KParam::Buffer(_), Arg::Scalar(_)) => {
                 return Err(SimError::Scalar(format!(
-                    "scalar argument {i} has type {got:?}, kernel `{}` expects {want:?}",
-                    dk.name
+                    "argument {i} of kernel `{kernel}` is not a buffer"
                 )));
             }
-        }
+        });
     }
     // Size local buffers once per launch (they are uniform by
     // construction). A negative requested size is a fault, not an empty
     // buffer.
     let mut local_sizes: Vec<(ScalarType, usize)> = Vec::with_capacity(dk.locals.len());
     for (t, size) in &dk.locals {
-        let n = eval_uniform(size, group_size, &scalars)?;
+        let n = eval_uniform(size, group_size, args)?;
         if n < 0 {
             return Err(SimError::NegativeLocalSize {
                 kernel: dk.name.clone(),
@@ -3675,8 +3623,7 @@ pub fn launch(
             dk,
             device,
             base,
-            &buf_ids,
-            &scalar_bits,
+            &arg_bits,
             &local_sizes,
             g,
             lanes,
@@ -4503,56 +4450,83 @@ mod tests {
     }
 
     #[test]
-    fn a_buffer_passed_for_a_scalar_outranks_lane_faults_at_every_width() {
-        // Argument 1 is declared a scalar but launched with a buffer. The
-        // warp engine raises that where an instruction reads it, after
-        // running past a lane's zero divisor earlier in the same tape or in
-        // the statement's index tape, so at 32 lanes and on the one-lane
-        // path alike it is the error; without the read, the divisor is.
-        let zero_div = || {
-            KExp::BinOp(
-                BinOp::Div,
-                Box::new(KExp::i64(1)),
-                Box::new(KExp::GlobalId.mul(KExp::i64(0))),
-            )
+    fn a_mis_kinded_argument_fails_the_launch_before_any_group_runs() {
+        // Every thread writes `gid + 1` to buffer 2; threads past the
+        // first group also write scalar argument 1 to buffer 0. A launch
+        // that passes a buffer for the scalar, or a scalar for buffer 0,
+        // fails before any group runs, although the first group never
+        // reads either: one error for both engines at every width and
+        // host thread count, and every buffer as it was. With the kinds
+        // right, a zero divisor in an index tape is the error.
+        let gid = || KExp::GlobalId;
+        let write = |buf: usize, index: KExp, value: KExp| KStm::GlobalWrite { buf, index, value };
+        let late = KStm::If {
+            cond: KExp::Cmp(CmpOp::Gt, Box::new(KExp::GroupId), Box::new(KExp::i64(0))),
+            then_s: vec![write(0, gid(), KExp::ScalarArg(1))],
+            else_s: vec![],
         };
-        let write = |index: KExp, value: KExp| KStm::GlobalWrite {
-            buf: 0,
-            index,
-            value,
-        };
-        let missing = "scalar fault: argument 1 is not a scalar";
+        let guarded = vec![write(2, gid(), gid().add(KExp::i64(1))), late];
+        let zero_div = KExp::BinOp(
+            BinOp::Div,
+            Box::new(KExp::i64(1)),
+            Box::new(gid().mul(KExp::i64(0))),
+        );
+        let divides = vec![write(0, zero_div, gid())];
+        // Which arguments are buffers, and the error every launch gives.
         let cases = [
             (
-                KStm::Assign {
-                    var: 0,
-                    exp: zero_div().add(KExp::ScalarArg(1)),
-                },
-                missing,
+                &guarded,
+                [true; 3],
+                "argument 1 of kernel `args` is not a scalar",
             ),
-            (write(zero_div(), KExp::ScalarArg(1)), missing),
             (
-                write(zero_div(), KExp::GlobalId),
-                "scalar fault: division by zero",
+                &guarded,
+                [false, false, true],
+                "argument 0 of kernel `args` is not a buffer",
             ),
+            (&divides, [true, false, true], "division by zero"),
         ];
-        for (stm, want) in cases {
+        let dev = DeviceProfile::gtx780();
+        let init = Buffer::I64(vec![-1; 257]);
+        for (body, kinds, want) in cases {
             let k = Kernel {
                 name: "args".into(),
                 params: vec![
                     KParam::Buffer(ScalarType::I64),
                     KParam::Scalar(ScalarType::I64),
+                    KParam::Buffer(ScalarType::I64),
                 ],
                 locals: vec![],
-                num_regs: 1,
+                num_regs: 0,
                 num_priv: 0,
                 prov_table: vec![],
-                body: vec![stm],
+                body: body.clone(),
             };
-            let dk = DecodedKernel::decode(&k).unwrap();
-            for threads in [32, 1] {
-                let (got, _) = launch_i64(&dk, threads, 1, &[vec![0; 32], vec![0; 32]]);
-                assert_eq!(got.unwrap_err(), want, "{:?} at {threads}", k.body[0]);
+            for ((engine, dk), threads, host) in both_forms(&k)
+                .into_iter()
+                .flat_map(|f| [32u64, 257, 1].map(|t| (f.clone(), t)))
+                .flat_map(|(f, t)| [1, 4].map(|h| (f.clone(), t, h)))
+            {
+                let mut mem = DeviceMemory::new();
+                let args: Vec<Arg> = kinds
+                    .iter()
+                    .map(|&buffer| match buffer {
+                        true => Arg::Buffer(mem.upload(init.clone()).unwrap()),
+                        false => Arg::Scalar(Scalar::I64(3)),
+                    })
+                    .collect();
+                let got = launch(&dev, &dk, threads, &args, &mut mem, &threads_only(host));
+                let at = format!("{engine}, {threads} threads, {host} host threads");
+                assert_eq!(
+                    got.map(|_| ()).map_err(|e| e.to_string()),
+                    Err(format!("scalar fault: {want}")),
+                    "{at}"
+                );
+                for a in &args {
+                    if let Arg::Buffer(b) = a {
+                        assert_eq!(mem.download(*b).unwrap(), &init, "{at}");
+                    }
+                }
             }
         }
     }

@@ -9,8 +9,6 @@
 
 use futhark::Compiler;
 use futhark_gpu::exec::DecodedPlan;
-use futhark_gpu::kernel::Kernel;
-use futhark_gpu::plan::{GpuPlan, HBody, HStm};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -75,41 +73,15 @@ fn net_bytes<R>(f: impl FnOnce() -> R) -> (R, i64) {
     (r, NET.with(Cell::get))
 }
 
-/// Every kernel the plan's decode covers: the launch kernels and the
-/// stage-2 fold kernels, wherever their `Combine` is nested.
-fn plan_kernels(plan: &GpuPlan) -> Vec<&Kernel> {
-    fn folds<'p>(b: &'p HBody, out: &mut Vec<&'p Kernel>) {
-        for stm in &b.stms {
-            match stm {
-                HStm::Combine { kernel, .. } => out.push(kernel),
-                HStm::Loop {
-                    while_cond, body, ..
-                } => {
-                    if let Some(c) = while_cond {
-                        folds(c, out);
-                    }
-                    folds(body, out);
-                }
-                HStm::If { then_b, else_b, .. } => {
-                    folds(then_b, out);
-                    folds(else_b, out);
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut out: Vec<&Kernel> = plan.kernels.iter().collect();
-    folds(&plan.body, &mut out);
-    out
-}
-
 #[test]
 fn decoded_kernels_take_no_more_heap_than_their_trees() {
     let (mut trees, mut decoded) = (0i64, 0i64);
     for b in futhark_bench::all_benchmarks() {
         let c = Compiler::new().compile(&b.source).expect("compiles");
-        let kernels = plan_kernels(&c.plan);
-        let (copy, t) = net_bytes(|| kernels.iter().map(|&k| k.clone()).collect::<Vec<_>>());
+        // Every kernel the plan's decode covers: the launch kernels and
+        // the stage-2 fold kernels.
+        let kernels = c.plan.kernels.iter().chain(&c.plan.folds);
+        let (copy, t) = net_bytes(|| kernels.cloned().collect::<Vec<_>>());
         let (dp, d) = net_bytes(|| DecodedPlan::decode(&c.plan).expect("decodes"));
         assert_eq!(dp.kernels().len() + dp.folds().len(), copy.len());
         eprintln!(
