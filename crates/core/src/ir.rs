@@ -95,8 +95,10 @@ impl PartialEq for Scalar {
             (Scalar::Bool(a), Scalar::Bool(b)) => a == b,
             (Scalar::I32(a), Scalar::I32(b)) => a == b,
             (Scalar::I64(a), Scalar::I64(b)) => a == b,
-            // Bitwise comparison so that constant folding and CSE treat NaNs
-            // and signed zeros consistently.
+            // Bitwise comparison: equality is reflexive (a NaN equals
+            // itself), zeros of opposite sign differ, and `Hash` agrees.
+            // CSE keys constant operands on this equality, except that all
+            // NaNs of one type share one key (`futhark_opt::simplify`).
             (Scalar::F32(a), Scalar::F32(b)) => a.to_bits() == b.to_bits(),
             (Scalar::F64(a), Scalar::F64(b)) => a.to_bits() == b.to_bits(),
             _ => false,

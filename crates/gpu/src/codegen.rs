@@ -27,7 +27,7 @@ use futhark_core::{
     BinOp, Body, Exp, Lambda, LoopForm, Name, Param, PatElem, Program, Prov, ScalarType, Size,
     Soac, Stm, SubExp, Type,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A code-generation failure (construct outside the supported subset; such
@@ -2250,8 +2250,10 @@ fn tile_stms(
                     new_body.push(KStm::For { var, bound, body });
                     continue;
                 }
-                // Allocate one local buffer per distinct qualifying array.
-                let mut local_of: HashMap<usize, usize> = HashMap::new();
+                // Allocate one local buffer per distinct qualifying array,
+                // keyed in buffer order so the loads below are emitted in a
+                // fixed order.
+                let mut local_of: BTreeMap<usize, usize> = BTreeMap::new();
                 for (i, p) in params.iter().enumerate() {
                     if bufs.contains(&i) {
                         if let KParam::Buffer(t) = p {
@@ -2372,7 +2374,7 @@ fn contains_barrier(stms: &[KStm]) -> bool {
     })
 }
 
-fn rewrite_reads(stm: KStm, local_of: &HashMap<usize, usize>, j: Reg, ji: Reg) -> KStm {
+fn rewrite_reads(stm: KStm, local_of: &BTreeMap<usize, usize>, j: Reg, ji: Reg) -> KStm {
     match stm {
         KStm::GlobalRead { var, buf, index }
             if index == KExp::Var(j) && local_of.contains_key(&buf) =>

@@ -74,7 +74,11 @@ struct LaunchOut {
 }
 
 /// Union-find over names, with deterministic roots (the smallest name of
-/// a class, by `Name`'s total order).
+/// a class, by `Name`'s total order). The walk and the phases up to
+/// hoisting union classes; the free phase only reads them, so it groups
+/// every name by its root once ([`Analysis::classes`]) where the earlier
+/// phases, which union between queries, scan the name list for one class
+/// ([`Analysis::class_members`]).
 #[derive(Default)]
 struct Aliases {
     parent: HashMap<Name, Name>,
@@ -113,11 +117,18 @@ impl Aliases {
 
 /// The liveness analysis: definition and use sites per name, alias
 /// classes, and per-scope structure.
+///
+/// The walk fills `defs`, `uses` and `names`; none of them changes after
+/// it, while `aliases` keeps growing through the steal phase. A class's
+/// definitions and uses are those of its members.
 #[derive(Default)]
 struct Analysis {
     scopes: Vec<ScopeInfo>,
     defs: HashMap<Name, Vec<Site>>,
     uses: HashMap<Name, Vec<Site>>,
+    /// Every name defined or used, sorted and without repeats; built once,
+    /// after the walk.
+    names: Vec<Name>,
     /// Names with array type at their definition.
     arrays: HashSet<Name>,
     /// Loop merge-parameter names (excluded from `Free` lists: their env
@@ -357,50 +368,70 @@ impl Analysis {
         })
     }
 
-    /// All names of the alias class rooted at `root` (deterministic
-    /// order).
-    fn class_members(&mut self, root: &Name) -> BTreeSet<Name> {
-        let names: Vec<Name> = self
-            .defs
-            .keys()
-            .chain(self.uses.keys())
-            .cloned()
-            .collect::<HashSet<_>>()
-            .into_iter()
-            .collect();
-        let mut out = BTreeSet::new();
-        for n in names {
-            if self.aliases.find(&n) == *root {
-                out.insert(n);
+    /// Walks the plan's body with its entry parameters defined "before
+    /// statement 0" of the root scope, then lists the names it saw.
+    fn of(plan: &GpuPlan) -> (Analysis, usize) {
+        let mut a = Analysis::default();
+        let root = a.new_scope(ScopeKind::Root, Vec::new());
+        let entry: Site = vec![(root, 0)];
+        for p in &plan.params {
+            a.def(&p.name, &p.ty, &entry);
+        }
+        a.walk_body(&plan.body, root, &Vec::new());
+        let mut names: Vec<Name> = a.defs.keys().chain(a.uses.keys()).cloned().collect();
+        names.sort();
+        names.dedup();
+        a.names = names;
+        (a, root)
+    }
+
+    /// All names of the alias class rooted at `root`, in order: one scan
+    /// of the name list, for phases that union between queries.
+    fn class_members(&mut self, root: &Name) -> Vec<Name> {
+        let mut out = Vec::new();
+        for n in &self.names {
+            if self.aliases.find(n) == *root {
+                out.push(n.clone());
             }
         }
         out
     }
 
-    fn class_defs(&mut self, root: &Name) -> Vec<(Name, Site)> {
+    /// Every alias class, keyed by its root, with its members in order:
+    /// one pass over the names, for a phase that makes no union.
+    fn classes(&mut self) -> BTreeMap<Name, Vec<Name>> {
+        let mut out: BTreeMap<Name, Vec<Name>> = BTreeMap::new();
+        for n in &self.names {
+            out.entry(self.aliases.find(n)).or_default().push(n.clone());
+        }
+        out
+    }
+
+    /// The definition sites of a class's members, with the member defined.
+    fn class_defs(&self, members: &[Name]) -> Vec<(Name, Site)> {
         let mut out = Vec::new();
-        for m in self.class_members(root) {
-            for d in self.defs.get(&m).into_iter().flatten() {
+        for m in members {
+            for d in self.defs.get(m).into_iter().flatten() {
                 out.push((m.clone(), d.clone()));
             }
         }
         out
     }
 
-    fn class_uses(&mut self, root: &Name) -> Vec<Site> {
+    fn class_uses(&self, members: &[Name]) -> Vec<Site> {
         let mut out = Vec::new();
-        for m in self.class_members(root) {
-            out.extend(self.uses.get(&m).into_iter().flatten().cloned());
+        for m in members {
+            out.extend(self.uses.get(m).into_iter().flatten().cloned());
         }
         out
     }
 
     /// As [`Analysis::class_uses`], but keeping which member is used at
     /// each site.
-    fn class_uses_named(&mut self, root: &Name) -> Vec<(Name, Site)> {
+    fn class_uses_named(&self, members: &[Name]) -> Vec<(Name, Site)> {
         let mut out = Vec::new();
-        for m in self.class_members(root) {
-            for u in self.uses.get(&m).into_iter().flatten() {
+        for m in members {
+            for u in self.uses.get(m).into_iter().flatten() {
                 out.push((m.clone(), u.clone()));
             }
         }
@@ -490,14 +521,7 @@ pub fn plan_memory(plan: &mut GpuPlan, ns: &mut NameSource) {
         return;
     }
     normalize_partials(&mut plan.body, ns);
-    let mut a = Analysis::default();
-    let root = a.new_scope(ScopeKind::Root, Vec::new());
-    // Entry parameters are defined "before statement 0" of the root.
-    let entry: Site = vec![(root, 0)];
-    for p in &plan.params {
-        a.def(&p.name, &p.ty, &entry);
-    }
-    a.walk_body(&plan.body, root, &Vec::new());
+    let (mut a, root) = Analysis::of(plan);
 
     // Non-SSA rebinding would make every class verdict unreliable: keep
     // only the runtime-guarded rotation and bail from the rest.
@@ -551,7 +575,8 @@ fn mark_steals(a: &mut Analysis, edits: &mut Edits) {
         .collect();
     for (site, j, pat_name, src) in outs {
         let c = a.aliases.find(&src);
-        let named_uses = a.class_uses_named(&c);
+        let members = a.class_members(&c);
+        let named_uses = a.class_uses_named(&members);
         let uses: Vec<Site> = named_uses.iter().map(|(_, u)| u.clone()).collect();
         // The launch itself must touch the class exactly once (the
         // `init_from` read); a second reference (e.g. the source also fed
@@ -566,7 +591,7 @@ fn mark_steals(a: &mut Analysis, edits: &mut Edits) {
                 // iteration — otherwise the next iteration would re-read
                 // the buffer this iteration consumed.
                 Some(ls) => a
-                    .class_defs(&c)
+                    .class_defs(&members)
                     .iter()
                     .all(|(_, d)| d.iter().any(|&(s, _)| s == ls)),
                 None => true,
@@ -665,9 +690,10 @@ fn hoist_allocs(a: &mut Analysis, edits: &mut Edits, ns: &mut NameSource) {
         // loop: any escape (including into the merge) keeps per-iteration
         // allocation.
         let c = a.aliases.find(&pat_name);
+        let members = a.class_members(&c);
         let contained = |s: &Site| s.len() > owner.len() && s.starts_with(&owner);
-        let defs = a.class_defs(&c);
-        let uses = a.class_uses(&c);
+        let defs = a.class_defs(&members);
+        let uses = a.class_uses(&members);
         if !defs.iter().all(|(_, d)| contained(d)) || !uses.iter().all(contained) {
             continue;
         }
@@ -710,27 +736,14 @@ fn insert_frees(a: &mut Analysis, edits: &mut Edits) {
         .map(|n| a.aliases.find(&n))
         .collect();
 
-    let mut roots = BTreeSet::new();
-    let names: Vec<Name> = a
-        .defs
-        .keys()
-        .chain(a.uses.keys())
-        .cloned()
-        .collect::<HashSet<_>>()
-        .into_iter()
-        .collect();
-    for n in names {
-        roots.insert(a.aliases.find(&n));
-    }
-    for c in roots {
+    for (c, members) in a.classes() {
         if hoisted_classes.contains(&c) {
             continue;
         }
-        let members = a.class_members(&c);
         if !members.iter().any(|m| a.arrays.contains(m)) {
             continue;
         }
-        let defs = a.class_defs(&c);
+        let defs = a.class_defs(&members);
         if defs.is_empty() {
             continue;
         }
@@ -744,7 +757,7 @@ fn insert_frees(a: &mut Analysis, edits: &mut Edits) {
             .expect("nonempty defs");
         let scope = shallowest.last().expect("def chains are nonempty").0;
         let project = |s: &Site| s.iter().find(|&&(sc, _)| sc == scope).map(|&(_, i)| i);
-        let uses = a.class_uses(&c);
+        let uses = a.class_uses(&members);
         let mut last = 0usize;
         let mut escapes = false;
         for s in defs.iter().map(|(_, d)| d).chain(uses.iter()) {
@@ -1325,5 +1338,72 @@ fn predict_stm(st: &mut PState, plan: &GpuPlan, device: &crate::DeviceProfile, s
                 st.arrays.remove(name);
             }
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use futhark_core::schedule::{Schedule, ScheduleCursor};
+
+    impl Analysis {
+        /// The scan that grouping replaced: every name defined or used
+        /// whose root is `root`, from a set of all names rebuilt per query.
+        fn class_members_by_scan(&mut self, root: &Name) -> BTreeSet<Name> {
+            let names: HashSet<Name> = self.defs.keys().chain(self.uses.keys()).cloned().collect();
+            let mut out = BTreeSet::new();
+            for n in names {
+                if self.aliases.find(&n) == *root {
+                    out.insert(n);
+                }
+            }
+            out
+        }
+    }
+
+    /// The plan the compiler's default pipeline hands the memory planner.
+    fn plan_of(src: &str) -> (GpuPlan, NameSource) {
+        let (mut prog, mut ns) = futhark_frontend::parse_program(src).expect("parses");
+        let sched = Schedule::default();
+        let mut cur = ScheduleCursor::new(sched.clone());
+        futhark_core::prov::fill_program(&mut prog);
+        futhark_opt::simplify::simplify_program(&mut prog, &mut ns, &sched.simplify);
+        futhark_opt::fusion::fuse_program(&mut prog, &mut ns, &mut cur);
+        futhark_opt::flatten::flatten_program(&mut prog, &mut ns, &mut cur);
+        futhark_opt::simplify::simplify_program(&mut prog, &mut ns, &sched.simplify);
+        futhark_core::prov::fill_program(&mut prog);
+        let plan = crate::codegen::compile(&prog, &mut cur).expect("codegen");
+        (plan, ns)
+    }
+
+    #[test]
+    fn grouped_classes_equal_the_scan_on_every_paper_program() {
+        let mut shared = 0;
+        for b in futhark_bench::all_benchmarks() {
+            let (mut plan, mut ns) = plan_of(&b.source);
+            normalize_partials(&mut plan.body, &mut ns);
+            let (mut a, _) = Analysis::of(&plan);
+            // The classes as `insert_frees` sees them: after every union.
+            let mut edits = Edits::default();
+            if a.defs.values().all(|d| d.len() <= 1) {
+                elide_copies(&mut a, &mut edits);
+                mark_steals(&mut a, &mut edits);
+                hoist_allocs(&mut a, &mut edits, &mut ns);
+            }
+            let classes = a.classes();
+            for (root, members) in &classes {
+                let scanned = a.class_members_by_scan(root);
+                assert!(
+                    members.iter().eq(scanned.iter()),
+                    "{}: class of {root}: {members:?} vs {scanned:?}",
+                    b.name
+                );
+                assert_eq!(a.class_members(root), *members, "{}", b.name);
+            }
+            let grouped: usize = classes.values().map(Vec::len).sum();
+            assert_eq!(grouped, a.names.len(), "{}: each name in one class", b.name);
+            shared += classes.values().filter(|m| m.len() > 1).count();
+        }
+        assert!(shared > 0, "no class of two or more names");
     }
 }

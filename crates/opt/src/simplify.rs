@@ -5,11 +5,19 @@
 //! All passes are semantics-preserving (validated against the interpreter
 //! by the property tests in `tests/`), and all operate on one function at a
 //! time except inlining.
+//!
+//! The rewrite families run in rounds, and each family returns whether it
+//! changed the function: a statement removed, folded, spliced or moved, or
+//! an operand or result substituted. [`simplify_fun`] stops after the first
+//! round in which no enabled family changed anything, so the fixed point
+//! comes from the rewrites themselves and nothing prints or compares the IR
+//! to find it.
 
 use futhark_core::schedule::SimplifyToggles;
 use futhark_core::traverse::{alpha_rename_body, free_in_exp, Subst};
 use futhark_core::{
-    BinOp, Body, Exp, FunDef, LoopForm, Name, NameSource, Program, Scalar, Soac, Stm, SubExp,
+    BinOp, Body, CmpOp, Exp, FunDef, LoopForm, Name, NameSource, Program, Scalar, ScalarType, Soac,
+    Stm, SubExp, UnOp,
 };
 use futhark_interp::scalar::{eval_binop, eval_cmp, eval_convert, eval_unop};
 use std::collections::{HashMap, HashSet};
@@ -26,31 +34,30 @@ pub fn simplify_program(prog: &mut Program, ns: &mut NameSource, toggles: &Simpl
 
 /// Simplifies one function to a (bounded) fixed point with only the
 /// scheduled rewrite families.
+///
+/// A round runs each enabled family once, in the order copy propagation,
+/// constant folding, CSE, hoisting, dead-code removal. Each family reports
+/// whether it changed the function, and the loop stops after the first
+/// round in which none did, or after eight rounds.
 pub fn simplify_fun(f: &mut FunDef, toggles: &SimplifyToggles) {
     for _ in 0..8 {
-        let before = format!("{f}");
+        let mut changed = false;
         if toggles.copy_prop {
-            copy_propagate_body(&mut f.body);
+            changed |= copy_propagate_body(&mut f.body);
         }
         if toggles.const_fold {
-            constant_fold_body(&mut f.body);
+            changed |= constant_fold_body(&mut f.body);
         }
         if toggles.cse {
-            cse_body(&mut f.body, &mut HashMap::new());
+            changed |= cse_body(&mut f.body);
         }
         if toggles.hoist {
-            hoist_fun(f);
+            changed |= hoist_fun(f);
         }
         if toggles.dead_code {
-            let keep: HashSet<Name> = f
-                .body
-                .result
-                .iter()
-                .filter_map(|se| se.as_var().cloned())
-                .collect();
-            dead_code_body(&mut f.body, &keep);
+            changed |= dead_code_fun(f);
         }
-        if format!("{f}") == before {
+        if !changed {
             break;
         }
     }
@@ -138,9 +145,10 @@ fn inline_in_body(body: &mut Body, prog: &Program, ns: &mut NameSource) -> bool 
 
 // ---- Copy propagation ----
 
-/// Replaces uses of `let x = y` bindings by `y`, recursively.
-pub fn copy_propagate_body(body: &mut Body) {
-    propagate_copies(body, true);
+/// Replaces uses of `let x = y` bindings by `y`, recursively. Returns
+/// whether any binding was removed.
+pub fn copy_propagate_body(body: &mut Body) -> bool {
+    propagate_copies(body, true)
 }
 
 /// Copy propagation of the bindings of `body` itself, for a body whose
@@ -152,20 +160,26 @@ pub(crate) fn copy_propagate_stms(body: &mut Body) {
     }
 }
 
-fn propagate_copies(body: &mut Body, nested: bool) {
+/// Removes the copy bindings of `body` (and of its nested bodies when
+/// `nested`), substituting each one's operand for its uses. A substitution
+/// only ever replaces the name of a removed binding, so the body changed
+/// exactly when a binding was removed.
+fn propagate_copies(body: &mut Body, nested: bool) -> bool {
     let mut subst = Subst::new();
+    let mut changed = false;
     let mut new_stms = Vec::with_capacity(body.stms.len());
     for mut stm in std::mem::take(&mut body.stms) {
         subst.apply_exp(&mut stm.exp);
         if nested {
             for ib in stm.exp.inner_bodies_mut() {
-                propagate_copies(ib, true);
+                changed |= propagate_copies(ib, true);
             }
         }
         if stm.pat.len() == 1 {
             if let Exp::SubExp(se) = &stm.exp {
                 futhark_trace::event("simplify.copies_propagated");
                 subst.bind(stm.pat[0].name.clone(), se.clone());
+                changed = true;
                 continue;
             }
         }
@@ -179,24 +193,29 @@ fn propagate_copies(body: &mut Body, nested: bool) {
             *se = se2;
         }
     }
+    changed
 }
 
 // ---- Constant folding ----
 
 /// Folds scalar operations on constants and simple algebraic identities;
-/// resolves `if` on constant conditions.
-pub fn constant_fold_body(body: &mut Body) {
+/// resolves `if` on constant conditions. Returns whether anything changed:
+/// a fold, a resolved branch, or a constant substituted into an operand or
+/// a result.
+pub fn constant_fold_body(body: &mut Body) -> bool {
     let mut consts: HashMap<Name, Scalar> = HashMap::new();
+    let mut changed = false;
     let mut new_stms = Vec::with_capacity(body.stms.len());
     for mut stm in std::mem::take(&mut body.stms) {
         // Substitute known constants into operands.
-        substitute_consts(&mut stm.exp, &consts);
+        changed |= substitute_consts(&mut stm.exp, &consts);
         for ib in stm.exp.inner_bodies_mut() {
-            constant_fold_body(ib);
+            changed |= constant_fold_body(ib);
         }
         if let Some(folded) = fold_exp(&stm.exp) {
             futhark_trace::event("simplify.constants_folded");
             stm.exp = folded;
+            changed = true;
         }
         // `if` with constant condition: splice the chosen branch.
         if let Exp::If {
@@ -220,6 +239,7 @@ pub fn constant_fold_body(body: &mut Body) {
                     Stm::single(pe.name.clone(), pe.ty.clone(), e).with_prov(stm.prov.clone()),
                 );
             }
+            changed = true;
             continue;
         }
         if stm.pat.len() == 1 {
@@ -234,14 +254,19 @@ pub fn constant_fold_body(body: &mut Body) {
         if let SubExp::Var(v) = se {
             if let Some(k) = consts.get(v) {
                 *se = SubExp::Const(*k);
+                changed = true;
             }
         }
     }
+    changed
 }
 
-fn substitute_consts(e: &mut Exp, consts: &HashMap<Name, Scalar>) {
+/// Substitutes the known constants into `e`; returns whether any occurred
+/// in it. Every free occurrence is replaced (the size of a type too, as
+/// constants bound to sizes are integers), so that is whether `e` changed.
+fn substitute_consts(e: &mut Exp, consts: &HashMap<Name, Scalar>) -> bool {
     if consts.is_empty() {
-        return;
+        return false;
     }
     let mut subst = Subst::new();
     for v in free_in_exp(e) {
@@ -249,9 +274,13 @@ fn substitute_consts(e: &mut Exp, consts: &HashMap<Name, Scalar>) {
             subst.bind(v.clone(), SubExp::Const(*k));
         }
     }
+    if subst.is_empty() {
+        return false;
+    }
     // Array positions cannot hold constants; consts only bind scalars, and
     // scalars never appear in array positions in well-typed IR.
     subst.apply_exp(e);
+    true
 }
 
 fn fold_exp(e: &Exp) -> Option<Exp> {
@@ -307,43 +336,97 @@ fn is_one(k: &Scalar) -> bool {
 
 // ---- Common subexpression elimination ----
 
-/// Replaces repeated pure, cheap expressions with references to the first
-/// occurrence. In-place updates and SOACs are never merged.
-pub fn cse_body(body: &mut Body, seen: &mut HashMap<String, Name>) {
-    let mut subst = Subst::new();
-    for stm in &mut body.stms {
-        subst.apply_exp(&mut stm.exp);
-        for ib in stm.exp.inner_bodies_mut() {
-            // Nested bodies get their own scope seeded with ours; names are
-            // unique so reusing outer entries is safe (they dominate).
-            let mut inner = seen.clone();
-            cse_body(ib, &mut inner);
+/// What CSE compares: an operator and its operands, or an array and its
+/// indices. Operands compare as `SubExp`s (a constant by its bits), except
+/// that the NaNs of one type are one key.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum CseKey {
+    UnOp(UnOp, SubExp),
+    BinOp(BinOp, SubExp, SubExp),
+    Cmp(CmpOp, SubExp, SubExp),
+    Convert(ScalarType, SubExp),
+    Index(Name, Vec<SubExp>),
+}
+
+/// An operand as CSE keys it: every NaN of a type is one NaN.
+fn operand(se: &SubExp) -> SubExp {
+    match se {
+        SubExp::Const(Scalar::F32(x)) if x.is_nan() => SubExp::Const(Scalar::F32(f32::NAN)),
+        SubExp::Const(Scalar::F64(x)) if x.is_nan() => SubExp::Const(Scalar::F64(f64::NAN)),
+        other => other.clone(),
+    }
+}
+
+/// The key of a pure, cheap expression CSE may merge; `None` for any
+/// other expression (and for a bare operand, which copy propagation owns).
+fn cse_key(e: &Exp) -> Option<CseKey> {
+    Some(match e {
+        Exp::UnOp(op, a) => CseKey::UnOp(*op, operand(a)),
+        Exp::BinOp(op, a, b) => CseKey::BinOp(*op, operand(a), operand(b)),
+        Exp::Cmp(op, a, b) => CseKey::Cmp(*op, operand(a), operand(b)),
+        Exp::Convert(t, a) => CseKey::Convert(*t, operand(a)),
+        Exp::Index { array, indices } => {
+            CseKey::Index(array.clone(), indices.iter().map(operand).collect())
         }
-        let cse_able =
-            stm.exp.is_scalar_cheap() && !matches!(stm.exp, Exp::SubExp(_)) && stm.pat.len() == 1;
-        if cse_able {
-            let key = format!("{}", stm.exp);
-            if let Some(prev) = seen.get(&key) {
-                futhark_trace::event("simplify.cse_hits");
-                subst.bind(stm.pat[0].name.clone(), SubExp::Var(prev.clone()));
-            } else {
-                seen.insert(key, stm.pat[0].name.clone());
-            }
+        _ => return None,
+    })
+}
+
+/// Replaces repeated pure, cheap expressions with references to the first
+/// occurrence. In-place updates and SOACs are never merged. Returns whether
+/// a use of a repeat was replaced.
+pub fn cse_body(body: &mut Body) -> bool {
+    cse_scope(body, &mut HashMap::new())
+}
+
+/// CSE of `body` with `seen` holding the expressions of the enclosing
+/// scopes. The entries `body` adds are removed again before returning, so
+/// one map serves every nested body; names are unique, so outer entries
+/// (which dominate) are safe to reuse.
+fn cse_scope(body: &mut Body, seen: &mut HashMap<CseKey, Name>) -> bool {
+    let mut subst = Subst::new();
+    let mut changed = false;
+    let mut added = Vec::new();
+    for stm in &mut body.stms {
+        if !subst.is_empty() {
+            let before = stm.exp.clone();
+            subst.apply_exp(&mut stm.exp);
+            changed |= stm.exp != before;
+        }
+        for ib in stm.exp.inner_bodies_mut() {
+            changed |= cse_scope(ib, seen);
+        }
+        if stm.pat.len() != 1 {
+            continue;
+        }
+        let Some(key) = cse_key(&stm.exp) else {
+            continue;
+        };
+        if let Some(prev) = seen.get(&key) {
+            futhark_trace::event("simplify.cse_hits");
+            subst.bind(stm.pat[0].name.clone(), SubExp::Var(prev.clone()));
+        } else {
+            seen.insert(key.clone(), stm.pat[0].name.clone());
+            added.push(key);
         }
     }
     // `Subst::apply_exp` recurses into nested bodies, so each statement
     // (processed in order, after the substitution grew) is fully rewritten;
     // the now-duplicate bindings die in dead-code removal.
-    let mut final_res = Vec::with_capacity(body.result.len());
-    for se in &body.result {
-        let mut e = Exp::SubExp(se.clone());
-        subst.apply_exp(&mut e);
-        match e {
-            Exp::SubExp(se2) => final_res.push(se2),
-            _ => unreachable!(),
+    if !subst.is_empty() {
+        for se in &mut body.result {
+            let mut e = Exp::SubExp(se.clone());
+            subst.apply_exp(&mut e);
+            if let Exp::SubExp(se2) = e {
+                changed |= *se != se2;
+                *se = se2;
+            }
         }
     }
-    body.result = final_res;
+    for key in &added {
+        seen.remove(key);
+    }
+    changed
 }
 
 // ---- Hoisting ----
@@ -351,88 +434,122 @@ pub fn cse_body(body: &mut Body, seen: &mut HashMap<String, Name>) {
 /// Moves loop- and lambda-invariant cheap scalar computations out of loop
 /// bodies and SOAC operators within a function, with its parameters in
 /// scope (the paper hoists aggressively before kernel extraction so that
-/// kernel bodies contain only essential code).
-pub fn hoist_fun(f: &mut FunDef) {
-    let params: HashSet<Name> = f.params.iter().map(|p| p.name.clone()).collect();
-    hoist_body_in(&mut f.body, &params);
+/// kernel bodies contain only essential code). Returns whether any
+/// statement moved.
+pub fn hoist_fun(f: &mut FunDef) -> bool {
+    let mut scope: HashSet<Name> = f.params.iter().map(|p| p.name.clone()).collect();
+    hoist_body_in(&mut f.body, &mut scope)
 }
 
-fn hoist_body_in(body: &mut Body, outside: &HashSet<Name>) {
-    let mut bound: HashSet<Name> = outside.clone();
+/// The names visible at a point of the walk, kept in one set: a scope adds
+/// its binders with [`Scope::bind`] and removes them again with
+/// [`Scope::undo`], so no nested body or lambda copies the set.
+struct Scope<'a> {
+    names: &'a mut HashSet<Name>,
+    added: Vec<Name>,
+}
+
+impl<'a> Scope<'a> {
+    fn enter(names: &'a mut HashSet<Name>) -> Self {
+        Scope {
+            names,
+            added: Vec::new(),
+        }
+    }
+
+    fn bind(&mut self, n: &Name) {
+        if self.names.insert(n.clone()) {
+            self.added.push(n.clone());
+        }
+    }
+
+    fn undo(self) {
+        for n in &self.added {
+            self.names.remove(n);
+        }
+    }
+}
+
+fn hoist_body_in(body: &mut Body, names: &mut HashSet<Name>) -> bool {
+    let mut scope = Scope::enter(names);
+    let mut changed = false;
     let mut new_stms: Vec<Stm> = Vec::new();
-    for stm in std::mem::take(&mut body.stms) {
-        let mut stm = stm;
+    for mut stm in std::mem::take(&mut body.stms) {
         // Recurse first (with the names visible at the nested scope) so
         // inner invariants bubble out one level per pass.
-        recurse_hoist(&mut stm.exp, &bound);
-        let hoisted = hoist_from_exp(&mut stm.exp, &bound);
+        changed |= recurse_hoist(&mut stm.exp, scope.names);
+        let hoisted = hoist_from_exp(&mut stm.exp, scope.names);
+        changed |= !hoisted.is_empty();
         for h in hoisted {
             for pe in &h.pat {
-                bound.insert(pe.name.clone());
+                scope.bind(&pe.name);
             }
             new_stms.push(h);
         }
         for pe in &stm.pat {
-            bound.insert(pe.name.clone());
+            scope.bind(&pe.name);
         }
         new_stms.push(stm);
     }
     body.stms = new_stms;
+    scope.undo();
+    changed
 }
 
 /// Recurses into nested bodies with their binders added to scope.
-fn recurse_hoist(e: &mut Exp, bound: &HashSet<Name>) {
+fn recurse_hoist(e: &mut Exp, names: &mut HashSet<Name>) -> bool {
+    let mut changed = false;
     match e {
         Exp::If {
             then_body,
             else_body,
             ..
         } => {
-            hoist_body_in(then_body, bound);
-            hoist_body_in(else_body, bound);
+            changed |= hoist_body_in(then_body, names);
+            changed |= hoist_body_in(else_body, names);
         }
         Exp::Loop { params, form, body } => {
-            let mut inner = bound.clone();
+            let mut scope = Scope::enter(names);
             for (p, _) in params.iter() {
-                inner.insert(p.name.clone());
+                scope.bind(&p.name);
             }
             if let LoopForm::For { var, .. } = form {
-                inner.insert(var.clone());
+                scope.bind(var);
             }
             if let LoopForm::While(c) = form {
-                hoist_body_in(c, &inner);
+                changed |= hoist_body_in(c, scope.names);
             }
-            hoist_body_in(body, &inner);
+            changed |= hoist_body_in(body, scope.names);
+            scope.undo();
         }
-        Exp::Soac(_) => {
+        Exp::Soac(soac) => {
             // Lambdas: add their parameters.
-            let lams: Vec<&mut futhark_core::Lambda> = match e {
-                Exp::Soac(soac) => match soac {
-                    Soac::Map { lam, .. }
-                    | Soac::Scan { lam, .. }
-                    | Soac::Reduce { lam, .. }
-                    | Soac::StreamMap { lam, .. }
-                    | Soac::StreamSeq { lam, .. } => vec![lam],
-                    Soac::Redomap {
-                        red_lam, map_lam, ..
-                    } => vec![red_lam, map_lam],
-                    Soac::StreamRed {
-                        red_lam, fold_lam, ..
-                    } => vec![red_lam, fold_lam],
-                    Soac::Scatter { .. } => vec![],
-                },
-                _ => unreachable!(),
+            let lams: Vec<&mut futhark_core::Lambda> = match soac {
+                Soac::Map { lam, .. }
+                | Soac::Scan { lam, .. }
+                | Soac::Reduce { lam, .. }
+                | Soac::StreamMap { lam, .. }
+                | Soac::StreamSeq { lam, .. } => vec![lam],
+                Soac::Redomap {
+                    red_lam, map_lam, ..
+                } => vec![red_lam, map_lam],
+                Soac::StreamRed {
+                    red_lam, fold_lam, ..
+                } => vec![red_lam, fold_lam],
+                Soac::Scatter { .. } => vec![],
             };
             for lam in lams {
-                let mut inner = bound.clone();
+                let mut scope = Scope::enter(names);
                 for p in &lam.params {
-                    inner.insert(p.name.clone());
+                    scope.bind(&p.name);
                 }
-                hoist_body_in(&mut lam.body, &inner);
+                changed |= hoist_body_in(&mut lam.body, scope.names);
+                scope.undo();
             }
         }
         _ => {}
     }
+    changed
 }
 
 /// Extracts invariant cheap statements from the inner bodies of `e` whose
@@ -479,9 +596,22 @@ fn hoist_from_exp(e: &mut Exp, outside: &HashSet<Name>) -> Vec<Stm> {
 
 // ---- Dead code removal ----
 
+/// Dead-code removal over a function body, whose variable results are
+/// live. Returns whether any binding was removed.
+fn dead_code_fun(f: &mut FunDef) -> bool {
+    let keep: HashSet<Name> = f
+        .body
+        .result
+        .iter()
+        .filter_map(|se| se.as_var().cloned())
+        .collect();
+    dead_code_body(&mut f.body, &keep)
+}
+
 /// Removes bindings whose names are never used. All core expressions are
-/// pure, so removal is always sound.
-pub fn dead_code_body(body: &mut Body, live_out: &HashSet<Name>) {
+/// pure, so removal is always sound. Returns whether any binding was
+/// removed, here or in a nested body.
+pub fn dead_code_body(body: &mut Body, live_out: &HashSet<Name>) -> bool {
     // Compute liveness backwards.
     let mut live: HashSet<Name> = live_out.clone();
     for se in &body.result {
@@ -504,33 +634,16 @@ pub fn dead_code_body(body: &mut Body, live_out: &HashSet<Name>) {
         i += 1;
         k
     });
-    futhark_trace::event_n("simplify.dead_removed", (before - body.stms.len()) as u64);
+    let removed = before - body.stms.len();
+    futhark_trace::event_n("simplify.dead_removed", removed as u64);
+    let mut changed = removed > 0;
     // Recurse: clean inner bodies too.
     for stm in &mut body.stms {
-        let exp = &mut stm.exp;
-        match exp {
-            Exp::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                dead_code_body(then_body, &HashSet::new());
-                dead_code_body(else_body, &HashSet::new());
-            }
-            Exp::Loop { form, body: b, .. } => {
-                if let LoopForm::While(c) = form {
-                    dead_code_body(c, &HashSet::new());
-                }
-                dead_code_body(b, &HashSet::new());
-            }
-            Exp::Soac(_) => {
-                for ib in exp.inner_bodies_mut() {
-                    dead_code_body(ib, &HashSet::new());
-                }
-            }
-            _ => {}
+        for ib in stm.exp.inner_bodies_mut() {
+            changed |= dead_code_body(ib, &HashSet::new());
         }
     }
+    changed
 }
 
 #[cfg(test)]
@@ -544,6 +657,206 @@ mod tests {
         let (mut prog, mut ns) = parse_program(src).unwrap();
         simplify_program(&mut prog, &mut ns, &SimplifyToggles::default());
         prog
+    }
+
+    /// The reference fixed point: print the function before and after each
+    /// round and stop once the text is unchanged, with CSE keyed on the
+    /// printed expression. [`simplify_fun`] must agree with it exactly.
+    fn simplify_fun_by_printing(f: &mut FunDef, toggles: &SimplifyToggles) {
+        for _ in 0..8 {
+            let before = format!("{f}");
+            if toggles.copy_prop {
+                copy_propagate_body(&mut f.body);
+            }
+            if toggles.const_fold {
+                constant_fold_body(&mut f.body);
+            }
+            if toggles.cse {
+                cse_by_printing(&mut f.body, &mut HashMap::new());
+            }
+            if toggles.hoist {
+                hoist_fun(f);
+            }
+            if toggles.dead_code {
+                dead_code_fun(f);
+            }
+            if format!("{f}") == before {
+                break;
+            }
+        }
+    }
+
+    /// CSE keyed on `format!("{}", exp)`, each nested body with its own
+    /// copy of the enclosing scopes' entries.
+    fn cse_by_printing(body: &mut Body, seen: &mut HashMap<String, Name>) {
+        let mut subst = Subst::new();
+        for stm in &mut body.stms {
+            subst.apply_exp(&mut stm.exp);
+            for ib in stm.exp.inner_bodies_mut() {
+                cse_by_printing(ib, &mut seen.clone());
+            }
+            let cse_able = stm.exp.is_scalar_cheap()
+                && !matches!(stm.exp, Exp::SubExp(_))
+                && stm.pat.len() == 1;
+            if cse_able {
+                let key = format!("{}", stm.exp);
+                if let Some(prev) = seen.get(&key) {
+                    subst.bind(stm.pat[0].name.clone(), SubExp::Var(prev.clone()));
+                } else {
+                    seen.insert(key, stm.pat[0].name.clone());
+                }
+            }
+        }
+        for se in &mut body.result {
+            let mut e = Exp::SubExp(se.clone());
+            subst.apply_exp(&mut e);
+            if let Exp::SubExp(se2) = e {
+                *se = se2;
+            }
+        }
+    }
+
+    /// All 32 combinations of the five rewrite families.
+    fn all_toggles() -> Vec<SimplifyToggles> {
+        (0..32u32)
+            .map(|m| SimplifyToggles {
+                copy_prop: m & 1 != 0,
+                const_fold: m & 2 != 0,
+                cse: m & 4 != 0,
+                hoist: m & 8 != 0,
+                dead_code: m & 16 != 0,
+            })
+            .collect()
+    }
+
+    /// Parses `src` and returns it as the simplifier first sees it
+    /// (provenance filled, calls inlined) and as the post-flattening
+    /// simplification sees it.
+    fn simplifier_inputs(src: &str) -> [Program; 2] {
+        let (mut prog, mut ns) = parse_program(src).unwrap();
+        futhark_core::prov::fill_program(&mut prog);
+        inline_functions(&mut prog, &mut ns);
+        let inlined = prog.clone();
+        let sched = futhark_core::schedule::Schedule::default();
+        let mut cur = futhark_core::schedule::ScheduleCursor::new(sched.clone());
+        simplify_program(&mut prog, &mut ns, &sched.simplify);
+        crate::fusion::fuse_program(&mut prog, &mut ns, &mut cur);
+        crate::flatten::flatten_program(&mut prog, &mut ns, &mut cur);
+        [inlined, prog]
+    }
+
+    /// Runs the rounds of [`simplify_fun`] by hand, requiring each family
+    /// to report a change exactly when the function differs (`==`) from
+    /// before the call.
+    fn assert_flags_exact(what: &str, f: &FunDef, t: &SimplifyToggles) {
+        type Family = fn(&mut FunDef) -> bool;
+        let families: [(&str, bool, Family); 5] = [
+            ("copy propagation", t.copy_prop, |f| {
+                copy_propagate_body(&mut f.body)
+            }),
+            ("constant folding", t.const_fold, |f| {
+                constant_fold_body(&mut f.body)
+            }),
+            ("CSE", t.cse, |f| cse_body(&mut f.body)),
+            ("hoisting", t.hoist, hoist_fun),
+            ("dead-code removal", t.dead_code, dead_code_fun),
+        ];
+        let mut f = f.clone();
+        for round in 0..8 {
+            let mut changed = false;
+            for (family, on, run) in families {
+                if on {
+                    let before = f.clone();
+                    let reported = run(&mut f);
+                    let differs = f != before;
+                    assert_eq!(
+                        reported, differs,
+                        "{what}: {family} in round {round} under {t:?}"
+                    );
+                    changed |= reported;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    /// Simplifies every function of every input both ways under each
+    /// toggle combination and requires equal results (`==`, provenance
+    /// included) and exact change reports.
+    fn assert_matches_printing(what: &str, inputs: &[Program], toggles: &[SimplifyToggles]) {
+        for prog in inputs {
+            for t in toggles {
+                for f in &prog.functions {
+                    let mut fast = f.clone();
+                    simplify_fun(&mut fast, t);
+                    let mut slow = f.clone();
+                    simplify_fun_by_printing(&mut slow, t);
+                    assert!(fast == slow, "{what} under {t:?}:\n{fast}\nvs\n{slow}");
+                    assert_flags_exact(what, f, t);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_point_matches_printing_on_paper_programs_under_every_toggle() {
+        let toggles = all_toggles();
+        for b in futhark_bench::all_benchmarks() {
+            assert_matches_printing(b.name, &simplifier_inputs(&b.source), &toggles);
+        }
+    }
+
+    #[test]
+    fn fixed_point_matches_printing_on_fuzz_programs() {
+        let toggles = all_toggles();
+        let cfg = futhark_fuzz::GenConfig::default();
+        for seed in 0..500u64 {
+            let src = futhark_fuzz::generate(seed, &cfg).source();
+            let pick = [SimplifyToggles::default(), toggles[seed as usize % 32]];
+            assert_matches_printing(
+                &format!("fuzz seed {seed}"),
+                &simplifier_inputs(&src),
+                &pick,
+            );
+        }
+    }
+
+    #[test]
+    fn cse_merges_nans_of_one_type_and_keeps_signed_zeros_apart() {
+        // `a` and `b` add the same NaN by its printed form but not by its
+        // bits; `c` and `d` add zeros of opposite sign.
+        let src = "fun main (x: f32) (y: f64): (f32, f32, f32, f32, f64) =\n\
+                   let a = x + 1.0f32\n\
+                   let b = x + 2.0f32\n\
+                   let c = x + 3.0f32\n\
+                   let d = x + 4.0f32\n\
+                   let e = y + 5.0f64\n\
+                   in (a, b, c, d, e)";
+        let (prog, _) = parse_program(src).unwrap();
+        let mut f = prog.main().unwrap().clone();
+        let consts = [
+            Scalar::F32(f32::NAN),
+            Scalar::F32(f32::from_bits(f32::NAN.to_bits() | 1)),
+            Scalar::F32(0.0),
+            Scalar::F32(-0.0),
+            Scalar::F64(f64::NAN),
+        ];
+        for (stm, k) in f.body.stms.iter_mut().zip(consts) {
+            let Exp::BinOp(_, _, rhs) = &mut stm.exp else {
+                panic!("{stm:?}")
+            };
+            *rhs = SubExp::Const(k);
+        }
+        let mut printed = f.clone();
+        cse_by_printing(&mut printed.body, &mut HashMap::new());
+        assert!(cse_body(&mut f.body), "the two NaNs merge");
+        assert_eq!(f, printed);
+        let names: Vec<_> = f.body.stms.iter().map(|s| s.pat[0].name.clone()).collect();
+        let want = [0, 0, 2, 3, 4].map(|i| SubExp::Var(names[i].clone()));
+        assert_eq!(f.body.result, want);
+        assert!(!cse_body(&mut f.body), "nothing left to merge");
     }
 
     #[test]

@@ -55,6 +55,33 @@ fn benchmark_references_also_verify() {
 }
 
 #[test]
+fn compiling_again_in_one_process_gives_the_same_plan() {
+    // Every compile builds its maps afresh, each with its own hash seed,
+    // so a pass that emits code in a map's iteration order shows here.
+    let mut rng = futhark_core::Rng64::seed_from_u64(27);
+    let mut schedules = vec![Schedule::default()];
+    schedules.extend((0..2).map(|_| Schedule::sample(&mut rng)));
+    for b in futhark_bench::all_benchmarks() {
+        for sched in &schedules {
+            let compile = || {
+                let c = Compiler::with_schedule(sched.clone())
+                    .compile(&b.source)
+                    .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+                format!("{:?}", (&c.plan, &c.prog))
+            };
+            let first = compile();
+            for i in 1..8 {
+                assert!(
+                    compile() == first,
+                    "{}: compile {i} differs from the first",
+                    b.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn section22_running_example() {
     let src = "fun main (n: i64) (m: i64) (matrix: [n][m]f32): ([n][m]f32, [n]f32) =\n\
                let (rows, sums) = map (\\(row: [m]f32) ->\n\
