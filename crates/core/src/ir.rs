@@ -155,14 +155,6 @@ impl SubExp {
             SubExp::Const(_) => None,
         }
     }
-
-    /// The constant, if this is one.
-    pub fn as_const(&self) -> Option<&Scalar> {
-        match self {
-            SubExp::Const(k) => Some(k),
-            SubExp::Var(_) => None,
-        }
-    }
 }
 
 impl From<Name> for SubExp {

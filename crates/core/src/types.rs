@@ -73,14 +73,6 @@ pub enum Size {
 }
 
 impl Size {
-    /// Returns the constant extent, if statically known.
-    pub fn as_const(&self) -> Option<i64> {
-        match self {
-            Size::Const(k) => Some(*k),
-            Size::Var(_) => None,
-        }
-    }
-
     /// Returns the size variable, if symbolic.
     pub fn as_var(&self) -> Option<&Name> {
         match self {

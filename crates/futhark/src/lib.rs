@@ -274,7 +274,7 @@ impl Compiler {
         // passes inherit provenance before codegen stamps kernel tapes.
         futhark_core::prov::fill_program(&mut prog);
         let mut plan = spanned(&mut report, "codegen", program_size(&prog), || {
-            let res = codegen::compile(&prog, &mut cur);
+            let res = codegen::compile(&prog, &mut ns, &mut cur);
             let mut after = program_size(&prog);
             if let Ok(plan) = &res {
                 after.kernels = plan.kernel_count() as u64;
@@ -636,8 +636,8 @@ mod tests {
         );
     }
 
-    /// A kernel that writes register 0 at i64 and then at f64: the
-    /// simulator's static model cannot class it.
+    /// A kernel that declares register 0 at i64 and then writes an f64
+    /// into it: decode rejects the write.
     fn two_class_kernel(name: &str) -> futhark_gpu::kernel::Kernel {
         use futhark_core::{Scalar, ScalarType};
         use futhark_gpu::kernel::{KExp, KParam, KStm, Kernel};
@@ -645,8 +645,8 @@ mod tests {
             name: name.into(),
             params: vec![KParam::Scalar(ScalarType::I64)],
             locals: vec![],
-            num_regs: 1,
-            num_priv: 0,
+            regs: vec![ScalarType::I64],
+            privs: vec![],
             prov_table: vec![],
             body: vec![
                 KStm::Assign {

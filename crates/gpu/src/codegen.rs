@@ -24,8 +24,8 @@ use crate::kernel::{KExp, KParam, KStm, Kernel, PrivId, Reg};
 use crate::plan::{ArgSpec, GpuPlan, HBody, HStm, LaunchKind, LaunchSpec, OutSpec};
 use futhark_core::schedule::{ChoiceClass, ScheduleCursor};
 use futhark_core::{
-    BinOp, Body, Exp, Lambda, LoopForm, Name, Param, PatElem, Program, Prov, ScalarType, Size,
-    Soac, Stm, SubExp, Type,
+    BinOp, Body, Exp, Lambda, LoopForm, Name, NameSource, Param, PatElem, Program, Prov,
+    ScalarType, Size, Soac, Stm, SubExp, Type,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -55,17 +55,23 @@ fn cerr<T>(m: impl Into<String>) -> CResult<T> {
 
 /// Compiles the `main` function of a flattened program into a GPU plan.
 /// The coalescing-transposition and 1-D tiling sites consult (and
-/// advance) the given schedule cursor.
+/// advance) the given schedule cursor; each reduction's partials are
+/// bound to fresh names from `ns`, so the plan binds every name once.
 ///
 /// # Errors
 ///
 /// Returns a [`CodegenError`] only if `main` is missing; unsupported
 /// statements become interpreter fallbacks, not errors.
-pub fn compile(prog: &Program, cur: &mut ScheduleCursor) -> Result<GpuPlan, CodegenError> {
+pub fn compile(
+    prog: &Program,
+    ns: &mut NameSource,
+    cur: &mut ScheduleCursor,
+) -> Result<GpuPlan, CodegenError> {
     let main = prog.main().ok_or_else(|| CodegenError {
         message: "program has no main function".into(),
     })?;
     let mut cg = Codegen {
+        ns,
         cur,
         kernels: Vec::new(),
         folds: Vec::new(),
@@ -87,6 +93,8 @@ pub fn compile(prog: &Program, cur: &mut ScheduleCursor) -> Result<GpuPlan, Code
 }
 
 struct Codegen<'a> {
+    /// Fresh names for what codegen binds: each reduction's partials.
+    ns: &'a mut NameSource,
     /// Choice points: per-site coalescing and per-kernel tiling decisions.
     cur: &'a mut ScheduleCursor,
     kernels: Vec<Kernel>,
@@ -313,7 +321,7 @@ impl Codegen<'_> {
                         return cerr("nest level over non-global array");
                     };
                     let s = g.slice(&[idx]);
-                    let r = kb.reg();
+                    let r = kb.reg(g.elem);
                     body_stms.push(KStm::GlobalRead {
                         var: r,
                         buf: g.buf_arg,
@@ -410,13 +418,14 @@ impl Codegen<'_> {
             kb: &mut kb,
             env: HashMap::new(),
         };
-        // Accumulator registers initialised with the neutral elements.
-        let mut acc_regs = Vec::new();
-        for ne in neutral {
+        // Accumulators initialised with the neutral elements.
+        let mut accs = Vec::new();
+        for (ne, p) in neutral.iter().zip(&red_lam.params) {
             let e = lower.subexp(ne, &mut body_stms)?;
-            let r = lower.kb.reg();
+            let t = scalar_of(&p.ty)?;
+            let r = lower.kb.reg(t);
             body_stms.push(KStm::Assign { var: r, exp: e });
-            acc_regs.push(r);
+            accs.push(TVal::Reg(r, t));
         }
         // Input refs.
         let mut inputs = Vec::new();
@@ -424,7 +433,7 @@ impl Codegen<'_> {
             inputs.push(lower.lookup_array(a)?);
         }
         // Sequential loop over the chunk.
-        let i = lower.kb.reg();
+        let i = lower.kb.reg(ScalarType::I64);
         let mut loop_body: Vec<KStm> = Vec::new();
         let elem_idx = KExp::Var(i).add(KExp::Var(lo));
         let mut elems: Vec<TVal> = Vec::new();
@@ -447,35 +456,28 @@ impl Codegen<'_> {
             None => elems,
         };
         // acc = red(acc, mapped).
-        let k = acc_regs.len();
-        for (j, p) in red_lam.params.iter().enumerate() {
-            let v = if j < k {
-                TVal::Reg(acc_regs[j], scalar_of(&p.ty)?)
-            } else {
-                mapped[j - k].clone()
-            };
-            lower.env.insert(p.name.clone(), v);
+        for (p, v) in red_lam.params.iter().zip(accs.iter().chain(&mapped)) {
+            lower.env.insert(p.name.clone(), v.clone());
         }
         let res = lower.body(&red_lam.body, &mut loop_body)?;
-        for (r, acc) in res.iter().zip(&acc_regs) {
-            let e = tval_scalar(r)?;
-            loop_body.push(KStm::Assign { var: *acc, exp: e });
-        }
+        lower.write_back(&accs, &res, &mut loop_body)?;
         body_stms.push(KStm::For {
             var: i,
             bound: KExp::Var(len),
             body: loop_body,
         });
         // Write partials: one output buffer per accumulator, size T (the
-        // executor substitutes the chosen thread count for the -1 shape).
+        // executor substitutes the chosen thread count for the -1 shape),
+        // each bound to a fresh name of its own.
         let mut outs = Vec::new();
-        for (j, ne) in neutral.iter().enumerate() {
+        let mut pat = Vec::new();
+        for (j, (ne, acc)) in neutral.iter().zip(&accs).enumerate() {
             let t = self.subexp_scalar_type(ne)?;
             let arg = lower.kb.out_arg(j, t);
             body_stms.push(KStm::GlobalWrite {
                 buf: arg,
                 index: KExp::GlobalId,
-                value: KExp::Var(acc_regs[j]),
+                value: tval_scalar(acc)?,
             });
             outs.push(OutSpec {
                 elem: t,
@@ -485,19 +487,10 @@ impl Codegen<'_> {
                 steal: None,
                 write_into: None,
             });
+            let ty = Type::array_of(t, vec![Size::Const(-1)]);
+            pat.push(PatElem::new(self.ns.fresh("part"), ty));
         }
         let kernel = kb.finish(body_stms);
-        // The launch binds the partials under the final output names (the
-        // Combine reads them before rebinding, so the shadowing is safe).
-        let pat: Vec<PatElem> = stm
-            .pat
-            .iter()
-            .zip(neutral)
-            .map(|(pe, ne)| {
-                let t = self.subexp_scalar_type(ne).expect("scalar neutral");
-                PatElem::new(pe.name.clone(), Type::array_of(t, vec![Size::Const(-1)]))
-            })
-            .collect();
         let partial_names: Vec<Name> = pat.iter().map(|pe| pe.name.clone()).collect();
         let rows: Vec<Type> = pat.iter().map(|pe| Type::Scalar(pe.ty.elem())).collect();
         let combine = self.combine(&kernel.name, stm, &partial_names, &rows, red_lam, neutral)?;
@@ -538,7 +531,7 @@ impl Codegen<'_> {
         };
         // chunk-size parameter.
         let chunk_param = &fold_lam.params[0];
-        let chunk_reg = lower.kb.reg();
+        let chunk_reg = lower.kb.reg(ScalarType::I64);
         body_stms.push(KStm::Assign {
             var: chunk_reg,
             exp: KExp::Var(len),
@@ -627,16 +620,16 @@ impl Codegen<'_> {
             }
         }
         let kernel = kb.finish(body_stms);
-        let pat: Vec<PatElem> = stm
-            .pat
+        // The partials, each bound to a fresh name of its own.
+        let pat: Vec<PatElem> = fold_lam
+            .ret
             .iter()
-            .zip(&fold_lam.ret)
-            .map(|(pe, t)| {
+            .map(|t| {
                 let mut dims = vec![Size::Const(-1)];
                 if let Type::Array(at) = t {
                     dims.extend(at.dims.iter().cloned());
                 }
-                PatElem::new(pe.name.clone(), Type::array_of(t.elem(), dims))
+                PatElem::new(self.ns.fresh("part"), Type::array_of(t.elem(), dims))
             })
             .collect();
         let partial_names: Vec<Name> = pat.iter().map(|pe| pe.name.clone()).collect();
@@ -711,7 +704,7 @@ impl Codegen<'_> {
             lower.env.insert(p.name.clone(), acc.clone());
             accs.push(acc);
         }
-        let i = lower.kb.reg();
+        let i = lower.kb.reg(ScalarType::I64);
         let mut step = Vec::new();
         for (p, g) in red_lam.params[k..].iter().zip(&parts) {
             let x = lower.read_elem_or_slice(&TVal::GArr(g.clone()), &[KExp::Var(i)], &mut step)?;
@@ -780,13 +773,13 @@ impl Codegen<'_> {
         let (TVal::GArr(ig), TVal::GArr(vg)) = (&iref, &vref) else {
             return cerr("scatter inputs must be global");
         };
-        let ix = kb.reg();
+        let ix = kb.reg(ig.elem);
         body.push(KStm::GlobalRead {
             var: ix,
             buf: ig.buf_arg,
             index: KExp::GlobalId,
         });
-        let v = kb.reg();
+        let v = kb.reg(vg.elem);
         body.push(KStm::GlobalRead {
             var: v,
             buf: vg.buf_arg,
@@ -879,8 +872,10 @@ struct KBuild {
     scalar_cache: HashMap<Name, usize>,
     array_cache: HashMap<(Name, Vec<usize>), usize>,
     locals: Vec<(ScalarType, KExp)>,
-    regs: u32,
-    privs: usize,
+    /// The type of each register allocated so far.
+    regs: Vec<ScalarType>,
+    /// The element type of each private array allocated so far.
+    privs: Vec<ScalarType>,
     /// Provenance table under construction (deduplicated).
     provs: Vec<Prov>,
     prov_cache: HashMap<Prov, u32>,
@@ -899,8 +894,8 @@ impl KBuild {
             scalar_cache: HashMap::new(),
             array_cache: HashMap::new(),
             locals: Vec::new(),
-            regs: 0,
-            privs: 0,
+            regs: Vec::new(),
+            privs: Vec::new(),
             provs: Vec::new(),
             prov_cache: HashMap::new(),
             root_prov,
@@ -918,14 +913,16 @@ impl KBuild {
         i
     }
 
-    fn reg(&mut self) -> Reg {
-        self.regs += 1;
-        self.regs - 1
+    /// A fresh register holding values of type `t`.
+    fn reg(&mut self, t: ScalarType) -> Reg {
+        self.regs.push(t);
+        self.regs.len() as Reg - 1
     }
 
-    fn priv_id(&mut self) -> PrivId {
-        self.privs += 1;
-        self.privs - 1
+    /// A fresh private array of `elem` elements.
+    fn priv_id(&mut self, elem: ScalarType) -> PrivId {
+        self.privs.push(elem);
+        self.privs.len() - 1
     }
 
     /// A scalar argument (or constant) as a kernel expression. `t` is the
@@ -982,7 +979,7 @@ impl KBuild {
     /// Emits grid-index computation: decomposes the linear thread id into
     /// per-level indices (innermost fastest).
     fn grid_indices(&mut self, widths: &[KExp], out: &mut Vec<KStm>) -> Vec<Reg> {
-        let lin = self.reg();
+        let lin = self.reg(ScalarType::I64);
         out.push(KStm::Assign {
             var: lin,
             exp: KExp::GlobalId,
@@ -990,7 +987,7 @@ impl KBuild {
         let mut regs = vec![0; widths.len()];
         let mut cur = lin;
         for l in (0..widths.len()).rev() {
-            let r = self.reg();
+            let r = self.reg(ScalarType::I64);
             if l == 0 {
                 out.push(KStm::Assign {
                     var: r,
@@ -1001,7 +998,7 @@ impl KBuild {
                     var: r,
                     exp: KExp::Var(cur).rem(widths[l].clone()),
                 });
-                let next = self.reg();
+                let next = self.reg(ScalarType::I64);
                 out.push(KStm::Assign {
                     var: next,
                     exp: KExp::Var(cur).div(widths[l].clone()),
@@ -1017,7 +1014,7 @@ impl KBuild {
     /// holding the chunk start and length for this thread.
     fn stream_chunk(&mut self, n: &KExp, out: &mut Vec<KStm>) -> (Reg, Reg) {
         // c = ceil(n / T); lo = gid*c; len = max(0, min(c, n - lo)).
-        let c = self.reg();
+        let c = self.reg(ScalarType::I64);
         out.push(KStm::Assign {
             var: c,
             exp: n
@@ -1025,12 +1022,12 @@ impl KBuild {
                 .add(KExp::NumThreads.add(KExp::i64(-1)))
                 .div(KExp::NumThreads),
         });
-        let lo = self.reg();
+        let lo = self.reg(ScalarType::I64);
         out.push(KStm::Assign {
             var: lo,
             exp: KExp::GlobalId.mul(KExp::Var(c)),
         });
-        let len = self.reg();
+        let len = self.reg(ScalarType::I64);
         let remaining = n.clone().add(KExp::Var(lo).mul(KExp::i64(-1)));
         out.push(KStm::Assign {
             var: len,
@@ -1061,8 +1058,8 @@ impl KBuild {
             name: self.name.clone(),
             params: self.params.clone(),
             locals: self.locals.clone(),
-            num_regs: self.regs,
-            num_priv: self.privs,
+            regs: self.regs.clone(),
+            privs: self.privs.clone(),
             body,
             prov_table: self.provs.clone(),
         }
@@ -1271,7 +1268,7 @@ impl<'a> Lower<'a> {
             return slice_tval(v, idxs);
         }
         let t = v.elem();
-        let r = self.kb.reg();
+        let r = self.kb.reg(t);
         match v {
             TVal::GArr(g) => {
                 let s = g.slice(idxs);
@@ -1315,10 +1312,9 @@ impl<'a> Lower<'a> {
             .cloned()
             .reduce(|a, b| a.mul(b))
             .unwrap_or(KExp::i64(1));
-        let id = self.kb.priv_id();
+        let id = self.kb.priv_id(elem);
         out.push(KStm::PrivAlloc {
             arr: id,
-            elem,
             size: total,
         });
         let mut strides = vec![KExp::i64(1); dims.len()];
@@ -1342,7 +1338,7 @@ impl<'a> Lower<'a> {
         // Nested loops over the logical dims.
         let mut idx_regs: Vec<Reg> = Vec::new();
         for _ in &dims {
-            idx_regs.push(self.kb.reg());
+            idx_regs.push(self.kb.reg(ScalarType::I64));
         }
         // Build from innermost out.
         let idxs: Vec<KExp> = idx_regs.iter().map(|&r| KExp::Var(r)).collect();
@@ -1400,7 +1396,7 @@ impl<'a> Lower<'a> {
         match &p.ty {
             Type::Scalar(t) => {
                 let e = self.subexp(init, out)?;
-                let r = self.kb.reg();
+                let r = self.kb.reg(*t);
                 out.push(KStm::Assign { var: r, exp: e });
                 Ok(TVal::Reg(r, *t))
             }
@@ -1435,7 +1431,7 @@ impl<'a> Lower<'a> {
             .iter()
             .map(|se| match se {
                 SubExp::Const(k) => {
-                    let r = self.kb.reg();
+                    let r = self.kb.reg(k.scalar_type());
                     out.push(KStm::Assign {
                         var: r,
                         exp: KExp::Const(*k),
@@ -1456,7 +1452,7 @@ impl<'a> Lower<'a> {
         match e {
             Exp::SubExp(se) => match se {
                 SubExp::Const(k) => {
-                    let r = self.kb.reg();
+                    let r = self.kb.reg(k.scalar_type());
                     out.push(KStm::Assign {
                         var: r,
                         exp: KExp::Const(*k),
@@ -1467,7 +1463,7 @@ impl<'a> Lower<'a> {
                     if matches!(self.cg_types.get(v), Some(Type::Scalar(_))) {
                         let t = scalar_of(&self.cg_types[v])?;
                         let e = self.kb.scalar_subexp(se, t)?;
-                        let r = self.kb.reg();
+                        let r = self.kb.reg(t);
                         out.push(KStm::Assign { var: r, exp: e });
                         Ok(TVal::Reg(r, t))
                     } else {
@@ -1478,26 +1474,28 @@ impl<'a> Lower<'a> {
             Exp::BinOp(op, a, b) => {
                 let x = self.subexp(a, out)?;
                 let y = self.subexp(b, out)?;
-                let r = self.kb.reg();
+                let t = scalar_of(&pat[0].ty)?;
+                let r = self.kb.reg(t);
                 out.push(KStm::Assign {
                     var: r,
                     exp: KExp::BinOp(*op, Box::new(x), Box::new(y)),
                 });
-                Ok(vec![TVal::Reg(r, scalar_of(&pat[0].ty)?)])
+                Ok(vec![TVal::Reg(r, t)])
             }
             Exp::UnOp(op, a) => {
                 let x = self.subexp(a, out)?;
-                let r = self.kb.reg();
+                let t = scalar_of(&pat[0].ty)?;
+                let r = self.kb.reg(t);
                 out.push(KStm::Assign {
                     var: r,
                     exp: KExp::UnOp(*op, Box::new(x)),
                 });
-                Ok(vec![TVal::Reg(r, scalar_of(&pat[0].ty)?)])
+                Ok(vec![TVal::Reg(r, t)])
             }
             Exp::Cmp(op, a, b) => {
                 let x = self.subexp(a, out)?;
                 let y = self.subexp(b, out)?;
-                let r = self.kb.reg();
+                let r = self.kb.reg(ScalarType::Bool);
                 out.push(KStm::Assign {
                     var: r,
                     exp: KExp::Cmp(*op, Box::new(x), Box::new(y)),
@@ -1506,7 +1504,7 @@ impl<'a> Lower<'a> {
             }
             Exp::Convert(t, a) => {
                 let x = self.subexp(a, out)?;
-                let r = self.kb.reg();
+                let r = self.kb.reg(*t);
                 out.push(KStm::Assign {
                     var: r,
                     exp: KExp::Convert(*t, Box::new(x)),
@@ -1580,10 +1578,9 @@ impl<'a> Lower<'a> {
                             dims.extend(arr.dims());
                             let elem = arr.elem();
                             let total = dims.iter().cloned().reduce(|a, b| a.mul(b)).unwrap();
-                            let id = self.kb.priv_id();
+                            let id = self.kb.priv_id(elem);
                             out.push(KStm::PrivAlloc {
                                 arr: id,
-                                elem,
                                 size: total,
                             });
                             let mut strides = vec![KExp::i64(1); dims.len()];
@@ -1597,7 +1594,7 @@ impl<'a> Lower<'a> {
                                 strides,
                                 offset: KExp::i64(0),
                             };
-                            let i = self.kb.reg();
+                            let i = self.kb.reg(ScalarType::I64);
                             let mut inner = Vec::new();
                             let row = pr.slice(&[KExp::Var(i)]);
                             self.copy_elements(&CopyDst::Priv(row), &arr, &mut inner)?;
@@ -1696,21 +1693,20 @@ impl<'a> Lower<'a> {
                     })
                     .reduce(|a, b| a.add(b))
                     .unwrap();
-                let id = self.kb.priv_id();
+                let id = self.kb.priv_id(elem);
                 out.push(KStm::PrivAlloc {
                     arr: id,
-                    elem,
                     size: total.clone(),
                 });
                 // Sequential copy with a running offset register.
-                let off = self.kb.reg();
+                let off = self.kb.reg(ScalarType::I64);
                 out.push(KStm::Assign {
                     var: off,
                     exp: KExp::i64(0),
                 });
                 for v in &vals {
                     let dims = v.dims();
-                    let i = self.kb.reg();
+                    let i = self.kb.reg(ScalarType::I64);
                     let mut inner = Vec::new();
                     let x = self.read_elem_or_slice(v, &[KExp::Var(i)], &mut inner)?;
                     match x {
@@ -1752,13 +1748,13 @@ impl<'a> Lower<'a> {
                 for t in ret {
                     match t {
                         Type::Scalar(s) => {
-                            let r = self.kb.reg();
+                            let r = self.kb.reg(*s);
                             result_slots.push(TVal::Reg(r, *s));
                         }
                         Type::Array(_) => {
                             // Allocate lazily inside branches via copy; use
                             // a priv allocated with the then-branch's size.
-                            let id = self.kb.priv_id();
+                            let id = self.kb.priv_id(t.elem());
                             result_slots.push(TVal::Priv(PRef {
                                 id,
                                 elem: t.elem(),
@@ -1812,13 +1808,11 @@ impl<'a> Lower<'a> {
                             };
                             then_s.push(KStm::PrivAlloc {
                                 arr: p.id,
-                                elem: p.elem,
                                 size: total.clone(),
                             });
                             self.copy_elements(&CopyDst::Priv(dst.clone()), tv, &mut then_s)?;
                             else_s.push(KStm::PrivAlloc {
                                 arr: p.id,
-                                elem: p.elem,
                                 size: total,
                             });
                             self.copy_elements(&CopyDst::Priv(dst.clone()), ev, &mut else_s)?;
@@ -1857,7 +1851,7 @@ impl<'a> Lower<'a> {
         match form {
             LoopForm::For { var, bound } => {
                 let b = self.subexp(bound, out)?;
-                let i = self.kb.reg();
+                let i = self.kb.reg(ScalarType::I64);
                 self.env.insert(var.clone(), TVal::Reg(i, ScalarType::I64));
                 let mut inner = Vec::new();
                 let results = self.body(body, &mut inner)?;
@@ -1874,7 +1868,7 @@ impl<'a> Lower<'a> {
                 let mut pre = Vec::new();
                 let cvals = self.body(cond, &mut pre)?;
                 let c0 = tval_scalar(&cvals[0])?;
-                let cr = self.kb.reg();
+                let cr = self.kb.reg(cvals[0].elem());
                 pre.push(KStm::Assign { var: cr, exp: c0 });
                 out.extend(pre);
                 let mut inner = Vec::new();
@@ -1933,10 +1927,9 @@ impl<'a> Lower<'a> {
                     }
                     let elem = t.elem();
                     let total = dims.iter().cloned().reduce(|a, b| a.mul(b)).unwrap();
-                    let id = self.kb.priv_id();
+                    let id = self.kb.priv_id(elem);
                     out.push(KStm::PrivAlloc {
                         arr: id,
-                        elem,
                         size: total,
                     });
                     let mut strides = vec![KExp::i64(1); dims.len()];
@@ -1951,7 +1944,7 @@ impl<'a> Lower<'a> {
                         offset: KExp::i64(0),
                     });
                 }
-                let i = self.kb.reg();
+                let i = self.kb.reg(ScalarType::I64);
                 let mut inner = Vec::new();
                 for (p, v) in lam.params.iter().zip(&inputs) {
                     let elem = self.read_elem_or_slice(v, &[KExp::Var(i)], &mut inner)?;
@@ -2006,19 +1999,18 @@ impl<'a> Lower<'a> {
                     .map(|a| self.lookup_array(a))
                     .collect::<CResult<_>>()?;
                 let mut carries = Vec::new();
-                for ne in neutral {
+                for (ne, p) in neutral.iter().zip(&lam.params) {
                     let e = self.subexp(ne, out)?;
-                    let r = self.kb.reg();
+                    let r = self.kb.reg(scalar_of(&p.ty)?);
                     out.push(KStm::Assign { var: r, exp: e });
                     carries.push(r);
                 }
                 let mut outputs = Vec::new();
                 for t in &lam.ret {
                     let elem = t.elem();
-                    let id = self.kb.priv_id();
+                    let id = self.kb.priv_id(elem);
                     out.push(KStm::PrivAlloc {
                         arr: id,
-                        elem,
                         size: w.clone(),
                     });
                     outputs.push(PRef {
@@ -2029,7 +2021,7 @@ impl<'a> Lower<'a> {
                         offset: KExp::i64(0),
                     });
                 }
-                let i = self.kb.reg();
+                let i = self.kb.reg(ScalarType::I64);
                 let mut inner = Vec::new();
                 let k = neutral.len();
                 for (j, p) in lam.params.iter().enumerate() {
@@ -2092,7 +2084,7 @@ impl<'a> Lower<'a> {
     ) -> CResult<Vec<TVal>> {
         let w = self.subexp(width, out)?;
         let chunk = &lam.params[0];
-        let cr = self.kb.reg();
+        let cr = self.kb.reg(ScalarType::I64);
         out.push(KStm::Assign { var: cr, exp: w });
         self.env
             .insert(chunk.name.clone(), TVal::Reg(cr, ScalarType::I64));
@@ -2127,13 +2119,13 @@ impl<'a> Lower<'a> {
             .map(|a| self.lookup_array(a))
             .collect::<CResult<_>>()?;
         let mut accs = Vec::new();
-        for ne in neutral {
+        for (ne, p) in neutral.iter().zip(&red_lam.params) {
             let e = self.subexp(ne, out)?;
-            let r = self.kb.reg();
+            let r = self.kb.reg(scalar_of(&p.ty)?);
             out.push(KStm::Assign { var: r, exp: e });
             accs.push(r);
         }
-        let i = self.kb.reg();
+        let i = self.kb.reg(ScalarType::I64);
         let mut inner = Vec::new();
         let mut elems: Vec<TVal> = Vec::new();
         for v in &inputs {
@@ -2203,13 +2195,15 @@ pub fn tile_1d_candidate(kernel: &Kernel) -> bool {
 }
 
 pub fn tile_1d(kernel: &mut Kernel) -> bool {
-    let mut locals = kernel.locals.clone();
-    let mut next_reg = kernel.num_regs;
     let mut tiled = false;
     let body = std::mem::take(&mut kernel.body);
-    kernel.body = tile_stms(body, &kernel.params, &mut locals, &mut next_reg, &mut tiled);
-    kernel.locals = locals;
-    kernel.num_regs = next_reg;
+    kernel.body = tile_stms(
+        body,
+        &kernel.params,
+        &mut kernel.locals,
+        &mut kernel.regs,
+        &mut tiled,
+    );
     tiled
 }
 
@@ -2231,7 +2225,7 @@ fn tile_stms(
     stms: Vec<KStm>,
     params: &[KParam],
     locals: &mut Vec<(ScalarType, KExp)>,
-    next_reg: &mut u32,
+    regs: &mut Vec<ScalarType>,
     tiled: &mut bool,
 ) -> Vec<KStm> {
     let mut new_body = Vec::new();
@@ -2241,7 +2235,7 @@ fn tile_stms(
             // one is still at the outermost (convergent) statement level.
             KStm::At { prov, body } => new_body.push(KStm::At {
                 prov,
-                body: tile_stms(body, params, locals, next_reg, tiled),
+                body: tile_stms(body, params, locals, regs, tiled),
             }),
             KStm::For { var, bound, body } if is_uniform(&bound) => {
                 // Qualifying reads: GlobalRead { index: Var(var) }.
@@ -2267,13 +2261,9 @@ fn tile_stms(
                 // The tile size is the number of live lanes in this group
                 // (the last group may be partial):
                 //   lanes = min(GroupSize, NumThreads - GroupId*GroupSize).
-                let lanes = *next_reg;
-                let to = *next_reg + 1;
-                let base = *next_reg + 2;
-                let ji = *next_reg + 3;
-                let lim = *next_reg + 4;
-                let ld = *next_reg + 5;
-                *next_reg += 6;
+                let first = regs.len() as Reg;
+                regs.extend([ScalarType::I64; 6]);
+                let [lanes, to, base, ji, lim, ld] = std::array::from_fn(|k| first + k as Reg);
                 new_body.push(KStm::Assign {
                     var: lanes,
                     exp: KExp::BinOp(
@@ -2304,8 +2294,8 @@ fn tile_stms(
                     ),
                 });
                 for (&buf, &lmem) in &local_of {
-                    let tmp = *next_reg;
-                    *next_reg += 1;
+                    let tmp = regs.len() as Reg;
+                    regs.push(locals[lmem].0);
                     tile_body.push(KStm::GlobalRead {
                         var: tmp,
                         buf,

@@ -47,23 +47,13 @@ fn merge_bufs(merge: &[HVal]) -> Vec<BufId> {
 
 /// A short tag naming the construct an interpreter fallback executed (for
 /// timeline attribution).
-fn exp_tag(e: &Exp) -> &'static str {
-    use futhark_core::Soac;
+fn exp_tag(e: &Exp) -> String {
     match e {
-        Exp::Soac(s) => match s {
-            Soac::Map { .. } => "soac.map",
-            Soac::Scan { .. } => "soac.scan",
-            Soac::Reduce { .. } => "soac.reduce",
-            Soac::Redomap { .. } => "soac.redomap",
-            Soac::Scatter { .. } => "soac.scatter",
-            Soac::StreamMap { .. } => "soac.stream_map",
-            Soac::StreamRed { .. } => "soac.stream_red",
-            Soac::StreamSeq { .. } => "soac.stream_seq",
-        },
-        Exp::Apply { .. } => "apply",
-        Exp::Loop { .. } => "loop",
-        Exp::If { .. } => "if",
-        _ => "host_exp",
+        Exp::Soac(s) => format!("soac.{}", s.kind_name()),
+        Exp::Apply { .. } => "apply".into(),
+        Exp::Loop { .. } => "loop".into(),
+        Exp::If { .. } => "if".into(),
+        _ => "host_exp".into(),
     }
 }
 
@@ -546,16 +536,11 @@ pub fn run(
             plan.folds.len()
         )));
     }
-    let mut arena = DeviceMemory::from_profile(device);
-    // The memory timeline is always recorded: the bookkeeping is pure
-    // observation (no feedback into timing or results), and the events
-    // make `peak_bytes` attributable in every trace.
-    arena.enable_event_log();
     let mut ex = Executor {
         plan,
         prog,
         device,
-        mem: arena,
+        mem: DeviceMemory::from_profile(device),
         env: HashMap::new(),
         report: PerfReport::default(),
         layout_cache: HashMap::new(),
@@ -1372,7 +1357,7 @@ impl<'a> Executor<'a> {
                 self.report.fallback_us += t;
                 self.report.total_us += t;
                 self.report.timeline.push(TimelineEvent::Fallback {
-                    what: exp_tag(other).into(),
+                    what: exp_tag(other),
                     work,
                     us: t,
                 });

@@ -166,12 +166,11 @@ pub enum KStm {
         /// Stored value.
         value: KExp,
     },
-    /// Allocate (or clear) a private array of `size` elements.
+    /// Allocate (or clear) a private array of `size` elements, of the
+    /// element type [`Kernel::privs`] declares for it.
     PrivAlloc {
         /// Private array id.
         arr: PrivId,
-        /// Element type.
-        elem: ScalarType,
         /// Element count.
         size: KExp,
     },
@@ -260,31 +259,16 @@ pub struct Kernel {
     /// Local (per-group) buffers: element type and size (an expression over
     /// scalar arguments and `GroupSize`).
     pub locals: Vec<(ScalarType, KExp)>,
-    /// Number of virtual registers used.
-    pub num_regs: u32,
-    /// Number of private arrays used.
-    pub num_priv: usize,
+    /// The scalar type of each virtual register, indexed by [`Reg`]:
+    /// codegen declares it where it allocates the register, and decode
+    /// checks every write against it.
+    pub regs: Vec<ScalarType>,
+    /// The element type of each private array, indexed by [`PrivId`].
+    pub privs: Vec<ScalarType>,
     /// The thread body.
     pub body: Vec<KStm>,
     /// Source provenance sets referenced by [`KStm::At`] markers.
     pub prov_table: Vec<Prov>,
-}
-
-impl Kernel {
-    /// A rough static size measure (for diagnostics).
-    pub fn stm_count(&self) -> usize {
-        fn count(stms: &[KStm]) -> usize {
-            stms.iter()
-                .map(|s| match s {
-                    KStm::For { body, .. } | KStm::While { body, .. } => 1 + count(body),
-                    KStm::If { then_s, else_s, .. } => 1 + count(then_s) + count(else_s),
-                    KStm::At { body, .. } => count(body),
-                    _ => 1,
-                })
-                .sum()
-        }
-        count(&self.body)
-    }
 }
 
 #[cfg(test)]
@@ -295,23 +279,5 @@ mod tests {
     fn op_count_counts_tree_nodes() {
         let e = KExp::GlobalId.mul(KExp::i64(4)).add(KExp::i64(1));
         assert_eq!(e.op_count(), 2);
-    }
-
-    #[test]
-    fn stm_count_recurses() {
-        let k = Kernel {
-            name: "t".into(),
-            params: vec![],
-            locals: vec![],
-            num_regs: 1,
-            num_priv: 0,
-            body: vec![KStm::For {
-                var: 0,
-                bound: KExp::i64(4),
-                body: vec![KStm::Barrier, KStm::Barrier],
-            }],
-            prov_table: vec![],
-        };
-        assert_eq!(k.stm_count(), 3);
     }
 }

@@ -458,69 +458,12 @@ struct Edits {
     free_after: BTreeMap<(usize, usize), BTreeSet<Name>>,
 }
 
-/// Codegen's reduce idiom is deliberately non-SSA: a `Launch` writes
-/// per-group partials into a name that the directly following `Combine`
-/// shadows with the combined scalar. Renames the partials binding (its
-/// definition in the launch pattern and the `Combine`'s reference) so
-/// the planner sees an SSA plan; any other rebinding still bails.
-fn normalize_partials(body: &mut HBody, ns: &mut NameSource) {
-    for stm in &mut body.stms {
-        match stm {
-            HStm::Loop {
-                while_cond, body, ..
-            } => {
-                if let Some(c) = while_cond {
-                    normalize_partials(c, ns);
-                }
-                normalize_partials(body, ns);
-            }
-            HStm::If { then_b, else_b, .. } => {
-                normalize_partials(then_b, ns);
-                normalize_partials(else_b, ns);
-            }
-            _ => {}
-        }
-    }
-    for j in 1..body.stms.len() {
-        let (head, tail) = body.stms.split_at_mut(j);
-        let HStm::Combine {
-            pat,
-            partials,
-            args,
-            ..
-        } = &mut tail[0]
-        else {
-            continue;
-        };
-        let HStm::Launch { pat: lpat, .. } = &mut head[j - 1] else {
-            continue;
-        };
-        for le in lpat.iter_mut() {
-            if !pat.iter().any(|pe| pe.name == le.name) {
-                continue;
-            }
-            let fresh = ns.fresh("part");
-            let arrays = args.iter_mut().filter_map(|a| match a {
-                ArgSpec::ArrayIn { name, .. } => Some(name),
-                _ => None,
-            });
-            for p in partials.iter_mut().chain(arrays) {
-                if *p == le.name {
-                    *p = fresh.clone();
-                }
-            }
-            le.name = fresh;
-        }
-    }
-}
-
 /// Runs the memory planner over a plan, in place. Idempotent: a plan that
 /// was already planned is left untouched.
 pub fn plan_memory(plan: &mut GpuPlan, ns: &mut NameSource) {
     if plan.mem_planned {
         return;
     }
-    normalize_partials(&mut plan.body, ns);
     let (mut a, root) = Analysis::of(plan);
 
     // Non-SSA rebinding would make every class verdict unreliable: keep
@@ -1372,7 +1315,7 @@ mod tests {
         futhark_opt::flatten::flatten_program(&mut prog, &mut ns, &mut cur);
         futhark_opt::simplify::simplify_program(&mut prog, &mut ns, &sched.simplify);
         futhark_core::prov::fill_program(&mut prog);
-        let plan = crate::codegen::compile(&prog, &mut cur).expect("codegen");
+        let plan = crate::codegen::compile(&prog, &mut ns, &mut cur).expect("codegen");
         (plan, ns)
     }
 
@@ -1380,8 +1323,7 @@ mod tests {
     fn grouped_classes_equal_the_scan_on_every_paper_program() {
         let mut shared = 0;
         for b in futhark_bench::all_benchmarks() {
-            let (mut plan, mut ns) = plan_of(&b.source);
-            normalize_partials(&mut plan.body, &mut ns);
+            let (plan, mut ns) = plan_of(&b.source);
             let (mut a, _) = Analysis::of(&plan);
             // The classes as `insert_frees` sees them: after every union.
             let mut edits = Edits::default();

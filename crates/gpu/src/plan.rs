@@ -129,6 +129,9 @@ pub enum HStm {
     /// so on the same engine as the stage-1 launch, and charges it as one
     /// `combine` device op: the fold kernel adds no launch, no per-kernel
     /// entry, and nothing to [`GpuPlan::kernel_count`].
+    ///
+    /// The partials are bound by the stage-1 launch to names of their own,
+    /// never to a name of `pat`, so a plan binds every name once.
     Combine {
         /// Bound pattern (the final accumulator values).
         pat: Vec<PatElem>,

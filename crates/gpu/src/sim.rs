@@ -322,9 +322,9 @@ pub struct DeviceMemory {
     allocs: u64,
     frees: u64,
     reuses: u64,
-    /// Raw timeline events, recorded only when the log was enabled (the
-    /// executor enables it; bare simulator use stays log-free).
-    event_log: Option<Vec<RawMemEvent>>,
+    /// Raw timeline events since the last [`Self::take_events`]: every
+    /// alloc, reuse and free is recorded.
+    event_log: Vec<RawMemEvent>,
 }
 
 impl DeviceMemory {
@@ -382,33 +382,18 @@ impl DeviceMemory {
                 (self.slots.len() - 1, MemOp::Alloc)
             }
         };
-        if let Some(log) = &mut self.event_log {
-            log.push((op, id, bytes, self.live_bytes));
-        }
+        self.event_log.push((op, id, bytes, self.live_bytes));
         id
-    }
-
-    /// Turns on the raw event log; every alloc/reuse/free from here on is
-    /// recorded for [`Self::take_events`]. Off by default so bare
-    /// simulator use (unit tests, launch-level parity tests) pays nothing.
-    pub fn enable_event_log(&mut self) {
-        if self.event_log.is_none() {
-            self.event_log = Some(Vec::new());
-        }
     }
 
     /// Whether events were recorded since the last [`Self::take_events`].
     pub(crate) fn has_events(&self) -> bool {
-        self.event_log.as_ref().is_some_and(|log| !log.is_empty())
+        !self.event_log.is_empty()
     }
 
-    /// Drains the raw events recorded since the last call (empty when the
-    /// log was never enabled).
+    /// Drains the raw events recorded since the last call.
     pub fn take_events(&mut self) -> Vec<RawMemEvent> {
-        match &mut self.event_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
+        std::mem::take(&mut self.event_log)
     }
 
     /// Allocates a zero-initialised buffer, recycling a dead slot of the
@@ -449,9 +434,8 @@ impl DeviceMemory {
             self.frees += 1;
             *slot = Slot::Freed { t, len };
             self.free_lists.entry((t, len)).or_default().push(id);
-            if let Some(log) = &mut self.event_log {
-                log.push((MemOp::Free, id, bytes, self.live_bytes));
-            }
+            self.event_log
+                .push((MemOp::Free, id, bytes, self.live_bytes));
         }
     }
 
@@ -875,8 +859,8 @@ mod tests {
                 KParam::Buffer(ScalarType::F32),
             ],
             locals: vec![],
-            num_regs: 2,
-            num_priv: 0,
+            regs: vec![ScalarType::F32; 2],
+            privs: vec![],
             prov_table: vec![],
             body: vec![
                 KStm::GlobalRead {
@@ -963,8 +947,8 @@ mod tests {
             name: "rotate".into(),
             params: vec![KParam::Buffer(ScalarType::I64)],
             locals: vec![(ScalarType::I64, KExp::GroupSize)],
-            num_regs: 2,
-            num_priv: 0,
+            regs: vec![ScalarType::I64; 2],
+            privs: vec![],
             prov_table: vec![],
             body: vec![
                 KStm::LocalWrite {
@@ -1011,8 +995,8 @@ mod tests {
             name: "diverge".into(),
             params: vec![KParam::Buffer(ScalarType::I64)],
             locals: vec![],
-            num_regs: 1,
-            num_priv: 0,
+            regs: vec![ScalarType::I64],
+            privs: vec![],
             prov_table: vec![],
             body: vec![KStm::If {
                 cond: KExp::Cmp(
@@ -1051,8 +1035,8 @@ mod tests {
             name: "tri".into(),
             params: vec![KParam::Buffer(ScalarType::I64)],
             locals: vec![],
-            num_regs: 2,
-            num_priv: 0,
+            regs: vec![ScalarType::I64; 2],
+            privs: vec![],
             prov_table: vec![],
             body: vec![
                 KStm::Assign {

@@ -8,11 +8,11 @@
 //!
 //! - every expression becomes a flat `Tape` of register-form `WInstr`s
 //!   over register-file columns — no recursion, no allocation per lane;
-//! - every virtual register gets a *statically inferred* scalar class,
-//!   which decode checks every use against, and a column of raw `u64`
-//!   bits in one structure-of-arrays register file (`regs[reg * lanes +
-//!   lane]`), as on a GPU, whose registers are untyped lane slots that
-//!   each instruction reads at its own type.
+//! - every virtual register has the scalar class codegen declared for it
+//!   ([`Kernel::regs`]), which decode checks every write and use against,
+//!   and a column of raw `u64` bits in one structure-of-arrays register
+//!   file (`regs[reg * lanes + lane]`), as on a GPU, whose registers are
+//!   untyped lane slots that each instruction reads at its own type.
 //!
 //! Scalar *semantics* are unchanged: integer arithmetic wraps, `/` and `%`
 //! are floored ([`futhark_interp::scalar::floor_div_i64`] and friends), and
@@ -577,8 +577,9 @@ enum Instrs {
     Postfix(Box<[EOp]>),
 }
 
-/// A kernel pre-decoded for execution: register classes inferred and
-/// checked, expressions flattened to tapes. Decoded kernels are
+/// A kernel pre-decoded for execution: register and private-array
+/// classes checked against the kernel's declarations, expressions
+/// flattened to tapes. Decoded kernels are
 /// immutable once built, so one can be shared by any number of
 /// concurrent launches.
 ///
@@ -610,17 +611,8 @@ pub struct DecodedKernel {
 }
 
 // ---------------------------------------------------------------------------
-// Decode: register class inference + tape compilation
+// Decode: class checks + tape compilation
 // ---------------------------------------------------------------------------
-
-struct Decoder<'k> {
-    kernel: &'k Kernel,
-    /// Inferred class per register (`None` = never written; defaults to
-    /// i64, matching the old simulator's `Scalar::I64(0)` register init).
-    regs: Vec<Option<ScalarType>>,
-    privs: Vec<Option<ScalarType>>,
-    changed: bool,
-}
 
 /// The type of scalar parameter `i`: decode's one check that an
 /// expression's `ScalarArg` names a scalar.
@@ -640,106 +632,10 @@ fn param_buffer(kernel: &Kernel, i: usize) -> SResult<ScalarType> {
     }
 }
 
-impl<'k> Decoder<'k> {
-    /// The class of an expression, if enough register classes are known.
-    fn exp_class(&self, e: &KExp) -> SResult<Option<ScalarType>> {
-        Ok(match e {
-            KExp::Const(s) => Some(s.scalar_type()),
-            KExp::Var(r) => self.regs[*r as usize],
-            KExp::GlobalId | KExp::GroupId | KExp::LocalId | KExp::GroupSize | KExp::NumThreads => {
-                Some(ScalarType::I64)
-            }
-            KExp::ScalarArg(i) => Some(param_scalar(self.kernel, *i)?),
-            KExp::BinOp(_, a, b) => match self.exp_class(a)? {
-                Some(t) => Some(t),
-                None => self.exp_class(b)?,
-            },
-            KExp::Cmp(..) => Some(ScalarType::Bool),
-            KExp::UnOp(_, a) => self.exp_class(a)?,
-            KExp::Convert(t, _) => Some(*t),
-        })
-    }
-
-    fn set_reg(&mut self, r: u32, t: ScalarType) -> SResult<()> {
-        match self.regs[r as usize] {
-            None => {
-                self.regs[r as usize] = Some(t);
-                self.changed = true;
-                Ok(())
-            }
-            Some(old) if old == t => Ok(()),
-            Some(old) => Err(SimError::Scalar(format!(
-                "register {r} used at both {old:?} and {t:?}"
-            ))),
-        }
-    }
-
-    fn set_priv(&mut self, p: usize, t: ScalarType) -> SResult<()> {
-        match self.privs[p] {
-            None => {
-                self.privs[p] = Some(t);
-                self.changed = true;
-                Ok(())
-            }
-            Some(old) if old == t => Ok(()),
-            Some(old) => Err(SimError::Scalar(format!(
-                "private array {p} used at both {old:?} and {t:?}"
-            ))),
-        }
-    }
-
-    fn infer_stms(&mut self, stms: &[KStm]) -> SResult<()> {
-        for stm in stms {
-            match stm {
-                KStm::Assign { var, exp } => {
-                    if let Some(t) = self.exp_class(exp)? {
-                        self.set_reg(*var, t)?;
-                    }
-                }
-                KStm::GlobalRead { var, buf, .. } => {
-                    let t = param_buffer(self.kernel, *buf)?;
-                    self.set_reg(*var, t)?;
-                }
-                KStm::LocalRead { var, mem, .. } => {
-                    let t = self.kernel.locals[*mem].0;
-                    self.set_reg(*var, t)?;
-                }
-                KStm::PrivAlloc { arr, elem, .. } => self.set_priv(*arr, *elem)?,
-                KStm::PrivRead { var, arr, .. } => {
-                    if let Some(t) = self.privs[*arr] {
-                        self.set_reg(*var, t)?;
-                    }
-                }
-                KStm::PrivCopy { dst, src, .. } => {
-                    if let Some(t) = self.privs[*src] {
-                        self.set_priv(*dst, t)?;
-                    }
-                }
-                KStm::For { var, body, .. } => {
-                    self.set_reg(*var, ScalarType::I64)?;
-                    self.infer_stms(body)?;
-                }
-                KStm::While { body, .. } | KStm::At { body, .. } => self.infer_stms(body)?,
-                KStm::If { then_s, else_s, .. } => {
-                    self.infer_stms(then_s)?;
-                    self.infer_stms(else_s)?;
-                }
-                KStm::GlobalWrite { .. }
-                | KStm::LocalWrite { .. }
-                | KStm::PrivWrite { .. }
-                | KStm::Barrier => {}
-            }
-        }
-        Ok(())
-    }
-}
-
 struct Compiler<'k> {
+    /// The kernel being decoded: its declared register and private-array
+    /// classes are what every write and use is checked against.
     kernel: &'k Kernel,
-    /// The inferred class of each register, which every use is checked
-    /// against.
-    reg_class: Vec<ScalarType>,
-    priv_class: Vec<ScalarType>,
     /// Postfix ops: every tape's so far in a reference decode, else only
     /// those of the tape being built, [`reg_compile`]'s input.
     ops: Vec<EOp>,
@@ -764,7 +660,7 @@ impl<'k> Compiler<'k> {
             }
             KExp::Var(r) => {
                 self.ops.push(EOp::Load(*r));
-                self.reg_class[*r as usize]
+                self.kernel.regs[*r as usize]
             }
             KExp::GlobalId => {
                 self.ops.push(EOp::GlobalId);
@@ -842,7 +738,8 @@ impl<'k> Compiler<'k> {
         let (start, end, result) = match &mut self.winstrs {
             Some(winstrs) => {
                 let at = winstrs.len();
-                let compiled = reg_compile(&self.ops[start..], self.kernel.num_regs, winstrs);
+                let registers = self.kernel.regs.len() as u32;
+                let compiled = reg_compile(&self.ops[start..], registers, winstrs);
                 let end = winstrs.len();
                 self.ops.truncate(start);
                 let (columns, result) = compiled.map_err(|what| self.malformed(what))?;
@@ -894,6 +791,18 @@ impl<'k> Compiler<'k> {
         Ok(tape)
     }
 
+    /// Register `r`, checked to be declared at the class `t` that a
+    /// statement writes it at.
+    fn dst(&self, r: u32, t: ScalarType, what: &str) -> SResult<u32> {
+        let declared = self.kernel.regs[r as usize];
+        if t != declared {
+            return Err(SimError::Scalar(format!(
+                "{what} of class {t:?} stored into register {r}, declared {declared:?}"
+            )));
+        }
+        Ok(r)
+    }
+
     /// Decodes a body into a slice of exactly its length (collecting a
     /// `Result` iterator would start at capacity 4 and double). A
     /// marker's statements take its site and its place in the body.
@@ -937,12 +846,15 @@ impl<'k> Compiler<'k> {
     /// Decodes a statement other than a marker.
     fn stm(&mut self, stm: &KStm) -> SResult<DKind> {
         Ok(match stm {
-            KStm::Assign { var, exp } => DKind::Assign {
-                reg: *var,
-                exp: self.value_tape(exp, self.reg_class[*var as usize], "assignment")?,
-            },
+            KStm::Assign { var, exp } => {
+                let exp = self.tape(exp)?;
+                DKind::Assign {
+                    reg: self.dst(*var, exp.class, "assignment")?,
+                    exp,
+                }
+            }
             KStm::GlobalRead { var, buf, index } => DKind::GlobalRead {
-                reg: *var,
+                reg: self.dst(*var, param_buffer(self.kernel, *buf)?, "global read")?,
                 buf: *buf,
                 index: self.index_tape(index)?,
             },
@@ -955,7 +867,7 @@ impl<'k> Compiler<'k> {
                 }
             }
             KStm::LocalRead { var, mem, index } => DKind::LocalRead {
-                reg: *var,
+                reg: self.dst(*var, self.kernel.locals[*mem].0, "local read")?,
                 mem: *mem,
                 index: self.index_tape(index)?,
             },
@@ -969,28 +881,33 @@ impl<'k> Compiler<'k> {
                 size: self.index_tape(size)?,
             },
             KStm::PrivRead { var, arr, index } => DKind::PrivRead {
-                reg: *var,
+                reg: self.dst(*var, self.kernel.privs[*arr], "private read")?,
                 arr: *arr,
                 index: self.index_tape(index)?,
             },
             KStm::PrivWrite { arr, index, value } => DKind::PrivWrite {
                 arr: *arr,
                 index: self.index_tape(index)?,
-                value: self.value_tape(value, self.priv_class[*arr], "private write")?,
+                value: self.value_tape(value, self.kernel.privs[*arr], "private write")?,
             },
-            KStm::PrivCopy { dst, src, len } => DKind::PrivCopy {
-                dst: *dst,
-                src: *src,
-                len: self.index_tape(len)?,
-            },
-            KStm::For { var, bound, body } => {
-                debug_assert_eq!(self.reg_class[*var as usize], ScalarType::I64);
-                DKind::For {
-                    reg: *var,
-                    bound: self.index_tape(bound)?,
-                    body: self.stms(body)?,
+            KStm::PrivCopy { dst, src, len } => {
+                let (to, from) = (self.kernel.privs[*dst], self.kernel.privs[*src]);
+                if to != from {
+                    return Err(SimError::Scalar(format!(
+                        "private copy of class {from:?} stored into {to:?}"
+                    )));
+                }
+                DKind::PrivCopy {
+                    dst: *dst,
+                    src: *src,
+                    len: self.index_tape(len)?,
                 }
             }
+            KStm::For { var, bound, body } => DKind::For {
+                reg: self.dst(*var, ScalarType::I64, "loop counter")?,
+                bound: self.index_tape(bound)?,
+                body: self.stms(body)?,
+            },
             KStm::While { cond, body } => DKind::While {
                 cond: self.cond_tape(cond, "while")?,
                 body: self.stms(body)?,
@@ -1011,19 +928,19 @@ impl<'k> Compiler<'k> {
 }
 
 impl DecodedKernel {
-    /// Pre-decodes a kernel for the warp engine: infers a scalar class
-    /// for every register and private array (fixpoint over the body;
-    /// registers that are never written default to i64, matching the old
-    /// `Scalar::I64(0)` register initialisation), checks every use
-    /// against it, and flattens every expression into a register-form
+    /// Pre-decodes a kernel for the warp engine: checks every write and
+    /// use of a register or private array against the class the kernel
+    /// declares for it ([`Kernel::regs`], [`Kernel::privs`]), in one pass
+    /// over the body, and flattens every expression into a register-form
     /// `Tape`.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Scalar`] for kernels the static model rejects:
-    /// a register or private array used at two different classes, operand
-    /// class mismatches, or argument kind confusion (well-typed codegen
-    /// output never triggers them).
+    /// Returns [`SimError::Scalar`], naming the kernel, for kernels the
+    /// static model rejects: a write of another class into a register or
+    /// private array, a private copy between arrays of two classes,
+    /// operand class mismatches, or argument kind confusion (well-typed
+    /// codegen output never triggers them).
     pub fn decode(kernel: &Kernel) -> SResult<DecodedKernel> {
         Self::decode_to(kernel, true)
     }
@@ -1042,46 +959,20 @@ impl DecodedKernel {
 
     /// Decodes to the register form if `register`, else to postfix.
     fn decode_to(kernel: &Kernel, register: bool) -> SResult<DecodedKernel> {
-        // Static-model rejections name the kernel, whichever step finds
-        // them.
-        let named = |e: SimError| match e {
+        let mut comp = Compiler {
+            kernel,
+            ops: Vec::new(),
+            winstrs: register.then(Vec::new),
+            columns: kernel.regs.len() as u32,
+            site: kernel.prov_table.len() as u32,
+        };
+        // Static-model rejections name the kernel.
+        let body = comp.stms(&kernel.body).map_err(|e| match e {
             SimError::Scalar(m) => {
                 SimError::Scalar(format!("decoding kernel `{}`: {m}", kernel.name))
             }
             other => other,
-        };
-        let mut inf = Decoder {
-            kernel,
-            regs: vec![None; kernel.num_regs as usize],
-            privs: vec![None; kernel.num_priv],
-            changed: true,
-        };
-        // Fixpoint: classes only ever go from unknown to known, so this
-        // terminates after at most `num_regs + num_priv + 1` sweeps.
-        while inf.changed {
-            inf.changed = false;
-            inf.infer_stms(&kernel.body).map_err(named)?;
-        }
-        let reg_class = inf
-            .regs
-            .iter()
-            .map(|c| c.unwrap_or(ScalarType::I64))
-            .collect();
-        let priv_class: Vec<ScalarType> = inf
-            .privs
-            .iter()
-            .map(|c| c.unwrap_or(ScalarType::I64))
-            .collect();
-        let mut comp = Compiler {
-            kernel,
-            reg_class,
-            priv_class,
-            ops: Vec::new(),
-            winstrs: register.then(Vec::new),
-            columns: kernel.num_regs,
-            site: kernel.prov_table.len() as u32,
-        };
-        let body = comp.stms(&kernel.body).map_err(named)?;
+        })?;
         let mut site = Prov::none();
         for p in &kernel.prov_table {
             site.merge(p);
@@ -1091,7 +982,7 @@ impl DecodedKernel {
             params: kernel.params.clone(),
             locals: kernel.locals.clone(),
             columns: comp.columns,
-            priv_class: comp.priv_class,
+            priv_class: kernel.privs.clone(),
             body,
             instrs: match comp.winstrs {
                 Some(winstrs) => Instrs::Register(winstrs.into_boxed_slice()),
@@ -3716,8 +3607,8 @@ mod tests {
                 KParam::Buffer(ScalarType::I64),
             ],
             locals: vec![],
-            num_regs: 1,
-            num_priv: 0,
+            regs: vec![ScalarType::I64],
+            privs: vec![],
             prov_table: vec![],
             body: vec![
                 KStm::GlobalRead {
@@ -3736,9 +3627,10 @@ mod tests {
 
     #[test]
     fn decode_infers_register_classes() {
-        // A buffer read, a scalar argument and a comparison each give
-        // their register a class. Every destination is the register's own
-        // column, and the tapes that read a register carry its class.
+        // A buffer read, a scalar argument and a comparison each write
+        // their register at the class the kernel declares for it. Every
+        // destination is the register's own column, and the tapes that
+        // read a register carry its declared class.
         let k = Kernel {
             name: "mixed".into(),
             params: vec![
@@ -3746,8 +3638,8 @@ mod tests {
                 KParam::Scalar(ScalarType::I64),
             ],
             locals: vec![],
-            num_regs: 3,
-            num_priv: 0,
+            regs: vec![ScalarType::F64, ScalarType::I64, ScalarType::Bool],
+            privs: vec![],
             prov_table: vec![],
             body: vec![
                 KStm::GlobalRead {
@@ -3811,8 +3703,8 @@ mod tests {
             name: "reads".into(),
             params: vec![KParam::Buffer(ScalarType::I64); 2],
             locals: vec![],
-            num_regs: 2,
-            num_priv: 0,
+            regs: vec![ScalarType::I64; 2],
+            privs: vec![],
             prov_table: vec![],
             body: vec![
                 KStm::GlobalRead {
@@ -3873,26 +3765,72 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_register_class_conflicts() {
-        let k = Kernel {
-            name: "conflict".into(),
-            params: vec![KParam::Scalar(ScalarType::I64)],
-            locals: vec![],
-            num_regs: 1,
-            num_priv: 0,
+    fn decode_rejects_writes_of_another_class_than_declared() {
+        // Register 0 and private array 0 are declared i64, register 1 and
+        // private array 1 f64. Each statement is accepted in its
+        // well-classed form and rejected, naming the kernel and what was
+        // written, in the other, by both decoders.
+        let kernel = |stm: KStm| Kernel {
+            name: "miswritten".into(),
+            params: vec![KParam::Buffer(ScalarType::F64)],
+            locals: vec![(ScalarType::F64, KExp::GroupSize)],
+            regs: vec![ScalarType::I64, ScalarType::F64],
+            privs: vec![ScalarType::I64, ScalarType::F64],
             prov_table: vec![],
-            body: vec![
-                KStm::Assign {
-                    var: 0,
-                    exp: KExp::i64(1),
-                },
-                KStm::Assign {
-                    var: 0,
-                    exp: KExp::Const(Scalar::F64(1.0)),
-                },
-            ],
+            body: vec![stm],
         };
-        assert!(DecodedKernel::decode(&k).is_err());
+        let assign = |var| KStm::Assign {
+            var,
+            exp: KExp::Const(Scalar::F64(1.0)),
+        };
+        let global_read = |var| KStm::GlobalRead {
+            var,
+            buf: 0,
+            index: KExp::i64(0),
+        };
+        let local_read = |var| KStm::LocalRead {
+            var,
+            mem: 0,
+            index: KExp::i64(0),
+        };
+        let priv_read = |var| KStm::PrivRead {
+            var,
+            arr: 1,
+            index: KExp::i64(0),
+        };
+        let counter = |var| KStm::For {
+            var,
+            bound: KExp::i64(1),
+            body: vec![],
+        };
+        let copy = |dst| KStm::PrivCopy {
+            dst,
+            src: 1,
+            len: KExp::i64(1),
+        };
+        let cases = [
+            ("assignment", assign(1), assign(0)),
+            ("global read", global_read(1), global_read(0)),
+            ("local read", local_read(1), local_read(0)),
+            ("private read", priv_read(1), priv_read(0)),
+            ("loop counter", counter(0), counter(1)),
+            ("private copy", copy(1), copy(0)),
+        ];
+        for (what, good, bad) in cases {
+            for (engine, decode) in [
+                ("reference", DecodedKernel::reference as fn(&Kernel) -> _),
+                ("warp", DecodedKernel::decode),
+            ] {
+                assert!(decode(&kernel(good.clone())).is_ok(), "{engine}: {what}");
+                match decode(&kernel(bad.clone())) {
+                    Err(SimError::Scalar(m)) => assert!(
+                        m.contains("`miswritten`") && m.contains(what),
+                        "{engine}: {m}"
+                    ),
+                    other => panic!("{engine}: {what} accepted: {:?}", other.map(|_| ())),
+                }
+            }
+        }
     }
 
     #[test]
@@ -3901,8 +3839,8 @@ mod tests {
             name: "stray".into(),
             params: vec![],
             locals: vec![],
-            num_regs: 1,
-            num_priv: 0,
+            regs: vec![ScalarType::I64],
+            privs: vec![],
             prov_table: vec![Prov::line(1)],
             body: vec![KStm::At {
                 prov: 1,
@@ -3964,8 +3902,8 @@ mod tests {
             name: "conflict".into(),
             params: vec![KParam::Buffer(ScalarType::I64)],
             locals: vec![],
-            num_regs: 0,
-            num_priv: 0,
+            regs: vec![],
+            privs: vec![],
             prov_table: vec![],
             body: vec![KStm::GlobalWrite {
                 buf: 0,
@@ -4004,8 +3942,8 @@ mod tests {
             name: "fault".into(),
             params: vec![KParam::Buffer(ScalarType::I64)],
             locals: vec![],
-            num_regs: 1,
-            num_priv: 0,
+            regs: vec![ScalarType::I64],
+            privs: vec![],
             prov_table: vec![],
             body: vec![KStm::If {
                 cond: KExp::Cmp(
@@ -4058,8 +3996,8 @@ mod tests {
                 KParam::Buffer(ScalarType::I64),
             ],
             locals: vec![],
-            num_regs: 1,
-            num_priv: 0,
+            regs: vec![ScalarType::I64],
+            privs: vec![],
             prov_table: vec![],
             body: vec![
                 KStm::GlobalRead {
@@ -4104,8 +4042,8 @@ mod tests {
             name: "neglocal".into(),
             params: vec![KParam::Scalar(ScalarType::I64)],
             locals: vec![(ScalarType::I64, KExp::ScalarArg(0))],
-            num_regs: 0,
-            num_priv: 0,
+            regs: vec![],
+            privs: vec![],
             prov_table: vec![],
             body: vec![],
         };
@@ -4135,8 +4073,8 @@ mod tests {
             name: "rmw".into(),
             params: vec![KParam::Buffer(ScalarType::I64)],
             locals: vec![],
-            num_regs: 1,
-            num_priv: 0,
+            regs: vec![ScalarType::I64],
+            privs: vec![],
             prov_table: vec![],
             body: vec![
                 KStm::GlobalWrite {
@@ -4195,8 +4133,8 @@ mod tests {
             name: "deep_sum".into(),
             params: vec![KParam::Buffer(ScalarType::I64)],
             locals: vec![],
-            num_regs: 0,
-            num_priv: 0,
+            regs: vec![],
+            privs: vec![],
             prov_table: vec![],
             body: vec![KStm::GlobalWrite {
                 buf: 0,
@@ -4262,7 +4200,7 @@ mod tests {
         for (d, r) in [(di, ri), (dv, rv)] {
             assert!(dk.ops(d).is_empty() && rk.winstrs(r).is_empty());
             let mut w = Vec::new();
-            let (_, result) = reg_compile(rk.ops(r), k.num_regs, &mut w).unwrap();
+            let (_, result) = reg_compile(rk.ops(r), k.regs.len() as u32, &mut w).unwrap();
             assert_eq!(w, dk.winstrs(d));
             assert_eq!(result, d.result);
         }
@@ -4412,8 +4350,8 @@ mod tests {
                 KParam::Scalar(ScalarType::I64),
             ],
             locals: vec![],
-            num_regs: 1,
-            num_priv: 0,
+            regs: vec![ScalarType::I64],
+            privs: vec![],
             prov_table: vec![],
             body: std::iter::once(KStm::Assign {
                 var: 0,
@@ -4497,8 +4435,8 @@ mod tests {
                     KParam::Buffer(ScalarType::I64),
                 ],
                 locals: vec![],
-                num_regs: 0,
-                num_priv: 0,
+                regs: vec![],
+                privs: vec![],
                 prov_table: vec![],
                 body: body.clone(),
             };
@@ -4568,8 +4506,8 @@ mod tests {
             name: "mixed_tape".into(),
             params: vec![KParam::Buffer(ScalarType::F64)],
             locals: vec![],
-            num_regs: 0,
-            num_priv: 0,
+            regs: vec![],
+            privs: vec![],
             prov_table: vec![],
             body: vec![KStm::GlobalWrite {
                 buf: 0,
@@ -4614,8 +4552,8 @@ mod tests {
             name: "bool_tape".into(),
             params: vec![KParam::Buffer(ScalarType::I64)],
             locals: vec![],
-            num_regs: 0,
-            num_priv: 0,
+            regs: vec![],
+            privs: vec![],
             prov_table: vec![],
             body: vec![KStm::If {
                 cond: KExp::Cmp(CmpOp::Lt, Box::new(KExp::GlobalId), Box::new(KExp::i64(4))),
@@ -4669,8 +4607,8 @@ mod tests {
                 KParam::Buffer(ScalarType::I64),
             ],
             locals: vec![],
-            num_regs: 3,
-            num_priv: 0,
+            regs: vec![ScalarType::I64; 3],
+            privs: vec![],
             prov_table: vec![],
             body: vec![KStm::For {
                 var: 0,
@@ -5073,7 +5011,6 @@ mod tests {
             },
             4 => KStm::PrivAlloc {
                 arr: 1,
-                elem: ScalarType::I64,
                 size: index(),
             },
             5 => KStm::PrivRead {
@@ -5107,7 +5044,6 @@ mod tests {
             },
             KStm::PrivAlloc {
                 arr: 0,
-                elem: ScalarType::I64,
                 size: KExp::i64(4),
             },
             KStm::PrivWrite {
@@ -5147,8 +5083,8 @@ mod tests {
             name: format!("fault{kind}"),
             params: vec![KParam::Buffer(ScalarType::I64); 5],
             locals: vec![(ScalarType::I64, KExp::GroupSize)],
-            num_regs: 4,
-            num_priv: 2,
+            regs: vec![ScalarType::I64; 4],
+            privs: vec![ScalarType::I64; 2],
             prov_table: vec![],
             body,
         }
@@ -5361,8 +5297,8 @@ mod tests {
                 name: "assign".into(),
                 params: vec![KParam::Buffer(ScalarType::I64); 10],
                 locals: vec![],
-                num_regs: 6,
-                num_priv: 0,
+                regs: vec![ScalarType::I64; 6],
+                privs: vec![],
                 prov_table: vec![],
                 body,
             }
@@ -5468,7 +5404,6 @@ mod tests {
         };
         let alloc = |arr: usize| KStm::PrivAlloc {
             arr,
-            elem: ScalarType::I64,
             size: KExp::i64(4),
         };
         let read_back = |arr: usize, buf: usize| KStm::For {
@@ -5491,8 +5426,8 @@ mod tests {
             name: "reuse".into(),
             params: vec![KParam::Buffer(ScalarType::I64); 2],
             locals: vec![],
-            num_regs: 2,
-            num_priv: 2,
+            regs: vec![ScalarType::I64; 2],
+            privs: vec![ScalarType::I64; 2],
             prov_table: vec![],
             body: vec![
                 alloc(0),
@@ -5556,8 +5491,8 @@ mod tests {
             name: "sites".into(),
             params: vec![KParam::Buffer(ScalarType::I64)],
             locals: vec![],
-            num_regs: 2,
-            num_priv: 0,
+            regs: vec![ScalarType::I64; 2],
+            privs: vec![],
             prov_table: (1..=3).map(Prov::line).collect(),
             body: vec![
                 at(
@@ -5658,15 +5593,14 @@ mod tests {
                 name: "privs".into(),
                 params: vec![],
                 locals: vec![],
-                num_regs: 1,
-                num_priv: 1,
+                regs: vec![ScalarType::I64],
+                privs: vec![elem],
                 prov_table: vec![],
                 body: vec![KStm::For {
                     var: 0,
                     bound: KExp::i64(3),
                     body: vec![KStm::PrivAlloc {
                         arr: 0,
-                        elem,
                         size: size.clone(),
                     }],
                 }],

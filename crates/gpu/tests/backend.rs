@@ -16,7 +16,7 @@ fn compile(src: &str, sched: Schedule) -> (GpuPlan, Program) {
     futhark_opt::fusion::fuse_program(&mut prog, &mut ns, &mut cur);
     futhark_opt::flatten::flatten_program(&mut prog, &mut ns, &mut cur);
     futhark_opt::simplify::simplify_program(&mut prog, &mut ns, &SimplifyToggles::default());
-    let plan = codegen::compile(&prog, &mut ScheduleCursor::new(sched)).expect("codegen");
+    let plan = codegen::compile(&prog, &mut ns, &mut ScheduleCursor::new(sched)).expect("codegen");
     (plan, prog)
 }
 

@@ -69,8 +69,16 @@ pub fn simplify_fun(f: &mut FunDef, toggles: &SimplifyToggles) {
 /// inlines aggressively before fusion).
 pub fn inline_functions(prog: &mut Program, ns: &mut NameSource) {
     // Iterate: inline calls whose callee contains no calls itself, until no
-    // calls remain (or only recursive ones, which we leave).
+    // calls remain (or only recursive ones, which we leave). A program
+    // without calls is not copied at all.
     for _ in 0..16 {
+        if prog
+            .functions
+            .iter()
+            .all(|f| calls_in_body(&f.body).is_empty())
+        {
+            break;
+        }
         let snapshot = prog.clone();
         let mut changed = false;
         for f in &mut prog.functions {

@@ -194,8 +194,8 @@ fn all_lanes_diverge() {
             KParam::Scalar(ScalarType::I64),
         ],
         locals: vec![],
-        num_regs: 1,
-        num_priv: 0,
+        regs: vec![ScalarType::I64],
+        privs: vec![],
         prov_table: vec![],
         body: vec![KStm::If {
             cond: lt(KExp::GlobalId, KExp::ScalarArg(1)),
@@ -239,8 +239,8 @@ fn single_active_lane() {
         name: "one_lane".into(),
         params: vec![KParam::Buffer(ScalarType::I64)],
         locals: vec![],
-        num_regs: 1,
-        num_priv: 0,
+        regs: vec![ScalarType::I64],
+        privs: vec![],
         prov_table: vec![],
         body: vec![KStm::If {
             cond: eq(KExp::GlobalId, KExp::i64(7)),
@@ -278,8 +278,8 @@ fn alternating_mask_writes() {
         name: "alternating".into(),
         params: vec![KParam::Buffer(ScalarType::I64)],
         locals: vec![],
-        num_regs: 1,
-        num_priv: 0,
+        regs: vec![ScalarType::I64],
+        privs: vec![],
         prov_table: vec![],
         body: vec![KStm::If {
             cond: eq(KExp::GlobalId.rem(KExp::i64(2)), KExp::i64(0)),
@@ -313,8 +313,8 @@ fn partial_tail_warp() {
         name: "tail".into(),
         params: vec![KParam::Buffer(ScalarType::I64)],
         locals: vec![],
-        num_regs: 1,
-        num_priv: 0,
+        regs: vec![ScalarType::I64],
+        privs: vec![],
         prov_table: vec![],
         body: vec![KStm::GlobalWrite {
             buf: 0,
@@ -346,8 +346,8 @@ fn empty_warps_at_grid_tail() {
         name: "mostly_empty".into(),
         params: vec![KParam::Buffer(ScalarType::I64)],
         locals: vec![],
-        num_regs: 2,
-        num_priv: 0,
+        regs: vec![ScalarType::I64; 2],
+        privs: vec![],
         prov_table: vec![],
         body: vec![KStm::If {
             cond: lt(KExp::GlobalId, KExp::i64(live)),
@@ -394,8 +394,8 @@ fn masked_lanes_never_write_registers() {
         name: "reg_mask".into(),
         params: vec![KParam::Buffer(ScalarType::I64)],
         locals: vec![],
-        num_regs: 1,
-        num_priv: 0,
+        regs: vec![ScalarType::I64],
+        privs: vec![],
         prov_table: vec![],
         body: vec![
             KStm::Assign {
@@ -462,13 +462,12 @@ fn per_lane_trip_counts() {
                 name: "varloop".into(),
                 params: vec![KParam::Buffer(ScalarType::I64)],
                 locals: vec![],
-                num_regs: 3,
-                num_priv: 1,
+                regs: vec![ScalarType::I64; 3],
+                privs: vec![ScalarType::I64],
                 prov_table: vec![],
                 body: vec![
                     KStm::PrivAlloc {
                         arr: 0,
-                        elem: ScalarType::I64,
                         size: KExp::i64(1),
                     },
                     KStm::Assign {
@@ -522,8 +521,8 @@ fn faults_identically(n: usize, small: usize) {
             KParam::Buffer(ScalarType::I64),
         ],
         locals: vec![],
-        num_regs: 1,
-        num_priv: 0,
+        regs: vec![ScalarType::I64],
+        privs: vec![],
         prov_table: vec![],
         body: vec![
             KStm::GlobalRead {
@@ -575,8 +574,8 @@ fn local_rotate(group: usize, n: usize) {
             KParam::Scalar(ScalarType::I64),
         ],
         locals: vec![(ScalarType::F64, KExp::GroupSize)],
-        num_regs: 2,
-        num_priv: 0,
+        regs: vec![ScalarType::F64; 2],
+        privs: vec![],
         prov_table: vec![],
         body: vec![
             KStm::If {
@@ -646,8 +645,8 @@ fn zero_thread_launch() {
         name: "empty_grid".into(),
         params: vec![KParam::Buffer(ScalarType::I64)],
         locals: vec![],
-        num_regs: 1,
-        num_priv: 0,
+        regs: vec![ScalarType::I64],
+        privs: vec![],
         prov_table: vec![],
         body: vec![KStm::GlobalWrite {
             buf: 0,
